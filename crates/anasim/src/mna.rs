@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use crate::dense::Matrix;
-use crate::devices::{Device, MosPolarity};
+use crate::devices::{Device, DiodeParams, MosParams, MosPolarity, SwitchParams};
 use crate::flight::SolveHooks;
 use crate::metrics::DemotionTier;
 use crate::netlist::{DeviceId, Netlist, NodeId};
@@ -145,61 +145,57 @@ pub struct StampParams<'a> {
     pub source_scale: f64,
 }
 
-/// Stamps the full linearised MNA system `A·x_new = b` around the guess `x`.
-pub fn stamp_system<M: MnaMatrix>(
+/// Stamps the full linearised MNA system `A·x_new = b` around the guess
+/// `x` into a dense matrix: the linear devices plus gmin, then the
+/// nonlinear devices through a device program compiled against `a`'s
+/// value slots.
+pub fn stamp_system(
     netlist: &Netlist,
     layout: &MnaLayout,
     x: &[f64],
     params: &StampParams<'_>,
-    a: &mut M,
+    a: &mut Matrix,
     b: &mut [f64],
-) {
-    stamp_system_profiled(netlist, layout, x, params, a, b, None);
-}
-
-/// [`stamp_system`] with optional boundary-timed phase attribution.
-///
-/// Assembly runs in two passes — linear stamps plus gmin first,
-/// nonlinear device model evaluation (MOSFET / diode / switch) second —
-/// so a [`LapTimer`] can attribute each pass with a single clock read
-/// ([`Phase::Stamp`] and [`Phase::DeviceEval`] respectively) instead of
-/// paying a timing guard per device inside the Newton hot loop. The
-/// pass split is unconditional (armed and disarmed runs assemble in
-/// the same order), so arming the profiler never changes a bit of the
-/// stamped system.
-pub fn stamp_system_profiled<M: MnaMatrix>(
-    netlist: &Netlist,
-    layout: &MnaLayout,
-    x: &[f64],
-    params: &StampParams<'_>,
-    a: &mut M,
-    b: &mut [f64],
-    mut lap: Option<&mut LapTimer>,
 ) {
     a.clear();
-    b.iter_mut().for_each(|v| *v = 0.0);
+    b.fill(0.0);
     stamp_linear(netlist, layout, params, a, b);
-    if let Some(lap) = lap.as_deref_mut() {
-        lap.lap(Phase::Stamp);
-    }
-    if !netlist.has_nonlinear_devices() {
-        return;
-    }
-    stamp_nonlinear(netlist, layout, x, a, b);
-    if let Some(lap) = lap {
-        lap.lap(Phase::DeviceEval);
-    }
+    let program = NonlinearProgram::compile(netlist, layout, |r, c| a.slot(r, c));
+    program.stamp(x, a.values_mut(), b);
 }
 
-/// Pass 1: every linear device plus gmin. Independent of the Newton
-/// iterate `x`, so one assembly per solve can serve every iteration
-/// through a values snapshot.
+/// Every linear device plus gmin: the matrix pass, then the
+/// right-hand-side pass. Independent of the Newton iterate `x`.
 pub fn stamp_linear<M: MnaMatrix>(
     netlist: &Netlist,
     layout: &MnaLayout,
     params: &StampParams<'_>,
     a: &mut M,
     b: &mut [f64],
+) {
+    stamp_linear_matrix(netlist, layout, params, a);
+    stamp_linear_rhs(netlist, layout, params, b);
+}
+
+/// Companion coefficient of a reactive element of size `value` under
+/// `method` and `dt`: the conductance of a capacitor (farads) or the
+/// impedance of an inductor (henries).
+#[inline]
+fn companion(method: Integrator, dt: f64, value: f64) -> f64 {
+    match method {
+        Integrator::BackwardEuler => value / dt,
+        Integrator::Trapezoidal => 2.0 * value / dt,
+    }
+}
+
+/// The matrix half of [`stamp_linear`]: linear device stamps plus gmin.
+/// Depends only on the [`FactorKey`] (mode, method, `dt`, gmin), which
+/// is what lets one snapshot of it serve every solve under that key.
+fn stamp_linear_matrix<M: MnaMatrix>(
+    netlist: &Netlist,
+    layout: &MnaLayout,
+    params: &StampParams<'_>,
+    a: &mut M,
 ) {
     for (dev_id, _, dev) in netlist.devices() {
         match dev {
@@ -211,30 +207,11 @@ pub fn stamp_linear<M: MnaMatrix>(
                 b: nb,
                 farads,
                 ..
-            } => match &params.companion {
-                CompanionMode::Dc => {}
-                CompanionMode::Transient {
-                    method,
-                    dt,
-                    history,
-                } => {
-                    let (geq, irhs) = match method {
-                        Integrator::BackwardEuler => {
-                            let geq = farads / dt;
-                            (geq, geq * history.v[dev_id.index()])
-                        }
-                        Integrator::Trapezoidal => {
-                            let geq = 2.0 * farads / dt;
-                            (
-                                geq,
-                                geq * history.v[dev_id.index()] + history.i[dev_id.index()],
-                            )
-                        }
-                    };
-                    stamp_conductance(layout, a, *na, *nb, geq);
-                    stamp_current_injection(layout, b, *na, *nb, irhs);
+            } => {
+                if let CompanionMode::Transient { method, dt, .. } = &params.companion {
+                    stamp_conductance(layout, a, *na, *nb, companion(*method, *dt, *farads));
                 }
-            },
+            }
             Device::Inductor {
                 a: na,
                 b: nb,
@@ -244,44 +221,17 @@ pub fn stamp_linear<M: MnaMatrix>(
                     .branch_index(dev_id)
                     .expect("inductor has a branch index");
                 stamp_branch_kcl(layout, a, *na, *nb, j);
-                // Branch equation: v(a) - v(b) - z*i = rhs
-                match &params.companion {
-                    CompanionMode::Dc => {
-                        // Short: v(a) - v(b) = 0.
-                    }
-                    CompanionMode::Transient {
-                        method,
-                        dt,
-                        history,
-                    } => {
-                        let (z, rhs) = match method {
-                            Integrator::BackwardEuler => {
-                                let z = henries / dt;
-                                (z, -z * history.i[dev_id.index()])
-                            }
-                            Integrator::Trapezoidal => {
-                                let z = 2.0 * henries / dt;
-                                (
-                                    z,
-                                    -z * history.i[dev_id.index()] - history.v[dev_id.index()],
-                                )
-                            }
-                        };
-                        a.add(j, j, -z);
-                        b[j] += rhs;
-                    }
+                // Branch equation: v(a) - v(b) - z*i = rhs; a DC short
+                // is v(a) - v(b) = 0.
+                if let CompanionMode::Transient { method, dt, .. } = &params.companion {
+                    a.add(j, j, -companion(*method, *dt, *henries));
                 }
             }
-            Device::Vsource { pos, neg, wave } => {
+            Device::Vsource { pos, neg, .. } => {
                 let j = layout
                     .branch_index(dev_id)
                     .expect("vsource has a branch index");
                 stamp_branch_kcl(layout, a, *pos, *neg, j);
-                b[j] += wave.value_at(params.time) * params.source_scale;
-            }
-            Device::Isource { pos, neg, wave } => {
-                let i = wave.value_at(params.time) * params.source_scale;
-                stamp_current_injection(layout, b, *pos, *neg, i);
             }
             Device::Vcvs {
                 pos,
@@ -310,8 +260,12 @@ pub fn stamp_linear<M: MnaMatrix>(
             } => {
                 stamp_transconductance(layout, a, *pos, *neg, *cpos, *cneg, *gm);
             }
-            // Nonlinear devices are stamped in the second pass below.
-            Device::Mosfet { .. } | Device::Diode { .. } | Device::Switch { .. } => {}
+            // Isources only drive the right-hand side; nonlinear devices
+            // are stamped by the compiled program.
+            Device::Isource { .. }
+            | Device::Mosfet { .. }
+            | Device::Diode { .. }
+            | Device::Switch { .. } => {}
         }
     }
 
@@ -323,50 +277,332 @@ pub fn stamp_linear<M: MnaMatrix>(
     }
 }
 
-/// Pass 2: nonlinear device models (MOSFET / diode / switch) linearised
-/// around the present guess `x`, stamped on top of the linear baseline.
-pub fn stamp_nonlinear<M: MnaMatrix>(
+/// The right-hand-side half of [`stamp_linear`], accumulated into `b`
+/// in device order: source values at `params.time`, capacitor and
+/// inductor history currents, and isources.
+fn stamp_linear_rhs(
     netlist: &Netlist,
     layout: &MnaLayout,
-    x: &[f64],
-    a: &mut M,
+    params: &StampParams<'_>,
     b: &mut [f64],
 ) {
-    // Helper closure for ground-aware stamping.
-    let v_at = |node: NodeId| layout.voltage(x, node);
-    for (_, _, dev) in netlist.devices() {
+    for (dev_id, _, dev) in netlist.devices() {
         match dev {
-            Device::Mosfet {
-                drain,
-                gate,
-                source,
-                polarity,
-                params: mp,
-            } => {
-                stamp_mosfet(layout, a, b, v_at, *drain, *gate, *source, *polarity, mp);
-            }
-            Device::Diode {
-                anode,
-                cathode,
-                params: dp,
-            } => {
-                let vd = v_at(*anode) - v_at(*cathode);
-                let (id, gd) = dp.evaluate(vd);
-                let ieq = id - gd * vd;
-                stamp_conductance(layout, a, *anode, *cathode, gd);
-                stamp_current_injection(layout, b, *anode, *cathode, -ieq);
-            }
-            Device::Switch {
+            Device::Capacitor {
                 a: na,
                 b: nb,
-                cpos,
-                cneg,
-                params: sp,
+                farads,
+                ..
             } => {
-                let vc = v_at(*cpos) - v_at(*cneg);
-                stamp_conductance(layout, a, *na, *nb, sp.conductance(vc));
+                if let CompanionMode::Transient {
+                    method,
+                    dt,
+                    history,
+                } = &params.companion
+                {
+                    let geq = companion(*method, *dt, *farads);
+                    let k = dev_id.index();
+                    let irhs = match method {
+                        Integrator::BackwardEuler => geq * history.v[k],
+                        Integrator::Trapezoidal => geq * history.v[k] + history.i[k],
+                    };
+                    stamp_current_injection(layout, b, *na, *nb, irhs);
+                }
+            }
+            Device::Inductor { henries, .. } => {
+                if let CompanionMode::Transient {
+                    method,
+                    dt,
+                    history,
+                } = &params.companion
+                {
+                    let j = layout
+                        .branch_index(dev_id)
+                        .expect("inductor has a branch index");
+                    let z = companion(*method, *dt, *henries);
+                    let k = dev_id.index();
+                    b[j] += match method {
+                        Integrator::BackwardEuler => -z * history.i[k],
+                        Integrator::Trapezoidal => -z * history.i[k] - history.v[k],
+                    };
+                }
+            }
+            Device::Vsource { wave, .. } => {
+                let j = layout
+                    .branch_index(dev_id)
+                    .expect("vsource has a branch index");
+                b[j] += wave.value_at(params.time) * params.source_scale;
+            }
+            Device::Isource { pos, neg, wave } => {
+                let i = wave.value_at(params.time) * params.source_scale;
+                stamp_current_injection(layout, b, *pos, *neg, i);
             }
             _ => {}
+        }
+    }
+}
+
+/// Unknown index of a ground terminal, and the slot of a stamp entry
+/// that touches ground, in a compiled [`NonlinearProgram`].
+const GROUND: u32 = u32::MAX;
+
+/// Voltage of unknown `i` in `x` (`0.0` for [`GROUND`]).
+#[inline]
+fn volt(x: &[f64], i: u32) -> f64 {
+    if i == GROUND {
+        0.0
+    } else {
+        x[i as usize]
+    }
+}
+
+/// One nonlinear device with its terminals' unknown indices and value
+/// slots resolved ([`GROUND`] where a terminal is grounded).
+#[derive(Debug, Clone)]
+enum NonlinearOp {
+    Mosfet {
+        polarity: MosPolarity,
+        params: MosParams,
+        /// Drain, gate and source unknowns.
+        d: u32,
+        g: u32,
+        s: u32,
+        /// Slots of rows {d, s} × columns {d, g, s}, row-major:
+        /// `[dd, dg, ds, sd, sg, ss]`. With `hi = d` the stamp visits
+        /// them in this order; with `hi = s` (the channel frame swapped)
+        /// its row-by-row, hi-g-lo order is exactly the reverse.
+        slots: [u32; 6],
+    },
+    Diode {
+        params: DiodeParams,
+        anode: u32,
+        cathode: u32,
+        /// Conductance slots `[aa, ak, kk, ka]`.
+        slots: [u32; 4],
+    },
+    Switch {
+        params: SwitchParams,
+        cpos: u32,
+        cneg: u32,
+        /// Conductance slots `[aa, ab, bb, ba]` of the switched pair.
+        slots: [u32; 4],
+    },
+}
+
+/// The netlist's MOSFETs, diodes and switches compiled once per
+/// assembled system: one flat entry per device, in netlist order, with
+/// every terminal index and matrix value slot resolved up front.
+///
+/// Stamping walks this table instead of the netlist's `Device` enum, so
+/// a Newton iteration pays for model evaluation and indexed adds only —
+/// no node lookups, no `(row, col)` → slot resolution, no skipped linear
+/// devices. Netlist order is kept because it is the accumulation order
+/// into slots two devices share, which keeps every stamped value bit
+/// for bit what a device-by-device `add` walk produces.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NonlinearProgram {
+    ops: Vec<NonlinearOp>,
+}
+
+impl NonlinearProgram {
+    /// Compiles the nonlinear devices of `netlist`, resolving each
+    /// non-ground `(row, col)` a device may stamp through `slot` (a
+    /// CSC slot on the sparse backend, `r·n + c` on the dense one).
+    /// Every position either MOSFET channel frame can touch is
+    /// resolved, so a symbolic probe can take its nonlinear positions
+    /// from this call.
+    pub(crate) fn compile(
+        netlist: &Netlist,
+        layout: &MnaLayout,
+        mut slot: impl FnMut(usize, usize) -> usize,
+    ) -> NonlinearProgram {
+        let idx = |node: NodeId| layout.node_index(node).map_or(GROUND, |i| i as u32);
+        let mut at = |r: u32, c: u32| {
+            if r == GROUND || c == GROUND {
+                GROUND
+            } else {
+                u32::try_from(slot(r as usize, c as usize)).expect("value slot fits u32")
+            }
+        };
+        let mut ops = Vec::new();
+        for (_, _, dev) in netlist.devices() {
+            let op = match dev {
+                Device::Mosfet {
+                    drain,
+                    gate,
+                    source,
+                    polarity,
+                    params,
+                } => {
+                    let (d, g, s) = (idx(*drain), idx(*gate), idx(*source));
+                    NonlinearOp::Mosfet {
+                        polarity: *polarity,
+                        params: *params,
+                        d,
+                        g,
+                        s,
+                        slots: [at(d, d), at(d, g), at(d, s), at(s, d), at(s, g), at(s, s)],
+                    }
+                }
+                Device::Diode {
+                    anode,
+                    cathode,
+                    params,
+                } => {
+                    let (a, k) = (idx(*anode), idx(*cathode));
+                    NonlinearOp::Diode {
+                        params: *params,
+                        anode: a,
+                        cathode: k,
+                        slots: [at(a, a), at(a, k), at(k, k), at(k, a)],
+                    }
+                }
+                Device::Switch {
+                    a,
+                    b,
+                    cpos,
+                    cneg,
+                    params,
+                } => {
+                    let (a, b) = (idx(*a), idx(*b));
+                    NonlinearOp::Switch {
+                        params: *params,
+                        cpos: idx(*cpos),
+                        cneg: idx(*cneg),
+                        slots: [at(a, a), at(a, b), at(b, b), at(b, a)],
+                    }
+                }
+                _ => continue,
+            };
+            ops.push(op);
+        }
+        NonlinearProgram { ops }
+    }
+
+    /// True when the netlist has no nonlinear device (a linear netlist).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
+    /// Stamps every device linearised around the iterate `x` on top of
+    /// the values and right-hand side already assembled.
+    pub(crate) fn stamp(&self, x: &[f64], values: &mut [f64], b: &mut [f64]) {
+        for op in &self.ops {
+            match op {
+                NonlinearOp::Mosfet {
+                    polarity,
+                    params,
+                    d,
+                    g,
+                    s,
+                    slots,
+                } => stamp_mosfet(x, values, b, *polarity, params, [*d, *g, *s], slots),
+                NonlinearOp::Diode {
+                    params,
+                    anode,
+                    cathode,
+                    slots,
+                } => {
+                    let vd = volt(x, *anode) - volt(x, *cathode);
+                    let (id, gd) = params.evaluate(vd);
+                    let ieq = id - gd * vd;
+                    stamp_slots_conductance(values, slots, gd);
+                    let i = -ieq;
+                    if *anode != GROUND {
+                        b[*anode as usize] += i;
+                    }
+                    if *cathode != GROUND {
+                        b[*cathode as usize] -= i;
+                    }
+                }
+                NonlinearOp::Switch {
+                    params,
+                    cpos,
+                    cneg,
+                    slots,
+                } => {
+                    let vc = volt(x, *cpos) - volt(x, *cneg);
+                    stamp_slots_conductance(values, slots, params.conductance(vc));
+                }
+            }
+        }
+    }
+}
+
+/// Adds a two-terminal conductance `g` through its resolved slots
+/// `[aa, ab, bb, ba]`, in [`stamp_conductance`]'s order.
+#[inline]
+fn stamp_slots_conductance(values: &mut [f64], slots: &[u32; 4], g: f64) {
+    for (&slot, v) in slots.iter().zip([g, -g, g, -g]) {
+        if slot != GROUND {
+            values[slot as usize] += v;
+        }
+    }
+}
+
+/// Stamps a level-1 MOSFET linearised around `x` through its resolved
+/// slots (see [`NonlinearOp::Mosfet`]).
+#[inline]
+fn stamp_mosfet(
+    x: &[f64],
+    values: &mut [f64],
+    b: &mut [f64],
+    polarity: MosPolarity,
+    mp: &MosParams,
+    [d, g, s]: [u32; 3],
+    slots: &[u32; 6],
+) {
+    let vd = volt(x, d);
+    let vg = volt(x, g);
+    let vs = volt(x, s);
+
+    // Work in a "hi/lo" channel frame so the model only ever sees
+    // vds >= 0; the physical source/drain swap when reverse-biased.
+    //
+    // For each polarity we compute the current `i` leaving node `hi`
+    // through the channel into `lo`, plus its partial derivatives w.r.t.
+    // (v_hi, v_g, v_lo). `swapped` means hi is the source terminal.
+    let (swapped, vhi, vlo, i0, d_hi, d_g, d_lo) = match polarity {
+        MosPolarity::Nmos => {
+            let (swapped, vhi, vlo) = if vd >= vs {
+                (false, vd, vs)
+            } else {
+                (true, vs, vd)
+            };
+            let op = mp.evaluate(vg - vlo, vhi - vlo);
+            // i(v_hi, v_g, v_lo) = Ids(vgs = vg - vlo, vds = vhi - vlo)
+            (swapped, vhi, vlo, op.ids, op.gds, op.gm, -(op.gm + op.gds))
+        }
+        MosPolarity::Pmos => {
+            // PMOS conducts source -> drain when Vsg > Vt; the "hi" node is
+            // the more positive of source/drain and acts as the source.
+            let (swapped, vhi, vlo) = if vs >= vd {
+                (true, vs, vd)
+            } else {
+                (false, vd, vs)
+            };
+            let op = mp.evaluate(vhi - vg, vhi - vlo);
+            // i(v_hi, v_g, v_lo) = Ids(vgs = vhi - vg, vds = vhi - vlo)
+            (swapped, vhi, vlo, op.ids, op.gm + op.gds, -op.gm, -op.gds)
+        }
+    };
+    // Linearisation: i ≈ i0 + d_hi·(v_hi−vhi0) + d_g·(v_g−vg0) + d_lo·(v_lo−vlo0)
+    let ieq = i0 - d_hi * vhi - d_g * vg - d_lo * vlo;
+
+    // Current leaves `hi`, enters `lo`; gate carries no current. Row hi
+    // then row lo, each over columns hi, g, lo.
+    let coeff = [d_hi, d_g, d_lo];
+    for e in 0..6 {
+        let slot = slots[if swapped { 5 - e } else { e }];
+        if slot != GROUND {
+            let sign = if e < 3 { 1.0 } else { -1.0 };
+            values[slot as usize] += sign * coeff[e % 3];
+        }
+    }
+    let (hi, lo) = if swapped { (s, d) } else { (d, s) };
+    for (row, sign) in [(hi, 1.0), (lo, -1.0)] {
+        if row != GROUND {
+            b[row as usize] -= sign * ieq;
         }
     }
 }
@@ -436,76 +672,6 @@ fn stamp_transconductance<M: MnaMatrix>(
         if let Some(ic) = layout.node_index(cneg) {
             a.add(ir, ic, -sign_row * gm);
         }
-    }
-}
-
-/// Stamps a level-1 MOSFET linearised around the present guess.
-#[allow(clippy::too_many_arguments)]
-fn stamp_mosfet<M: MnaMatrix>(
-    layout: &MnaLayout,
-    a: &mut M,
-    b: &mut [f64],
-    v_at: impl Fn(NodeId) -> f64,
-    drain: NodeId,
-    gate: NodeId,
-    source: NodeId,
-    polarity: MosPolarity,
-    mp: &crate::devices::MosParams,
-) {
-    let vd = v_at(drain);
-    let vg = v_at(gate);
-    let vs = v_at(source);
-
-    // Work in a "hi/lo" channel frame so the model only ever sees
-    // vds >= 0; the physical source/drain swap when reverse-biased.
-    //
-    // For each polarity we compute the current `i` leaving node `hi`
-    // through the channel into `lo`, plus its partial derivatives w.r.t.
-    // (v_hi, v_g, v_lo).
-    let (hi, lo, vhi, vlo, i0, d_hi, d_g, d_lo) = match polarity {
-        MosPolarity::Nmos => {
-            let (hi, lo, vhi, vlo) = if vd >= vs {
-                (drain, source, vd, vs)
-            } else {
-                (source, drain, vs, vd)
-            };
-            let op = mp.evaluate(vg - vlo, vhi - vlo);
-            // i(v_hi, v_g, v_lo) = Ids(vgs = vg - vlo, vds = vhi - vlo)
-            (hi, lo, vhi, vlo, op.ids, op.gds, op.gm, -(op.gm + op.gds))
-        }
-        MosPolarity::Pmos => {
-            // PMOS conducts source -> drain when Vsg > Vt; the "hi" node is
-            // the more positive of source/drain and acts as the source.
-            let (hi, lo, vhi, vlo) = if vs >= vd {
-                (source, drain, vs, vd)
-            } else {
-                (drain, source, vd, vs)
-            };
-            let op = mp.evaluate(vhi - vg, vhi - vlo);
-            // i(v_hi, v_g, v_lo) = Ids(vgs = vhi - vg, vds = vhi - vlo)
-            (hi, lo, vhi, vlo, op.ids, op.gm + op.gds, -op.gm, -op.gds)
-        }
-    };
-    // Linearisation: i ≈ i0 + d_hi·(v_hi−vhi0) + d_g·(v_g−vg0) + d_lo·(v_lo−vlo0)
-    let ieq = i0 - d_hi * vhi - d_g * vg - d_lo * vlo;
-
-    let ihi = layout.node_index(hi);
-    let ilo = layout.node_index(lo);
-    let ig = layout.node_index(gate);
-
-    // Current leaves `hi`, enters `lo`; gate carries no current.
-    for (row, sign) in [(ihi, 1.0), (ilo, -1.0)] {
-        let Some(r) = row else { continue };
-        if let Some(c) = ihi {
-            a.add(r, c, sign * d_hi);
-        }
-        if let Some(c) = ig {
-            a.add(r, c, sign * d_g);
-        }
-        if let Some(c) = ilo {
-            a.add(r, c, sign * d_lo);
-        }
-        b[r] -= sign * ieq;
     }
 }
 
@@ -785,13 +951,14 @@ fn factor_key(params: &StampParams<'_>) -> FactorKey {
 }
 
 /// Prepares the context's assembled-system workspace for this solve:
-/// sizes the scratch vectors, and (for the sparse backend) builds the
-/// per-mode symbolic structure with a one-time stamping probe.
+/// sizes the scratch vectors, builds the system matrix (for the sparse
+/// backend over a per-mode symbolic structure found by a one-time
+/// stamping probe) and compiles the nonlinear device program against
+/// its value slots. A rebuilt system drops the linear-baseline record.
 fn ensure_system(
     ctx: &mut SolverContext,
     netlist: &Netlist,
     layout: &MnaLayout,
-    x: &[f64],
     params: &StampParams<'_>,
     lap: Option<&mut LapTimer>,
 ) {
@@ -828,15 +995,15 @@ fn ensure_system(
         crate::solver::Backend::Sparse => {
             if ctx.structures[mode].is_none() {
                 let mut probe = PositionProbe::new();
-                let mut scratch_b = vec![0.0; n];
-                stamp_linear(netlist, layout, params, &mut probe, &mut scratch_b);
-                if netlist.has_nonlinear_devices() {
-                    stamp_nonlinear(netlist, layout, x, &mut probe, &mut scratch_b);
-                }
-                // The nonlinear position set is iterate-independent
-                // (MOSFET hi/lo frame swaps reorder adds inside a fixed
-                // symmetric position set), and covering the diagonal
-                // keeps gmin sweeps on the same structure.
+                stamp_linear_matrix(netlist, layout, params, &mut probe);
+                // The nonlinear positions come from the program itself:
+                // it resolves every position either MOSFET channel frame
+                // can touch. Covering the diagonal keeps gmin sweeps on
+                // the same structure.
+                NonlinearProgram::compile(netlist, layout, |r, c| {
+                    probe.add(r, c, 0.0);
+                    0
+                });
                 probe.cover_diagonal(n);
                 ctx.structures[mode] = Some(SparseStructure::from_positions(n, probe.positions()));
                 if let Some(lap) = lap {
@@ -847,7 +1014,79 @@ fn ensure_system(
             SystemMatrix::Sparse(SparseMatrix::zeros(Arc::clone(structure)))
         }
     };
+    ctx.program = NonlinearProgram::compile(netlist, layout, |r, c| sys.slot(r, c));
+    ctx.baseline_key = None;
     ctx.sys = Some((mode, sys));
+}
+
+/// Assembles the linear baseline of a solve's first iteration under
+/// `key` and snapshots it for the later ones. The linear matrix depends
+/// only on the key, so when the context's snapshot already holds this
+/// key it is restored instead of re-stamped; the right-hand side
+/// (sources, reactive history) is always stamped afresh. Returns
+/// whether the snapshot was reused.
+fn assemble_baseline(
+    ctx: &mut SolverContext,
+    netlist: &Netlist,
+    layout: &MnaLayout,
+    params: &StampParams<'_>,
+    key: FactorKey,
+) -> bool {
+    let (_, sys) = ctx.sys.as_mut().expect("system prepared");
+    let reused = ctx.baseline_key == Some(key);
+    if reused {
+        sys.load_values(&ctx.baseline_a);
+    } else {
+        sys.clear();
+        stamp_linear_matrix(netlist, layout, params, sys);
+        ctx.baseline_a.clear();
+        ctx.baseline_a.extend_from_slice(sys.values());
+        ctx.baseline_key = Some(key);
+    }
+    ctx.b.fill(0.0);
+    stamp_linear_rhs(netlist, layout, params, &mut ctx.b);
+    ctx.baseline_b.clear();
+    ctx.baseline_b.extend_from_slice(&ctx.b);
+    reused
+}
+
+/// The acceptance gate for a solve in `ctx.x_new` returned off a reused
+/// (or single-shot fresh) factorisation: the true residual against the
+/// assembled system must sit below [`RESID_GATE_TOL`] of its
+/// Oettli–Prager scale, after one round of iterative refinement through
+/// `solve` if the first check fails. Returns `(accepted, rnorm)`, with
+/// `rnorm` the residual norm before refinement.
+fn residual_gate(
+    ctx: &mut SolverContext,
+    hooks: &SolveHooks<'_>,
+    solve: impl FnMut(&[f64], &mut [f64]),
+) -> (bool, f64) {
+    let SolverContext {
+        sys,
+        b,
+        x_new,
+        resid,
+        scratch,
+        trial,
+        ..
+    } = ctx;
+    let (_, sys) = sys.as_ref().expect("system prepared");
+    let (rnorm, scale) = sys.residual_gate_into(x_new, b, resid);
+    if rnorm <= RESID_GATE_TOL * scale {
+        return (true, rnorm);
+    }
+    if let Some(metrics) = hooks.metrics {
+        metrics.refinement_round();
+    }
+    let out = refine_once(
+        x_new,
+        resid,
+        scratch,
+        trial,
+        |xv, out| sys.residual_into(xv, b, out),
+        solve,
+    );
+    (out.residual_after <= RESID_GATE_TOL * scale, rnorm)
 }
 
 /// The damped Newton loop behind [`newton_solve_with_context`], with
@@ -889,7 +1128,7 @@ fn newton_iterate(
     let nv = layout.node_count() - 1;
     let key = factor_key(params);
 
-    ensure_system(ctx, netlist, layout, x, params, lap.as_deref_mut());
+    ensure_system(ctx, netlist, layout, params, lap.as_deref_mut());
 
     // Flight records need the attempted step size; DC solves carry 0.
     let dt = match &params.companion {
@@ -897,8 +1136,8 @@ fn newton_iterate(
         CompanionMode::Transient { dt, .. } => *dt,
     };
 
-    // Linear circuits need exactly one solve.
-    let linear = !netlist.has_nonlinear_devices();
+    // Linear circuits (an empty device program) need exactly one solve.
+    let linear = ctx.program.is_empty();
 
     // Stale steps of a DC solve stop against a tightened tolerance (see
     // STALE_TOL_SCALE_DC); transient steps use the plain tolerance.
@@ -939,31 +1178,24 @@ fn newton_iterate(
             l.skip();
         }
 
-        // Assemble: restore the linear baseline (captured on the first
-        // iteration of this solve), then stamp nonlinear devices at x.
-        {
+        // Assemble: restore the linear baseline (assembled on the first
+        // iteration of this solve), then run the device program at x.
+        if baseline_ready {
             let (_, sys) = ctx.sys.as_mut().expect("system prepared");
-            if baseline_ready {
-                sys.load_values(&ctx.baseline_a);
-                ctx.b.copy_from_slice(&ctx.baseline_b);
-            } else {
-                sys.clear();
-                ctx.b.iter_mut().for_each(|v| *v = 0.0);
-                stamp_linear(netlist, layout, params, sys, &mut ctx.b);
-                ctx.baseline_a.clear();
-                ctx.baseline_a.extend_from_slice(sys.values());
-                ctx.baseline_b.clear();
-                ctx.baseline_b.extend_from_slice(&ctx.b);
-                baseline_ready = true;
-            }
+            sys.load_values(&ctx.baseline_a);
+            ctx.b.copy_from_slice(&ctx.baseline_b);
+        } else {
+            assemble_baseline(ctx, netlist, layout, params, key);
+            baseline_ready = true;
+        }
+        if let Some(l) = lap.as_deref_mut() {
+            l.lap(Phase::Stamp);
+        }
+        if !linear {
+            let (_, sys) = ctx.sys.as_mut().expect("system prepared");
+            ctx.program.stamp(x, sys.values_mut(), &mut ctx.b);
             if let Some(l) = lap.as_deref_mut() {
-                l.lap(Phase::Stamp);
-            }
-            if !linear {
-                stamp_nonlinear(netlist, layout, x, sys, &mut ctx.b);
-                if let Some(l) = lap.as_deref_mut() {
-                    l.lap(Phase::DeviceEval);
-                }
+                l.lap(Phase::DeviceEval);
             }
         }
 
@@ -1004,25 +1236,8 @@ fn newton_iterate(
                             // round through the same factors (M ≈ A)
                             // repairs marginal solves; anything still
                             // above the gate demotes below.
-                            let (_, sys) = ctx.sys.as_ref().expect("system prepared");
-                            let (rnorm, scale) =
-                                sys.residual_gate_into(&ctx.x_new, &ctx.b, &mut ctx.resid);
-                            let mut accepted = rnorm <= RESID_GATE_TOL * scale;
-                            if !accepted {
-                                if let Some(metrics) = hooks.metrics {
-                                    metrics.refinement_round();
-                                }
-                                let b = &ctx.b;
-                                let out = refine_once(
-                                    &mut ctx.x_new,
-                                    &mut ctx.resid,
-                                    &mut ctx.scratch,
-                                    &mut ctx.trial,
-                                    |xv, out| sys.residual_into(xv, b, out),
-                                    |r, out| golden.solve_into(r, out),
-                                );
-                                accepted = out.residual_after <= RESID_GATE_TOL * scale;
-                            }
+                            let (accepted, _) =
+                                residual_gate(ctx, hooks, |r, out| golden.solve_into(r, out));
                             if accepted {
                                 if let Some(metrics) = hooks.metrics {
                                     metrics.factor_reuse_hit();
@@ -1061,29 +1276,13 @@ fn newton_iterate(
             // the cached solve is exact — but the factors are still a
             // reused tier, so the acceptance gate (plus one refinement
             // round) must pass before the solve is returned.
-            let (_, factor) = ctx.factor.as_ref().expect("cached factor present");
+            let (factor_key, factor) = ctx.factor.take().expect("cached factor present");
             factor.solve_into(&ctx.b, &mut ctx.x_new);
             if let Some(l) = lap.as_deref_mut() {
                 l.lap(Phase::BackSubstitute);
             }
-            let (_, sys) = ctx.sys.as_ref().expect("system prepared");
-            let (rnorm, scale) = sys.residual_gate_into(&ctx.x_new, &ctx.b, &mut ctx.resid);
-            let mut accepted = rnorm <= RESID_GATE_TOL * scale;
-            if !accepted {
-                if let Some(metrics) = hooks.metrics {
-                    metrics.refinement_round();
-                }
-                let b = &ctx.b;
-                let out = refine_once(
-                    &mut ctx.x_new,
-                    &mut ctx.resid,
-                    &mut ctx.scratch,
-                    &mut ctx.trial,
-                    |xv, out| sys.residual_into(xv, b, out),
-                    |r, out| factor.solve_into(r, out),
-                );
-                accepted = out.residual_after <= RESID_GATE_TOL * scale;
-            }
+            let (accepted, _) = residual_gate(ctx, hooks, |r, out| factor.solve_into(r, out));
+            ctx.factor = Some((factor_key, factor));
             if accepted {
                 if let Some(metrics) = hooks.metrics {
                     metrics.factor_reuse_hit();
@@ -1200,7 +1399,7 @@ fn newton_iterate(
                             ctx.structures = [None, None];
                             ctx.sys = None;
                             ctx.factor = None;
-                            ensure_system(ctx, netlist, layout, x, params, lap.as_deref_mut());
+                            ensure_system(ctx, netlist, layout, params, lap.as_deref_mut());
                             baseline_ready = false;
                             continue 'newton;
                         }
@@ -1257,23 +1456,8 @@ fn newton_iterate(
                 // a fresh factorisation proves it first: the gate is
                 // what turns a corrupted factor or a poisoned solution
                 // into a typed hazard instead of a silent wrong report.
-                let (rnorm, scale) = sys.residual_gate_into(&ctx.x_new, &ctx.b, &mut ctx.resid);
-                let mut accepted = rnorm <= RESID_GATE_TOL * scale;
-                if !accepted {
-                    if let Some(metrics) = hooks.metrics {
-                        metrics.refinement_round();
-                    }
-                    let b = &ctx.b;
-                    let out = refine_once(
-                        &mut ctx.x_new,
-                        &mut ctx.resid,
-                        &mut ctx.scratch,
-                        &mut ctx.trial,
-                        |xv, out| sys.residual_into(xv, b, out),
-                        |r, out| factor.solve_into(r, out),
-                    );
-                    accepted = out.residual_after <= RESID_GATE_TOL * scale;
-                }
+                let (accepted, rnorm) =
+                    residual_gate(ctx, hooks, |r, out| factor.solve_into(r, out));
                 if !accepted {
                     let hazard = if rnorm.is_finite() {
                         NumericalHazard::RefinementStall
@@ -1397,6 +1581,116 @@ fn newton_iterate(
         residual: worst,
         iterations: options.max_iterations,
     })
+}
+
+/// The device-by-device enum walk the compiled [`NonlinearProgram`]
+/// replaced, kept as the test oracle it must match bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// Nonlinear device models (MOSFET / diode / switch) linearised
+    /// around the present guess `x`, stamped on top of the linear
+    /// baseline.
+    pub(super) fn stamp_nonlinear<M: MnaMatrix>(
+        netlist: &Netlist,
+        layout: &MnaLayout,
+        x: &[f64],
+        a: &mut M,
+        b: &mut [f64],
+    ) {
+        let v_at = |node: NodeId| layout.voltage(x, node);
+        for (_, _, dev) in netlist.devices() {
+            match dev {
+                Device::Mosfet {
+                    drain,
+                    gate,
+                    source,
+                    polarity,
+                    params: mp,
+                } => {
+                    stamp_mosfet(layout, a, b, v_at, *drain, *gate, *source, *polarity, mp);
+                }
+                Device::Diode {
+                    anode,
+                    cathode,
+                    params: dp,
+                } => {
+                    let vd = v_at(*anode) - v_at(*cathode);
+                    let (id, gd) = dp.evaluate(vd);
+                    let ieq = id - gd * vd;
+                    stamp_conductance(layout, a, *anode, *cathode, gd);
+                    stamp_current_injection(layout, b, *anode, *cathode, -ieq);
+                }
+                Device::Switch {
+                    a: na,
+                    b: nb,
+                    cpos,
+                    cneg,
+                    params: sp,
+                } => {
+                    let vc = v_at(*cpos) - v_at(*cneg);
+                    stamp_conductance(layout, a, *na, *nb, sp.conductance(vc));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Stamps a level-1 MOSFET linearised around the present guess.
+    #[allow(clippy::too_many_arguments)]
+    fn stamp_mosfet<M: MnaMatrix>(
+        layout: &MnaLayout,
+        a: &mut M,
+        b: &mut [f64],
+        v_at: impl Fn(NodeId) -> f64,
+        drain: NodeId,
+        gate: NodeId,
+        source: NodeId,
+        polarity: MosPolarity,
+        mp: &MosParams,
+    ) {
+        let vd = v_at(drain);
+        let vg = v_at(gate);
+        let vs = v_at(source);
+        let (hi, lo, vhi, vlo, i0, d_hi, d_g, d_lo) = match polarity {
+            MosPolarity::Nmos => {
+                let (hi, lo, vhi, vlo) = if vd >= vs {
+                    (drain, source, vd, vs)
+                } else {
+                    (source, drain, vs, vd)
+                };
+                let op = mp.evaluate(vg - vlo, vhi - vlo);
+                (hi, lo, vhi, vlo, op.ids, op.gds, op.gm, -(op.gm + op.gds))
+            }
+            MosPolarity::Pmos => {
+                let (hi, lo, vhi, vlo) = if vs >= vd {
+                    (source, drain, vs, vd)
+                } else {
+                    (drain, source, vd, vs)
+                };
+                let op = mp.evaluate(vhi - vg, vhi - vlo);
+                (hi, lo, vhi, vlo, op.ids, op.gm + op.gds, -op.gm, -op.gds)
+            }
+        };
+        let ieq = i0 - d_hi * vhi - d_g * vg - d_lo * vlo;
+        let ihi = layout.node_index(hi);
+        let ilo = layout.node_index(lo);
+        let ig = layout.node_index(gate);
+        for (row, sign) in [(ihi, 1.0), (ilo, -1.0)] {
+            let Some(r) = row else { continue };
+            if let Some(c) = ihi {
+                a.add(r, c, sign * d_hi);
+            }
+            if let Some(c) = ig {
+                a.add(r, c, sign * d_g);
+            }
+            if let Some(c) = ilo {
+                a.add(r, c, sign * d_lo);
+            }
+            b[r] -= sign * ieq;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1599,5 +1893,217 @@ mod tests {
             source_scale: 1.0,
         };
         assert!(newton_solve(&nl, &layout, &params, &NewtonOptions::default(), &mut x).is_err());
+    }
+
+    /// Asserts two value vectors agree bit for bit.
+    fn assert_bits(what: &str, got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{k}]: {g:e} vs {w:e}");
+        }
+    }
+
+    /// A small linear frame (a source, a resistor, a capacitor) plus
+    /// the given nonlinear devices over nodes `[ground, n1, n2, n3]`:
+    /// kind 0 is an NMOS, 1 a PMOS, 2 a diode, 3 a switch; `p` sets the
+    /// threshold (MOSFET, switch) or scales the saturation current.
+    fn nonlinear_netlist(devices: &[(usize, (usize, usize, usize), f64)]) -> Netlist {
+        let mut nl = Netlist::new();
+        let nodes = [Netlist::GROUND, nl.node("n1"), nl.node("n2"), nl.node("n3")];
+        nl.vsource("V1", nodes[1], Netlist::GROUND, SourceWaveform::dc(3.0));
+        nl.resistor("R1", nodes[1], nodes[2], 1e3);
+        nl.capacitor("C1", nodes[3], Netlist::GROUND, 1e-12);
+        for (k, &(kind, (t1, t2, t3), p)) in devices.iter().enumerate() {
+            let (a, b, c) = (nodes[t1], nodes[t2], nodes[t3]);
+            let name = format!("X{k}");
+            let mos = crate::devices::MosParams {
+                vt0: p,
+                beta: 1e-4,
+                lambda: 0.02,
+            };
+            match kind {
+                0 => nl.mosfet(&name, a, b, c, MosPolarity::Nmos, mos),
+                1 => nl.mosfet(&name, a, b, c, MosPolarity::Pmos, mos),
+                2 => nl.diode(
+                    &name,
+                    a,
+                    b,
+                    DiodeParams {
+                        is: 1e-14 * p,
+                        n: 1.0,
+                    },
+                ),
+                _ => nl.switch(
+                    &name,
+                    a,
+                    b,
+                    c,
+                    Netlist::GROUND,
+                    SwitchParams {
+                        vthresh: p,
+                        ..SwitchParams::default()
+                    },
+                ),
+            };
+        }
+        nl
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The compiled program stamps exactly what the device-by-device
+        /// oracle stamps — every matrix value and right-hand-side entry,
+        /// by `to_bits` — on both backends, at random iterates. Three
+        /// nodes for up to seven devices make grounded terminals, tied
+        /// terminals (drain on gate, drain on source) and shared slots
+        /// common, and iterates in ±6 V reverse-bias half the MOSFETs.
+        #[test]
+        fn program_matches_the_enum_walk_oracle(
+            devices in proptest::collection::vec(
+                (0usize..4, (0usize..4, 0usize..4, 0usize..4), 0.3..3.0f64),
+                1..8,
+            ),
+            x in proptest::collection::vec(-6.0..6.0f64, 4),
+        ) {
+            let nl = nonlinear_netlist(&devices);
+            let layout = MnaLayout::new(&nl);
+            let params = StampParams {
+                time: 0.0,
+                companion: CompanionMode::Dc,
+                gmin: 1e-12,
+                source_scale: 1.0,
+            };
+            for backend in [crate::solver::Backend::Sparse, crate::solver::Backend::Dense] {
+                let mut ctx = SolverContext::new(backend);
+                ensure_system(&mut ctx, &nl, &layout, &params, None);
+                assemble_baseline(&mut ctx, &nl, &layout, &params, factor_key(&params));
+                let (_, sys) = ctx.sys.as_mut().expect("system prepared");
+                let mut want = sys.clone();
+                ctx.program.stamp(&x, sys.values_mut(), &mut ctx.b);
+
+                want.clear();
+                let mut want_b = vec![0.0; layout.size()];
+                stamp_linear(&nl, &layout, &params, &mut want, &mut want_b);
+                oracle::stamp_nonlinear(&nl, &layout, &x, &mut want, &mut want_b);
+                assert_bits("values", sys.values(), want.values());
+                assert_bits("b", &ctx.b, &want_b);
+            }
+        }
+    }
+
+    /// Assembles the linear baseline for `params` the way a solve's
+    /// first iteration does, checks it bit for bit against a fresh full
+    /// [`stamp_linear`] over the same system, and reports whether the
+    /// cached snapshot served it.
+    fn baseline_is_exact(
+        ctx: &mut SolverContext,
+        nl: &Netlist,
+        layout: &MnaLayout,
+        params: &StampParams<'_>,
+    ) -> bool {
+        ensure_system(ctx, nl, layout, params, None);
+        let reused = assemble_baseline(ctx, nl, layout, params, factor_key(params));
+        let (_, sys) = ctx.sys.as_ref().expect("system prepared");
+        let mut fresh = sys.clone();
+        fresh.clear();
+        let mut fresh_b = vec![0.0; layout.size()];
+        stamp_linear(nl, layout, params, &mut fresh, &mut fresh_b);
+        assert_bits("baseline values", sys.values(), fresh.values());
+        assert_bits("baseline b", &ctx.b, &fresh_b);
+        reused
+    }
+
+    #[test]
+    fn cached_linear_baseline_matches_a_fresh_stamp() {
+        // Every RHS-only ingredient: a time-varying source, an isource,
+        // capacitor and inductor history, plus a diode so the solves
+        // below iterate.
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        let k = nl.node("k");
+        let m = nl.node("m");
+        nl.vsource(
+            "V1",
+            a,
+            Netlist::GROUND,
+            SourceWaveform::ramp(0.0, 2.0, 1e-6),
+        );
+        nl.resistor("R1", a, k, 1e3);
+        nl.diode("D1", k, Netlist::GROUND, DiodeParams::default());
+        nl.capacitor("C1", k, m, 1e-9);
+        nl.inductor("L1", m, Netlist::GROUND, 1e-6);
+        nl.isource("I1", Netlist::GROUND, m, SourceWaveform::dc(1e-4));
+        let layout = MnaLayout::new(&nl);
+        let mut history = ReactiveHistory::new(&nl);
+        let dc = |gmin: f64, source_scale: f64| StampParams {
+            time: 0.0,
+            companion: CompanionMode::Dc,
+            gmin,
+            source_scale,
+        };
+        let mut ctx = SolverContext::default();
+
+        // DC: a new key stamps; source stepping (RHS only) reuses; a
+        // gmin step is a new key.
+        assert!(!baseline_is_exact(&mut ctx, &nl, &layout, &dc(1e-12, 1.0)));
+        assert!(baseline_is_exact(&mut ctx, &nl, &layout, &dc(1e-12, 0.5)));
+        assert!(!baseline_is_exact(&mut ctx, &nl, &layout, &dc(1e-9, 1.0)));
+        assert!(baseline_is_exact(&mut ctx, &nl, &layout, &dc(1e-9, 0.25)));
+
+        // Transient: the mode change rebuilds the system; a later time
+        // with new reactive history reuses; a dt change restamps.
+        for (step, dt, fresh) in [
+            (1, 1e-8, true),
+            (2, 1e-8, false),
+            (3, 5e-9, true),
+            (4, 5e-9, false),
+        ] {
+            for (v, i) in history.v.iter_mut().zip(history.i.iter_mut()) {
+                *v = 0.1 * step as f64;
+                *i = -1e-5 * step as f64;
+            }
+            let params = StampParams {
+                time: step as f64 * 1e-7,
+                companion: CompanionMode::Transient {
+                    method: Integrator::Trapezoidal,
+                    dt,
+                    history: &history,
+                },
+                gmin: 1e-12,
+                source_scale: 1.0,
+            };
+            assert_eq!(
+                baseline_is_exact(&mut ctx, &nl, &layout, &params),
+                !fresh,
+                "step {step}"
+            );
+        }
+
+        // Symbolic then dense demotion inside one DC solve: each rebuilt
+        // system drops the record, so the baseline is restamped into the
+        // dense matrix instead of restoring a sparse-length snapshot.
+        let chaos = obs::NumericChaosPlan::parse("pivot@0,pivot@1")
+            .expect("valid spec")
+            .arm();
+        let hooks = SolveHooks {
+            chaos: Some(&chaos),
+            ..SolveHooks::none()
+        };
+        let mut x = vec![0.0; layout.size()];
+        newton_solve_with_context(
+            &nl,
+            &layout,
+            &dc(1e-12, 1.0),
+            &NewtonOptions::default(),
+            None,
+            hooks,
+            &mut ctx,
+            None,
+            &mut x,
+        )
+        .expect("the demoted solve converges");
+        assert_eq!(ctx.backend(), crate::solver::Backend::Dense);
+        assert!(baseline_is_exact(&mut ctx, &nl, &layout, &dc(1e-12, 0.5)));
     }
 }

@@ -43,7 +43,7 @@ use linsys::matrix::{Lu, Matrix};
 use linsys::sparse::{SparseLu, SparseMatrix, SparseStructure, SparseWorkspace};
 use linsys::SingularMatrixError;
 
-use crate::mna::MnaLayout;
+use crate::mna::{MnaLayout, NonlinearProgram};
 
 /// Which linear-algebra backend the Newton loop assembles and factors
 /// with.
@@ -224,6 +224,29 @@ impl SystemMatrix {
         }
     }
 
+    /// The stored values, writable, indexed by [`SystemMatrix::slot`].
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        match self {
+            SystemMatrix::Dense(m) => m.values_mut(),
+            SystemMatrix::Sparse(m) => m.values_mut(),
+        }
+    }
+
+    /// Value index of `(r, c)` in [`SystemMatrix::values`]: `r·n + c`
+    /// on the dense backend, the CSC slot on the sparse one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(r, c)` is outside the sparse pattern.
+    pub fn slot(&self, r: usize, c: usize) -> usize {
+        match self {
+            SystemMatrix::Dense(m) => m.slot(r, c),
+            SystemMatrix::Sparse(m) => m
+                .slot_of(r, c)
+                .unwrap_or_else(|| panic!("stamp at ({r}, {c}) outside sparse pattern")),
+        }
+    }
+
     /// Restores a snapshot taken with [`SystemMatrix::values`] — the
     /// linear-baseline fast path that replaces re-stamping every linear
     /// device on every Newton iteration with one `memcpy`.
@@ -303,13 +326,6 @@ impl LinearSolver for SparseLu {
 }
 
 /// A cached factorisation from either backend.
-///
-/// The variants differ in size (a `SparseLu` carries its pattern and
-/// condest workspaces), but at most a handful of these exist per
-/// solver context — one live cache slot plus the golden/rank-1 cache —
-/// so boxing the large variant would buy nothing and cost an
-/// indirection on the back-substitution hot path.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum LinearFactor {
     /// Dense LU.
@@ -587,10 +603,18 @@ pub struct SolverContext {
     pub(crate) scratch: Vec<f64>,
     /// Refinement trial-iterate workspace.
     pub(crate) trial: Vec<f64>,
-    /// Snapshot of the linear-device stamps (matrix values), taken on
-    /// the first iteration of each solve and restored on later ones.
+    /// The nonlinear devices compiled against `sys`'s value slots;
+    /// rebuilt whenever `sys` is. Empty for a linear netlist.
+    pub(crate) program: NonlinearProgram,
+    /// Snapshot of the linear-device stamps (matrix values). The linear
+    /// matrix depends only on the [`FactorKey`], so the snapshot serves
+    /// every iteration of every solve under `baseline_key`.
     pub(crate) baseline_a: Vec<f64>,
-    /// Snapshot of the linear right-hand side.
+    /// The key `baseline_a` was stamped under; `None` once `sys` is
+    /// rebuilt (new mode, dimension change, demotion).
+    pub(crate) baseline_key: Option<FactorKey>,
+    /// The linear right-hand side of the current solve (sources and
+    /// reactive history), restored on its later iterations.
     pub(crate) baseline_b: Vec<f64>,
     /// The cached factorisation and the key it was computed under.
     pub(crate) factor: Option<(FactorKey, LinearFactor)>,
@@ -626,7 +650,9 @@ impl SolverContext {
             resid: Vec::new(),
             scratch: Vec::new(),
             trial: Vec::new(),
+            program: NonlinearProgram::default(),
             baseline_a: Vec::new(),
+            baseline_key: None,
             baseline_b: Vec::new(),
             factor: None,
             ws: SparseWorkspace::default(),

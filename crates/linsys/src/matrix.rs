@@ -216,6 +216,22 @@ impl Matrix {
         &self.data
     }
 
+    /// The backing storage, writable, indexed by [`Matrix::slot`].
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
+    /// Value index of `(r, c)` in [`Matrix::values`]: `r · cols + c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(r, c)` is out of range.
+    #[inline]
+    pub fn slot(&self, r: usize, c: usize) -> usize {
+        assert!(r < self.rows && c < self.cols, "matrix index out of range");
+        r * self.cols + c
+    }
+
     /// Overwrites the backing storage from a snapshot taken with
     /// [`Matrix::values`].
     ///

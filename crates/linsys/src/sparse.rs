@@ -190,6 +190,17 @@ impl SparseMatrix {
         &self.values
     }
 
+    /// Stored values, writable, indexed by [`SparseMatrix::slot_of`].
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
+
+    /// Value-slot index of `(r, c)`, if the position is in the pattern.
+    #[inline]
+    pub fn slot_of(&self, r: usize, c: usize) -> Option<usize> {
+        self.structure.slot_of(r, c)
+    }
+
     /// Overwrites the stored values from a snapshot taken with
     /// [`SparseMatrix::values`] (the linear-stamp baseline fast path).
     ///
@@ -389,18 +400,55 @@ pub struct SparseLu {
     urow_col: Vec<u32>,
     urow_val: Vec<f64>,
     diag: Vec<f64>,
-    /// Column-major transposes of L and strict-upper U (row indices
-    /// ascending within each column), consumed by
-    /// [`SparseLu::solve_transpose_into`] in the dense accumulation
-    /// order.
-    lcolt_ptr: Vec<usize>,
-    lcolt_row: Vec<u32>,
-    lcolt_val: Vec<f64>,
-    ucolt_ptr: Vec<usize>,
-    ucolt_row: Vec<u32>,
-    ucolt_val: Vec<f64>,
     /// Element growth factor of the last (re)factorisation.
     growth: f64,
+}
+
+/// A column-major transpose of one of a [`SparseLu`]'s row-major
+/// triangles, row indices ascending within each column.
+///
+/// Only the condition estimate's `Aᵀ` solves read these, so they are
+/// built on demand — once per [`SparseLu::condest`] call — instead of on
+/// every refactorisation.
+struct ColumnForm {
+    ptr: Vec<usize>,
+    row: Vec<u32>,
+    val: Vec<f64>,
+}
+
+impl ColumnForm {
+    /// Transposes a row-major triangle (`ptr`/`col`/`val`). Iterating
+    /// source rows ascending lands each column's row indices already
+    /// sorted, which is exactly the ascending-k accumulation order the
+    /// dense transpose substitutions use.
+    fn transpose(n: usize, ptr: &[usize], col: &[u32], val: &[f64]) -> ColumnForm {
+        let mut count = vec![0usize; n];
+        for &c in col {
+            count[c as usize] += 1;
+        }
+        let mut tptr = Vec::with_capacity(n + 1);
+        tptr.push(0);
+        for c in 0..n {
+            tptr.push(tptr[c] + count[c]);
+        }
+        let mut row = vec![0u32; col.len()];
+        let mut tval = vec![0.0; val.len()];
+        count.copy_from_slice(&tptr[..n]);
+        for r in 0..n {
+            for e in ptr[r]..ptr[r + 1] {
+                let c = col[e] as usize;
+                let dst = count[c];
+                count[c] += 1;
+                row[dst] = r as u32;
+                tval[dst] = val[e];
+            }
+        }
+        ColumnForm {
+            ptr: tptr,
+            row,
+            val: tval,
+        }
+    }
 }
 
 impl SparseLu {
@@ -636,55 +684,15 @@ impl SparseLu {
                 }
             }
         }
+    }
 
-        // Transpose the row-major forms once more into column-major
-        // forms for Aᵀ solves. Iterating source rows ascending lands
-        // each column's row indices already sorted, which is exactly
-        // the ascending-k accumulation order the dense transpose
-        // substitutions use.
-        ws.row_count[..n].fill(0);
-        for &k in &self.lrow_col {
-            ws.row_count[k as usize] += 1;
-        }
-        self.lcolt_ptr.clear();
-        self.lcolt_ptr.push(0);
-        for c in 0..n {
-            self.lcolt_ptr.push(self.lcolt_ptr[c] + ws.row_count[c]);
-        }
-        self.lcolt_row.resize(self.lrow_col.len(), 0);
-        self.lcolt_val.resize(self.lrow_val.len(), 0.0);
-        ws.row_count[..n].copy_from_slice(&self.lcolt_ptr[..n]);
-        for r in 0..n {
-            for e in self.lrow_ptr[r]..self.lrow_ptr[r + 1] {
-                let c = self.lrow_col[e] as usize;
-                let dst = ws.row_count[c];
-                ws.row_count[c] += 1;
-                self.lcolt_row[dst] = r as u32;
-                self.lcolt_val[dst] = self.lrow_val[e];
-            }
-        }
-
-        ws.row_count[..n].fill(0);
-        for &c in &self.urow_col {
-            ws.row_count[c as usize] += 1;
-        }
-        self.ucolt_ptr.clear();
-        self.ucolt_ptr.push(0);
-        for c in 0..n {
-            self.ucolt_ptr.push(self.ucolt_ptr[c] + ws.row_count[c]);
-        }
-        self.ucolt_row.resize(self.urow_col.len(), 0);
-        self.ucolt_val.resize(self.urow_val.len(), 0.0);
-        ws.row_count[..n].copy_from_slice(&self.ucolt_ptr[..n]);
-        for r in 0..n {
-            for e in self.urow_ptr[r]..self.urow_ptr[r + 1] {
-                let c = self.urow_col[e] as usize;
-                let dst = ws.row_count[c];
-                ws.row_count[c] += 1;
-                self.ucolt_row[dst] = r as u32;
-                self.ucolt_val[dst] = self.urow_val[e];
-            }
-        }
+    /// Builds the column-major transposes of L and strict-upper U that
+    /// the `Aᵀ` solves consume.
+    fn transposes(&self) -> (ColumnForm, ColumnForm) {
+        (
+            ColumnForm::transpose(self.n, &self.lrow_ptr, &self.lrow_col, &self.lrow_val),
+            ColumnForm::transpose(self.n, &self.urow_ptr, &self.urow_col, &self.urow_val),
+        )
     }
 
     /// Matrix dimension.
@@ -740,21 +748,28 @@ impl SparseLu {
     ///
     /// Panics if `b` or `x` have the wrong length.
     pub fn solve_transpose_into(&self, b: &[f64], x: &mut [f64]) {
+        let (lt, ut) = self.transposes();
+        self.solve_transpose_with(&lt, &ut, b, x);
+    }
+
+    /// [`SparseLu::solve_transpose_into`] over transposes the caller
+    /// built once.
+    fn solve_transpose_with(&self, lt: &ColumnForm, ut: &ColumnForm, b: &[f64], x: &mut [f64]) {
         let n = self.n;
         assert_eq!(b.len(), n, "rhs length");
         assert_eq!(x.len(), n, "solution length");
         let mut w = vec![0.0; n];
         for r in 0..n {
             let mut sum = b[r];
-            for e in self.ucolt_ptr[r]..self.ucolt_ptr[r + 1] {
-                sum -= self.ucolt_val[e] * w[self.ucolt_row[e] as usize];
+            for e in ut.ptr[r]..ut.ptr[r + 1] {
+                sum -= ut.val[e] * w[ut.row[e] as usize];
             }
             w[r] = sum / self.diag[r];
         }
         for r in (0..n).rev() {
             let mut sum = w[r];
-            for e in self.lcolt_ptr[r]..self.lcolt_ptr[r + 1] {
-                sum -= self.lcolt_val[e] * w[self.lcolt_row[e] as usize];
+            for e in lt.ptr[r]..lt.ptr[r + 1] {
+                sum -= lt.val[e] * w[lt.row[e] as usize];
             }
             w[r] = sum;
         }
@@ -772,10 +787,11 @@ impl SparseLu {
     /// 1-norm condition estimate; see [`crate::matrix::Lu::condest`].
     /// Bit-identical to the dense estimate for the same matrix.
     pub fn condest(&self, anorm: f64) -> f64 {
+        let (lt, ut) = self.transposes();
         crate::condest::condest_1(
             self.n,
             |b, x| self.solve_into(b, x),
-            |b, x| self.solve_transpose_into(b, x),
+            |b, x| self.solve_transpose_with(&lt, &ut, b, x),
             anorm,
         )
     }
