@@ -14,6 +14,7 @@ use crate::solver::{Backend, Rank1Setup, SolverContext, WarmStart};
 use crate::waveform::Waveform;
 use crate::AnalysisError;
 
+use std::iter::Peekable;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -263,7 +264,6 @@ impl TransientAnalysis {
 
     fn run_inner(&self, netlist: &Netlist) -> Result<TransientResult, AnalysisError> {
         let layout = MnaLayout::new(netlist);
-        let mut history = ReactiveHistory::new(netlist);
         let hooks = SolveHooks {
             metrics: self.metrics.as_deref(),
             flight: self.flight.as_deref(),
@@ -273,10 +273,9 @@ impl TransientAnalysis {
         // Everything in this run not attributed to a nested phase (the
         // Newton solve internals, the DC start) is timestep control:
         // step selection, history updates, dt halving, result storage.
-        let _march = hooks
+        let _step_control = hooks
             .profile
             .map(|p| p.enter(obs::profile::Phase::StepControl));
-        let metrics = hooks.metrics;
         if let Some(flight) = hooks.flight {
             flight.install_names(netlist, &layout);
         }
@@ -287,7 +286,7 @@ impl TransientAnalysis {
         let mut ctx = SolverContext::new(self.backend);
 
         // --- Initial condition ------------------------------------------
-        let mut x = match self.start {
+        let x = match self.start {
             StartCondition::OperatingPoint => {
                 let op = dc_operating_point_solver(
                     netlist,
@@ -308,145 +307,231 @@ impl TransientAnalysis {
         if let Some(flight) = hooks.flight {
             flight.set_phase(SolvePhase::Transient);
         }
-        seed_history(netlist, &layout, &x, self.start, &mut history);
+        let rules = StepRules {
+            integrator: self.integrator,
+            newton: self.newton,
+            gmin: self.gmin,
+            min_dt: self.min_dt,
+        };
+        let mut march = March::new(netlist, layout, ctx, x, self.start, rules);
 
-        // --- Breakpoints --------------------------------------------------
-        let mut breakpoints: Vec<f64> = netlist
-            .devices()
-            .filter_map(|(_, _, dev)| match dev {
-                Device::Vsource { wave, .. } | Device::Isource { wave, .. } => {
-                    Some(wave.breakpoints(0.0, self.t_stop))
-                }
-                _ => None,
-            })
-            .flatten()
-            .filter(|&t| t > 0.0)
-            .collect();
         // Tolerance for breakpoint bookkeeping, relative to the horizon.
         let bp_tol = BREAKPOINT_RELTOL * self.t_stop;
-        breakpoints.sort_by(|a, b| a.total_cmp(b));
-        breakpoints.dedup_by(|a, b| (*a - *b).abs() < bp_tol);
-        let mut bp_iter = breakpoints.into_iter().peekable();
+        let mut bps = source_breakpoints(netlist, 0.0, self.t_stop, bp_tol);
 
         // --- Time march ---------------------------------------------------
         let mut result = TransientResult {
-            layout: layout.clone(),
+            layout: march.layout.clone(),
             time: vec![0.0],
-            solutions: vec![x.clone()],
+            solutions: vec![march.x.clone()],
         };
-
-        let mut t = 0.0;
-        // Force a conservative first step after t=0 and after each
-        // breakpoint: backward Euler damps the discontinuity that would
-        // make trapezoidal ring.
-        let mut post_discontinuity = true;
-        // Previous accepted solution and step, for the linear
-        // extrapolation predictor.
-        let mut prev: Option<(Vec<f64>, f64)> = None;
         let mut clock = BudgetClock::new(self.budget).with_cancel(self.cancel.clone());
+        let rank1 = self.rank1.as_ref();
 
-        while t < self.t_stop - 1e-15 * self.t_stop {
-            clock.charge_step(t)?;
+        while march.t < self.t_stop - 1e-15 * self.t_stop {
             // Candidate next time: regular grid, clipped to breakpoint/stop.
-            let mut t_next = (t + self.dt).min(self.t_stop);
-            let mut hit_bp = false;
-            while let Some(&bp) = bp_iter.peek() {
-                if bp <= t + bp_tol {
-                    bp_iter.next();
-                    continue;
-                }
-                if bp < t_next - bp_tol {
-                    t_next = bp;
-                    hit_bp = true;
-                }
-                break;
-            }
-
-            // Attempt the step, halving on Newton failure. The loop only
-            // exits by accepting a step or propagating a real error, so
-            // a terminal `NoConvergence` always carries the residual and
-            // iteration count of the last actual Newton attempt — never
-            // a synthetic placeholder.
-            let mut dt_try = t_next - t;
-            let (x_new, method, dt_used) = loop {
-                let method = if post_discontinuity {
-                    Integrator::BackwardEuler
-                } else {
-                    self.integrator
-                };
-                let mut x_try = x.clone();
-                // Linear extrapolation predictor: seed Newton from the
-                // trajectory's tangent rather than the previous point.
-                // Skipped across discontinuities, where extrapolating
-                // through the corner would mislead; recomputed from the
-                // accepted state on every dt-halving retry.
-                if !post_discontinuity {
-                    if let Some((x_prev, dt_prev)) = &prev {
-                        let ratio = dt_try / dt_prev;
-                        for (k, guess) in x_try.iter_mut().enumerate() {
-                            *guess = x[k] + (x[k] - x_prev[k]) * ratio;
-                        }
-                    }
-                }
-                let params = StampParams {
-                    time: t + dt_try,
-                    companion: CompanionMode::Transient {
-                        method,
-                        dt: dt_try,
-                        history: &history,
-                    },
-                    gmin: self.gmin,
-                    source_scale: 1.0,
-                };
-                match newton_solve_with_context(
-                    netlist,
-                    &layout,
-                    &params,
-                    &self.newton,
-                    Some(&clock),
-                    hooks,
-                    &mut ctx,
-                    self.rank1.as_ref(),
-                    &mut x_try,
-                ) {
-                    Ok(()) => break (x_try, method, dt_try),
-                    Err(
-                        AnalysisError::NoConvergence { .. } | AnalysisError::Numerical { .. },
-                    ) if dt_try / 2.0 >= self.min_dt => {
-                        // Each halving retry is a fresh attempted step as
-                        // far as the budget is concerned.
-                        clock.charge_step(t)?;
-                        if let Some(metrics) = metrics {
-                            metrics.step_rejected();
-                            metrics.dt_shrink();
-                        }
-                        dt_try /= 2.0;
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-
-            t += dt_used;
-            if let Some(metrics) = metrics {
-                metrics.step_accepted();
-            }
-            update_history(netlist, &layout, &x_new, method, dt_used, &mut history);
-            prev = Some((std::mem::take(&mut x), dt_used));
-            x = x_new;
-            result.time.push(t);
-            result.solutions.push(x.clone());
-
-            // If we landed exactly on a breakpoint, consume it and damp the
-            // next step.
-            if hit_bp && (t - t_next).abs() < bp_tol {
-                bp_iter.next();
-                post_discontinuity = true;
-            } else {
-                post_discontinuity = false;
+            let t_grid = (march.t + self.dt).min(self.t_stop);
+            let (t_next, hit_bp) = clip_to_breakpoint(&mut bps, march.t, t_grid, bp_tol);
+            march.step(netlist, t_next, &mut clock, hooks, rank1)?;
+            result.time.push(march.t);
+            result.solutions.push(march.x.clone());
+            // Landing exactly on a breakpoint damps the next step.
+            if hit_bp && (march.t - t_next).abs() < bp_tol {
+                march.post_discontinuity = true;
             }
         }
         Ok(result)
     }
+}
+
+/// The state a transient march carries from step to step, and the step
+/// routine that [`TransientAnalysis::run`] and
+/// [`TransientSession::advance_to`] share.
+#[derive(Debug, Clone)]
+struct March {
+    layout: MnaLayout,
+    /// Persistent solver state: sparse structure, baseline stamps and
+    /// LU factors are reused across every step.
+    ctx: SolverContext,
+    history: ReactiveHistory,
+    t: f64,
+    /// The accepted solution at `t`.
+    x: Vec<f64>,
+    /// The accepted solution before `x`, and the step between them, for
+    /// the linear-extrapolation predictor (`None` before the first step).
+    prev: Vec<f64>,
+    dt_prev: Option<f64>,
+    /// Newton's working vector; rotated into `x` when a step is accepted.
+    trial: Vec<f64>,
+    /// Damp the next step with backward Euler, which, unlike trapezoidal,
+    /// does not ring: set at the start, on a breakpoint (`run` only) and
+    /// after a source rewrite.
+    post_discontinuity: bool,
+    rules: StepRules,
+}
+
+/// The per-step solver settings of a march.
+#[derive(Debug, Clone, Copy)]
+struct StepRules {
+    integrator: Integrator,
+    newton: NewtonOptions,
+    gmin: f64,
+    min_dt: f64,
+}
+
+impl March {
+    fn new(
+        netlist: &Netlist,
+        layout: MnaLayout,
+        ctx: SolverContext,
+        x: Vec<f64>,
+        start: StartCondition,
+        rules: StepRules,
+    ) -> Self {
+        let mut history = ReactiveHistory::new(netlist);
+        seed_history(netlist, &layout, &x, start, &mut history);
+        let n = x.len();
+        March {
+            layout,
+            ctx,
+            history,
+            t: 0.0,
+            x,
+            prev: vec![0.0; n],
+            dt_prev: None,
+            trial: vec![0.0; n],
+            post_discontinuity: true,
+            rules,
+        }
+    }
+
+    /// Steps from `t` to `t_next`, halving the step on Newton failure
+    /// down to the minimum step, then advances `t`, the history and the
+    /// buffers. `clock` is charged for every attempted step.
+    /// The loop only exits by accepting a step or propagating a real
+    /// error, so a terminal `NoConvergence` always carries the residual
+    /// and iteration count of the last actual Newton attempt.
+    fn step(
+        &mut self,
+        netlist: &Netlist,
+        t_next: f64,
+        clock: &mut BudgetClock,
+        hooks: SolveHooks<'_>,
+        rank1: Option<&Rank1Setup>,
+    ) -> Result<(), AnalysisError> {
+        clock.charge_step(self.t)?;
+        let method = if self.post_discontinuity {
+            Integrator::BackwardEuler
+        } else {
+            self.rules.integrator
+        };
+        let mut dt_try = t_next - self.t;
+        loop {
+            // Linear extrapolation predictor: seed Newton from the
+            // trajectory's tangent rather than the previous point.
+            // Skipped across discontinuities, where extrapolating through
+            // the corner would mislead; recomputed from the accepted
+            // state on every dt-halving retry.
+            match self.dt_prev {
+                Some(dt_prev) if !self.post_discontinuity => {
+                    let ratio = dt_try / dt_prev;
+                    for ((guess, &x), &x_prev) in self.trial.iter_mut().zip(&self.x).zip(&self.prev)
+                    {
+                        *guess = x + (x - x_prev) * ratio;
+                    }
+                }
+                _ => self.trial.copy_from_slice(&self.x),
+            }
+            let params = StampParams {
+                time: self.t + dt_try,
+                companion: CompanionMode::Transient {
+                    method,
+                    dt: dt_try,
+                    history: &self.history,
+                },
+                gmin: self.rules.gmin,
+                source_scale: 1.0,
+            };
+            match newton_solve_with_context(
+                netlist,
+                &self.layout,
+                &params,
+                &self.rules.newton,
+                Some(clock),
+                hooks,
+                &mut self.ctx,
+                rank1,
+                &mut self.trial,
+            ) {
+                Ok(()) => break,
+                Err(AnalysisError::NoConvergence { .. } | AnalysisError::Numerical { .. })
+                    if dt_try / 2.0 >= self.rules.min_dt =>
+                {
+                    // Each halving retry is a fresh attempted step as
+                    // far as the budget is concerned.
+                    clock.charge_step(self.t)?;
+                    if let Some(metrics) = hooks.metrics {
+                        metrics.step_rejected();
+                        metrics.dt_shrink();
+                    }
+                    dt_try /= 2.0;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+
+        self.t += dt_try;
+        if let Some(metrics) = hooks.metrics {
+            metrics.step_accepted();
+        }
+        // Rotate: x becomes prev, the accepted trial becomes x.
+        std::mem::swap(&mut self.prev, &mut self.x);
+        std::mem::swap(&mut self.x, &mut self.trial);
+        let (layout, x) = (&self.layout, &self.x);
+        update_history(netlist, layout, x, method, dt_try, &mut self.history);
+        self.dt_prev = Some(dt_try);
+        self.post_discontinuity = false;
+        Ok(())
+    }
+}
+
+/// Pending source breakpoints, earliest first.
+type Breakpoints = Peekable<std::vec::IntoIter<f64>>;
+
+/// The sorted source breakpoints after `t0` up to `t1`, merged within
+/// `bp_tol`.
+fn source_breakpoints(netlist: &Netlist, t0: f64, t1: f64, bp_tol: f64) -> Breakpoints {
+    let mut breakpoints: Vec<f64> = netlist
+        .devices()
+        .filter_map(|(_, _, dev)| match dev {
+            Device::Vsource { wave, .. } | Device::Isource { wave, .. } => {
+                Some(wave.breakpoints(t0, t1))
+            }
+            _ => None,
+        })
+        .flatten()
+        .filter(|&t| t > t0)
+        .collect();
+    breakpoints.sort_by(|a, b| a.total_cmp(b));
+    breakpoints.dedup_by(|a, b| (*a - *b).abs() < bp_tol);
+    breakpoints.into_iter().peekable()
+}
+
+/// Clips a step from `t` to `t_next` at the first pending breakpoint
+/// inside it, dropping the breakpoints already passed. Returns the end
+/// of the step and whether a breakpoint set it.
+fn clip_to_breakpoint(bps: &mut Breakpoints, t: f64, t_next: f64, bp_tol: f64) -> (f64, bool) {
+    while let Some(&bp) = bps.peek() {
+        if bp <= t + bp_tol {
+            bps.next();
+            continue;
+        }
+        if bp < t_next - bp_tol {
+            return (bp, true);
+        }
+        break;
+    }
+    (t_next, false)
 }
 
 /// Seeds the reactive history from the initial solution.
@@ -563,7 +648,6 @@ impl TransientResult {
     }
 }
 
-
 /// A resumable transient simulation for co-simulation: the circuit
 /// state persists between calls, sources can be rewritten at run time,
 /// and an external controller (e.g. a gate-level state machine) can
@@ -599,21 +683,11 @@ impl TransientResult {
 #[derive(Debug, Clone)]
 pub struct TransientSession {
     netlist: Netlist,
-    layout: MnaLayout,
-    history: ReactiveHistory,
-    x: Vec<f64>,
-    t: f64,
     dt: f64,
-    min_dt: f64,
-    integrator: Integrator,
-    newton: NewtonOptions,
-    gmin: f64,
-    /// Damp the first step after a source rewrite or session start.
-    post_discontinuity: bool,
     metrics: Option<Arc<SolverMetrics>>,
-    /// Persistent solver state: sparse structure, baseline stamps and
-    /// LU factors survive between `advance_to` calls.
-    ctx: SolverContext,
+    /// The march state survives between `advance_to` calls, solver
+    /// context and predictor history included.
+    march: March,
 }
 
 impl TransientSession {
@@ -629,35 +703,30 @@ impl TransientSession {
     /// Panics if `dt` is not positive.
     pub fn begin(netlist: &Netlist, dt: f64) -> Result<Self, AnalysisError> {
         assert!(dt.is_finite() && dt > 0.0, "dt must be positive");
-        let layout = MnaLayout::new(netlist);
-        let newton = NewtonOptions::default();
-        let gmin = 1e-12;
+        let rules = StepRules {
+            integrator: Integrator::Trapezoidal,
+            newton: NewtonOptions::default(),
+            gmin: 1e-12,
+            min_dt: dt / 1024.0,
+        };
         let op = dc_operating_point_metered(
             netlist,
             &DcOptions {
-                newton,
-                gmin,
+                newton: rules.newton,
+                gmin: rules.gmin,
                 time: 0.0,
             },
             None,
         )?;
+        let layout = MnaLayout::new(netlist);
+        let start = StartCondition::OperatingPoint;
         let x = op.into_solution();
-        let mut history = ReactiveHistory::new(netlist);
-        seed_history(netlist, &layout, &x, StartCondition::OperatingPoint, &mut history);
+        let march = March::new(netlist, layout, SolverContext::default(), x, start, rules);
         Ok(TransientSession {
             netlist: netlist.clone(),
-            layout,
-            history,
-            x,
-            t: 0.0,
             dt,
-            min_dt: dt / 1024.0,
-            integrator: Integrator::Trapezoidal,
-            newton,
-            gmin,
-            post_discontinuity: true,
             metrics: None,
-            ctx: SolverContext::default(),
+            march,
         })
     }
 
@@ -670,17 +739,18 @@ impl TransientSession {
 
     /// Present simulation time, seconds.
     pub fn time(&self) -> f64 {
-        self.t
+        self.march.t
     }
 
     /// Voltage at a node at the present time.
     pub fn voltage(&self, node: NodeId) -> f64 {
-        self.layout.voltage(&self.x, node)
+        self.march.layout.voltage(&self.march.x, node)
     }
 
     /// Branch current of a voltage-defined device at the present time.
     pub fn branch_current(&self, device: DeviceId) -> Option<f64> {
-        self.layout.branch_index(device).map(|j| self.x[j])
+        let march = &self.march;
+        march.layout.branch_index(device).map(|j| march.x[j])
     }
 
     /// Rewrites a source's waveform at the present time (the
@@ -696,19 +766,19 @@ impl TransientSession {
         wave: crate::source::SourceWaveform,
     ) -> Result<(), AnalysisError> {
         match self.netlist.device_mut(device) {
-            crate::devices::Device::Vsource { wave: w, .. }
-            | crate::devices::Device::Isource { wave: w, .. } => *w = wave,
+            Device::Vsource { wave: w, .. } | Device::Isource { wave: w, .. } => *w = wave,
             other => {
                 return Err(AnalysisError::UnknownElement(format!(
                     "set_source needs an independent source, found {other:?}"
                 )))
             }
         }
-        self.post_discontinuity = true;
+        self.march.post_discontinuity = true;
         Ok(())
     }
 
-    /// Advances the session to absolute time `t_stop`.
+    /// Advances the session to absolute time `t_stop`; on success
+    /// [`time`](Self::time) is exactly `t_stop`.
     ///
     /// # Errors
     ///
@@ -716,106 +786,33 @@ impl TransientSession {
     /// minimum step size; [`AnalysisError::InvalidParameter`] if
     /// `t_stop` is not ahead of the present time.
     pub fn advance_to(&mut self, t_stop: f64) -> Result<(), AnalysisError> {
-        if t_stop <= self.t {
+        let march = &mut self.march;
+        if t_stop <= march.t {
             return Err(AnalysisError::InvalidParameter(format!(
                 "t_stop {t_stop} is not ahead of t = {}",
-                self.t
+                march.t
             )));
         }
-        // Source breakpoints within the window keep steps aligned with
-        // waveform corners.
-        let mut breakpoints: Vec<f64> = self
-            .netlist
-            .devices()
-            .filter_map(|(_, _, dev)| match dev {
-                crate::devices::Device::Vsource { wave, .. }
-                | crate::devices::Device::Isource { wave, .. } => {
-                    Some(wave.breakpoints(self.t, t_stop))
-                }
-                _ => None,
-            })
-            .flatten()
-            .filter(|&bp| bp > self.t)
-            .collect();
         // Tolerance relative to the step size: session windows can be
         // arbitrarily short, so the horizon is a poor scale here.
         let bp_tol = BREAKPOINT_RELTOL * t_stop.abs().max(self.dt);
-        breakpoints.sort_by(|a, b| a.total_cmp(b));
-        breakpoints.dedup_by(|a, b| (*a - *b).abs() < bp_tol);
-        let mut bp_iter = breakpoints.into_iter().peekable();
-
-        while self.t < t_stop - 1e-15 * t_stop.abs().max(1.0) {
-            let mut t_next = (self.t + self.dt).min(t_stop);
-            while let Some(&bp) = bp_iter.peek() {
-                if bp <= self.t + bp_tol {
-                    bp_iter.next();
-                    continue;
-                }
-                if bp < t_next - bp_tol {
-                    t_next = bp;
-                }
-                break;
-            }
-
-            let mut dt_try = t_next - self.t;
-            loop {
-                let method = if self.post_discontinuity {
-                    Integrator::BackwardEuler
-                } else {
-                    self.integrator
-                };
-                let mut x_try = self.x.clone();
-                let params = StampParams {
-                    time: self.t + dt_try,
-                    companion: CompanionMode::Transient {
-                        method,
-                        dt: dt_try,
-                        history: &self.history,
-                    },
-                    gmin: self.gmin,
-                    source_scale: 1.0,
-                };
-                match newton_solve_with_context(
-                    &self.netlist,
-                    &self.layout,
-                    &params,
-                    &self.newton,
-                    None,
-                    SolveHooks::metrics(self.metrics.as_deref()),
-                    &mut self.ctx,
-                    None,
-                    &mut x_try,
-                ) {
-                    Ok(()) => {
-                        self.t += dt_try;
-                        if let Some(metrics) = &self.metrics {
-                            metrics.step_accepted();
-                        }
-                        update_history(
-                            &self.netlist,
-                            &self.layout,
-                            &x_try,
-                            method,
-                            dt_try,
-                            &mut self.history,
-                        );
-                        self.x = x_try;
-                        self.post_discontinuity = false;
-                        break;
-                    }
-                    Err(
-                        AnalysisError::NoConvergence { .. } | AnalysisError::Numerical { .. },
-                    ) if dt_try / 2.0 >= self.min_dt => {
-                        if let Some(metrics) = &self.metrics {
-                            metrics.step_rejected();
-                            metrics.dt_shrink();
-                        }
-                        dt_try /= 2.0;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
+        // Source breakpoints within the window keep steps aligned with
+        // waveform corners.
+        let mut bps = source_breakpoints(&self.netlist, march.t, t_stop, bp_tol);
+        let hooks = SolveHooks::metrics(self.metrics.as_deref());
+        // A session has no budget: its clock only counts steps.
+        let mut clock = BudgetClock::new(SolveBudget::unlimited());
+        while march.t < t_stop - bp_tol {
+            // A grid step landing within `bp_tol` of the window end is
+            // taken as it is, not clipped to `t_stop`: a rounding-level
+            // change of dt is a new factorisation key, which co-simulation
+            // would otherwise pay at every window end.
+            let grid = march.t + self.dt;
+            let t_end = if grid > t_stop + bp_tol { t_stop } else { grid };
+            let (t_next, _) = clip_to_breakpoint(&mut bps, march.t, t_end, bp_tol);
+            march.step(&self.netlist, t_next, &mut clock, hooks, None)?;
         }
+        march.t = t_stop;
         Ok(())
     }
 }
@@ -977,6 +974,57 @@ mod tests {
         assert!((s1 - w.value_at(1e-3)).abs() < 2e-3, "{s1}");
         assert!((s2 - w.value_at(4e-3)).abs() < 2e-3, "{s2}");
         assert!((session.time() - 4e-3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn session_windows_add_no_factorisations() {
+        // Co-simulation advances in short windows of a few steps. Window
+        // ends land on the step grid, so windowing keeps every step's dt
+        // (an exact factorisation key) and refactorises no more often
+        // than one long advance.
+        use crate::devices::DiodeParams;
+        use crate::metrics::SolverMetrics;
+        let mut nl = Netlist::new();
+        let vin = nl.node("in");
+        let out = nl.node("out");
+        let sine = SourceWaveform::Sine {
+            offset: 0.5,
+            amplitude: 1.0,
+            freq: 1e3,
+            delay: 0.0,
+        };
+        nl.vsource("V1", vin, Netlist::GROUND, sine);
+        nl.resistor("R1", vin, out, 1e3);
+        nl.capacitor("C1", out, Netlist::GROUND, 0.1e-6);
+        nl.diode("D1", out, Netlist::GROUND, DiodeParams::default());
+        let dt = 2e-6;
+        let session = |metrics: &Arc<SolverMetrics>| {
+            TransientSession::begin(&nl, dt)
+                .unwrap()
+                .with_metrics(Arc::clone(metrics))
+        };
+
+        let windowed_metrics = Arc::new(SolverMetrics::new());
+        let mut windowed = session(&windowed_metrics);
+        for _ in 0..400 {
+            let t_stop = windowed.time() + 5.0 * dt;
+            windowed.advance_to(t_stop).unwrap();
+            assert_eq!(windowed.time(), t_stop);
+        }
+        let single_metrics = Arc::new(SolverMetrics::new());
+        let mut single = session(&single_metrics);
+        single.advance_to(windowed.time()).unwrap();
+
+        let windowed_misses = windowed_metrics.snapshot().factor_reuse_misses;
+        let single_misses = single_metrics.snapshot().factor_reuse_misses;
+        assert!(
+            windowed_misses <= single_misses + 2,
+            "windowed {windowed_misses} vs single {single_misses} fresh factorisations"
+        );
+        for node in [vin, out] {
+            let (w, s) = (windowed.voltage(node), single.voltage(node));
+            assert!((w - s).abs() < 1e-9, "windowed {w} vs single {s}");
+        }
     }
 
     #[test]

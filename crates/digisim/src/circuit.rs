@@ -270,38 +270,36 @@ impl Circuit {
                 continue;
             }
             self.nets[ev.net.0] = ev.value;
-            // Re-evaluate fanout gates.
-            let gate_ids = self.fanout[ev.net.0].clone();
-            for gid in gate_ids {
+            // Re-evaluate fanout gates. Evaluation never changes the
+            // fanout lists, so they are walked by index in place.
+            for k in 0..self.fanout[ev.net.0].len() {
+                let gid = self.fanout[ev.net.0][k];
                 self.evaluate_gate(gid, ev.net);
             }
         }
     }
 
     fn evaluate_gate(&mut self, gid: usize, trigger: NetId) {
-        let kind = self.gates[gid].kind;
-        let delay = self.gates[gid].delay;
-        let output = self.gates[gid].output;
-        let inputs = self.gates[gid].inputs.clone();
+        let gate = &self.gates[gid];
+        let (kind, delay, output) = (gate.kind, gate.delay, gate.output);
+        let nets = &self.nets;
         let new_value = match kind {
             GateKind::Dff => {
-                let d = self.nets[inputs[0].0];
-                let clk = self.nets[inputs[1].0];
-                let rst = inputs.get(2).map(|r| self.nets[r.0]);
-                let (last_clk, q) = self.gates[gid].ff_state;
+                let d = nets[gate.inputs[0].0];
+                let clk = nets[gate.inputs[1].0];
+                let rst = gate.inputs.get(2).map(|r| nets[r.0]);
+                let (last_clk, q) = gate.ff_state;
                 let mut new_q = q;
                 if rst == Some(Logic::One) {
                     new_q = Logic::Zero;
-                } else if trigger == inputs[1] && last_clk == Logic::Zero && clk == Logic::One {
+                } else if trigger == gate.inputs[1] && last_clk == Logic::Zero && clk == Logic::One
+                {
                     new_q = d;
                 }
                 self.gates[gid].ff_state = (clk, new_q);
                 new_q
             }
-            _ => {
-                let vals: Vec<Logic> = inputs.iter().map(|&i| self.nets[i.0]).collect();
-                combinational(kind, &vals)
-            }
+            _ => combinational(kind, gate.inputs.iter().map(|i| nets[i.0])),
         };
         // Always schedule: an earlier pending event for this output may
         // carry a stale value, and comparing against the *current* net
@@ -311,22 +309,16 @@ impl Circuit {
     }
 }
 
-fn combinational(kind: GateKind, inputs: &[Logic]) -> Logic {
+fn combinational(kind: GateKind, mut inputs: impl Iterator<Item = Logic>) -> Logic {
     match kind {
-        GateKind::And => inputs.iter().fold(Logic::One, |a, &b| a.and(b)),
-        GateKind::Nand => inputs.iter().fold(Logic::One, |a, &b| a.and(b)).not(),
-        GateKind::Or => inputs.iter().fold(Logic::Zero, |a, &b| a.or(b)),
-        GateKind::Nor => inputs.iter().fold(Logic::Zero, |a, &b| a.or(b)).not(),
-        GateKind::Xor => inputs.iter().fold(Logic::Zero, |a, &b| a.xor(b)),
-        GateKind::Xnor => inputs.iter().fold(Logic::Zero, |a, &b| a.xor(b)).not(),
-        GateKind::Not | GateKind::Buf => {
-            let v = inputs[0];
-            if kind == GateKind::Not {
-                v.not()
-            } else {
-                v
-            }
-        }
+        GateKind::And => inputs.fold(Logic::One, |a, b| a.and(b)),
+        GateKind::Nand => inputs.fold(Logic::One, |a, b| a.and(b)).not(),
+        GateKind::Or => inputs.fold(Logic::Zero, |a, b| a.or(b)),
+        GateKind::Nor => inputs.fold(Logic::Zero, |a, b| a.or(b)).not(),
+        GateKind::Xor => inputs.fold(Logic::Zero, |a, b| a.xor(b)),
+        GateKind::Xnor => inputs.fold(Logic::Zero, |a, b| a.xor(b)).not(),
+        GateKind::Not => inputs.next().expect("Not has one input").not(),
+        GateKind::Buf => inputs.next().expect("Buf has one input"),
         GateKind::Dff => unreachable!("Dff handled in evaluate_gate"),
     }
 }

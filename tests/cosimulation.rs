@@ -5,6 +5,7 @@
 
 use mixsig::macrolib::process::{ProcessParams, VariationModel};
 use mixsig::msbist::adc::{AdcConverter, CosimAdc, DualSlopeAdc};
+use mixsig::msbist::bist::RampGenerator;
 
 /// The co-simulated conversion transfer matches the behavioural model
 /// across the input range (one staircase, scaled resolutions).
@@ -61,4 +62,35 @@ fn cosim_over_range_input_saturates_cleanly() {
         conv.code
     );
     assert!(conv.code <= 40, "code {} within overflow limit", conv.code);
+}
+
+/// The nominal macro converts the paper's test ramp to pinned codes and
+/// conversion times: the input phase takes 250 ticks plus start and
+/// latch, the reference phase one tick per code.
+#[test]
+fn cosim_nominal_ramp_is_pinned() {
+    let cosim = CosimAdc::new(ProcessParams::nominal());
+    let ramp = RampGenerator::paper();
+    let got: Vec<(u64, u64, bool)> = ramp
+        .sample_times()
+        .into_iter()
+        .map(|t| {
+            let conv = cosim
+                .convert(ramp.value_at(t))
+                .expect("conversion converges");
+            (conv.code, conv.ticks, conv.overflowed)
+        })
+        .collect();
+    let want: Vec<(u64, u64, bool)> = [
+        (0, 252),
+        (50, 302),
+        (100, 352),
+        (150, 402),
+        (200, 452),
+        (250, 502),
+    ]
+    .into_iter()
+    .map(|(code, ticks)| (code, ticks, false))
+    .collect();
+    assert_eq!(got, want);
 }
