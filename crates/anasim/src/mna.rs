@@ -407,7 +407,8 @@ pub(crate) struct NonlinearProgram {
 impl NonlinearProgram {
     /// Compiles the nonlinear devices of `netlist`, resolving each
     /// non-ground `(row, col)` a device may stamp through `slot` (a
-    /// CSC slot on the sparse backend, `r·n + c` on the dense one).
+    /// row-major slot on the sparse backend, `r·n + c` on the dense
+    /// one).
     /// Every position either MOSFET channel frame can touch is
     /// resolved, so a symbolic probe can take its nonlinear positions
     /// from this call.
@@ -1363,7 +1364,7 @@ fn newton_iterate(
             let factored = if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Pivot)) {
                 Err(SingularMatrixError { row: 0 })
             } else {
-                sys.factor(&mut ctx.ws, reuse)
+                sys.factor(&mut ctx.ws, &mut ctx.schedule, reuse)
             };
             let mut factor = match factored {
                 Ok(f) => f,

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use linsys::matrix::{Lu, Matrix};
-use linsys::sparse::{SparseLu, SparseMatrix, SparseStructure, SparseWorkspace};
+use linsys::sparse::{RefactorSchedule, SparseLu, SparseMatrix, SparseStructure, SparseWorkspace};
 use linsys::SingularMatrixError;
 
 use crate::mna::{MnaLayout, NonlinearProgram};
@@ -55,7 +55,7 @@ use crate::mna::{MnaLayout, NonlinearProgram};
 pub enum Backend {
     /// Dense row-major matrices with per-factorisation `O(n³)` LU.
     Dense,
-    /// CSC matrices with structure-reusing Gilbert–Peierls LU.
+    /// Sparse matrices with structure-reusing Gilbert–Peierls LU.
     #[default]
     Sparse,
 }
@@ -216,7 +216,8 @@ impl SystemMatrix {
         }
     }
 
-    /// Snapshot of the backing values (dense storage or CSC slots).
+    /// Snapshot of the backing values (dense storage or row-major
+    /// sparse slots).
     pub fn values(&self) -> &[f64] {
         match self {
             SystemMatrix::Dense(m) => m.values(),
@@ -233,7 +234,7 @@ impl SystemMatrix {
     }
 
     /// Value index of `(r, c)` in [`SystemMatrix::values`]: `r·n + c`
-    /// on the dense backend, the CSC slot on the sparse one.
+    /// on the dense backend, the row-major slot on the sparse one.
     ///
     /// # Panics
     ///
@@ -258,7 +259,10 @@ impl SystemMatrix {
     }
 
     /// Factorises the assembled system, recycling `reuse`'s
-    /// allocations when the backends match.
+    /// allocations when the backends match. On the sparse backend the
+    /// last pivot order is replayed through `schedule` first, with the
+    /// full pivoting kernel as its fallback (see
+    /// [`SparseLu::refactor_scheduled`]).
     ///
     /// # Errors
     ///
@@ -267,6 +271,7 @@ impl SystemMatrix {
     pub fn factor(
         &self,
         ws: &mut SparseWorkspace,
+        schedule: &mut Option<RefactorSchedule>,
         reuse: Option<LinearFactor>,
     ) -> Result<LinearFactor, SingularMatrixError> {
         match self {
@@ -276,7 +281,7 @@ impl SystemMatrix {
                     Some(LinearFactor::Sparse(s)) => s,
                     _ => SparseLu::default(),
                 };
-                slu.refactor(m, ws)?;
+                slu.refactor_scheduled(m, ws, schedule)?;
                 Ok(LinearFactor::Sparse(slu))
             }
         }
@@ -620,6 +625,11 @@ pub struct SolverContext {
     pub(crate) factor: Option<(FactorKey, LinearFactor)>,
     /// Sparse refactorisation scratch.
     pub(crate) ws: SparseWorkspace,
+    /// The replay schedule of the last full sparse factorisation. It
+    /// holds an `Arc` of the structure it was built over and replays
+    /// only on that one, so a rebuilt or demoted `sys` never replays a
+    /// stale schedule.
+    pub(crate) schedule: Option<RefactorSchedule>,
     /// Set when the reuse policy demands a refactorisation before the
     /// next linear solve.
     pub(crate) force_refactor: bool,
@@ -656,6 +666,7 @@ impl SolverContext {
             baseline_b: Vec::new(),
             factor: None,
             ws: SparseWorkspace::default(),
+            schedule: None,
             force_refactor: false,
             stale_iters: 0,
             distrust: 0,

@@ -5,12 +5,17 @@
 //! the two backends produce bit-identical solutions — this bench
 //! measures the *cost* gap, and the assertion inside each iteration
 //! keeps the comparison honest.
+//!
+//! A second group isolates the refactorisation layer at the size of
+//! the Figure-4 switched-capacitor macro (23 unknowns, voltage-source
+//! branches forcing row pivoting): the full partial-pivoting kernel
+//! against the replay of its last pivot order.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use linsys::matrix::{Lu, Matrix};
-use linsys::sparse::{SparseLu, SparseMatrix, SparseStructure, SparseWorkspace};
+use linsys::sparse::{RefactorSchedule, SparseLu, SparseMatrix, SparseStructure, SparseWorkspace};
 
 /// Node counts swept: a small macro, a board-level block, and two
 /// campaign-scale sizes.
@@ -23,6 +28,9 @@ const SIZES: [usize; 4] = [8, 32, 128, 512];
 struct MnaFixture {
     n: usize,
     branches: Vec<(usize, usize, f64)>,
+    /// Voltage-source branches: node `sources[j]` couples to the extra
+    /// unknown `nodes + j` with unit entries and a zero diagonal.
+    sources: Vec<usize>,
     rhs: Vec<f64>,
 }
 
@@ -49,11 +57,27 @@ impl MnaFixture {
         }
         branches.retain(|&(a, b, _)| a != b);
         let rhs = (0..n).map(|_| next()).collect();
-        MnaFixture { n, branches, rhs }
+        MnaFixture {
+            n,
+            branches,
+            sources: Vec::new(),
+            rhs,
+        }
+    }
+
+    /// `nodes` conductance nodes plus `sources` voltage-source branch
+    /// unknowns, spread over the nodes.
+    fn with_sources(nodes: usize, sources: usize) -> Self {
+        let mut f = MnaFixture::new(nodes);
+        f.sources = (0..sources).map(|j| (j * 7 + 2) % nodes).collect();
+        f.n = nodes + sources;
+        f.rhs.extend((0..sources).map(|j| 1.0 + j as f64));
+        f
     }
 
     fn stamp(&self, mut add: impl FnMut(usize, usize, f64)) {
-        for k in 0..self.n {
+        let nodes = self.n - self.sources.len();
+        for k in 0..nodes {
             add(k, k, 1e-3); // ground leak
         }
         for &(a, b, g) in &self.branches {
@@ -61,6 +85,11 @@ impl MnaFixture {
             add(b, b, g);
             add(a, b, -g);
             add(b, a, -g);
+        }
+        for (j, &a) in self.sources.iter().enumerate() {
+            add(a, nodes + j, 1.0);
+            add(nodes + j, a, 1.0);
+            add(nodes + j, nodes + j, 0.0);
         }
     }
 
@@ -71,10 +100,8 @@ impl MnaFixture {
     }
 
     fn structure(&self) -> Arc<SparseStructure> {
-        let mut pos: Vec<(usize, usize)> = (0..self.n).map(|k| (k, k)).collect();
-        for &(a, b, _) in &self.branches {
-            pos.extend([(a, a), (b, b), (a, b), (b, a)]);
-        }
+        let mut pos = Vec::new();
+        self.stamp(|r, c, _| pos.push((r, c)));
         SparseStructure::from_positions(self.n, &pos)
     }
 
@@ -150,6 +177,38 @@ fn bench(c: &mut Criterion) {
 
         group.finish();
     }
+
+    // The refactorisation layer alone, at the Figure-4 macro's size.
+    let fixture = MnaFixture::with_sources(20, 3);
+    let sparse = fixture.sparse();
+    let n = fixture.n;
+    let mut group = c.benchmark_group("solver_core_refactor_n23");
+    group.sample_size(30);
+    group.bench_function("full_pivoting_refactor", |b| {
+        let mut ws = SparseWorkspace::new(n);
+        let mut lu = SparseLu::factor(&sparse).expect("nonsingular");
+        b.iter(|| {
+            lu.refactor(&sparse, &mut ws).expect("nonsingular");
+            lu.pivot_growth()
+        })
+    });
+    group.bench_function("replay_refactor", |b| {
+        let mut lu = SparseLu::factor(&sparse).expect("nonsingular");
+        let mut schedule = RefactorSchedule::new(sparse.structure(), &lu);
+        let want = lu.solve(&fixture.rhs);
+        assert!(schedule.replay(&sparse, &mut lu), "replay declined");
+        assert!(
+            want.iter()
+                .zip(lu.solve(&fixture.rhs))
+                .all(|(w, g)| (w + 0.0).to_bits() == (g + 0.0).to_bits()),
+            "replay disagrees with the full kernel"
+        );
+        b.iter(|| {
+            assert!(schedule.replay(&sparse, &mut lu));
+            lu.pivot_growth()
+        })
+    });
+    group.finish();
 }
 
 criterion_group!(benches, bench);

@@ -2,6 +2,7 @@
 //! macro library circuits, fault injection, simulation and detection
 //! statistics.
 
+use mixsig::faultsim::campaign::{CampaignConfig, FaultStatus};
 use mixsig::faultsim::inject::inject;
 use mixsig::faultsim::model::Fault;
 use mixsig::macrolib::process::ProcessParams;
@@ -39,6 +40,42 @@ fn circuit1_fault_universe_simulates_and_detects() {
     fig.add_campaign(1, &report);
     assert_eq!(fig.circuit(1).len(), 4);
     assert!(fig.floor(1).expect("entries") > 30.0);
+}
+
+/// Circuit 1's Figure-4 correlation verdicts at the nominal process,
+/// pinned fault by fault. Each detection figure is `k` of the
+/// signature's 239 samples; a solver change that is not bit for bit can
+/// move them (a stale-factor policy tweak once moved all sixteen and
+/// left `n5-sa1` undetected), and this is the test that says so.
+#[test]
+fn circuit1_correlation_verdicts_are_pinned() {
+    const SAMPLES: f64 = 239.0;
+    const K: [u32; 16] = [
+        180, 201, 190, 122, 189, 201, 201, 189, 200, 200, 211, 189, 201, 185, 168, 201,
+    ];
+    let c1 = circuit1(&ProcessParams::nominal());
+    let golden = c1
+        .bench
+        .correlation_signature(c1.bench.netlist())
+        .expect("golden simulates");
+    let peak = golden.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+    let report = c1
+        .bench
+        .run_correlation_campaign_with(&c1.faults, &CampaignConfig::new(0.02 * peak))
+        .expect("campaign runs");
+    assert_eq!(report.outcomes.len(), K.len());
+    assert_eq!(report.outcomes[3].fault.name(), "n5-sa1");
+    for (o, k) in report.outcomes.iter().zip(K) {
+        let want = 100.0 * f64::from(k) / SAMPLES;
+        match o.status {
+            FaultStatus::Detected { pct } => assert!(
+                (pct - want).abs() < 1e-9,
+                "{}: {pct} %, pinned {want} % ({k}/239)",
+                o.fault.name()
+            ),
+            ref other => panic!("{}: {other:?}, pinned detected at {want} %", o.fault.name()),
+        }
+    }
 }
 
 #[test]
