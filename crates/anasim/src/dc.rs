@@ -10,7 +10,7 @@ use crate::flight::{SolveHooks, SolvePhase};
 use crate::metrics::SolverMetrics;
 use crate::mna::{newton_solve_with_context, CompanionMode, MnaLayout, NewtonOptions, StampParams};
 use crate::netlist::{DeviceId, Netlist, NodeId};
-use crate::solver::{Rank1Setup, SolverContext, WarmStart};
+use crate::solver::{SolverContext, WarmStart};
 use crate::AnalysisError;
 
 use std::time::Instant;
@@ -142,12 +142,12 @@ pub fn dc_operating_point_hooked(
     hooks: SolveHooks<'_>,
 ) -> Result<OperatingPoint, AnalysisError> {
     let mut ctx = SolverContext::default();
-    dc_operating_point_solver(netlist, options, hooks, None, None, &mut ctx)
+    dc_operating_point_solver(netlist, options, hooks, None, &mut ctx)
 }
 
 /// [`dc_operating_point_hooked`] against a caller-owned
 /// [`SolverContext`], optionally warm-started from a golden operating
-/// point and routed through a rank-1 golden-factorisation cache.
+/// point.
 ///
 /// The context's cached symbolic structure and factorisation carry
 /// across the homotopy stages (and, when the caller is a transient
@@ -165,11 +165,10 @@ pub fn dc_operating_point_solver(
     options: &DcOptions,
     hooks: SolveHooks<'_>,
     warm: Option<&WarmStart>,
-    rank1: Option<&Rank1Setup>,
     ctx: &mut SolverContext,
 ) -> Result<OperatingPoint, AnalysisError> {
     let started = Instant::now();
-    let result = dc_solve(netlist, options, hooks, warm, rank1, ctx);
+    let result = dc_solve(netlist, options, hooks, warm, ctx);
     if let Some(metrics) = hooks.metrics {
         metrics.record_span("anasim.dc", started.elapsed());
     }
@@ -181,7 +180,6 @@ fn dc_solve(
     options: &DcOptions,
     hooks: SolveHooks<'_>,
     warm: Option<&WarmStart>,
-    rank1: Option<&Rank1Setup>,
     ctx: &mut SolverContext,
 ) -> Result<OperatingPoint, AnalysisError> {
     // Homotopy scheduling is DC self-time; the Newton solves underneath
@@ -209,7 +207,7 @@ fn dc_solve(
         set_phase(SolvePhase::DcDirect);
         warm.seed(&layout, &mut x);
         if try_newton(
-            netlist, &layout, options, options.gmin, 1.0, hooks, ctx, rank1, &mut x,
+            netlist, &layout, options, options.gmin, 1.0, hooks, ctx, &mut x,
         )
         .is_ok()
         {
@@ -221,7 +219,7 @@ fn dc_solve(
     // 1. Plain Newton.
     set_phase(SolvePhase::DcDirect);
     let direct = try_newton(
-        netlist, &layout, options, options.gmin, 1.0, hooks, ctx, rank1, &mut x,
+        netlist, &layout, options, options.gmin, 1.0, hooks, ctx, &mut x,
     );
     if direct.is_ok() {
         return Ok(OperatingPoint::new(layout, x));
@@ -241,9 +239,7 @@ fn dc_solve(
             if let Some(metrics) = hooks.metrics {
                 metrics.dc_gmin_step();
             }
-            if let Err(e) = try_newton(
-                netlist, &layout, options, gmin, 1.0, hooks, ctx, rank1, &mut x,
-            ) {
+            if let Err(e) = try_newton(netlist, &layout, options, gmin, 1.0, hooks, ctx, &mut x) {
                 last_err = e;
                 ok = false;
                 break;
@@ -253,7 +249,7 @@ fn dc_solve(
         if ok {
             // Final solve at the target gmin.
             if try_newton(
-                netlist, &layout, options, options.gmin, 1.0, hooks, ctx, rank1, &mut x,
+                netlist, &layout, options, options.gmin, 1.0, hooks, ctx, &mut x,
             )
             .is_ok()
             {
@@ -272,7 +268,7 @@ fn dc_solve(
             metrics.dc_source_step();
         }
         if let Err(e) = try_newton(
-            netlist, &layout, options, options.gmin, scale, hooks, ctx, rank1, &mut x,
+            netlist, &layout, options, options.gmin, scale, hooks, ctx, &mut x,
         ) {
             last_err = e;
             ok = false;
@@ -294,7 +290,6 @@ fn try_newton(
     source_scale: f64,
     hooks: SolveHooks<'_>,
     ctx: &mut SolverContext,
-    rank1: Option<&Rank1Setup>,
     x: &mut Vec<f64>,
 ) -> Result<(), AnalysisError> {
     let params = StampParams {
@@ -311,7 +306,6 @@ fn try_newton(
         None,
         hooks,
         ctx,
-        rank1,
         x,
     )
 }

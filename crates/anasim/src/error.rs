@@ -47,8 +47,8 @@ pub enum AnalysisError {
     /// have been perfectly solvable.
     Cancelled,
     /// A numerical hazard survived the entire tier-demotion ladder:
-    /// every recovery tier (cached factor, refactor, symbolic rebuild,
-    /// dense fallback) was tried and the hazard persisted. This is the
+    /// every recovery tier (cached factor, refactor, symbolic rebuild)
+    /// was tried and the hazard persisted. This is the
     /// typed replacement for NaN-poisoned reports and panics.
     Numerical {
         /// The hazard kind that exhausted the ladder.
@@ -139,11 +139,11 @@ mod tests {
     #[test]
     fn numerical_hazard_reports_kind_and_time() {
         let err = AnalysisError::Numerical {
-            hazard: linsys::NumericalHazard::Rank1Breakdown,
+            hazard: linsys::NumericalHazard::RefinementStall,
             time: 2e-6,
         };
         let msg = err.to_string();
-        assert!(msg.contains("rank1-breakdown"), "{msg}");
+        assert!(msg.contains("refinement-stall"), "{msg}");
         assert!(msg.contains("2.000e-6"), "{msg}");
     }
 

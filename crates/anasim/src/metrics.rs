@@ -26,7 +26,7 @@ use obs::Recorder;
 
 /// Counter names under which [`SolverSnapshot::emit_to`] publishes to a
 /// recorder, in emission order.
-pub const COUNTER_NAMES: [&str; 19] = [
+pub const COUNTER_NAMES: [&str; 17] = [
     "solver.newton_iterations",
     "solver.steps_accepted",
     "solver.steps_rejected",
@@ -37,23 +37,20 @@ pub const COUNTER_NAMES: [&str; 19] = [
     "solver.factor_reuse_misses",
     "solver.hazard.near_singular_pivot",
     "solver.hazard.pivot_growth",
-    "solver.hazard.rank1_breakdown",
     "solver.hazard.nonfinite",
     "solver.hazard.refinement_stall",
     "solver.hazard.ill_conditioned",
     "solver.demote.stale",
     "solver.demote.refactor",
     "solver.demote.symbolic",
-    "solver.demote.dense",
     "solver.refinement.rounds",
 ];
 
 /// The recovery tier the solver demoted *to* after a numerical hazard,
 /// ordered from cheapest to most expensive. The tiers mirror the
 /// factorisation-reuse ladder in `mna`: reuse a cached same-key factor
-/// as-is, numerically refactor in the existing symbolic structure,
-/// rebuild the symbolic analysis from scratch, and finally abandon the
-/// sparse backend for dense LU.
+/// as-is, numerically refactor in the existing symbolic structure, and
+/// rebuild the symbolic analysis from scratch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DemotionTier {
     /// Fall back to a cached (stale or same-key) factorisation.
@@ -62,17 +59,14 @@ pub enum DemotionTier {
     Refactor,
     /// Rebuild the symbolic structure and refactor.
     Symbolic,
-    /// Abandon the sparse backend for dense LU.
-    Dense,
 }
 
 impl DemotionTier {
     /// Every tier, cheapest first.
-    pub const ALL: [DemotionTier; 4] = [
+    pub const ALL: [DemotionTier; 3] = [
         DemotionTier::Stale,
         DemotionTier::Refactor,
         DemotionTier::Symbolic,
-        DemotionTier::Dense,
     ];
 
     /// Stable lowercase label used in counters, markers and journals.
@@ -81,7 +75,6 @@ impl DemotionTier {
             DemotionTier::Stale => "stale",
             DemotionTier::Refactor => "refactor",
             DemotionTier::Symbolic => "symbolic",
-            DemotionTier::Dense => "dense",
         }
     }
 }
@@ -99,14 +92,12 @@ pub struct SolverMetrics {
     factor_reuse_misses: AtomicU64,
     hazard_near_singular_pivot: AtomicU64,
     hazard_pivot_growth: AtomicU64,
-    hazard_rank1_breakdown: AtomicU64,
     hazard_nonfinite: AtomicU64,
     hazard_refinement_stall: AtomicU64,
     hazard_ill_conditioned: AtomicU64,
     demote_stale: AtomicU64,
     demote_refactor: AtomicU64,
     demote_symbolic: AtomicU64,
-    demote_dense: AtomicU64,
     refinement_rounds: AtomicU64,
     recorder: Option<Arc<dyn Recorder>>,
     profile: Option<Arc<PhaseProfiler>>,
@@ -183,8 +174,7 @@ impl SolverMetrics {
     }
 
     /// One Newton iteration served by a cached factorisation (a
-    /// modified-Newton stale step, a cached linear solve, or a
-    /// Sherman–Morrison rank-1 application).
+    /// modified-Newton stale step or a cached linear solve).
     #[inline]
     pub fn factor_reuse_hit(&self) {
         self.factor_reuse_hits.fetch_add(1, Ordering::Relaxed);
@@ -205,7 +195,6 @@ impl SolverMetrics {
         let counter = match hazard {
             NumericalHazard::NearSingularPivot => &self.hazard_near_singular_pivot,
             NumericalHazard::PivotGrowth => &self.hazard_pivot_growth,
-            NumericalHazard::Rank1Breakdown => &self.hazard_rank1_breakdown,
             NumericalHazard::NonFinite => &self.hazard_nonfinite,
             NumericalHazard::RefinementStall => &self.hazard_refinement_stall,
             NumericalHazard::IllConditioned => &self.hazard_ill_conditioned,
@@ -220,7 +209,6 @@ impl SolverMetrics {
             DemotionTier::Stale => &self.demote_stale,
             DemotionTier::Refactor => &self.demote_refactor,
             DemotionTier::Symbolic => &self.demote_symbolic,
-            DemotionTier::Dense => &self.demote_dense,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
@@ -264,14 +252,12 @@ impl SolverMetrics {
             factor_reuse_misses: self.factor_reuse_misses.load(Ordering::Relaxed),
             hazard_near_singular_pivot: self.hazard_near_singular_pivot.load(Ordering::Relaxed),
             hazard_pivot_growth: self.hazard_pivot_growth.load(Ordering::Relaxed),
-            hazard_rank1_breakdown: self.hazard_rank1_breakdown.load(Ordering::Relaxed),
             hazard_nonfinite: self.hazard_nonfinite.load(Ordering::Relaxed),
             hazard_refinement_stall: self.hazard_refinement_stall.load(Ordering::Relaxed),
             hazard_ill_conditioned: self.hazard_ill_conditioned.load(Ordering::Relaxed),
             demote_stale: self.demote_stale.load(Ordering::Relaxed),
             demote_refactor: self.demote_refactor.load(Ordering::Relaxed),
             demote_symbolic: self.demote_symbolic.load(Ordering::Relaxed),
-            demote_dense: self.demote_dense.load(Ordering::Relaxed),
             refinement_rounds: self.refinement_rounds.load(Ordering::Relaxed),
             phases: self.profile.as_ref().map(|p| p.snapshot()).unwrap_or_default(),
         }
@@ -303,8 +289,6 @@ pub struct SolverSnapshot {
     /// Excessive element growth observed during factorisation
     /// (advisory).
     pub hazard_pivot_growth: u64,
-    /// Degenerate Sherman–Morrison rank-1 denominators.
-    pub hazard_rank1_breakdown: u64,
     /// Non-finite residuals, solutions or trial steps scrubbed.
     pub hazard_nonfinite: u64,
     /// Refinement rounds that failed to contract the true residual.
@@ -317,8 +301,6 @@ pub struct SolverSnapshot {
     pub demote_refactor: u64,
     /// Demotions rebuilding the symbolic structure.
     pub demote_symbolic: u64,
-    /// Demotions abandoning the sparse backend for dense LU.
-    pub demote_dense: u64,
     /// Iterative-refinement rounds executed.
     pub refinement_rounds: u64,
     /// Per-phase self-time nanoseconds and span counts from an attached
@@ -334,7 +316,7 @@ impl SolverSnapshot {
     /// recorder-facing [`COUNTER_NAMES`] are these with a `solver.`
     /// prefix. Keeping one authoritative name list next to the value
     /// list stops the two from drifting into positional magic.
-    pub const FIELDS: [&'static str; 19] = [
+    pub const FIELDS: [&'static str; 17] = [
         "newton_iterations",
         "steps_accepted",
         "steps_rejected",
@@ -345,14 +327,12 @@ impl SolverSnapshot {
         "factor_reuse_misses",
         "hazard.near_singular_pivot",
         "hazard.pivot_growth",
-        "hazard.rank1_breakdown",
         "hazard.nonfinite",
         "hazard.refinement_stall",
         "hazard.ill_conditioned",
         "demote.stale",
         "demote.refactor",
         "demote.symbolic",
-        "demote.dense",
         "refinement.rounds",
     ];
 
@@ -366,7 +346,7 @@ impl SolverSnapshot {
     }
 
     /// Counter values in [`COUNTER_NAMES`] order.
-    pub fn as_array(&self) -> [u64; 19] {
+    pub fn as_array(&self) -> [u64; 17] {
         [
             self.newton_iterations,
             self.steps_accepted,
@@ -378,14 +358,12 @@ impl SolverSnapshot {
             self.factor_reuse_misses,
             self.hazard_near_singular_pivot,
             self.hazard_pivot_growth,
-            self.hazard_rank1_breakdown,
             self.hazard_nonfinite,
             self.hazard_refinement_stall,
             self.hazard_ill_conditioned,
             self.demote_stale,
             self.demote_refactor,
             self.demote_symbolic,
-            self.demote_dense,
             self.refinement_rounds,
         ]
     }
@@ -393,11 +371,10 @@ impl SolverSnapshot {
     /// Hazard counters paired with their [`NumericalHazard::label`]s,
     /// in [`NumericalHazard::ALL`] order — the shape canonical-report
     /// markers and `experiments explain` render from.
-    pub fn hazards(&self) -> [(&'static str, u64); 6] {
+    pub fn hazards(&self) -> [(&'static str, u64); 5] {
         [
             ("near-singular-pivot", self.hazard_near_singular_pivot),
             ("pivot-growth", self.hazard_pivot_growth),
-            ("rank1-breakdown", self.hazard_rank1_breakdown),
             ("non-finite", self.hazard_nonfinite),
             ("refinement-stall", self.hazard_refinement_stall),
             ("ill-conditioned", self.hazard_ill_conditioned),
@@ -406,12 +383,11 @@ impl SolverSnapshot {
 
     /// Demotion counters paired with their [`DemotionTier::label`]s, in
     /// [`DemotionTier::ALL`] (cheapest-first) order.
-    pub fn demotions(&self) -> [(&'static str, u64); 4] {
+    pub fn demotions(&self) -> [(&'static str, u64); 3] {
         [
             ("stale", self.demote_stale),
             ("refactor", self.demote_refactor),
             ("symbolic", self.demote_symbolic),
-            ("dense", self.demote_dense),
         ]
     }
 }
@@ -432,14 +408,12 @@ impl Add for SolverSnapshot {
             hazard_near_singular_pivot: self.hazard_near_singular_pivot
                 + rhs.hazard_near_singular_pivot,
             hazard_pivot_growth: self.hazard_pivot_growth + rhs.hazard_pivot_growth,
-            hazard_rank1_breakdown: self.hazard_rank1_breakdown + rhs.hazard_rank1_breakdown,
             hazard_nonfinite: self.hazard_nonfinite + rhs.hazard_nonfinite,
             hazard_refinement_stall: self.hazard_refinement_stall + rhs.hazard_refinement_stall,
             hazard_ill_conditioned: self.hazard_ill_conditioned + rhs.hazard_ill_conditioned,
             demote_stale: self.demote_stale + rhs.demote_stale,
             demote_refactor: self.demote_refactor + rhs.demote_refactor,
             demote_symbolic: self.demote_symbolic + rhs.demote_symbolic,
-            demote_dense: self.demote_dense + rhs.demote_dense,
             refinement_rounds: self.refinement_rounds + rhs.refinement_rounds,
             phases: self.phases + rhs.phases,
         }
@@ -470,7 +444,7 @@ mod tests {
         m.factor_reuse_hit();
         m.factor_reuse_hit();
         m.factor_reuse_miss();
-        m.hazard(NumericalHazard::Rank1Breakdown);
+        m.hazard(NumericalHazard::PivotGrowth);
         m.hazard(NumericalHazard::NonFinite);
         m.hazard(NumericalHazard::NonFinite);
         m.demotion(DemotionTier::Refactor);
@@ -484,11 +458,11 @@ mod tests {
         assert_eq!(snap.dc_source_steps, 1);
         assert_eq!(snap.factor_reuse_hits, 2);
         assert_eq!(snap.factor_reuse_misses, 1);
-        assert_eq!(snap.hazard_rank1_breakdown, 1);
+        assert_eq!(snap.hazard_pivot_growth, 1);
         assert_eq!(snap.hazard_nonfinite, 2);
         assert_eq!(snap.hazard_near_singular_pivot, 0);
         assert_eq!(snap.demote_refactor, 1);
-        assert_eq!(snap.demote_dense, 0);
+        assert_eq!(snap.demote_symbolic, 0);
         assert_eq!(snap.refinement_rounds, 1);
     }
 
@@ -573,20 +547,18 @@ mod tests {
             factor_reuse_misses: 8,
             hazard_near_singular_pivot: 9,
             hazard_pivot_growth: 10,
-            hazard_rank1_breakdown: 11,
-            hazard_nonfinite: 12,
-            hazard_refinement_stall: 13,
-            hazard_ill_conditioned: 14,
-            demote_stale: 15,
-            demote_refactor: 16,
-            demote_symbolic: 17,
-            demote_dense: 18,
-            refinement_rounds: 19,
+            hazard_nonfinite: 11,
+            hazard_refinement_stall: 12,
+            hazard_ill_conditioned: 13,
+            demote_stale: 14,
+            demote_refactor: 15,
+            demote_symbolic: 16,
+            refinement_rounds: 17,
             ..SolverSnapshot::default()
         };
         assert_eq!(
             snap.as_array(),
-            [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19]
+            [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17]
         );
         let rec = AggregatingRecorder::new();
         snap.emit_to(&rec);

@@ -9,9 +9,7 @@ use crate::flight::SolveHooks;
 use crate::metrics::DemotionTier;
 use crate::netlist::{DeviceId, Netlist, NodeId};
 use crate::robust::BudgetClock;
-use crate::solver::{
-    FactorKey, MnaMatrix, PositionProbe, Rank1Action, Rank1Setup, SolverContext, SystemMatrix,
-};
+use crate::solver::{solve_into, FactorKey, MnaMatrix, PositionProbe, SolverContext};
 use crate::AnalysisError;
 use linsys::sparse::{SparseMatrix, SparseStructure};
 use linsys::{refine_once, NumericalHazard, SingularMatrixError};
@@ -407,8 +405,8 @@ pub(crate) struct NonlinearProgram {
 impl NonlinearProgram {
     /// Compiles the nonlinear devices of `netlist`, resolving each
     /// non-ground `(row, col)` a device may stamp through `slot` (a
-    /// row-major slot on the sparse backend, `r·n + c` on the dense
-    /// one).
+    /// row-major slot of the sparse system, `r·n + c` of a dense
+    /// [`Matrix`]).
     /// Every position either MOSFET channel frame can touch is
     /// resolved, so a symbolic probe can take its nonlinear positions
     /// from this call.
@@ -750,9 +748,7 @@ pub fn newton_solve_budgeted(
     x: &mut Vec<f64>,
 ) -> Result<(), AnalysisError> {
     let mut ctx = SolverContext::default();
-    newton_solve_with_context(
-        netlist, layout, params, options, clock, hooks, &mut ctx, None, x,
-    )
+    newton_solve_with_context(netlist, layout, params, options, clock, hooks, &mut ctx, x)
 }
 
 /// [`newton_solve_budgeted`] against a caller-owned [`SolverContext`].
@@ -762,9 +758,7 @@ pub fn newton_solve_budgeted(
 /// is where the reuse wins come from: a transient march passes the same
 /// context for every timestep, so a factorisation computed at one
 /// timepoint keeps serving as the modified-Newton preconditioner until
-/// the reuse policy retires it. `rank1` optionally routes linear solves
-/// through a golden factorisation cache (capture on the golden run,
-/// Sherman–Morrison application on fault runs).
+/// the reuse policy retires it.
 ///
 /// # Errors
 ///
@@ -778,7 +772,6 @@ pub fn newton_solve_with_context(
     clock: Option<&BudgetClock>,
     hooks: SolveHooks<'_>,
     ctx: &mut SolverContext,
-    rank1: Option<&Rank1Setup>,
     x: &mut Vec<f64>,
 ) -> Result<(), AnalysisError> {
     // One lap timer per solve: phase boundaries inside the Newton loop
@@ -797,7 +790,6 @@ pub fn newton_solve_with_context(
         clock,
         &hooks,
         ctx,
-        rank1,
         lap.as_mut(),
         x,
     );
@@ -888,19 +880,11 @@ const COND_LIMIT: f64 = 1e14;
 /// single-shot fresh) factorisation: the solve passes when the true
 /// residual ∞-norm is below this fraction of its Oettli–Prager scale
 /// `max_r(Σ_c |a_rc·x_c| + |b_r|)`. Honest solves sit at rounding level
-/// (~1e-13 of scale even through a rank-1 update), so 1e-8 leaves four
+/// (~1e-13 of scale), so 1e-8 leaves four
 /// orders of margin while still catching a corrupted factor, a stale
 /// structure or a poisoned right-hand side. Failures take one round of
 /// iterative refinement before the tier demotes.
 const RESID_GATE_TOL: f64 = 1e-8;
-
-/// Scale-relative breakdown threshold for the Sherman–Morrison
-/// denominator `1 + g·wᵀz`: the update is degenerate when the sum
-/// cancels to within this fraction of its operands' magnitude. The old
-/// absolute `1e-300` floor only caught underflow — a denominator of
-/// 1e-14 built from operands of size 1e2 is pure cancellation noise yet
-/// sailed through it.
-const RANK1_DENOM_REL_TOL: f64 = 1e-12;
 
 /// Counts a hazard and appends it to the flight-recorder history.
 fn note_hazard(hooks: &SolveHooks<'_>, hazard: NumericalHazard, action: &str, time: f64) {
@@ -925,7 +909,6 @@ fn demote_action(tier: DemotionTier) -> &'static str {
         DemotionTier::Stale => "demote:stale",
         DemotionTier::Refactor => "demote:refactor",
         DemotionTier::Symbolic => "demote:symbolic",
-        DemotionTier::Dense => "demote:dense",
     }
 }
 
@@ -952,10 +935,9 @@ fn factor_key(params: &StampParams<'_>) -> FactorKey {
 }
 
 /// Prepares the context's assembled-system workspace for this solve:
-/// sizes the scratch vectors, builds the system matrix (for the sparse
-/// backend over a per-mode symbolic structure found by a one-time
-/// stamping probe) and compiles the nonlinear device program against
-/// its value slots. A rebuilt system drops the linear-baseline record.
+/// sizes the scratch vectors, builds the sparse system matrix over a
+/// per-mode symbolic structure found by a one-time stamping probe, and
+/// compiles the nonlinear device program against its value slots. A rebuilt system drops the linear-baseline record.
 fn ensure_system(
     ctx: &mut SolverContext,
     netlist: &Netlist,
@@ -985,37 +967,34 @@ fn ensure_system(
     if matches!(&ctx.sys, Some((m, sys)) if *m == mode && sys.n() == n) {
         return;
     }
-    let sys = match ctx.backend {
-        crate::solver::Backend::Dense => SystemMatrix::Dense(Matrix::zeros(n, n)),
-        // Even at macro scale (tens of unknowns) the sparse kernel wins
-        // on the campaign hot path: factor-from-scratch favours dense
-        // below ~64 unknowns, but the reuse tiers make back-substitution
-        // (O(nnz), not O(n²)) and baseline restore (nnz values, not n²)
-        // the dominant per-iteration costs, and those stay sparse-cheap
-        // at every size.
-        crate::solver::Backend::Sparse => {
-            if ctx.structures[mode].is_none() {
-                let mut probe = PositionProbe::new();
-                stamp_linear_matrix(netlist, layout, params, &mut probe);
-                // The nonlinear positions come from the program itself:
-                // it resolves every position either MOSFET channel frame
-                // can touch. Covering the diagonal keeps gmin sweeps on
-                // the same structure.
-                NonlinearProgram::compile(netlist, layout, |r, c| {
-                    probe.add(r, c, 0.0);
-                    0
-                });
-                probe.cover_diagonal(n);
-                ctx.structures[mode] = Some(SparseStructure::from_positions(n, probe.positions()));
-                if let Some(lap) = lap {
-                    lap.lap(Phase::Symbolic);
-                }
-            }
-            let structure = ctx.structures[mode].as_ref().expect("structure just built");
-            SystemMatrix::Sparse(SparseMatrix::zeros(Arc::clone(structure)))
+    // Even at macro scale (tens of unknowns) the sparse kernel wins on
+    // the campaign hot path: factor-from-scratch favours dense below ~64
+    // unknowns, but the reuse tiers make back-substitution (O(nnz), not
+    // O(n²)) and baseline restore (nnz values, not n²) the dominant
+    // per-iteration costs, and those stay sparse-cheap at every size.
+    if ctx.structures[mode].is_none() {
+        let mut probe = PositionProbe::new();
+        stamp_linear_matrix(netlist, layout, params, &mut probe);
+        // The nonlinear positions come from the program itself: it
+        // resolves every position either MOSFET channel frame can
+        // touch. Covering the diagonal keeps gmin sweeps on the same
+        // structure.
+        NonlinearProgram::compile(netlist, layout, |r, c| {
+            probe.add(r, c, 0.0);
+            0
+        });
+        probe.cover_diagonal(n);
+        ctx.structures[mode] = Some(SparseStructure::from_positions(n, probe.positions()));
+        if let Some(lap) = lap {
+            lap.lap(Phase::Symbolic);
         }
-    };
-    ctx.program = NonlinearProgram::compile(netlist, layout, |r, c| sys.slot(r, c));
+    }
+    let structure = ctx.structures[mode].as_ref().expect("structure just built");
+    let sys = SparseMatrix::zeros(Arc::clone(structure));
+    ctx.program = NonlinearProgram::compile(netlist, layout, |r, c| {
+        sys.slot_of(r, c)
+            .unwrap_or_else(|| panic!("stamp at ({r}, {c}) outside sparse pattern"))
+    });
     ctx.baseline_key = None;
     ctx.sys = Some((mode, sys));
 }
@@ -1097,21 +1076,17 @@ fn residual_gate(
 /// (first iteration of a solve assembles and captures it), stamps the
 /// nonlinear devices on top, then picks a linear-solve tier:
 ///
-/// 1. **Sherman–Morrison** (linear netlists with a rank-1 fault delta
-///    and a golden factorisation cached under this key) — two
-///    back-substitutions against the *golden* factors, no
-///    factorisation of the faulty matrix at all.
-/// 2. **Cached factorisation** (key matches, not forced): linear
+/// 1. **Cached factorisation** (key matches, not forced): linear
 ///    netlists solve directly; nonlinear ones take a modified-Newton
 ///    step in residual form `x_new = x − M⁻¹(A(x)·x − b(x))` against
 ///    the stale factors.
-/// 3. **(Re)factorisation** otherwise, attributed to
+/// 2. **(Re)factorisation** otherwise, attributed to
 ///    [`Phase::Factor`] on a fresh key and [`Phase::Refactor`] when the
 ///    reuse policy retired a same-key factorisation.
 ///
-/// The stale policy is deterministic and depends only on quantities
-/// that are bit-identical across backends (`worst` update magnitudes),
-/// so dense and sparse runs take identical iteration trajectories.
+/// The stale policy is deterministic and depends only on the `worst`
+/// update magnitudes, so a run's iteration trajectory is the same at
+/// any worker count.
 #[allow(clippy::too_many_arguments)]
 fn newton_iterate(
     netlist: &Netlist,
@@ -1121,11 +1096,9 @@ fn newton_iterate(
     clock: Option<&BudgetClock>,
     hooks: &SolveHooks<'_>,
     ctx: &mut SolverContext,
-    rank1: Option<&Rank1Setup>,
     mut lap: Option<&mut LapTimer>,
     x: &mut Vec<f64>,
 ) -> Result<(), AnalysisError> {
-    let n = layout.size();
     let nv = layout.node_count() - 1;
     let key = factor_key(params);
 
@@ -1163,7 +1136,7 @@ fn newton_iterate(
     // Per-solve recovery latches: each rung of the demotion ladder may
     // fire once per `newton_iterate` call, so recovery work stays
     // bounded and a persistent hazard reaches its typed error promptly.
-    let mut demoted: u8 = 0;
+    let mut symbolic_retry = false;
     let mut fresh_retry = false;
     let mut nonfinite_retry = false;
     'newton: for iter in 0..options.max_iterations {
@@ -1200,74 +1173,6 @@ fn newton_iterate(
             }
         }
 
-        // Tier 1: Sherman–Morrison against the golden factorisation.
-        if linear {
-            if let Some(setup) = rank1 {
-                if let Rank1Action::Apply(delta) = &setup.action {
-                    if let Some(golden) = setup.cache.get(&key) {
-                        // x = y − z·(g·wᵀy)/(1 + g·wᵀz) with
-                        // y = M⁻¹b, z = M⁻¹w and A = M + g·w·wᵀ.
-                        golden.solve_into(&ctx.b, &mut ctx.x_new);
-                        delta.w_into(&mut ctx.resid);
-                        golden.solve_into(&ctx.resid, &mut ctx.scratch);
-                        let g = delta.conductance;
-                        let gwz = g * delta.w_dot(&ctx.scratch);
-                        let denom = 1.0 + gwz;
-                        // The update is degenerate when `1 + g·wᵀz`
-                        // cancels to rounding level of its operands — a
-                        // scale-relative test, unlike the absolute
-                        // underflow floor it replaces, which waved
-                        // through catastrophically cancelled sums. The
-                        // chaos hook forces a breakdown on schedule.
-                        let breakdown = hooks.chaos.is_some_and(|c| c.fire(NumericSite::Denom))
-                            || denom.abs() <= RANK1_DENOM_REL_TOL * 1.0_f64.max(gwz.abs());
-                        let mut sm_hazard = NumericalHazard::Rank1Breakdown;
-                        if !breakdown {
-                            let coef = g * delta.w_dot(&ctx.x_new) / denom;
-                            for k in 0..n {
-                                ctx.x_new[k] -= coef * ctx.scratch[k];
-                            }
-                            if let Some(l) = lap.as_deref_mut() {
-                                l.lap(Phase::Rank1Update);
-                            }
-                            // Acceptance gate: the golden factors are a
-                            // reused tier, so the corrected solve must
-                            // reproduce the assembled faulty system
-                            // before it is returned. One refinement
-                            // round through the same factors (M ≈ A)
-                            // repairs marginal solves; anything still
-                            // above the gate demotes below.
-                            let (accepted, _) =
-                                residual_gate(ctx, hooks, |r, out| golden.solve_into(r, out));
-                            if accepted {
-                                if let Some(metrics) = hooks.metrics {
-                                    metrics.factor_reuse_hit();
-                                }
-                                x.clear();
-                                x.extend_from_slice(&ctx.x_new);
-                                return Ok(());
-                            }
-                            sm_hazard = NumericalHazard::RefinementStall;
-                        }
-                        // Degenerate or unrepairable update: demote to
-                        // the cached factorisation of the faulty matrix
-                        // when one exists under this key, else to a
-                        // refactorisation, and fall through to those
-                        // tiers.
-                        let tier = if !ctx.force_refactor
-                            && matches!(&ctx.factor, Some((k, _)) if *k == key)
-                        {
-                            DemotionTier::Stale
-                        } else {
-                            DemotionTier::Refactor
-                        };
-                        note_demotion(hooks, tier);
-                        note_hazard(hooks, sm_hazard, demote_action(tier), params.time);
-                    }
-                }
-            }
-        }
-
         let mut cached = !ctx.force_refactor && matches!(&ctx.factor, Some((k, _)) if *k == key);
         let mut stale_accepted = false;
         let mut stale_rejected = false;
@@ -1278,11 +1183,11 @@ fn newton_iterate(
             // reused tier, so the acceptance gate (plus one refinement
             // round) must pass before the solve is returned.
             let (factor_key, factor) = ctx.factor.take().expect("cached factor present");
-            factor.solve_into(&ctx.b, &mut ctx.x_new);
+            solve_into(&factor, &ctx.b, &mut ctx.x_new);
             if let Some(l) = lap.as_deref_mut() {
                 l.lap(Phase::BackSubstitute);
             }
-            let (accepted, _) = residual_gate(ctx, hooks, |r, out| factor.solve_into(r, out));
+            let (accepted, _) = residual_gate(ctx, hooks, |r, out| solve_into(&factor, r, out));
             ctx.factor = Some((factor_key, factor));
             if accepted {
                 if let Some(metrics) = hooks.metrics {
@@ -1304,7 +1209,7 @@ fn newton_iterate(
             cached = false;
         }
         if cached && ctx.stale_iters < STALE_ITER_CAP && (iter > 0 || ctx.distrust == 0) {
-            // Tier 2: trial modified-Newton step in residual form
+            // Tier 1: trial modified-Newton step in residual form
             // against the stale factors: x_new = x − M⁻¹(A(x)·x − b(x)).
             // The step is only *accepted* if it keeps contracting the
             // update; otherwise this iteration refactorises below, so a
@@ -1316,7 +1221,7 @@ fn newton_iterate(
             let (_, factor) = ctx.factor.as_ref().expect("cached factor present");
             let (_, sys) = ctx.sys.as_ref().expect("system prepared");
             sys.residual_into(x, &ctx.b, &mut ctx.resid);
-            factor.solve_into(&ctx.resid, &mut ctx.scratch);
+            solve_into(factor, &ctx.resid, &mut ctx.scratch);
             for (slot, (xk, step)) in ctx.x_new.iter_mut().zip(x.iter().zip(&ctx.scratch)) {
                 *slot = xk - step;
             }
@@ -1345,7 +1250,7 @@ fn newton_iterate(
             }
         }
         if !stale_accepted {
-            // Tier 3: (re)factorise at the current iterate.
+            // Tier 2: (re)factorise at the current iterate.
             if stale_rejected {
                 // The contraction guard just retired these factors: open
                 // a distrust window so the next few solves go straight
@@ -1364,7 +1269,9 @@ fn newton_iterate(
             let factored = if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Pivot)) {
                 Err(SingularMatrixError { row: 0 })
             } else {
-                sys.factor(&mut ctx.ws, &mut ctx.schedule, reuse)
+                let mut lu = reuse.unwrap_or_default();
+                lu.refactor_scheduled(sys, &mut ctx.ws, &mut ctx.schedule)
+                    .map(|()| lu)
             };
             let mut factor = match factored {
                 Ok(f) => f,
@@ -1372,48 +1279,38 @@ fn newton_iterate(
                     ctx.force_refactor = false;
                     ctx.stale_iters = 0;
                     // Demotion ladder for a failed factorisation:
-                    // rebuild the symbolic structure (a stale pattern
-                    // can starve the numeric phase of the positions it
-                    // needs), then abandon the sparse backend for dense
-                    // LU (partial pivoting over the full column), then
-                    // give up with the typed error. Each rung consumes
-                    // one Newton iteration of budget, so a genuinely
-                    // singular system still terminates promptly.
-                    let tier = match (demoted, ctx.backend) {
-                        (0, crate::solver::Backend::Sparse) => Some(DemotionTier::Symbolic),
-                        (1, crate::solver::Backend::Sparse) => Some(DemotionTier::Dense),
-                        _ => None,
-                    };
-                    match tier {
-                        Some(tier) => {
-                            demoted = if tier == DemotionTier::Dense { 2 } else { 1 };
-                            if tier == DemotionTier::Dense {
-                                ctx.backend = crate::solver::Backend::Dense;
-                            }
-                            note_demotion(hooks, tier);
-                            note_hazard(
-                                hooks,
-                                NumericalHazard::NearSingularPivot,
-                                demote_action(tier),
-                                params.time,
-                            );
-                            ctx.structures = [None, None];
-                            ctx.sys = None;
-                            ctx.factor = None;
-                            ensure_system(ctx, netlist, layout, params, lap.as_deref_mut());
-                            baseline_ready = false;
-                            continue 'newton;
-                        }
-                        None => {
-                            note_hazard(
-                                hooks,
-                                NumericalHazard::NearSingularPivot,
-                                "terminal",
-                                params.time,
-                            );
-                            return Err(err.into());
-                        }
+                    // rebuild the symbolic structure once (a stale
+                    // pattern can starve the numeric phase of the
+                    // positions it needs), then give up with the typed
+                    // error. The rebuild consumes one Newton iteration
+                    // of budget, so a genuinely singular system still
+                    // terminates promptly. Dense LU would recover
+                    // nothing past this point: the sparse kernel
+                    // replays dense partial pivoting under the same
+                    // threshold, so the two agree on what is singular.
+                    if symbolic_retry {
+                        note_hazard(
+                            hooks,
+                            NumericalHazard::NearSingularPivot,
+                            "terminal",
+                            params.time,
+                        );
+                        return Err(err.into());
                     }
+                    symbolic_retry = true;
+                    note_demotion(hooks, DemotionTier::Symbolic);
+                    note_hazard(
+                        hooks,
+                        NumericalHazard::NearSingularPivot,
+                        demote_action(DemotionTier::Symbolic),
+                        params.time,
+                    );
+                    ctx.structures = [None, None];
+                    ctx.sys = None;
+                    ctx.factor = None;
+                    ensure_system(ctx, netlist, layout, params, lap.as_deref_mut());
+                    baseline_ready = false;
+                    continue 'newton;
                 }
             };
             if let Some(l) = lap.as_deref_mut() {
@@ -1426,7 +1323,7 @@ fn newton_iterate(
             // Numeric-chaos hook: corrupting a pivot hands the
             // acceptance gate a realistically-wrong factorisation.
             if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Perturb)) {
-                factor.chaos_perturb_pivot(1.5);
+                factor.perturb_first_pivot(1.5);
             }
             // Advisory hazards on fresh factorisations: flagged for
             // diagnosis, never demoted on — the acceptance gates and
@@ -1443,7 +1340,7 @@ fn newton_iterate(
                     params.time,
                 );
             }
-            factor.solve_into(&ctx.b, &mut ctx.x_new);
+            solve_into(&factor, &ctx.b, &mut ctx.x_new);
             if let Some(l) = lap.as_deref_mut() {
                 l.lap(Phase::BackSubstitute);
             }
@@ -1458,7 +1355,7 @@ fn newton_iterate(
                 // what turns a corrupted factor or a poisoned solution
                 // into a typed hazard instead of a silent wrong report.
                 let (accepted, rnorm) =
-                    residual_gate(ctx, hooks, |r, out| factor.solve_into(r, out));
+                    residual_gate(ctx, hooks, |r, out| solve_into(&factor, r, out));
                 if !accepted {
                     let hazard = if rnorm.is_finite() {
                         NumericalHazard::RefinementStall
@@ -1488,11 +1385,6 @@ fn newton_iterate(
                         hazard,
                         time: params.time,
                     });
-                }
-                if let Some(setup) = rank1 {
-                    if matches!(setup.action, Rank1Action::Capture) {
-                        setup.cache.insert(key, &factor);
-                    }
                 }
                 ctx.factor = Some((key, factor));
                 ctx.force_refactor = false;
@@ -1955,7 +1847,7 @@ mod tests {
 
         /// The compiled program stamps exactly what the device-by-device
         /// oracle stamps — every matrix value and right-hand-side entry,
-        /// by `to_bits` — on both backends, at random iterates. Three
+        /// by `to_bits` — at random iterates. Three
         /// nodes for up to seven devices make grounded terminals, tied
         /// terminals (drain on gate, drain on source) and shared slots
         /// common, and iterates in ±6 V reverse-bias half the MOSFETs.
@@ -1975,21 +1867,19 @@ mod tests {
                 gmin: 1e-12,
                 source_scale: 1.0,
             };
-            for backend in [crate::solver::Backend::Sparse, crate::solver::Backend::Dense] {
-                let mut ctx = SolverContext::new(backend);
-                ensure_system(&mut ctx, &nl, &layout, &params, None);
-                assemble_baseline(&mut ctx, &nl, &layout, &params, factor_key(&params));
-                let (_, sys) = ctx.sys.as_mut().expect("system prepared");
-                let mut want = sys.clone();
-                ctx.program.stamp(&x, sys.values_mut(), &mut ctx.b);
+            let mut ctx = SolverContext::default();
+            ensure_system(&mut ctx, &nl, &layout, &params, None);
+            assemble_baseline(&mut ctx, &nl, &layout, &params, factor_key(&params));
+            let (_, sys) = ctx.sys.as_mut().expect("system prepared");
+            let mut want = sys.clone();
+            ctx.program.stamp(&x, sys.values_mut(), &mut ctx.b);
 
-                want.clear();
-                let mut want_b = vec![0.0; layout.size()];
-                stamp_linear(&nl, &layout, &params, &mut want, &mut want_b);
-                oracle::stamp_nonlinear(&nl, &layout, &x, &mut want, &mut want_b);
-                assert_bits("values", sys.values(), want.values());
-                assert_bits("b", &ctx.b, &want_b);
-            }
+            want.clear();
+            let mut want_b = vec![0.0; layout.size()];
+            stamp_linear(&nl, &layout, &params, &mut want, &mut want_b);
+            oracle::stamp_nonlinear(&nl, &layout, &x, &mut want, &mut want_b);
+            assert_bits("values", sys.values(), want.values());
+            assert_bits("b", &ctx.b, &want_b);
         }
     }
 
@@ -2081,13 +1971,15 @@ mod tests {
             );
         }
 
-        // Symbolic then dense demotion inside one DC solve: each rebuilt
-        // system drops the record, so the baseline is restamped into the
-        // dense matrix instead of restoring a sparse-length snapshot.
-        let chaos = obs::NumericChaosPlan::parse("pivot@0,pivot@1")
+        // A symbolic demotion inside one DC solve rebuilds the system
+        // and drops the record, so the baseline is restamped into the
+        // rebuilt matrix instead of restoring the old snapshot.
+        let chaos = obs::NumericChaosPlan::parse("pivot@0")
             .expect("valid spec")
             .arm();
+        let metrics = crate::metrics::SolverMetrics::new();
         let hooks = SolveHooks {
+            metrics: Some(&metrics),
             chaos: Some(&chaos),
             ..SolveHooks::none()
         };
@@ -2100,11 +1992,56 @@ mod tests {
             None,
             hooks,
             &mut ctx,
-            None,
             &mut x,
         )
         .expect("the demoted solve converges");
-        assert_eq!(ctx.backend(), crate::solver::Backend::Dense);
+        assert_eq!(metrics.snapshot().demote_symbolic, 1);
         assert!(baseline_is_exact(&mut ctx, &nl, &layout, &dc(1e-12, 0.5)));
+    }
+
+    #[test]
+    fn a_second_factor_failure_ends_the_ladder_with_the_typed_error() {
+        // Two forced pivot breakdowns in one DC solve: the first
+        // rebuilds the symbolic structure, the second has no rung left
+        // and returns the singular-matrix error at once.
+        let (nl, _, _) = divider();
+        let layout = MnaLayout::new(&nl);
+        let chaos = obs::NumericChaosPlan::parse("pivot@0,pivot@1")
+            .expect("valid spec")
+            .arm();
+        let metrics = crate::metrics::SolverMetrics::new();
+        let hooks = SolveHooks {
+            metrics: Some(&metrics),
+            chaos: Some(&chaos),
+            ..SolveHooks::none()
+        };
+        let params = StampParams {
+            time: 0.0,
+            companion: CompanionMode::Dc,
+            gmin: 1e-12,
+            source_scale: 1.0,
+        };
+        let mut x = vec![0.0; layout.size()];
+        let mut ctx = SolverContext::default();
+        let err = newton_solve_with_context(
+            &nl,
+            &layout,
+            &params,
+            &NewtonOptions::default(),
+            None,
+            hooks,
+            &mut ctx,
+            &mut x,
+        )
+        .expect_err("no rung left after the symbolic rebuild");
+        assert!(
+            matches!(err, AnalysisError::SingularMatrix { .. }),
+            "{err:?}"
+        );
+        let t = metrics.snapshot();
+        assert_eq!(t.demote_symbolic, 1);
+        assert_eq!(t.demote_stale + t.demote_refactor, 0);
+        assert_eq!(t.hazard_near_singular_pivot, 2);
+        assert_eq!(t.newton_iterations, 2);
     }
 }

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::{AnalysisError, BudgetKind};
 use crate::flight::FlightRecorder;
-use crate::solver::{Backend, Rank1Setup, WarmStart};
+use crate::solver::WarmStart;
 use crate::metrics::SolverMetrics;
 use obs::profile::PhaseProfiler;
 
@@ -305,19 +305,12 @@ pub struct SolveSettings {
     /// and timestep control are attributed per-phase on it. `None`
     /// (the default) keeps the hot path free of clock reads.
     pub profile: Option<Arc<PhaseProfiler>>,
-    /// Linear-algebra backend for the Newton solves (sparse by
-    /// default; both backends produce bit-identical solutions).
-    pub backend: Backend,
     /// Golden operating point used to seed DC solves. `None` (the
     /// default) cold-starts.
     pub warm_start: Option<Arc<WarmStart>>,
-    /// Rank-1 golden-factorisation routing: capture on the golden
-    /// extraction, Sherman–Morrison application on fault extractions
-    /// of linear circuits. `None` disables the tier.
-    pub rank1: Option<Rank1Setup>,
     /// Numeric-chaos firing state: deterministic arithmetic fault
-    /// injection into the Newton solver's factorisations, solutions and
-    /// rank-1 denominators. `None` (the default) keeps every injection
+    /// injection into the Newton solver's factorisations and solutions.
+    /// `None` (the default) keeps every injection
     /// site inert with a single branch.
     pub numeric_chaos: Option<Arc<obs::NumericChaosState>>,
 }
@@ -347,22 +340,9 @@ impl SolveSettings {
         self
     }
 
-    /// `self` with an explicit linear-algebra [`Backend`] (builder
-    /// style).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// `self` with a golden [`WarmStart`] seed (builder style).
     pub fn warm_start(mut self, warm: Arc<WarmStart>) -> Self {
         self.warm_start = Some(warm);
-        self
-    }
-
-    /// `self` with a [`Rank1Setup`] attached (builder style).
-    pub fn rank1(mut self, rank1: Rank1Setup) -> Self {
-        self.rank1 = Some(rank1);
         self
     }
 
@@ -384,9 +364,7 @@ impl Default for SolveSettings {
             flight: None,
             cancel: None,
             profile: None,
-            backend: Backend::default(),
             warm_start: None,
-            rank1: None,
             numeric_chaos: None,
         }
     }

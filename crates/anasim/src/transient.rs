@@ -10,7 +10,7 @@ use crate::mna::{
 };
 use crate::netlist::{DeviceId, Netlist, NodeId};
 use crate::robust::{BudgetClock, CancelToken, SolveBudget, SolveSettings, DEFAULT_MAX_STEPS};
-use crate::solver::{Backend, Rank1Setup, SolverContext, WarmStart};
+use crate::solver::{SolverContext, WarmStart};
 use crate::waveform::Waveform;
 use crate::AnalysisError;
 
@@ -74,9 +74,7 @@ pub struct TransientAnalysis {
     flight: Option<Arc<FlightRecorder>>,
     cancel: Option<CancelToken>,
     profile: Option<Arc<obs::profile::PhaseProfiler>>,
-    backend: Backend,
     warm_start: Option<Arc<WarmStart>>,
-    rank1: Option<Rank1Setup>,
     numeric_chaos: Option<Arc<obs::NumericChaosState>>,
 }
 
@@ -103,31 +101,15 @@ impl TransientAnalysis {
             flight: None,
             cancel: None,
             profile: None,
-            backend: Backend::default(),
             warm_start: None,
-            rank1: None,
             numeric_chaos: None,
         }
-    }
-
-    /// Selects the linear-solver backend (default: sparse).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Seeds the DC starting point from a previously solved golden
     /// operating point instead of the zero vector.
     pub fn warm_start(mut self, warm: Arc<WarmStart>) -> Self {
         self.warm_start = Some(warm);
-        self
-    }
-
-    /// Attaches a rank-1 factorization-reuse setup: either capturing
-    /// linear factors into a shared cache (golden run) or applying a
-    /// Sherman–Morrison update against it (faulty run).
-    pub fn rank1(mut self, rank1: Rank1Setup) -> Self {
-        self.rank1 = Some(rank1);
         self
     }
 
@@ -231,12 +213,8 @@ impl TransientAnalysis {
         if let Some(profile) = &settings.profile {
             self.profile = Some(Arc::clone(profile));
         }
-        self.backend = settings.backend;
         if let Some(warm) = &settings.warm_start {
             self.warm_start = Some(Arc::clone(warm));
-        }
-        if let Some(rank1) = &settings.rank1 {
-            self.rank1 = Some(rank1.clone());
         }
         if let Some(chaos) = &settings.numeric_chaos {
             self.numeric_chaos = Some(Arc::clone(chaos));
@@ -283,7 +261,7 @@ impl TransientAnalysis {
         // One solver context serves the DC start and the whole march:
         // the sparse symbolic analysis, baseline stamps and LU factors
         // it accumulates are reused across every timestep.
-        let mut ctx = SolverContext::new(self.backend);
+        let mut ctx = SolverContext::default();
 
         // --- Initial condition ------------------------------------------
         let x = match self.start {
@@ -297,7 +275,6 @@ impl TransientAnalysis {
                     },
                     hooks,
                     self.warm_start.as_deref(),
-                    self.rank1.as_ref(),
                     &mut ctx,
                 )?;
                 op.into_solution()
@@ -326,13 +303,12 @@ impl TransientAnalysis {
             solutions: vec![march.x.clone()],
         };
         let mut clock = BudgetClock::new(self.budget).with_cancel(self.cancel.clone());
-        let rank1 = self.rank1.as_ref();
 
         while march.t < self.t_stop - 1e-15 * self.t_stop {
             // Candidate next time: regular grid, clipped to breakpoint/stop.
             let t_grid = (march.t + self.dt).min(self.t_stop);
             let (t_next, hit_bp) = clip_to_breakpoint(&mut bps, march.t, t_grid, bp_tol);
-            march.step(netlist, t_next, &mut clock, hooks, rank1)?;
+            march.step(netlist, t_next, &mut clock, hooks)?;
             result.time.push(march.t);
             result.solutions.push(march.x.clone());
             // Landing exactly on a breakpoint damps the next step.
@@ -417,7 +393,6 @@ impl March {
         t_next: f64,
         clock: &mut BudgetClock,
         hooks: SolveHooks<'_>,
-        rank1: Option<&Rank1Setup>,
     ) -> Result<(), AnalysisError> {
         clock.charge_step(self.t)?;
         let method = if self.post_discontinuity {
@@ -460,7 +435,6 @@ impl March {
                 Some(clock),
                 hooks,
                 &mut self.ctx,
-                rank1,
                 &mut self.trial,
             ) {
                 Ok(()) => break,
@@ -810,7 +784,7 @@ impl TransientSession {
             let grid = march.t + self.dt;
             let t_end = if grid > t_stop + bp_tol { t_stop } else { grid };
             let (t_next, _) = clip_to_breakpoint(&mut bps, march.t, t_end, bp_tol);
-            march.step(&self.netlist, t_next, &mut clock, hooks, None)?;
+            march.step(&self.netlist, t_next, &mut clock, hooks)?;
         }
         march.t = t_stop;
         Ok(())
@@ -1176,9 +1150,7 @@ mod tests {
             flight: None,
             cancel: None,
             profile: None,
-            backend: crate::solver::Backend::default(),
             warm_start: None,
-            rank1: None,
             numeric_chaos: None,
         };
         let tuned = base.clone().with_settings(&settings);

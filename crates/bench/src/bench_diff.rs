@@ -1,5 +1,5 @@
 //! `experiments bench-diff OLD NEW` — the perf-regression gate over
-//! `mixsig.solver-bench/*` sidecars.
+//! `mixsig.solver-bench/4` sidecars.
 //!
 //! Both documents are validated by [`solver_bench::validate`] first,
 //! then compared experiment-by-experiment (matched on `name`). Three
@@ -23,9 +23,7 @@
 //!   `demotions / newton_iterations` must not grow by more than the
 //!   tolerance in percentage points: a build that starts demoting
 //!   healthy solves down the recovery ladder is numerically regressing
-//!   even if it still converges. Compared only when *both* documents
-//!   carry the `/4` resilience counters, so a `/3` baseline (like the
-//!   committed snapshot) diffs cleanly against a `/4` candidate.
+//!   even if it still converges.
 //!
 //! Experiments present in only one document are reported as notes, not
 //! regressions (the experiment roster is allowed to grow). Any
@@ -57,8 +55,7 @@ pub struct Tolerances {
     /// points.
     pub reuse_drop_pct: f64,
     /// Allowed growth of the tier-demotion rate
-    /// (`demotions / newton_iterations`), in percentage points. Only
-    /// gates when both documents carry the `/4` resilience counters.
+    /// (`demotions / newton_iterations`), in percentage points.
     pub demotion_growth_pp: f64,
     /// When set, timing comparisons are skipped entirely (counts and
     /// reuse still gate) — for diffs across machines.
@@ -86,10 +83,8 @@ struct Entry {
     newton: f64,
     hits: f64,
     misses: f64,
-    /// `Some(total demotions)` when the document carries the `/4`
-    /// resilience counters; `None` for older schemas.
-    demotions: Option<f64>,
-    /// phase label → (ns, calls); empty for `/1` documents.
+    demotions: f64,
+    /// phase label → (ns, calls).
     phases: Vec<(String, f64, f64)>,
 }
 
@@ -147,7 +142,7 @@ fn entries_of(which: &str, text: &str) -> Result<BTreeMap<String, Entry>, String
                 newton: num("newton_iterations"),
                 hits: num("factor_reuse_hits"),
                 misses: num("factor_reuse_misses"),
-                demotions: row.get("demotions").and_then(JsonValue::as_f64),
+                demotions: num("demotions"),
                 phases,
             },
         );
@@ -248,25 +243,21 @@ pub fn diff(old_text: &str, new_text: &str, tol: &Tolerances) -> Result<Comparis
             );
         }
 
-        // Demotion rate: only gated when both documents carry the /4
-        // resilience counters — a /3 baseline simply skips the row.
-        if let (Some(o_dem), Some(n_dem)) = (o.demotions, n.demotions) {
-            if o.newton > 0.0 && n.newton > 0.0 {
-                let o_rate = 100.0 * o_dem / o.newton;
-                let n_rate = 100.0 * n_dem / n.newton;
-                row(
-                    "demotion_rate",
-                    format!("{o_rate:.2} %"),
-                    format!("{n_rate:.2} %"),
-                    n_rate - o_rate > tol.demotion_growth_pp,
-                    format!("{:+.2} pp", n_rate - o_rate),
-                );
-            }
+        if o.newton > 0.0 && n.newton > 0.0 {
+            let o_rate = 100.0 * o.demotions / o.newton;
+            let n_rate = 100.0 * n.demotions / n.newton;
+            row(
+                "demotion_rate",
+                format!("{o_rate:.2} %"),
+                format!("{n_rate:.2} %"),
+                n_rate - o_rate > tol.demotion_growth_pp,
+                format!("{:+.2} pp", n_rate - o_rate),
+            );
         }
 
         // Phases: compared only where both documents carry the label;
         // rows are emitted only for regressions to keep the table
-        // readable (ten phases × ten experiments of "ok" says nothing).
+        // readable (nine phases × ten experiments of "ok" says nothing).
         let new_phases: BTreeMap<&str, (f64, f64)> = n
             .phases
             .iter()
@@ -458,40 +449,6 @@ mod tests {
         assert!(!diff(&old, &doc(&[mild]), &Tolerances::default())
             .unwrap()
             .regressed());
-    }
-
-    #[test]
-    fn v3_baseline_skips_the_demotion_gate() {
-        // A /3 baseline has no resilience counters; even a demotion-
-        // heavy /4 candidate must diff without a demotion_rate row.
-        let phases: Vec<String> = Phase::ALL
-            .iter()
-            .map(|p| {
-                // Match the candidate fixture's lu_factor numbers so the
-                // only difference between the documents is the counters.
-                if *p == Phase::Factor {
-                    format!("\"{}\": {{\"ns\": 20000000, \"calls\": 1000}}", p.label())
-                } else {
-                    format!("\"{}\": {{\"ns\": 0, \"calls\": 0}}", p.label())
-                }
-            })
-            .collect();
-        let old = format!(
-            "{{\"schema\": \"mixsig.solver-bench/3\", \"experiments\": [\
-             {{\"name\": \"e6c1\", \"wall_ms\": 400.0, \
-             \"newton_iterations\": 10000, \"linear_only\": false, \
-             \"workers\": 1, \"factor_reuse_hits\": 9000, \
-             \"factor_reuse_misses\": 1000, \"phases\": {{{}}}}}]}}",
-            phases.join(", ")
-        );
-        let mut new = entry("e6c1", 400.0, 10_000, 9_000, 1_000);
-        new.demotions = 500;
-        let cmp = diff(&old, &doc(&[new]), &Tolerances::default()).unwrap();
-        assert!(!cmp.regressed(), "{:?}", cmp.regressions);
-        assert!(
-            !cmp.rows.iter().any(|r| r[1] == "demotion_rate"),
-            "demotion_rate row emitted against a /3 baseline"
-        );
     }
 
     #[test]

@@ -505,7 +505,7 @@ mod tests {
                 },
             ],
             hazards: vec![obs::postmortem::HazardStep {
-                hazard: "rank1-breakdown".to_owned(),
+                hazard: "refinement-stall".to_owned(),
                 action: "demote:refactor".to_owned(),
                 time: 9e-7,
             }],
@@ -527,7 +527,7 @@ mod tests {
         assert!(text.contains("escalation ladder"));
         assert!(text.contains("no-convergence"));
         assert!(text.contains("numerical hazards (detection order)"), "{text}");
-        assert!(text.contains("rank1-breakdown"), "{text}");
+        assert!(text.contains("refinement-stall"), "{text}");
         assert!(text.contains("demote:refactor"), "{text}");
         assert!(text.contains("gen1"));
         assert!(text.contains("top offending nodes across all postmortems"));
@@ -580,7 +580,7 @@ mod tests {
             rungs_tried: 1,
             wall: std::time::Duration::from_millis(1),
             solver: anasim::metrics::SolverSnapshot {
-                hazard_rank1_breakdown: 2,
+                hazard_refinement_stall: 2,
                 demote_refactor: 1,
                 refinement_rounds: 3,
                 ..anasim::metrics::SolverSnapshot::default()
@@ -639,7 +639,7 @@ mod tests {
         assert!(text.contains("worker lanes:"), "{text}");
         assert!(text.contains("lane"), "{text}");
         // Both faults carried hazard telemetry: the rollup sums it.
-        assert!(text.contains("numerical hazards: rank1-breakdown x 4"), "{text}");
+        assert!(text.contains("numerical hazards: refinement-stall x 4"), "{text}");
         assert!(text.contains("tier demotions: refactor x 2"), "{text}");
         assert!(text.contains("iterative-refinement rounds: 6"), "{text}");
     }

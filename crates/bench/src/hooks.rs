@@ -19,7 +19,6 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use anasim::robust::{CancelToken, SolveSettings};
-use anasim::solver::Backend;
 use faultsim::campaign::{CampaignConfig, CampaignReport, DegradePolicy, JournalConfig};
 use faultsim::telemetry::TelemetryConfig;
 use faultsim::trace::CampaignTrace;
@@ -59,9 +58,6 @@ pub struct CampaignHooks {
     /// Shared Chrome-trace timeline (`--trace-json`): arms campaign
     /// profiling and collects every campaign's worker/fault spans.
     pub trace: Option<Arc<Mutex<CampaignTrace>>>,
-    /// Linear-solver backend (`--backend`). Both backends produce
-    /// bit-identical solutions, so this only changes speed.
-    pub backend: Backend,
     /// Live-telemetry directory (`--telemetry`): every campaign of the
     /// invocation arms heartbeat/status sidecars there, sequentially —
     /// `status.json` always shows the campaign currently running.
@@ -125,12 +121,6 @@ impl CampaignHooks {
         self
     }
 
-    /// Selects the linear-solver backend (builder style, `--backend`).
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Arms live telemetry into `dir` (builder style, `--telemetry`).
     pub fn with_telemetry(mut self, dir: impl Into<PathBuf>) -> Self {
         self.telemetry = Some(dir.into());
@@ -154,7 +144,7 @@ impl CampaignHooks {
     /// the invocation-wide profiler so that solver time is attributed
     /// too instead of silently widening the unattributed gap.
     pub fn solve_settings(&self) -> SolveSettings {
-        let mut settings = SolveSettings::default().backend(self.backend);
+        let mut settings = SolveSettings::default();
         if let Some(profile) = &self.profile {
             settings = settings.profile(Arc::clone(profile));
         }
@@ -188,7 +178,7 @@ impl CampaignHooks {
         if let Some(plan) = &self.numeric_chaos {
             config = config.numeric_chaos(plan.clone());
         }
-        config.backend(self.backend)
+        config
     }
 
     /// Folds one completed campaign into the cost-attribution side:
@@ -244,21 +234,6 @@ mod tests {
             .with_trace(Arc::clone(&trace));
         assert!(hooks.profiling());
         assert!(hooks.apply(CampaignConfig::new(0.5), "e6.c1.correlation").profile);
-    }
-
-    #[test]
-    fn backend_reaches_campaigns_and_standalone_solves() {
-        let hooks = CampaignHooks::none();
-        assert_eq!(
-            hooks.apply(CampaignConfig::new(0.5), "e6.c1.correlation").backend,
-            Backend::Sparse
-        );
-        let hooks = hooks.with_backend(Backend::Dense);
-        assert_eq!(
-            hooks.apply(CampaignConfig::new(0.5), "e6.c1.correlation").backend,
-            Backend::Dense
-        );
-        assert_eq!(hooks.solve_settings().backend, Backend::Dense);
     }
 
     #[test]

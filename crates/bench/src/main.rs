@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! experiments [profile] [e1|e2|e3|e4|e5|e6|e6c1|e7|e8|ablation|diverge|all]
-//!             [--workers N] [--backend dense|sparse]
+//!             [--workers N]
 //!             [--metrics-json PATH] [--canonical-metrics]
 //!             [--bench-json PATH] [--trace-json PATH]
 //!             [--journal PATH | --resume PATH]
@@ -25,13 +25,11 @@
 //! postmortems frozen by armed flight recorders.
 //! `--canonical-metrics` zeroes the wall-clock milliseconds (keeping
 //! sample counts) so the bytes are identical for any `--workers` value.
-//! `--bench-json` writes a `mixsig.solver-bench/3` sidecar with each
+//! `--bench-json` writes a `mixsig.solver-bench/4` sidecar with each
 //! experiment's wall-clock, Newton-iteration totals, factorisation
-//! reuse counters and solver-phase cost breakdown (the committed
-//! `BENCH_solver.json` snapshot); writing it arms the phase profiler
-//! for the whole run. `--backend` selects the linear-solver core
-//! (sparse by default); both backends produce bit-identical solutions,
-//! so canonical metrics do not depend on the choice.
+//! reuse counters, hazard and demotion totals and solver-phase cost
+//! breakdown (the committed `BENCH_solver.json` snapshot); writing it
+//! arms the phase profiler for the whole run.
 //!
 //! The `profile` subcommand runs the selected experiments with the
 //! phase profiler armed and prints a cost-attribution table: per-phase
@@ -57,11 +55,11 @@
 //! the next fault boundary with a clean partial journal, `continue`
 //! finishes the campaign journal-less and marks the run degraded.
 //! `--numeric-chaos` arms deterministic *solver* fault injection (for
-//! example `pivot@0`, `nan@2..4`, `denom@0`, `perturb@1`, `seed@7:10`,
-//! see [`obs::chaos::NumericChaosPlan::parse`]) into every fault
-//! extraction of every campaign: forced pivot breakdowns, corrupted
-//! factors, poisoned solutions and degenerate rank-1 denominators
-//! exercise the hazard taxonomy and tier-demotion ladder end to end.
+//! example `pivot@0`, `nan@2..4`, `perturb@1`, `seed@7:10`, see
+//! [`obs::chaos::NumericChaosPlan::parse`]) into every fault extraction
+//! of every campaign: forced pivot breakdowns, corrupted factors and
+//! poisoned solutions exercise the hazard taxonomy and tier-demotion
+//! ladder end to end.
 //! It needs no journal, golden extractions always run clean, and
 //! `hazard.*` / `demote.*` counters land in the metrics, the bench
 //! sidecar and the canonical `[hazard … → demote …]` markers.
@@ -106,7 +104,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use anasim::robust::CancelToken;
-use anasim::solver::Backend;
 use anasim::AnalysisError;
 use faultsim::campaign::DegradePolicy;
 use faultsim::trace::CampaignTrace;
@@ -183,7 +180,6 @@ fn main() -> ExitCode {
     let mut degrade = DegradePolicy::Abort;
     let mut telemetry: Option<String> = None;
     let mut workers = experiments::e6::E6_WORKERS;
-    let mut backend = Backend::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -243,10 +239,6 @@ fn main() -> ExitCode {
                 Some(w) if w >= 1 => workers = w,
                 _ => return usage_error("--workers needs a positive integer"),
             },
-            "--backend" => match it.next().and_then(|b| Backend::parse(b)) {
-                Some(b) => backend = b,
-                None => return usage_error("--backend needs 'dense' or 'sparse'"),
-            },
             tag if !tag.starts_with('-') && which.is_none() => which = Some(tag.to_owned()),
             other => return usage_error(&format!("unknown argument '{other}'")),
         }
@@ -285,15 +277,13 @@ fn main() -> ExitCode {
         Some(plan) => hooks.with_numeric_chaos(plan),
         None => hooks,
     };
-    let hooks = hooks.with_backend(backend);
     let hooks = match telemetry {
         Some(dir) => hooks.with_telemetry(dir),
         None => hooks,
     };
 
     // Phase profiling arms for the `profile` subcommand, for a trace,
-    // and for the bench sidecar (whose v2 schema carries the phase
-    // breakdown). Plain runs stay disarmed: no clock reads on the hot
+    // and for the bench sidecar (which carries the phase breakdown). Plain runs stay disarmed: no clock reads on the hot
     // path, and canonical output proven byte-identical either way.
     let profiler = (profile_mode || trace_json.is_some() || bench_json.is_some())
         .then(|| Arc::new(PhaseProfiler::new()));
@@ -584,17 +574,15 @@ fn render_profile_table(snapshot: &PhaseSnapshot, entries: &[BenchEntry]) -> Str
         };
         out.push_str(&line);
         // Factorisation-reuse economy: how many Newton iterations were
-        // served by an existing factorisation, and how many of those by
-        // a golden Sherman–Morrison rank-1 update.
+        // served by an existing factorisation.
         let decisions = e.factor_reuse_hits + e.factor_reuse_misses;
         if decisions > 0 {
             out.push_str(&format!(
-                "{}: factor reuse {}/{} ({:.1} %), {} rank-1 update(s)\n",
+                "{}: factor reuse {}/{} ({:.1} %)\n",
                 e.name,
                 e.factor_reuse_hits,
                 decisions,
                 100.0 * e.factor_reuse_hits as f64 / decisions as f64,
-                e.phases.calls(Phase::Rank1Update),
             ));
         }
     }
@@ -604,7 +592,7 @@ fn render_profile_table(snapshot: &PhaseSnapshot, entries: &[BenchEntry]) -> Str
 fn usage_error(message: &str) -> ExitCode {
     eprintln!(
         "{message}\nusage: experiments [profile] [e1..e8|e6c1|ablation|diverge|all] \
-         [--workers N] [--backend dense|sparse] [--metrics-json PATH] \
+         [--workers N] [--metrics-json PATH] \
          [--canonical-metrics] [--bench-json PATH]\n\
          \x20      [--trace-json PATH] [--journal PATH | --resume PATH] [--chaos SPEC] \
          [--numeric-chaos SPEC] [--degrade abort|continue] [--telemetry DIR]\n\

@@ -4,70 +4,45 @@
 //! (the committed `BENCH_solver.json` snapshot at the repository root is
 //! one of these).
 //!
-//! Schema `mixsig.solver-bench/2` extends `/1` with three members per
-//! experiment:
+//! Schema `mixsig.solver-bench/4` carries, per experiment:
 //!
+//! * `name`, `wall_ms` and `newton_iterations`;
 //! * `linear_only` — true when the experiment never entered the Newton
 //!   solver (purely behavioural models), so its `newton_iterations: 0`
 //!   is a statement rather than a plumbing gap;
 //! * `workers` — the campaign worker count the run used (phase times
 //!   are per-thread, so this is the attribution ceiling multiplier);
+//! * `factor_reuse_hits` / `factor_reuse_misses` — how often a Newton
+//!   iteration was served by an existing factorisation (cached direct
+//!   solve or stale modified-Newton step) versus how often one had to
+//!   be computed;
+//! * `hazards` — total numerical hazards the solver detected (pivot
+//!   breakdowns, non-finite iterates, refinement stalls, advisory
+//!   growth/conditioning flags);
+//! * `demotions` — how often a hazard demoted the solve down the
+//!   recovery ladder (stale → refactor → symbolic);
+//! * `refinement_rounds` — iterative-refinement rounds spent vetting
+//!   reused factorisations at the residual acceptance gate;
 //! * `phases` — the experiment's solver-phase self-time breakdown, one
 //!   `{"ns", "calls"}` object per [`Phase`] label. The key set is the
 //!   full phase taxonomy regardless of which phases ran, so documents
 //!   diff structurally.
 //!
-//! Schema `mixsig.solver-bench/3` extends `/2` with the
-//! factorisation-reuse economy of the sparse solver core:
-//!
-//! * `factor_reuse_hits` / `factor_reuse_misses` — how often a Newton
-//!   iteration was served by an existing factorisation (cached, stale
-//!   modified-Newton, or golden Sherman–Morrison) versus how often one
-//!   had to be computed;
-//! * the `phases` key set grows to the full 10-phase taxonomy
-//!   (`symbolic`, `refactor`, `rank1_update` join the legacy seven).
-//!
-//! Schema `mixsig.solver-bench/4` extends `/3` with the numerical
-//! resilience economy:
-//!
-//! * `hazards` — total numerical hazards the solver detected (pivot
-//!   breakdowns, rank-1 denominators, non-finite iterates, refinement
-//!   stalls, advisory growth/conditioning flags);
-//! * `demotions` — how often a hazard demoted the solve down the
-//!   recovery ladder (stale → refactor → symbolic → dense);
-//! * `refinement_rounds` — iterative-refinement rounds spent vetting
-//!   reused factorisations at the residual acceptance gate.
-//!
-//! [`validate`] accepts all four schema versions. For `/2` it checks
-//! the legacy seven-phase key set; for `/3`+ the full taxonomy plus the
-//! reuse members, and lints the solver-economy invariant directly: an
-//! experiment that entered the Newton loop must not have factorised
-//! more often than it iterated (`lu_factor.calls ≤
-//! newton_iterations`) — if it did, factorisation reuse is not working.
-//! The lint survives `/4` unchanged: every demotion-ladder retry
+//! [`validate`] accepts `/4` only and rejects any other schema tag by
+//! name. It lints the solver-economy invariant directly: an experiment
+//! that entered the Newton loop must not have factorised more often
+//! than it iterated (`lu_factor.calls ≤ newton_iterations`) — if it
+//! did, factorisation reuse is not working. Every demotion-ladder retry
 //! consumes one Newton iteration (`continue 'newton`), so even a solve
-//! that demotes all the way to dense never factorises more often than
-//! it iterates. For `/4` the resilience members must be present and
-//! well-formed. Every version ≥ `/2` gets the
-//! physically-impossible-attribution lint: phase nanoseconds must fit
-//! in `workers` threads of wall-clock.
+//! that demotes never factorises more often than it iterates. The
+//! physically-impossible-attribution lint checks that phase nanoseconds
+//! fit in `workers` threads of wall-clock.
 
 use obs::json::JsonValue;
 use obs::profile::{Phase, PhaseSnapshot};
 
 /// Schema tag written into every new solver-bench document.
 pub const SCHEMA: &str = "mixsig.solver-bench/4";
-
-/// The previous schema (full phase taxonomy and reuse counters, no
-/// numerical-resilience counters), still accepted by [`validate`].
-pub const SCHEMA_V3: &str = "mixsig.solver-bench/3";
-
-/// The seven-phase-taxonomy schema without reuse counters, still
-/// accepted by [`validate`].
-pub const SCHEMA_V2: &str = "mixsig.solver-bench/2";
-
-/// The original schema, still accepted by [`validate`].
-pub const SCHEMA_V1: &str = "mixsig.solver-bench/1";
 
 /// One experiment's cost line.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,8 +61,7 @@ pub struct BenchEntry {
     /// totals can legitimately exceed the wall-clock.
     pub workers: usize,
     /// Newton iterations served by an existing factorisation (cached
-    /// direct solve, accepted stale modified-Newton step, or golden
-    /// Sherman–Morrison update).
+    /// direct solve or accepted stale modified-Newton step).
     pub factor_reuse_hits: u64,
     /// Newton iterations that had to (re)factorise.
     pub factor_reuse_misses: u64,
@@ -162,32 +136,24 @@ pub fn render(entries: &[BenchEntry]) -> String {
     JsonValue::Obj(obj).to_json_pretty()
 }
 
-/// Validates a previously written solver-bench document (any accepted
-/// schema version): schema tag, non-empty experiment list, finite
-/// wall-clock values; for `/2`+ well-formed `linear_only` and `phases`
-/// members and the impossible-attribution lint; for `/3`+ the reuse
-/// counters and the factorisation-economy lint (`lu_factor.calls ≤
-/// newton_iterations` whenever the experiment entered the Newton
-/// loop — demotion retries consume an iteration each, so the lint holds
-/// even for hazard-heavy runs); for `/4` the numerical-resilience
-/// counters (`hazards`, `demotions`, `refinement_rounds`).
+/// Validates a previously written solver-bench document: the `/4`
+/// schema tag, a non-empty experiment list, finite wall-clock values,
+/// well-formed `linear_only`, reuse, resilience and `phases` members,
+/// the impossible-attribution lint and the factorisation-economy lint
+/// (`lu_factor.calls ≤ newton_iterations` whenever the experiment
+/// entered the Newton loop — demotion retries consume an iteration
+/// each, so the lint holds even for hazard-heavy runs).
 ///
 /// # Errors
 ///
 /// Returns a message naming the first structural problem found.
 pub fn validate(text: &str) -> Result<usize, String> {
     let parsed = obs::json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let version = match parsed.get("schema").and_then(JsonValue::as_str) {
-        Some(s) if s == SCHEMA => 4,
-        Some(s) if s == SCHEMA_V3 => 3,
-        Some(s) if s == SCHEMA_V2 => 2,
-        Some(s) if s == SCHEMA_V1 => 1,
-        _ => {
-            return Err(format!(
-                "schema is none of {SCHEMA_V1}, {SCHEMA_V2}, {SCHEMA_V3}, {SCHEMA}"
-            ))
-        }
-    };
+    match parsed.get("schema").and_then(JsonValue::as_str) {
+        Some(s) if s == SCHEMA => {}
+        Some(s) => return Err(format!("schema {s} is not {SCHEMA}")),
+        None => return Err(format!("schema missing (expected {SCHEMA})")),
+    }
     let entries = parsed
         .get("experiments")
         .and_then(JsonValue::as_array)
@@ -207,9 +173,6 @@ pub fn validate(text: &str) -> Result<usize, String> {
             Some(n) if n.is_finite() && n >= 0.0 => n,
             _ => return Err(format!("experiments[{i}].newton_iterations missing")),
         };
-        if version < 2 {
-            continue;
-        }
         if e.get("linear_only").and_then(JsonValue::as_bool).is_none() {
             return Err(format!("experiments[{i}].linear_only missing"));
         }
@@ -217,35 +180,24 @@ pub fn validate(text: &str) -> Result<usize, String> {
             Some(w) if w.is_finite() && w >= 1.0 => w,
             _ => return Err(format!("experiments[{i}].workers missing or invalid")),
         };
-        if version >= 3 {
-            for key in ["factor_reuse_hits", "factor_reuse_misses"] {
-                match e.get(key).and_then(JsonValue::as_f64) {
-                    Some(v) if v.is_finite() && v >= 0.0 => {}
-                    _ => return Err(format!("experiments[{i}].{key} missing or invalid")),
-                }
+        for key in [
+            "factor_reuse_hits",
+            "factor_reuse_misses",
+            "hazards",
+            "demotions",
+            "refinement_rounds",
+        ] {
+            match e.get(key).and_then(JsonValue::as_f64) {
+                Some(v) if v.is_finite() && v >= 0.0 => {}
+                _ => return Err(format!("experiments[{i}].{key} missing or invalid")),
             }
         }
-        if version >= 4 {
-            for key in ["hazards", "demotions", "refinement_rounds"] {
-                match e.get(key).and_then(JsonValue::as_f64) {
-                    Some(v) if v.is_finite() && v >= 0.0 => {}
-                    _ => return Err(format!("experiments[{i}].{key} missing or invalid")),
-                }
-            }
-        }
-        // `/2` documents predate the reuse phases: only the legacy
-        // seven-phase prefix of the taxonomy is required of them.
-        let required = if version >= 3 {
-            &Phase::ALL[..]
-        } else {
-            &Phase::ALL[..Phase::LEGACY_COUNT]
-        };
         let phases = e
             .get("phases")
             .ok_or_else(|| format!("experiments[{i}].phases missing"))?;
         let mut total_ns = 0.0;
         let mut lu_factor_calls = 0.0;
-        for &phase in required {
+        for phase in Phase::ALL {
             let label = phase.label();
             let entry = phases.get(label).ok_or_else(|| {
                 format!("experiments[{i}].phases.{label} missing")
@@ -277,7 +229,7 @@ pub fn validate(text: &str) -> Result<usize, String> {
         // Factorisation economy: with reuse working, at most one fresh
         // factorisation per Newton iteration — any more means the solver
         // is factorising outside its own iteration accounting.
-        if version >= 3 && newton > 0.0 && lu_factor_calls > newton {
+        if newton > 0.0 && lu_factor_calls > newton {
             return Err(format!(
                 "experiments[{i}]: lu_factor.calls {lu_factor_calls} exceeds \
                  newton_iterations {newton} (factorisation reuse is not engaging)"
@@ -388,51 +340,25 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_still_validate() {
-        let text = format!(
-            "{{\"schema\": \"{SCHEMA_V1}\", \"experiments\": [\
-             {{\"name\": \"e1\", \"wall_ms\": 5.0, \"newton_iterations\": 0}}]}}"
-        );
-        assert_eq!(validate(&text), Ok(1));
-    }
-
-    #[test]
-    fn v2_documents_validate_with_the_legacy_phase_set() {
-        // A /2 document carries only the legacy seven phases and no
-        // reuse counters; it must keep validating as-is.
-        let phases: Vec<String> = Phase::ALL[..Phase::LEGACY_COUNT]
-            .iter()
-            .map(|p| format!("\"{}\": {{\"ns\": 0, \"calls\": 0}}", p.label()))
-            .collect();
-        let text = format!(
-            "{{\"schema\": \"{SCHEMA_V2}\", \"experiments\": [\
-             {{\"name\": \"e1\", \"wall_ms\": 5.0, \"newton_iterations\": 3, \
-             \"linear_only\": false, \"workers\": 1, \
-             \"phases\": {{{}}}}}]}}",
-            phases.join(", ")
-        );
-        assert_eq!(validate(&text), Ok(1));
-    }
-
-    #[test]
-    fn v3_documents_validate_without_resilience_counters() {
-        // A /3 document carries the full phase taxonomy and the reuse
-        // counters but predates the hazard/demotion members; it must
-        // keep validating as-is (the committed BENCH_solver.json
-        // baseline is one of these).
+    fn earlier_schema_versions_are_rejected_by_name() {
+        // A /3 document (full phase set and reuse counters, no
+        // resilience counters) is refused outright, and the error names
+        // the one schema this reader accepts.
         let phases: Vec<String> = Phase::ALL
             .iter()
             .map(|p| format!("\"{}\": {{\"ns\": 0, \"calls\": 0}}", p.label()))
             .collect();
         let text = format!(
-            "{{\"schema\": \"{SCHEMA_V3}\", \"experiments\": [\
+            "{{\"schema\": \"mixsig.solver-bench/3\", \"experiments\": [\
              {{\"name\": \"e1\", \"wall_ms\": 5.0, \"newton_iterations\": 3, \
              \"linear_only\": false, \"workers\": 1, \
              \"factor_reuse_hits\": 2, \"factor_reuse_misses\": 1, \
              \"phases\": {{{}}}}}]}}",
             phases.join(", ")
         );
-        assert_eq!(validate(&text), Ok(1));
+        let err = validate(&text).unwrap_err();
+        assert!(err.contains("mixsig.solver-bench/3"), "{err}");
+        assert!(err.contains(SCHEMA), "{err}");
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! [`criterion_main!`] macros.
 //!
 //! There is no warm-up, outlier rejection or statistical analysis: each
-//! benchmark runs `sample_size` timed iterations and prints the mean.
-//! That is enough to keep `cargo bench` compiling and give rough numbers.
+//! benchmark runs `sample_size` timed iterations and prints the mean in
+//! nanoseconds per iteration, to 0.1 ns, so sub-microsecond kernels
+//! still read as distinct numbers. That is enough to keep `cargo bench`
+//! compiling and give rough numbers.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -79,16 +81,21 @@ fn run_one<F: FnMut(&mut Bencher)>(id: impl fmt::Display, samples: usize, mut f:
     for _ in 0..samples {
         f(&mut bencher);
     }
-    let per_iter = if bencher.iterations > 0 {
-        bencher.elapsed / bencher.iterations as u32
-    } else {
-        Duration::ZERO
-    };
     println!(
-        "  {id}: {:.3} ms/iter ({} iters)",
-        per_iter.as_secs_f64() * 1e3,
+        "  {id}: {:.1} ns/iter ({} iters)",
+        ns_per_iter(bencher.elapsed, bencher.iterations),
         bencher.iterations
     );
+}
+
+/// Mean nanoseconds per iteration (0 when nothing ran), computed from
+/// the whole-nanosecond total so no iteration count truncates it.
+fn ns_per_iter(elapsed: Duration, iterations: u64) -> f64 {
+    if iterations == 0 {
+        0.0
+    } else {
+        elapsed.as_nanos() as f64 / iterations as f64
+    }
 }
 
 /// Times closures passed to [`Bencher::iter`].
@@ -165,5 +172,14 @@ mod tests {
         });
         group.finish();
         assert_eq!(runs, 3);
+    }
+
+    #[test]
+    fn mean_resolves_sub_nanosecond_steps_at_any_iteration_count() {
+        assert_eq!(ns_per_iter(Duration::ZERO, 0), 0.0);
+        assert_eq!(ns_per_iter(Duration::from_nanos(7), 2), 3.5);
+        // More iterations than a u32 holds: the divisor is not truncated.
+        let iterations = 5_000_000_000_u64;
+        assert_eq!(ns_per_iter(Duration::from_secs(10), iterations), 2.0);
     }
 }

@@ -40,7 +40,7 @@ use anasim::metrics::{SolverMetrics, SolverSnapshot};
 use anasim::mna::MnaLayout;
 use anasim::netlist::Netlist;
 use anasim::robust::{escalation_ladder, CancelToken, SolveBudget, SolveSettings, SolverRung};
-use anasim::solver::{Backend, Rank1Cache, Rank1Delta, Rank1Setup, WarmStart};
+use anasim::solver::WarmStart;
 use anasim::AnalysisError;
 use obs::chaos::FaultPlan;
 use obs::journal::{JournalOptions, JournalWriter, RetryPolicy};
@@ -423,11 +423,6 @@ pub struct CampaignConfig {
     /// byte-stability; the cost is a few monotonic-clock reads per
     /// Newton iteration. Disarmed (the default), no clocks are read.
     pub profile: bool,
-    /// Linear-solver backend used for the golden extraction and every
-    /// fault (default: sparse). Dense and sparse runs produce
-    /// bit-identical solutions, so this only changes speed, never
-    /// canonical report bytes.
-    pub backend: Backend,
     /// Live telemetry: per-worker heartbeat records and periodically
     /// rewritten `mixsig.campaign-status/1` snapshots in the configured
     /// directory ([`TelemetryConfig`]), tailed by `experiments watch`.
@@ -439,7 +434,7 @@ pub struct CampaignConfig {
     pub telemetry: Option<TelemetryConfig>,
     /// Numeric-chaos plan: deterministic arithmetic fault injection
     /// into each *fault* extraction's solver (pivot breakdowns, factor
-    /// perturbations, NaN solutions, rank-1 denominator poisoning).
+    /// perturbations, NaN solutions).
     /// Each fault arms a fresh firing state shared across its ladder
     /// rungs, so injection is a pure function of the fault's solve
     /// sequence and reports stay byte-identical at any worker count.
@@ -463,7 +458,6 @@ impl fmt::Debug for CampaignConfig {
             .field("has_cancel", &self.cancel.is_some())
             .field("degrade", &self.degrade)
             .field("profile", &self.profile)
-            .field("backend", &self.backend)
             .field("telemetry", &self.telemetry)
             .field("numeric_chaos", &self.numeric_chaos)
             .finish()
@@ -487,7 +481,6 @@ impl CampaignConfig {
             cancel: None,
             degrade: DegradePolicy::default(),
             profile: false,
-            backend: Backend::default(),
             telemetry: None,
             numeric_chaos: None,
         }
@@ -568,13 +561,6 @@ impl CampaignConfig {
     /// [`CampaignConfig::profile`].
     pub fn profile(mut self, armed: bool) -> Self {
         self.profile = armed;
-        self
-    }
-
-    /// Selects the linear-solver backend; see
-    /// [`CampaignConfig::backend`].
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -884,33 +870,6 @@ impl JournalState {
     }
 }
 
-/// The rank-1 reuse setup for one fault, if its faulty system is a
-/// rank-1 perturbation of the golden one: a [`FaultKind::Bridge`] on a
-/// circuit with no nonlinear devices adds exactly `g·w·wᵀ` (one
-/// resistor between the bridged nodes, no new unknowns), so faulty
-/// solves can reuse the golden factorisations via Sherman–Morrison.
-/// Everything else factorises normally.
-fn rank1_for(faulty: &Netlist, fault: &Fault, cache: &Arc<Rank1Cache>) -> Option<Rank1Setup> {
-    use crate::model::FaultKind;
-    if faulty.has_nonlinear_devices() || cache.is_empty() {
-        return None;
-    }
-    match fault.kind() {
-        FaultKind::Bridge { a, b } => {
-            let layout = MnaLayout::new(faulty);
-            Some(Rank1Setup::apply(
-                Arc::clone(cache),
-                Rank1Delta {
-                    pos: layout.node_index(a),
-                    neg: layout.node_index(b),
-                    conductance: 1.0 / fault.impedance(),
-                },
-            ))
-        }
-        _ => None,
-    }
-}
-
 /// Runs a fault campaign with the resilient engine.
 ///
 /// `extract` simulates a netlist under the given [`SolveSettings`] and
@@ -976,12 +935,6 @@ where
         }
         Arc::new(metrics)
     };
-    // The golden extraction *captures* every linear factorisation it
-    // computes into a shared cache, keyed by stamp parameters. The
-    // cache is frozen before any fault simulates, so lookups are
-    // deterministic regardless of worker scheduling — a prerequisite
-    // for byte-identical reports at any worker count.
-    let rank1_cache = Arc::new(Rank1Cache::new());
     let golden_settings = SolveSettings {
         rung: SolverRung::nominal(),
         budget: config.budget,
@@ -989,9 +942,7 @@ where
         flight: None,
         cancel: config.cancel.clone(),
         profile: golden_profile.clone(),
-        backend: config.backend,
         warm_start: None,
-        rank1: Some(Rank1Setup::capture(Arc::clone(&rank1_cache))),
         // The golden run always solves clean: chaos tests the recovery
         // ladder against faults, never the reference signature.
         numeric_chaos: None,
@@ -1000,7 +951,6 @@ where
     let golden_sig = extract(golden, &golden_settings)?;
     let golden_wall = golden_start.elapsed();
     let golden_solver = golden_metrics.snapshot();
-    rank1_cache.freeze();
 
     // Golden DC operating point, reused as the Newton seed for every
     // fault: injection appends hardware at the end of the netlist, so
@@ -1140,11 +1090,6 @@ where
 
     let simulate_fault = |fault: &Fault, lane: usize| -> Option<(FaultOutcome, FaultTelemetry)> {
         let faulty = inject(golden, fault);
-        // A bridge across a *linear* circuit perturbs the golden matrix
-        // by exactly `g·w·wᵀ` (one resistor, no new unknowns), so its
-        // solves can go through the golden factorisations via
-        // Sherman–Morrison instead of factorising the faulty matrix.
-        let rank1 = rank1_for(&faulty, fault, &rank1_cache);
         // One handle per fault, accumulated across ladder rungs. When
         // profiling is armed the profiler is fresh per fault too, so the
         // phase rollup in the telemetry is exact for this fault alone.
@@ -1188,9 +1133,7 @@ where
                 flight: flight.clone(),
                 cancel: config.cancel.clone(),
                 profile: profile.clone(),
-                backend: config.backend,
                 warm_start: warm_start.clone(),
-                rank1: rank1.clone(),
                 numeric_chaos: numeric_chaos.clone(),
             };
             // The extraction is the untrusted part of the engine: a
@@ -2477,94 +2420,14 @@ mod tests {
     }
 
     #[test]
-    fn linear_bridge_faults_reuse_golden_factorisations() {
-        use obs::profile::Phase;
-        // rc_fixture is linear, so its bridge faults are rank-1
-        // perturbations of the golden matrix: their solves should go
-        // through the golden factorisations via Sherman–Morrison
-        // instead of factorising the faulty matrix per timestep.
-        let (nl, faults) = rc_fixture();
-        let config = CampaignConfig::new(0.05).profile(true);
-        let report = run_campaign_with(&nl, &faults, &config, transient_extract).unwrap();
-        let idx = faults.iter().position(|f| f.name() == "b-c-br").unwrap();
-        let t = &report.stats.per_fault[idx];
-        assert!(
-            t.solver.factor_reuse_hits > 0,
-            "bridge fault never reused a factorisation: {:?}",
-            t.solver
-        );
-        assert!(
-            t.solver.phases.calls(Phase::Rank1Update) > 0,
-            "no Sherman–Morrison updates attributed: {:?}",
-            t.solver.phases
-        );
-        // Reuse must far outnumber factorisations: the whole point is
-        // that a faulty timestep costs back-substitutions, not LU.
-        assert!(
-            t.solver.factor_reuse_hits > t.solver.factor_reuse_misses,
-            "hits {} vs misses {}",
-            t.solver.factor_reuse_hits,
-            t.solver.factor_reuse_misses
-        );
-        // The bridge outcome is unchanged by the reuse path: same
-        // detection verdict the direct-solve tests established.
-        assert!(matches!(
-            report.outcomes[idx].status,
-            FaultStatus::Detected { .. }
-        ));
-    }
-
-    #[test]
-    fn dense_and_sparse_backends_produce_identical_reports() {
-        use anasim::solver::Backend;
-        // The sparse LU replicates the dense pivoting and arithmetic,
-        // so campaign reports — canonical text *and* canonical JSON —
-        // must be byte-identical across backends.
-        let (nl, faults) = rc_fixture();
-        let run = |backend: Backend| {
-            run_campaign_with(
-                &nl,
-                &faults,
-                &CampaignConfig::new(0.05).backend(backend),
-                transient_extract,
-            )
-            .unwrap()
-        };
-        let sparse = run(Backend::Sparse);
-        let dense = run(Backend::Dense);
-        assert_eq!(sparse.canonical_text(), dense.canonical_text());
-        let canonical_json = |report: &CampaignReport| {
-            let mut run = obs::RunReport::new();
-            run.push(report.to_section("campaign.backend"));
-            run.canonical_json_string()
-        };
-        assert_eq!(canonical_json(&sparse), canonical_json(&dense));
-        // And the solutions themselves, not just the rendered reports:
-        // every signature sample is bit-identical.
-        for (s, d) in sparse.outcomes.iter().zip(&dense.outcomes) {
-            match (&s.signature, &d.signature) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.len(), b.len());
-                    for (va, vb) in a.iter().zip(b) {
-                        assert_eq!(va.to_bits(), vb.to_bits(), "{va} vs {vb}");
-                    }
-                }
-                (a, b) => assert_eq!(a.is_some(), b.is_some()),
-            }
-        }
-    }
-
-    #[test]
     fn numeric_chaos_sweep_yields_typed_outcomes_and_hazard_counters() {
         // Every chaos site armed at once: a forced pivot breakdown on
-        // the first factorisation, a corrupted pivot on the second, a
-        // poisoned solution on the third, and a degenerate rank-1
-        // denominator on the first Sherman–Morrison attempt. The
-        // campaign must absorb all of it through the demotion ladder:
-        // typed statuses only, no panic, no NaN anywhere in the report.
+        // the first factorisation, a corrupted pivot on the second and
+        // a poisoned solution on the third. The campaign must absorb
+        // all of it through the demotion ladder: typed statuses only,
+        // no panic, no NaN anywhere in the report.
         let (nl, faults) = rc_fixture();
-        let plan =
-            obs::NumericChaosPlan::parse("pivot@0,perturb@1,nan@2,denom@0").expect("valid spec");
+        let plan = obs::NumericChaosPlan::parse("pivot@0,perturb@1,nan@2").expect("valid spec");
         let report = run_campaign_with(
             &nl,
             &faults,
@@ -2600,6 +2463,39 @@ mod tests {
             text.contains("demote "),
             "demotion marker missing from canonical text:\n{text}"
         );
+    }
+
+    #[test]
+    fn a_fault_that_exhausts_the_factor_ladder_still_ends_typed() {
+        // Two forced pivot breakdowns per fault: the first rebuilds the
+        // symbolic structure, the second ends that Newton solve with
+        // the typed singular-matrix error. The DC homotopy and the
+        // escalation ladder carry on from there, and every fault still
+        // lands on a typed status with one symbolic demotion counted.
+        let (nl, faults) = rc_fixture();
+        let plan = obs::NumericChaosPlan::parse("pivot@0,pivot@1").expect("valid spec");
+        let report = run_campaign_with(
+            &nl,
+            &faults,
+            &CampaignConfig::new(0.05).numeric_chaos(plan),
+            transient_extract,
+        )
+        .unwrap();
+        for (o, t) in report.outcomes.iter().zip(&report.stats.per_fault) {
+            assert!(
+                !matches!(o.status, FaultStatus::Panicked { .. }),
+                "{}: {:?}",
+                o.fault.name(),
+                o.status
+            );
+            assert_eq!(t.solver.demote_symbolic, 1, "{}", o.fault.name());
+            assert_eq!(
+                t.solver.demote_stale + t.solver.demote_refactor,
+                0,
+                "{}",
+                o.fault.name()
+            );
+        }
     }
 
     #[test]

@@ -298,7 +298,7 @@ pub fn telemetry_to_json(t: &FaultTelemetry) -> JsonValue {
 pub fn telemetry_from_json(v: &JsonValue) -> Result<FaultTelemetry, String> {
     let solver_obj = get(v, "solver")?;
     let mut solver = SolverSnapshot::default();
-    let fields: [&mut u64; 19] = [
+    let fields: [&mut u64; 17] = [
         &mut solver.newton_iterations,
         &mut solver.steps_accepted,
         &mut solver.steps_rejected,
@@ -309,14 +309,12 @@ pub fn telemetry_from_json(v: &JsonValue) -> Result<FaultTelemetry, String> {
         &mut solver.factor_reuse_misses,
         &mut solver.hazard_near_singular_pivot,
         &mut solver.hazard_pivot_growth,
-        &mut solver.hazard_rank1_breakdown,
         &mut solver.hazard_nonfinite,
         &mut solver.hazard_refinement_stall,
         &mut solver.hazard_ill_conditioned,
         &mut solver.demote_stale,
         &mut solver.demote_refactor,
         &mut solver.demote_symbolic,
-        &mut solver.demote_dense,
         &mut solver.refinement_rounds,
     ];
     for (field, slot) in SolverSnapshot::FIELDS.iter().zip(fields) {
@@ -668,10 +666,10 @@ mod tests {
                 dc_gmin_steps: 1,
                 dc_source_steps: 0,
                 hazard_near_singular_pivot: 2,
-                hazard_rank1_breakdown: 1,
+                hazard_pivot_growth: 1,
                 hazard_nonfinite: 4,
                 demote_symbolic: 2,
-                demote_dense: 1,
+                demote_refactor: 1,
                 refinement_rounds: 5,
                 ..SolverSnapshot::default()
             },

@@ -28,6 +28,7 @@ use faultsim::journal::{
 };
 use faultsim::model::Fault;
 use obs::journal::parse_journal;
+use obs::json::JsonValue;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -210,6 +211,97 @@ fn postmortem_bearing_records_replay_exactly() {
     // The postmortem rides the replayed record (index 1 is not the torn
     // line), so the resumed report embeds it byte-for-byte.
     let resumed = run_campaign_resumed(&nl, &faults, &config, failing).unwrap();
+    assert_eq!(resumed.canonical_text(), reference.canonical_text());
+    assert_eq!(canonical_report(&resumed), canonical_report(&reference));
+    let _ = fs::remove_file(&path);
+}
+
+/// Rewrites one journal line's solver counters into the 19-counter shape
+/// written before the rank-one-update tier and the dense fallback were
+/// removed: `hazard.rank1_breakdown` after `hazard.pivot_growth` and
+/// `demote.dense` after `demote.symbolic`, both zero as every such run
+/// recorded them. Lines without a solver object pass through unchanged.
+fn with_retired_counters(line: &str) -> String {
+    let mut record = obs::json::parse(line).expect("journal line parses");
+    let JsonValue::Obj(fields) = &mut record else {
+        panic!("journal line is not an object")
+    };
+    for (key, value) in fields.iter_mut() {
+        if key != "telemetry" {
+            continue;
+        }
+        let JsonValue::Obj(telemetry) = value else {
+            panic!("telemetry is not an object")
+        };
+        for (key, solver) in telemetry.iter_mut() {
+            if key != "solver" {
+                continue;
+            }
+            let JsonValue::Obj(counters) = solver else {
+                panic!("solver counters are not an object")
+            };
+            let mut widened = Vec::new();
+            for (name, count) in counters.drain(..) {
+                let retired = match name.as_str() {
+                    "hazard.pivot_growth" => Some("hazard.rank1_breakdown"),
+                    "demote.symbolic" => Some("demote.dense"),
+                    _ => None,
+                };
+                widened.push((name, count));
+                if let Some(retired) = retired {
+                    widened.push((retired.to_owned(), JsonValue::Num(0.0)));
+                }
+            }
+            assert_eq!(widened.len(), 19, "the older record shape has 19 counters");
+            *counters = widened;
+        }
+    }
+    record.to_json()
+}
+
+#[test]
+fn records_with_retired_solver_counters_resume_to_the_same_report() {
+    let (nl, faults) = rc_fixture();
+    let path = temp_journal("retired-counters.jsonl");
+    let config = CampaignConfig::new(0.05)
+        .workers(1)
+        .journal(JournalConfig::fresh(&path, "rc"));
+    let reference = run_campaign_with(&nl, &faults, &config, transient_extract).unwrap();
+
+    // Every fault record now carries the older 19-counter shape, and
+    // the journal is cut before its `complete` record so the resume
+    // has to replay it.
+    let complete = fs::read_to_string(&path).unwrap();
+    let mut older: Vec<String> = complete.lines().map(with_retired_counters).collect();
+    let terminal = older.pop().expect("terminal record");
+    assert!(terminal.contains("\"complete\""), "expected complete record");
+    assert!(older.iter().any(|l| l.contains("\"demote.dense\":0")));
+    let mut text = older.join("\n");
+    text.push('\n');
+    fs::write(&path, &text).unwrap();
+
+    // Each record decodes to the telemetry the campaign measured.
+    let replayed = journal::load(&path).unwrap();
+    let campaign = replayed.campaign("rc").expect("campaign replays");
+    assert_eq!(campaign.faults.len(), faults.len());
+    for (index, fault) in &campaign.faults {
+        assert_eq!(
+            fault.telemetry.solver.as_array(),
+            reference.stats.per_fault[*index].solver.as_array(),
+            "fault {index}"
+        );
+    }
+
+    // Resuming simulates nothing and lands on the same report.
+    let fault_sims = AtomicUsize::new(0);
+    let resumed = run_campaign_resumed(&nl, &faults, &config, |n, settings| {
+        if n.devices().any(|(_, name, _)| name.starts_with("fault:")) {
+            fault_sims.fetch_add(1, Ordering::Relaxed);
+        }
+        transient_extract(n, settings)
+    })
+    .unwrap();
+    assert_eq!(fault_sims.load(Ordering::Relaxed), 0);
     assert_eq!(resumed.canonical_text(), reference.canonical_text());
     assert_eq!(canonical_report(&resumed), canonical_report(&reference));
     let _ = fs::remove_file(&path);

@@ -32,9 +32,6 @@ pub enum NumericalHazard {
     /// Element growth during elimination exceeded the advisory bound:
     /// the factorisation succeeded but may have lost accuracy.
     PivotGrowth,
-    /// A Sherman–Morrison rank-1 update met a denominator consistent
-    /// with catastrophic cancellation (`1 + g·wᵀM⁻¹w ≈ 0`).
-    Rank1Breakdown,
     /// A residual, trial step or solution contained a NaN or infinity.
     NonFinite,
     /// One round of iterative refinement failed to contract the true
@@ -47,10 +44,9 @@ pub enum NumericalHazard {
 
 impl NumericalHazard {
     /// Every hazard, in canonical (counter/report) order.
-    pub const ALL: [NumericalHazard; 6] = [
+    pub const ALL: [NumericalHazard; 5] = [
         NumericalHazard::NearSingularPivot,
         NumericalHazard::PivotGrowth,
-        NumericalHazard::Rank1Breakdown,
         NumericalHazard::NonFinite,
         NumericalHazard::RefinementStall,
         NumericalHazard::IllConditioned,
@@ -61,7 +57,6 @@ impl NumericalHazard {
         match self {
             NumericalHazard::NearSingularPivot => "near-singular-pivot",
             NumericalHazard::PivotGrowth => "pivot-growth",
-            NumericalHazard::Rank1Breakdown => "rank1-breakdown",
             NumericalHazard::NonFinite => "non-finite",
             NumericalHazard::RefinementStall => "refinement-stall",
             NumericalHazard::IllConditioned => "ill-conditioned",

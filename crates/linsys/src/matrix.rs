@@ -109,119 +109,13 @@ impl Matrix {
             .collect()
     }
 
-    /// [`Matrix::mul_vec`] into a caller-provided buffer, with the same
-    /// per-row ascending-column accumulation order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` or `out` have the wrong length.
-    pub fn mul_vec_into(&self, v: &[f64], out: &mut [f64]) {
-        assert_eq!(v.len(), self.cols, "dimension mismatch in mul_vec_into");
-        assert_eq!(out.len(), self.rows, "output length in mul_vec_into");
-        for (r, slot) in out.iter_mut().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            *slot = row.iter().zip(v).map(|(a, b)| a * b).sum();
-        }
-    }
-
-    /// Residual `A·v − b` into `out` in one pass: each row accumulates
-    /// its product with [`Matrix::mul_vec_into`]'s ascending-column
-    /// order, then subtracts `b[r]` — the identical operations of the
-    /// two-pass form, fused so hot callers touch `out` once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v`, `b` or `out` have the wrong length.
-    pub fn residual_into(&self, v: &[f64], b: &[f64], out: &mut [f64]) {
-        assert_eq!(v.len(), self.cols, "dimension mismatch in residual_into");
-        assert_eq!(b.len(), self.rows, "rhs length in residual_into");
-        assert_eq!(out.len(), self.rows, "output length in residual_into");
-        for (r, slot) in out.iter_mut().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            let acc: f64 = row.iter().zip(v).map(|(a, b)| a * b).sum();
-            *slot = acc - b[r];
-        }
-    }
-
-    /// Residual `A·v − b` into `out` plus the Oettli–Prager gate scale,
-    /// in one pass. Returns `(residual_norm, scale)` where
-    /// `residual_norm` is the ∞-norm of the residual (NaN reads as
-    /// `INFINITY`) and `scale = max_r(Σ_c |a_rc·v_c| + |b_r|)` — the
-    /// componentwise backward-error scale a residual must be compared
-    /// against before calling a solve "accurate". Relative gates built
-    /// on it survive uniformly graded systems that would fool any
-    /// absolute threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v`, `b` or `out` have the wrong length.
-    pub fn residual_gate_into(&self, v: &[f64], b: &[f64], out: &mut [f64]) -> (f64, f64) {
-        assert_eq!(v.len(), self.cols, "dimension mismatch in residual_gate_into");
-        assert_eq!(b.len(), self.rows, "rhs length in residual_gate_into");
-        assert_eq!(out.len(), self.rows, "output length in residual_gate_into");
-        let mut rnorm = 0.0_f64;
-        let mut scale = 0.0_f64;
-        for (r, slot) in out.iter_mut().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            let mut acc = 0.0_f64;
-            let mut mag = 0.0_f64;
-            for (a, x) in row.iter().zip(v) {
-                let p = a * x;
-                acc += p;
-                mag += p.abs();
-            }
-            *slot = acc - b[r];
-            let ra = slot.abs();
-            if ra.is_nan() {
-                rnorm = f64::INFINITY;
-            } else if ra > rnorm {
-                rnorm = ra;
-            }
-            let s = mag + b[r].abs();
-            if s.is_nan() {
-                scale = f64::INFINITY;
-            } else if s > scale {
-                scale = s;
-            }
-        }
-        (rnorm, scale)
-    }
-
-    /// 1-norm `max_c Σ_r |a_rc|`, accumulated per column in ascending
-    /// row order (the sparse twin visits entries in the same order, so
-    /// the two agree bit for bit — skipped zeros add `+0.0` to a
-    /// non-negative sum, which cannot change it).
-    pub fn norm_one(&self) -> f64 {
-        let mut colsum = vec![0.0_f64; self.cols];
-        for r in 0..self.rows {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (s, a) in colsum.iter_mut().zip(row) {
-                *s += a.abs();
-            }
-        }
-        let mut m = 0.0_f64;
-        for s in colsum {
-            if s.is_nan() {
-                return f64::INFINITY;
-            }
-            if s > m {
-                m = s;
-            }
-        }
-        m
-    }
-
-    /// The backing storage in row-major order.
-    pub fn values(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// The backing storage, writable, indexed by [`Matrix::slot`].
+    /// The backing storage in row-major order, writable, indexed by
+    /// [`Matrix::slot`].
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
-    /// Value index of `(r, c)` in [`Matrix::values`]: `r · cols + c`.
+    /// Value index of `(r, c)` in [`Matrix::values_mut`]: `r · cols + c`.
     ///
     /// # Panics
     ///
@@ -230,16 +124,6 @@ impl Matrix {
     pub fn slot(&self, r: usize, c: usize) -> usize {
         assert!(r < self.rows && c < self.cols, "matrix index out of range");
         r * self.cols + c
-    }
-
-    /// Overwrites the backing storage from a snapshot taken with
-    /// [`Matrix::values`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` has the wrong length.
-    pub fn load_values(&mut self, values: &[f64]) {
-        self.data.copy_from_slice(values);
     }
 
     /// Matrix product `self * other`.

@@ -292,11 +292,10 @@ impl SparseMatrix {
     }
 
     /// Residual `A·x − b` into `out` plus the Oettli–Prager gate scale
-    /// `max_r(Σ_c |a_rc·x_c| + |b_r|)`, in one pass — the sparse twin of
-    /// [`Matrix::residual_gate_into`], bit-identical to it because both
-    /// visit each row's entries in ascending column order and the
-    /// entries this one skips are exact zeros whose `|0·x|` contribution
-    /// cannot change a non-negative sum.
+    /// `max_r(Σ_c |a_rc·x_c| + |b_r|)`, in one pass, visiting each row's
+    /// entries in ascending column order. The entries outside the
+    /// pattern are exact zeros whose `|0·x|` contribution cannot change
+    /// a non-negative sum, so the scale is the dense formula's.
     pub fn residual_gate_into(&self, x: &[f64], b: &[f64], out: &mut [f64]) -> (f64, f64) {
         let mut rnorm = 0.0_f64;
         let mut scale = 0.0_f64;
@@ -326,9 +325,8 @@ impl SparseMatrix {
         (rnorm, scale)
     }
 
-    /// 1-norm `max_c Σ_r |a_rc|`, bit-identical to the dense
-    /// [`Matrix::norm_one`]: both accumulate each column in ascending
-    /// row order and the entries skipped here are exact zeros.
+    /// 1-norm `max_c Σ_r |a_rc|`, each column accumulated in ascending
+    /// row order; the entries outside the pattern are exact zeros.
     pub fn norm_one(&self) -> f64 {
         let s = &*self.structure;
         let mut colsum = vec![0.0_f64; s.n];

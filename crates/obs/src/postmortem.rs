@@ -47,7 +47,7 @@ pub struct LadderStep {
 /// action the solver took in response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HazardStep {
-    /// Hazard label, e.g. `rank1-breakdown` or `non-finite`.
+    /// Hazard label, e.g. `refinement-stall` or `non-finite`.
     pub hazard: String,
     /// What the solver did about it: `demote:refactor`,
     /// `demote:dense`, `refined`, `advisory`, `terminal`, ...
@@ -303,7 +303,7 @@ mod tests {
                 },
             ],
             hazards: vec![HazardStep {
-                hazard: "rank1-breakdown".into(),
+                hazard: "refinement-stall".into(),
                 action: "demote:refactor".into(),
                 time: 3.1e-6,
             }],

@@ -145,7 +145,6 @@ fn deep_nesting_attributes_each_level_once() {
         let _e = profiler.enter(Phase::Symbolic);
         let _f = profiler.enter(Phase::Factor);
         let _g = profiler.enter(Phase::Refactor);
-        let _h = profiler.enter(Phase::Rank1Update);
         let _i = profiler.enter(Phase::BackSubstitute);
         let _j = profiler.enter(Phase::Residual);
         spin();

@@ -8,6 +8,7 @@ use mixsig::faultsim::model::Fault;
 use mixsig::macrolib::process::ProcessParams;
 use mixsig::msbist::transtest::circuits::circuit1;
 use mixsig::msbist::transtest::detect::DetectionFigure;
+use mixsig::msbist::transtest::idd::run_idd_campaign_with;
 
 #[test]
 fn circuit1_fault_universe_simulates_and_detects() {
@@ -75,6 +76,50 @@ fn circuit1_correlation_verdicts_are_pinned() {
             ),
             ref other => panic!("{}: {other:?}, pinned detected at {want} %", o.fault.name()),
         }
+    }
+}
+
+/// Circuit 1's dynamic-IDD verdicts at nominal process, pinned per fault
+/// in universe order: `pct = 100·k/120` over the 120 supply-current
+/// samples, with `n7-sa0`, `n7-sa1`, `n8-sa0`, `n8-sa1`, `n3-sa1` and
+/// `n8-n9-dsa0` undetected. `n3-sa0` (64/120) is the only partial
+/// detection above the 50 % criterion.
+#[test]
+fn circuit1_idd_verdicts_are_pinned() {
+    const SAMPLES: f64 = 120.0;
+    const K: [u32; 16] = [
+        120, 120, 120, 120, 0, 57, 1, 56, 64, 0, 1, 120, 120, 120, 120, 120,
+    ];
+    const UNDETECTED: [usize; 6] = [4, 5, 6, 7, 9, 10];
+    let c1 = circuit1(&ProcessParams::nominal());
+    let report = run_idd_campaign_with(
+        &c1.bench,
+        &c1.vdd_sources,
+        &c1.faults,
+        0.02,
+        &CampaignConfig::new(0.0),
+    )
+    .expect("campaign runs");
+    assert_eq!(report.outcomes.len(), K.len());
+    assert_eq!(report.outcomes[8].fault.name(), "n3-sa0");
+    for (i, (o, k)) in report.outcomes.iter().zip(K).enumerate() {
+        let want = 100.0 * f64::from(k) / SAMPLES;
+        let (detected, pct) = match o.status {
+            FaultStatus::Detected { pct } => (true, pct),
+            FaultStatus::Undetected { pct } => (false, pct),
+            ref other => panic!("{}: {other:?}, pinned at {want} %", o.fault.name()),
+        };
+        assert_eq!(
+            detected,
+            !UNDETECTED.contains(&i),
+            "{}: detected = {detected} at {pct} %",
+            o.fault.name()
+        );
+        assert!(
+            (pct - want).abs() < 1e-9,
+            "{}: {pct} %, pinned {want} % ({k}/120)",
+            o.fault.name()
+        );
     }
 }
 
