@@ -341,14 +341,6 @@ impl Device {
             Device::Vsource { .. } | Device::Vcvs { .. } | Device::Inductor { .. }
         )
     }
-
-    /// True if the device is nonlinear (requires Newton iteration).
-    pub fn is_nonlinear(&self) -> bool {
-        matches!(
-            self,
-            Device::Mosfet { .. } | Device::Diode { .. } | Device::Switch { .. }
-        )
-    }
 }
 
 #[cfg(test)]

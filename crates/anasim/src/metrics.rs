@@ -26,7 +26,7 @@ use obs::Recorder;
 
 /// Counter names under which [`SolverSnapshot::emit_to`] publishes to a
 /// recorder, in emission order.
-pub const COUNTER_NAMES: [&str; 17] = [
+pub const COUNTER_NAMES: [&str; 16] = [
     "solver.newton_iterations",
     "solver.steps_accepted",
     "solver.steps_rejected",
@@ -40,7 +40,6 @@ pub const COUNTER_NAMES: [&str; 17] = [
     "solver.hazard.nonfinite",
     "solver.hazard.refinement_stall",
     "solver.hazard.ill_conditioned",
-    "solver.demote.stale",
     "solver.demote.refactor",
     "solver.demote.symbolic",
     "solver.refinement.rounds",
@@ -48,13 +47,10 @@ pub const COUNTER_NAMES: [&str; 17] = [
 
 /// The recovery tier the solver demoted *to* after a numerical hazard,
 /// ordered from cheapest to most expensive. The tiers mirror the
-/// factorisation-reuse ladder in `mna`: reuse a cached same-key factor
-/// as-is, numerically refactor in the existing symbolic structure, and
-/// rebuild the symbolic analysis from scratch.
+/// demotion ladder in `mna`: numerically refactor in the existing
+/// symbolic structure, then rebuild the symbolic analysis from scratch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DemotionTier {
-    /// Fall back to a cached (stale or same-key) factorisation.
-    Stale,
     /// Force a numeric refactorisation of the current structure.
     Refactor,
     /// Rebuild the symbolic structure and refactor.
@@ -63,16 +59,11 @@ pub enum DemotionTier {
 
 impl DemotionTier {
     /// Every tier, cheapest first.
-    pub const ALL: [DemotionTier; 3] = [
-        DemotionTier::Stale,
-        DemotionTier::Refactor,
-        DemotionTier::Symbolic,
-    ];
+    pub const ALL: [DemotionTier; 2] = [DemotionTier::Refactor, DemotionTier::Symbolic];
 
     /// Stable lowercase label used in counters, markers and journals.
     pub fn label(self) -> &'static str {
         match self {
-            DemotionTier::Stale => "stale",
             DemotionTier::Refactor => "refactor",
             DemotionTier::Symbolic => "symbolic",
         }
@@ -95,7 +86,6 @@ pub struct SolverMetrics {
     hazard_nonfinite: AtomicU64,
     hazard_refinement_stall: AtomicU64,
     hazard_ill_conditioned: AtomicU64,
-    demote_stale: AtomicU64,
     demote_refactor: AtomicU64,
     demote_symbolic: AtomicU64,
     refinement_rounds: AtomicU64,
@@ -206,7 +196,6 @@ impl SolverMetrics {
     #[inline]
     pub fn demotion(&self, tier: DemotionTier) {
         let counter = match tier {
-            DemotionTier::Stale => &self.demote_stale,
             DemotionTier::Refactor => &self.demote_refactor,
             DemotionTier::Symbolic => &self.demote_symbolic,
         };
@@ -255,7 +244,6 @@ impl SolverMetrics {
             hazard_nonfinite: self.hazard_nonfinite.load(Ordering::Relaxed),
             hazard_refinement_stall: self.hazard_refinement_stall.load(Ordering::Relaxed),
             hazard_ill_conditioned: self.hazard_ill_conditioned.load(Ordering::Relaxed),
-            demote_stale: self.demote_stale.load(Ordering::Relaxed),
             demote_refactor: self.demote_refactor.load(Ordering::Relaxed),
             demote_symbolic: self.demote_symbolic.load(Ordering::Relaxed),
             refinement_rounds: self.refinement_rounds.load(Ordering::Relaxed),
@@ -295,8 +283,6 @@ pub struct SolverSnapshot {
     pub hazard_refinement_stall: u64,
     /// Condition estimates above the advisory threshold.
     pub hazard_ill_conditioned: u64,
-    /// Demotions onto a cached factorisation.
-    pub demote_stale: u64,
     /// Demotions forcing a numeric refactorisation.
     pub demote_refactor: u64,
     /// Demotions rebuilding the symbolic structure.
@@ -316,7 +302,7 @@ impl SolverSnapshot {
     /// recorder-facing [`COUNTER_NAMES`] are these with a `solver.`
     /// prefix. Keeping one authoritative name list next to the value
     /// list stops the two from drifting into positional magic.
-    pub const FIELDS: [&'static str; 17] = [
+    pub const FIELDS: [&'static str; 16] = [
         "newton_iterations",
         "steps_accepted",
         "steps_rejected",
@@ -330,7 +316,6 @@ impl SolverSnapshot {
         "hazard.nonfinite",
         "hazard.refinement_stall",
         "hazard.ill_conditioned",
-        "demote.stale",
         "demote.refactor",
         "demote.symbolic",
         "refinement.rounds",
@@ -346,7 +331,7 @@ impl SolverSnapshot {
     }
 
     /// Counter values in [`COUNTER_NAMES`] order.
-    pub fn as_array(&self) -> [u64; 17] {
+    pub fn as_array(&self) -> [u64; 16] {
         [
             self.newton_iterations,
             self.steps_accepted,
@@ -361,7 +346,6 @@ impl SolverSnapshot {
             self.hazard_nonfinite,
             self.hazard_refinement_stall,
             self.hazard_ill_conditioned,
-            self.demote_stale,
             self.demote_refactor,
             self.demote_symbolic,
             self.refinement_rounds,
@@ -383,9 +367,8 @@ impl SolverSnapshot {
 
     /// Demotion counters paired with their [`DemotionTier::label`]s, in
     /// [`DemotionTier::ALL`] (cheapest-first) order.
-    pub fn demotions(&self) -> [(&'static str, u64); 3] {
+    pub fn demotions(&self) -> [(&'static str, u64); 2] {
         [
-            ("stale", self.demote_stale),
             ("refactor", self.demote_refactor),
             ("symbolic", self.demote_symbolic),
         ]
@@ -411,7 +394,6 @@ impl Add for SolverSnapshot {
             hazard_nonfinite: self.hazard_nonfinite + rhs.hazard_nonfinite,
             hazard_refinement_stall: self.hazard_refinement_stall + rhs.hazard_refinement_stall,
             hazard_ill_conditioned: self.hazard_ill_conditioned + rhs.hazard_ill_conditioned,
-            demote_stale: self.demote_stale + rhs.demote_stale,
             demote_refactor: self.demote_refactor + rhs.demote_refactor,
             demote_symbolic: self.demote_symbolic + rhs.demote_symbolic,
             refinement_rounds: self.refinement_rounds + rhs.refinement_rounds,
@@ -550,15 +532,14 @@ mod tests {
             hazard_nonfinite: 11,
             hazard_refinement_stall: 12,
             hazard_ill_conditioned: 13,
-            demote_stale: 14,
-            demote_refactor: 15,
-            demote_symbolic: 16,
-            refinement_rounds: 17,
+            demote_refactor: 14,
+            demote_symbolic: 15,
+            refinement_rounds: 16,
             ..SolverSnapshot::default()
         };
         assert_eq!(
             snap.as_array(),
-            [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17]
+            [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]
         );
         let rec = AggregatingRecorder::new();
         snap.emit_to(&rec);

@@ -10,6 +10,7 @@ use crate::metrics::DemotionTier;
 use crate::netlist::{DeviceId, Netlist, NodeId};
 use crate::robust::BudgetClock;
 use crate::solver::{solve_into, FactorKey, MnaMatrix, PositionProbe, SolverContext};
+use crate::source::SourceWaveform;
 use crate::AnalysisError;
 use linsys::sparse::{SparseMatrix, SparseStructure};
 use linsys::{refine_once, NumericalHazard, SingularMatrixError};
@@ -144,9 +145,10 @@ pub struct StampParams<'a> {
 }
 
 /// Stamps the full linearised MNA system `A·x_new = b` around the guess
-/// `x` into a dense matrix: the linear devices plus gmin, then the
-/// nonlinear devices through a device program compiled against `a`'s
-/// value slots.
+/// `x` into a dense matrix: the linear devices plus gmin, the linear
+/// right-hand side through its compiled program, then the nonlinear
+/// devices through a device program compiled against `a`'s value
+/// slots.
 pub fn stamp_system(
     netlist: &Netlist,
     layout: &MnaLayout,
@@ -157,22 +159,10 @@ pub fn stamp_system(
 ) {
     a.clear();
     b.fill(0.0);
-    stamp_linear(netlist, layout, params, a, b);
+    stamp_linear_matrix(netlist, layout, params, a);
+    RhsProgram::compile(netlist, layout).stamp(netlist, params, b);
     let program = NonlinearProgram::compile(netlist, layout, |r, c| a.slot(r, c));
     program.stamp(x, a.values_mut(), b);
-}
-
-/// Every linear device plus gmin: the matrix pass, then the
-/// right-hand-side pass. Independent of the Newton iterate `x`.
-pub fn stamp_linear<M: MnaMatrix>(
-    netlist: &Netlist,
-    layout: &MnaLayout,
-    params: &StampParams<'_>,
-    a: &mut M,
-    b: &mut [f64],
-) {
-    stamp_linear_matrix(netlist, layout, params, a);
-    stamp_linear_rhs(netlist, layout, params, b);
 }
 
 /// Companion coefficient of a reactive element of size `value` under
@@ -186,9 +176,10 @@ fn companion(method: Integrator, dt: f64, value: f64) -> f64 {
     }
 }
 
-/// The matrix half of [`stamp_linear`]: linear device stamps plus gmin.
-/// Depends only on the [`FactorKey`] (mode, method, `dt`, gmin), which
-/// is what lets one snapshot of it serve every solve under that key.
+/// The linear device stamps plus gmin: the matrix half of a linear
+/// assembly, whose right-hand side an [`RhsProgram`] stamps. Depends
+/// only on the [`FactorKey`] (mode, method, `dt`, gmin), which is what
+/// lets one snapshot of it serve every solve under that key.
 fn stamp_linear_matrix<M: MnaMatrix>(
     netlist: &Netlist,
     layout: &MnaLayout,
@@ -275,74 +266,14 @@ fn stamp_linear_matrix<M: MnaMatrix>(
     }
 }
 
-/// The right-hand-side half of [`stamp_linear`], accumulated into `b`
-/// in device order: source values at `params.time`, capacitor and
-/// inductor history currents, and isources.
-fn stamp_linear_rhs(
-    netlist: &Netlist,
-    layout: &MnaLayout,
-    params: &StampParams<'_>,
-    b: &mut [f64],
-) {
-    for (dev_id, _, dev) in netlist.devices() {
-        match dev {
-            Device::Capacitor {
-                a: na,
-                b: nb,
-                farads,
-                ..
-            } => {
-                if let CompanionMode::Transient {
-                    method,
-                    dt,
-                    history,
-                } = &params.companion
-                {
-                    let geq = companion(*method, *dt, *farads);
-                    let k = dev_id.index();
-                    let irhs = match method {
-                        Integrator::BackwardEuler => geq * history.v[k],
-                        Integrator::Trapezoidal => geq * history.v[k] + history.i[k],
-                    };
-                    stamp_current_injection(layout, b, *na, *nb, irhs);
-                }
-            }
-            Device::Inductor { henries, .. } => {
-                if let CompanionMode::Transient {
-                    method,
-                    dt,
-                    history,
-                } = &params.companion
-                {
-                    let j = layout
-                        .branch_index(dev_id)
-                        .expect("inductor has a branch index");
-                    let z = companion(*method, *dt, *henries);
-                    let k = dev_id.index();
-                    b[j] += match method {
-                        Integrator::BackwardEuler => -z * history.i[k],
-                        Integrator::Trapezoidal => -z * history.i[k] - history.v[k],
-                    };
-                }
-            }
-            Device::Vsource { wave, .. } => {
-                let j = layout
-                    .branch_index(dev_id)
-                    .expect("vsource has a branch index");
-                b[j] += wave.value_at(params.time) * params.source_scale;
-            }
-            Device::Isource { pos, neg, wave } => {
-                let i = wave.value_at(params.time) * params.source_scale;
-                stamp_current_injection(layout, b, *pos, *neg, i);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Unknown index of a ground terminal, and the slot of a stamp entry
 /// that touches ground, in a compiled [`NonlinearProgram`].
 const GROUND: u32 = u32::MAX;
+
+/// Unknown index of `node` in `layout` ([`GROUND`] for ground).
+fn unknown(layout: &MnaLayout, node: NodeId) -> u32 {
+    layout.node_index(node).map_or(GROUND, |i| i as u32)
+}
 
 /// Voltage of unknown `i` in `x` (`0.0` for [`GROUND`]).
 #[inline]
@@ -351,6 +282,202 @@ fn volt(x: &[f64], i: u32) -> f64 {
         0.0
     } else {
         x[i as usize]
+    }
+}
+
+/// A capacitor or inductor with its device index (its
+/// [`ReactiveHistory`] entry) and its terminals' unknown indices
+/// resolved, [`GROUND`] where a terminal is grounded.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Reactive {
+    Capacitor {
+        k: usize,
+        a: u32,
+        b: u32,
+        farads: f64,
+        ic: Option<f64>,
+    },
+    Inductor {
+        k: usize,
+        a: u32,
+        b: u32,
+        /// Branch-current unknown.
+        j: u32,
+        henries: f64,
+    },
+}
+
+impl Reactive {
+    /// `device` resolved against `layout`, or `None` when it is not a
+    /// capacitor or an inductor.
+    pub(crate) fn resolve(layout: &MnaLayout, id: DeviceId, device: &Device) -> Option<Reactive> {
+        let k = id.index();
+        match *device {
+            Device::Capacitor { a, b, farads, ic } => Some(Reactive::Capacitor {
+                k,
+                a: unknown(layout, a),
+                b: unknown(layout, b),
+                farads,
+                ic,
+            }),
+            Device::Inductor { a, b, henries } => Some(Reactive::Inductor {
+                k,
+                a: unknown(layout, a),
+                b: unknown(layout, b),
+                j: branch_of(layout, id),
+                henries,
+            }),
+            _ => None,
+        }
+    }
+
+    /// Every capacitor and inductor of `netlist`, in device order.
+    pub(crate) fn all(netlist: &Netlist, layout: &MnaLayout) -> Vec<Reactive> {
+        netlist
+            .devices()
+            .filter_map(|(id, _, dev)| Reactive::resolve(layout, id, dev))
+            .collect()
+    }
+}
+
+/// Branch voltage `v(a) − v(b)` in `x` ([`GROUND`] reads `0.0`).
+#[inline]
+pub(crate) fn branch_voltage(x: &[f64], a: u32, b: u32) -> f64 {
+    volt(x, a) - volt(x, b)
+}
+
+/// Unknown index of a voltage-defined device's branch current.
+fn branch_of(layout: &MnaLayout, id: DeviceId) -> u32 {
+    let j = layout
+        .branch_index(id)
+        .expect("voltage-defined device has a branch index");
+    u32::try_from(j).expect("unknown index fits u32")
+}
+
+/// The waveform of independent source `id`, read live: a
+/// [`crate::transient::TransientSession`] rewrites it between steps.
+fn source_wave(netlist: &Netlist, id: DeviceId) -> &SourceWaveform {
+    match netlist.device(id) {
+        Device::Vsource { wave, .. } | Device::Isource { wave, .. } => wave,
+        other => panic!("compiled source {id:?} is now {other:?}"),
+    }
+}
+
+/// One right-hand-side stamp of a linear device.
+#[derive(Debug, Clone, Copy)]
+enum RhsOp {
+    /// Companion history of a capacitor or inductor (transient only).
+    Reactive(Reactive),
+    /// A voltage source's value on its branch row `j`.
+    Vsource { id: DeviceId, j: u32 },
+    /// A current source's value, injected into `pos` and out of `neg`.
+    Isource { id: DeviceId, pos: u32, neg: u32 },
+}
+
+/// The linear right-hand side — source values, capacitor and inductor
+/// history — compiled once per assembled system: one flat entry per
+/// capacitor, inductor, voltage source and current source, in device
+/// order, with unknown indices resolved.
+///
+/// Each timestep's first Newton iteration runs this table instead of
+/// walking the netlist's `Device` enum. Device order is kept because it
+/// is the accumulation order into `b` rows two devices share, and each
+/// entry evaluates the expressions the netlist walk did, so `b` is bit
+/// for bit the walk's. Sources are looked up by [`DeviceId`] at stamp
+/// time, so a rewritten waveform takes effect at once.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RhsProgram {
+    ops: Vec<RhsOp>,
+}
+
+impl RhsProgram {
+    /// Compiles the right-hand-side devices of `netlist`.
+    pub(crate) fn compile(netlist: &Netlist, layout: &MnaLayout) -> RhsProgram {
+        let ops = netlist
+            .devices()
+            .filter_map(|(id, _, dev)| match *dev {
+                Device::Capacitor { .. } | Device::Inductor { .. } => {
+                    Reactive::resolve(layout, id, dev).map(RhsOp::Reactive)
+                }
+                Device::Vsource { .. } => Some(RhsOp::Vsource {
+                    id,
+                    j: branch_of(layout, id),
+                }),
+                Device::Isource { pos, neg, .. } => Some(RhsOp::Isource {
+                    id,
+                    pos: unknown(layout, pos),
+                    neg: unknown(layout, neg),
+                }),
+                _ => None,
+            })
+            .collect();
+        RhsProgram { ops }
+    }
+
+    /// Accumulates every entry into `b` at `params.time`: source values
+    /// scaled by `params.source_scale`, and under a transient companion
+    /// the capacitor and inductor history currents.
+    pub(crate) fn stamp(&self, netlist: &Netlist, params: &StampParams<'_>, b: &mut [f64]) {
+        let transient = match &params.companion {
+            CompanionMode::Dc => None,
+            CompanionMode::Transient {
+                method,
+                dt,
+                history,
+            } => Some((*method, *dt, *history)),
+        };
+        for op in &self.ops {
+            match *op {
+                RhsOp::Reactive(reactive) => {
+                    let Some((method, dt, history)) = transient else {
+                        continue;
+                    };
+                    match reactive {
+                        Reactive::Capacitor {
+                            k,
+                            a,
+                            b: nb,
+                            farads,
+                            ..
+                        } => {
+                            let geq = companion(method, dt, farads);
+                            let irhs = match method {
+                                Integrator::BackwardEuler => geq * history.v[k],
+                                Integrator::Trapezoidal => geq * history.v[k] + history.i[k],
+                            };
+                            inject(b, a, nb, irhs);
+                        }
+                        Reactive::Inductor { k, j, henries, .. } => {
+                            let z = companion(method, dt, henries);
+                            b[j as usize] += match method {
+                                Integrator::BackwardEuler => -z * history.i[k],
+                                Integrator::Trapezoidal => -z * history.i[k] - history.v[k],
+                            };
+                        }
+                    }
+                }
+                RhsOp::Vsource { id, j } => {
+                    b[j as usize] +=
+                        source_wave(netlist, id).value_at(params.time) * params.source_scale;
+                }
+                RhsOp::Isource { id, pos, neg } => {
+                    let i = source_wave(netlist, id).value_at(params.time) * params.source_scale;
+                    inject(b, pos, neg, i);
+                }
+            }
+        }
+    }
+}
+
+/// Injects a current `i` into unknown `pos` and out of unknown `neg`,
+/// in the netlist walk's order ([`GROUND`] skipped).
+#[inline]
+fn inject(b: &mut [f64], pos: u32, neg: u32, i: f64) {
+    if pos != GROUND {
+        b[pos as usize] += i;
+    }
+    if neg != GROUND {
+        b[neg as usize] -= i;
     }
 }
 
@@ -415,7 +542,7 @@ impl NonlinearProgram {
         layout: &MnaLayout,
         mut slot: impl FnMut(usize, usize) -> usize,
     ) -> NonlinearProgram {
-        let idx = |node: NodeId| layout.node_index(node).map_or(GROUND, |i| i as u32);
+        let idx = |node: NodeId| unknown(layout, node);
         let mut at = |r: u32, c: u32| {
             if r == GROUND || c == GROUND {
                 GROUND
@@ -622,17 +749,6 @@ fn stamp_conductance<M: MnaMatrix>(layout: &MnaLayout, a: &mut M, na: NodeId, nb
         if let Some(i) = ia {
             a.add(j, i, -g);
         }
-    }
-}
-
-/// Injects a constant current `i` into node `pos` and out of node `neg`.
-#[inline]
-fn stamp_current_injection(layout: &MnaLayout, b: &mut [f64], pos: NodeId, neg: NodeId, i: f64) {
-    if let Some(ip) = layout.node_index(pos) {
-        b[ip] += i;
-    }
-    if let Some(in_) = layout.node_index(neg) {
-        b[in_] -= i;
     }
 }
 
@@ -855,8 +971,8 @@ const STALE_TOL_SCALE_DC: f64 = 1e-4;
 /// edges, switch flips) consecutive solves keep landing in new
 /// operating regions where the cached Jacobian loses every trial;
 /// refactorising immediately on the first iteration of the next few
-/// solves saves the doomed trial's assembly, two back-substitutions
-/// and a wasted Newton iteration per solve. The window is short so
+/// solves saves the doomed trial's assembly, its stale-step pass and a
+/// wasted Newton iteration per solve. The window is short so
 /// reuse resumes a few steps after the circuit settles.
 const DISTRUST_SOLVES: u8 = 4;
 
@@ -906,7 +1022,6 @@ fn note_demotion(hooks: &SolveHooks<'_>, tier: DemotionTier) {
 /// Flight-recorder action string for a demotion to `tier`.
 fn demote_action(tier: DemotionTier) -> &'static str {
     match tier {
-        DemotionTier::Stale => "demote:stale",
         DemotionTier::Refactor => "demote:refactor",
         DemotionTier::Symbolic => "demote:symbolic",
     }
@@ -937,7 +1052,9 @@ fn factor_key(params: &StampParams<'_>) -> FactorKey {
 /// Prepares the context's assembled-system workspace for this solve:
 /// sizes the scratch vectors, builds the sparse system matrix over a
 /// per-mode symbolic structure found by a one-time stamping probe, and
-/// compiles the nonlinear device program against its value slots. A rebuilt system drops the linear-baseline record.
+/// compiles the nonlinear device program against its value slots and
+/// the right-hand-side program. A rebuilt system drops the
+/// linear-baseline record.
 fn ensure_system(
     ctx: &mut SolverContext,
     netlist: &Netlist,
@@ -995,6 +1112,7 @@ fn ensure_system(
         sys.slot_of(r, c)
             .unwrap_or_else(|| panic!("stamp at ({r}, {c}) outside sparse pattern"))
     });
+    ctx.rhs = RhsProgram::compile(netlist, layout);
     ctx.baseline_key = None;
     ctx.sys = Some((mode, sys));
 }
@@ -1024,7 +1142,7 @@ fn assemble_baseline(
         ctx.baseline_key = Some(key);
     }
     ctx.b.fill(0.0);
-    stamp_linear_rhs(netlist, layout, params, &mut ctx.b);
+    ctx.rhs.stamp(netlist, params, &mut ctx.b);
     ctx.baseline_b.clear();
     ctx.baseline_b.extend_from_slice(&ctx.b);
     reused
@@ -1067,6 +1185,63 @@ fn residual_gate(
         solve,
     );
     (out.residual_after <= RESID_GATE_TOL * scale, rnorm)
+}
+
+/// The largest delta `|x_new[k] − x[k]|` (ties to the first) and its
+/// unknown, taken over the unknowns before the first non-finite delta,
+/// whose index comes back as the first element (`None` when every
+/// delta is finite).
+fn largest_delta(x: &[f64], x_new: &[f64]) -> (Option<usize>, f64, usize) {
+    let mut worst = 0.0;
+    let mut worst_index = 0;
+    for (k, (xk, xn)) in x.iter().zip(x_new).enumerate() {
+        let mag = (xn - xk).abs();
+        if !mag.is_finite() {
+            return (Some(k), worst, worst_index);
+        }
+        if mag > worst {
+            worst = mag;
+            worst_index = k;
+        }
+    }
+    (None, worst, worst_index)
+}
+
+/// The damped update `x += clamp(x_new − x)` over unknowns `0..end`
+/// (every delta there finite), returning whether every delta met its
+/// tolerance: node voltages `0..nv` against `vabstol` and clamped to
+/// `vstep_limit`, then branch currents `nv..end` against `iabstol`,
+/// unclamped. Each run hoists its tolerances and limit, so the loop
+/// body has no branch.
+fn damped_update(
+    x: &mut [f64],
+    x_new: &[f64],
+    nv: usize,
+    end: usize,
+    options: &NewtonOptions,
+    tol_scale: f64,
+) -> bool {
+    let split = nv.min(end);
+    let runs = [
+        (0..split, options.vabstol, options.vstep_limit),
+        (split..end, options.iabstol, f64::INFINITY),
+    ];
+    let reltol = options.reltol;
+    let mut converged = true;
+    for (range, abstol, limit) in runs {
+        for (xk, &xn) in x[range.clone()].iter_mut().zip(&x_new[range]) {
+            let delta = xn - *xk;
+            let mag = delta.abs();
+            let over = mag > tol_scale * (abstol + reltol * xn.abs());
+            converged &= !over;
+            *xk += if mag > limit {
+                limit.copysign(delta)
+            } else {
+                delta
+            };
+        }
+    }
+    converged
 }
 
 /// The damped Newton loop behind [`newton_solve_with_context`], with
@@ -1176,6 +1351,8 @@ fn newton_iterate(
         let mut cached = !ctx.force_refactor && matches!(&ctx.factor, Some((k, _)) if *k == key);
         let mut stale_accepted = false;
         let mut stale_rejected = false;
+        // The largest delta of an accepted stale step.
+        let mut stale_worst = f64::INFINITY;
         if cached && linear {
             // The matrix is exactly the one the factorisation was
             // computed from (linear stamps depend only on the key), so
@@ -1217,27 +1394,13 @@ fn newton_iterate(
             // Inside a distrust window the first iteration skips the
             // trial outright — after a recent rejection the odds of the
             // cached Jacobian carrying a brand-new solve are poor, and a
-            // doomed trial costs an assembly and two back-substitutions.
+            // doomed trial costs an assembly and a stale-step pass.
             let (_, factor) = ctx.factor.as_ref().expect("cached factor present");
             let (_, sys) = ctx.sys.as_ref().expect("system prepared");
-            sys.residual_into(x, &ctx.b, &mut ctx.resid);
-            solve_into(factor, &ctx.resid, &mut ctx.scratch);
-            for (slot, (xk, step)) in ctx.x_new.iter_mut().zip(x.iter().zip(&ctx.scratch)) {
-                *slot = xk - step;
-            }
+            let candidate_worst =
+                factor.stale_step_into(sys, x, &ctx.b, &mut ctx.scratch, &mut ctx.x_new);
             if let Some(l) = lap.as_deref_mut() {
                 l.lap(Phase::BackSubstitute);
-            }
-            let mut candidate_worst: f64 = 0.0;
-            for (xn, xk) in ctx.x_new.iter().zip(x.iter()) {
-                let d = (xn - xk).abs();
-                if !d.is_finite() {
-                    candidate_worst = f64::INFINITY;
-                    break;
-                }
-                if d > candidate_worst {
-                    candidate_worst = d;
-                }
             }
             if candidate_worst < stale_contraction * prev_worst {
                 if let Some(metrics) = hooks.metrics {
@@ -1245,6 +1408,7 @@ fn newton_iterate(
                 }
                 ctx.stale_iters += 1;
                 stale_accepted = true;
+                stale_worst = candidate_worst;
             } else {
                 stale_rejected = true;
             }
@@ -1398,64 +1562,47 @@ fn newton_iterate(
             ctx.stale_iters = 0;
         }
 
-        // Damped update with convergence check.
-        worst = 0.0;
-        let mut worst_index = 0;
-        let mut converged = true;
-        for (k, (xk, xn)) in x.iter_mut().zip(ctx.x_new.iter()).enumerate() {
-            let mut delta = xn - *xk;
-            if !delta.is_finite() {
-                if let Some(flight) = hooks.flight {
-                    flight.record_iteration(
-                        params.time,
-                        dt,
-                        (iter + 1) as u64,
-                        f64::INFINITY,
-                        k,
-                    );
-                }
-                ctx.invalidate();
-                if !nonfinite_retry {
-                    // One demotion retry from a fresh factorisation at
-                    // the last finite iterate: a transient overflow (a
-                    // bad stale step, a corrupted factor) is repaired;
-                    // a genuinely divergent system fails again and
-                    // lands on the typed hazard below.
-                    nonfinite_retry = true;
-                    ctx.force_refactor = true;
-                    note_demotion(hooks, DemotionTier::Refactor);
-                    note_hazard(
-                        hooks,
-                        NumericalHazard::NonFinite,
-                        demote_action(DemotionTier::Refactor),
-                        params.time,
-                    );
-                    baseline_ready = false;
-                    continue 'newton;
-                }
-                note_hazard(hooks, NumericalHazard::NonFinite, "terminal", params.time);
-                return Err(AnalysisError::Numerical {
-                    hazard: NumericalHazard::NonFinite,
-                    time: params.time,
-                });
+        // Damped update with convergence check. A non-finite delta
+        // ends the update at its unknown, after the ones before it. An
+        // accepted stale step has none, and its kernel already returned
+        // the largest delta; only the flight recorder wants its index.
+        let (nonfinite, largest, worst_index) = if stale_accepted && hooks.flight.is_none() {
+            (None, stale_worst, 0)
+        } else {
+            largest_delta(x, &ctx.x_new)
+        };
+        worst = largest;
+        let tol_scale = if stale_accepted { stale_tol_scale } else { 1.0 };
+        let end = nonfinite.unwrap_or(x.len());
+        let converged = damped_update(x, &ctx.x_new, nv, end, options, tol_scale);
+        if let Some(k) = nonfinite {
+            if let Some(flight) = hooks.flight {
+                flight.record_iteration(params.time, dt, (iter + 1) as u64, f64::INFINITY, k);
             }
-            let (abstol, limit) = if k < nv {
-                (options.vabstol, options.vstep_limit)
-            } else {
-                (options.iabstol, f64::INFINITY)
-            };
-            let tol_scale = if stale_accepted { stale_tol_scale } else { 1.0 };
-            if delta.abs() > tol_scale * (abstol + options.reltol * xn.abs()) {
-                converged = false;
+            ctx.invalidate();
+            if !nonfinite_retry {
+                // One demotion retry from a fresh factorisation at
+                // the last finite iterate: a transient overflow (a
+                // bad stale step, a corrupted factor) is repaired;
+                // a genuinely divergent system fails again and
+                // lands on the typed hazard below.
+                nonfinite_retry = true;
+                ctx.force_refactor = true;
+                note_demotion(hooks, DemotionTier::Refactor);
+                note_hazard(
+                    hooks,
+                    NumericalHazard::NonFinite,
+                    demote_action(DemotionTier::Refactor),
+                    params.time,
+                );
+                baseline_ready = false;
+                continue 'newton;
             }
-            if delta.abs() > worst {
-                worst = delta.abs();
-                worst_index = k;
-            }
-            if delta.abs() > limit {
-                delta = limit.copysign(delta);
-            }
-            *xk += delta;
+            note_hazard(hooks, NumericalHazard::NonFinite, "terminal", params.time);
+            return Err(AnalysisError::Numerical {
+                hazard: NumericalHazard::NonFinite,
+                time: params.time,
+            });
         }
         if let Some(l) = lap.as_deref_mut() {
             l.lap(Phase::Residual);
@@ -1476,11 +1623,93 @@ fn newton_iterate(
     })
 }
 
-/// The device-by-device enum walk the compiled [`NonlinearProgram`]
-/// replaced, kept as the test oracle it must match bit for bit.
+/// The device-by-device enum walks the compiled [`NonlinearProgram`] and
+/// [`RhsProgram`] replaced, kept as the test oracles they must match bit
+/// for bit.
 #[cfg(test)]
 mod oracle {
     use super::*;
+
+    /// Injects a constant current `i` into node `pos` and out of node `neg`.
+    fn stamp_current_injection(
+        layout: &MnaLayout,
+        b: &mut [f64],
+        pos: NodeId,
+        neg: NodeId,
+        i: f64,
+    ) {
+        if let Some(ip) = layout.node_index(pos) {
+            b[ip] += i;
+        }
+        if let Some(in_) = layout.node_index(neg) {
+            b[in_] -= i;
+        }
+    }
+
+    /// The linear right-hand side, accumulated into `b` in device
+    /// order: source values at `params.time`, capacitor and inductor
+    /// history currents, and isources.
+    pub(super) fn stamp_linear_rhs(
+        netlist: &Netlist,
+        layout: &MnaLayout,
+        params: &StampParams<'_>,
+        b: &mut [f64],
+    ) {
+        for (dev_id, _, dev) in netlist.devices() {
+            match dev {
+                Device::Capacitor {
+                    a: na,
+                    b: nb,
+                    farads,
+                    ..
+                } => {
+                    if let CompanionMode::Transient {
+                        method,
+                        dt,
+                        history,
+                    } = &params.companion
+                    {
+                        let geq = companion(*method, *dt, *farads);
+                        let k = dev_id.index();
+                        let irhs = match method {
+                            Integrator::BackwardEuler => geq * history.v[k],
+                            Integrator::Trapezoidal => geq * history.v[k] + history.i[k],
+                        };
+                        stamp_current_injection(layout, b, *na, *nb, irhs);
+                    }
+                }
+                Device::Inductor { henries, .. } => {
+                    if let CompanionMode::Transient {
+                        method,
+                        dt,
+                        history,
+                    } = &params.companion
+                    {
+                        let j = layout
+                            .branch_index(dev_id)
+                            .expect("inductor has a branch index");
+                        let z = companion(*method, *dt, *henries);
+                        let k = dev_id.index();
+                        b[j] += match method {
+                            Integrator::BackwardEuler => -z * history.i[k],
+                            Integrator::Trapezoidal => -z * history.i[k] - history.v[k],
+                        };
+                    }
+                }
+                Device::Vsource { wave, .. } => {
+                    let j = layout
+                        .branch_index(dev_id)
+                        .expect("vsource has a branch index");
+                    b[j] += wave.value_at(params.time) * params.source_scale;
+                }
+                Device::Isource { pos, neg, wave } => {
+                    let i = wave.value_at(params.time) * params.source_scale;
+                    stamp_current_injection(layout, b, *pos, *neg, i);
+                }
+                _ => {}
+            }
+        }
+    }
 
     /// Nonlinear device models (MOSFET / diode / switch) linearised
     /// around the present guess `x`, stamped on top of the linear
@@ -1788,6 +2017,19 @@ mod tests {
         assert!(newton_solve(&nl, &layout, &params, &NewtonOptions::default(), &mut x).is_err());
     }
 
+    /// The linear assembly the way the netlist walk did it: the matrix
+    /// stamps, then the right-hand-side oracle.
+    fn stamp_linear<M: MnaMatrix>(
+        netlist: &Netlist,
+        layout: &MnaLayout,
+        params: &StampParams<'_>,
+        a: &mut M,
+        b: &mut [f64],
+    ) {
+        stamp_linear_matrix(netlist, layout, params, a);
+        oracle::stamp_linear_rhs(netlist, layout, params, b);
+    }
+
     /// Asserts two value vectors agree bit for bit.
     fn assert_bits(what: &str, got: &[f64], want: &[f64]) {
         assert_eq!(got.len(), want.len(), "{what}: length");
@@ -1880,6 +2122,124 @@ mod tests {
             oracle::stamp_nonlinear(&nl, &layout, &x, &mut want, &mut want_b);
             assert_bits("values", sys.values(), want.values());
             assert_bits("b", &ctx.b, &want_b);
+        }
+    }
+
+    /// One source of every [`SourceWaveform`] kind.
+    fn every_waveform() -> Vec<SourceWaveform> {
+        vec![
+            SourceWaveform::dc(1.5),
+            SourceWaveform::step(2.0, 1e-6),
+            SourceWaveform::ramp(-1.0, 3.0, 2e-6),
+            SourceWaveform::Pulse {
+                low: 0.5,
+                high: 4.5,
+                delay: 0.3e-6,
+                rise: 0.1e-6,
+                fall: 0.2e-6,
+                width: 0.7e-6,
+                period: 1.6e-6,
+            },
+            SourceWaveform::Sine {
+                offset: 0.25,
+                amplitude: 1.75,
+                freq: 3e5,
+                delay: 0.4e-6,
+            },
+            SourceWaveform::Pwl(vec![(0.5e-6, -2.0), (1.5e-6, 1.0), (3e-6, 0.5)]),
+            SourceWaveform::BitStream {
+                bits: vec![true, false, false, true, true],
+                bit_period: 0.45e-6,
+                low: -0.5,
+                high: 2.5,
+            },
+        ]
+    }
+
+    /// Every right-hand-side device over nodes `[ground, a, b, c]`: a
+    /// voltage source and a current source per waveform kind, with
+    /// capacitors and inductors between them, each kind grounded on
+    /// either side and floating. Devices that stamp no right-hand side
+    /// (resistors, diodes) sit in between too, so the program must skip
+    /// them.
+    fn rhs_netlist() -> Netlist {
+        let mut nl = Netlist::new();
+        let g = Netlist::GROUND;
+        let [a, b, c] = [nl.node("a"), nl.node("b"), nl.node("c")];
+        let pairs = [(a, g), (g, b), (b, c), (c, a)];
+        for (k, wave) in every_waveform().into_iter().enumerate() {
+            let (p, q) = pairs[k % pairs.len()];
+            nl.vsource(&format!("V{k}"), p, q, wave.clone());
+            nl.capacitor(&format!("C{k}"), p, q, 1e-12 * (k + 1) as f64);
+            nl.diode(&format!("D{k}"), q, p, DiodeParams::default());
+            let (p, q) = pairs[(k + 1) % pairs.len()];
+            nl.inductor(&format!("L{k}"), q, p, 1e-6 * (k + 2) as f64);
+            nl.isource(&format!("I{k}"), p, q, wave);
+            nl.resistor(&format!("R{k}"), p, q, 1e3);
+        }
+        nl
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The compiled right-hand side equals the netlist walk's by
+        /// `to_bits`, accumulated onto a nonzero `b`, at random times and
+        /// reactive histories under DC, backward-Euler and trapezoidal
+        /// companions — and still does after a source's waveform is
+        /// rewritten behind the compiled program.
+        #[test]
+        fn rhs_program_matches_the_netlist_walk(
+            mode in 0usize..3,
+            time in 0.0..5e-6f64,
+            dt in 1e-9..1e-6f64,
+            source_scale in 0.0..1.0f64,
+            seed in proptest::collection::vec(-3.0..3.0f64, 64),
+            rewrite in 0usize..7,
+        ) {
+            let mut nl = rhs_netlist();
+            let layout = MnaLayout::new(&nl);
+            let mut history = ReactiveHistory::new(&nl);
+            let devices = nl.device_count();
+            for (k, (v, i)) in history.v.iter_mut().zip(&mut history.i).enumerate() {
+                *v = seed[k % seed.len()];
+                *i = 1e-3 * seed[(k + devices) % seed.len()];
+            }
+            let program = RhsProgram::compile(&nl, &layout);
+            for rewritten in [false, true] {
+                if rewritten {
+                    let id = nl.find_device(&format!("I{rewrite}")).expect("isource");
+                    match nl.device_mut(id) {
+                        Device::Isource { wave, .. } => *wave = SourceWaveform::dc(seed[rewrite]),
+                        other => panic!("{other:?}"),
+                    }
+                }
+                let companion = match mode {
+                    0 => CompanionMode::Dc,
+                    1 => CompanionMode::Transient {
+                        method: Integrator::BackwardEuler,
+                        dt,
+                        history: &history,
+                    },
+                    _ => CompanionMode::Transient {
+                        method: Integrator::Trapezoidal,
+                        dt,
+                        history: &history,
+                    },
+                };
+                let params = StampParams {
+                    time,
+                    companion,
+                    gmin: 1e-12,
+                    source_scale,
+                };
+                let start: Vec<f64> = (0..layout.size()).map(|k| seed[k] * 1e-2).collect();
+                let mut got = start.clone();
+                program.stamp(&nl, &params, &mut got);
+                let mut want = start;
+                oracle::stamp_linear_rhs(&nl, &layout, &params, &mut want);
+                assert_bits("b", &got, &want);
+            }
         }
     }
 
@@ -2040,7 +2400,7 @@ mod tests {
         );
         let t = metrics.snapshot();
         assert_eq!(t.demote_symbolic, 1);
-        assert_eq!(t.demote_stale + t.demote_refactor, 0);
+        assert_eq!(t.demote_refactor, 0);
         assert_eq!(t.hazard_near_singular_pivot, 2);
         assert_eq!(t.newton_iterations, 2);
     }

@@ -371,11 +371,6 @@ impl Netlist {
             },
         )
     }
-
-    /// True if any device is nonlinear.
-    pub fn has_nonlinear_devices(&self) -> bool {
-        self.devices.iter().any(|(_, d)| d.is_nonlinear())
-    }
 }
 
 #[cfg(test)]
@@ -454,16 +449,6 @@ mod tests {
             MosParams::pmos_5um(),
         );
         assert_eq!(nl.transistor_count(), 2);
-    }
-
-    #[test]
-    fn nonlinear_detection() {
-        let mut nl = Netlist::new();
-        let a = nl.node("a");
-        nl.resistor("R1", a, Netlist::GROUND, 1.0);
-        assert!(!nl.has_nonlinear_devices());
-        nl.diode("D1", a, Netlist::GROUND, DiodeParams::default());
-        assert!(nl.has_nonlinear_devices());
     }
 
     #[test]

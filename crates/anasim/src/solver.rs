@@ -27,7 +27,7 @@ use std::sync::Arc;
 use linsys::matrix::Matrix;
 use linsys::sparse::{RefactorSchedule, SparseLu, SparseMatrix, SparseStructure, SparseWorkspace};
 
-use crate::mna::{MnaLayout, NonlinearProgram};
+use crate::mna::{MnaLayout, NonlinearProgram, RhsProgram};
 
 /// Anything device stamps can be assembled into: the sparse system
 /// matrix, a dense [`Matrix`] (AC analysis and test oracles), and the
@@ -104,9 +104,11 @@ impl MnaMatrix for PositionProbe {
 /// full one agree bit for bit on every nonzero but may differ in the
 /// *sign* of exact zeros: the replay's structural fill carries `0·u`
 /// updates the full kernel prunes. Normalising here, after every solve
-/// the Newton loop takes, makes the full solution vector — and
-/// therefore every downstream waveform and canonical report — bytewise
-/// independent of which path produced the factors.
+/// the Newton loop takes (the stale step's fused kernel,
+/// [`SparseLu::stale_step_into`], normalises its step the same way),
+/// makes the full solution vector — and therefore every downstream
+/// waveform and canonical report — bytewise independent of which path
+/// produced the factors.
 pub(crate) fn solve_into(lu: &SparseLu, b: &[f64], x: &mut [f64]) {
     lu.solve_into(b, x);
     for v in x.iter_mut() {
@@ -193,15 +195,19 @@ pub struct SolverContext {
     pub(crate) b: Vec<f64>,
     /// Newton iterate workspace (`x_new`).
     pub(crate) x_new: Vec<f64>,
-    /// Residual workspace.
+    /// Residual workspace of the acceptance gate.
     pub(crate) resid: Vec<f64>,
-    /// Correction workspace.
+    /// Correction workspace: the gate's refinement step, and the fused
+    /// stale step's substitution vector.
     pub(crate) scratch: Vec<f64>,
     /// Refinement trial-iterate workspace.
     pub(crate) trial: Vec<f64>,
     /// The nonlinear devices compiled against `sys`'s value slots;
     /// rebuilt whenever `sys` is. Empty for a linear netlist.
     pub(crate) program: NonlinearProgram,
+    /// The linear right-hand side (sources, reactive history) compiled
+    /// against the layout; rebuilt whenever `sys` is.
+    pub(crate) rhs: RhsProgram,
     /// Snapshot of the linear-device stamps (matrix values). The linear
     /// matrix depends only on the [`FactorKey`], so the snapshot serves
     /// every iteration of every solve under `baseline_key`.
@@ -233,8 +239,8 @@ pub struct SolverContext {
     /// its contraction guard — during fast transients (source edges,
     /// switching) consecutive solves land in new operating regions
     /// where the cached Jacobian keeps losing, so skipping the doomed
-    /// trial saves an assembled system, two back-substitutions and a
-    /// wasted iteration per solve. The window decays so the solver
+    /// trial saves an assembled system, a stale-step pass and a wasted
+    /// iteration per solve. The window decays so the solver
     /// re-probes reuse once the circuit settles.
     pub(crate) distrust: u8,
 }

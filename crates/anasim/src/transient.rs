@@ -5,8 +5,8 @@ use crate::devices::Device;
 use crate::flight::{FlightRecorder, SolveHooks, SolvePhase};
 use crate::metrics::SolverMetrics;
 use crate::mna::{
-    newton_solve_with_context, CompanionMode, Integrator, MnaLayout, NewtonOptions,
-    ReactiveHistory, StampParams,
+    branch_voltage, newton_solve_with_context, CompanionMode, Integrator, MnaLayout, NewtonOptions,
+    Reactive, ReactiveHistory, StampParams,
 };
 use crate::netlist::{DeviceId, Netlist, NodeId};
 use crate::robust::{BudgetClock, CancelToken, SolveBudget, SolveSettings, DEFAULT_MAX_STEPS};
@@ -297,11 +297,18 @@ impl TransientAnalysis {
         let mut bps = source_breakpoints(netlist, 0.0, self.t_stop, bp_tol);
 
         // --- Time march ---------------------------------------------------
-        let mut result = TransientResult {
-            layout: march.layout.clone(),
-            time: vec![0.0],
-            solutions: vec![march.x.clone()],
-        };
+        // Every step ends on the grid or on a breakpoint, so a march that
+        // never halves its step stores at most this many rows.
+        let rows = ((self.t_stop / self.dt).ceil() as usize)
+            .saturating_add(bps.len())
+            .saturating_add(1)
+            .min(
+                self.budget
+                    .max_steps
+                    .map_or(usize::MAX, |m| m.saturating_add(1)),
+            );
+        let mut result = TransientResult::with_capacity(march.layout.clone(), rows);
+        result.push(0.0, &march.x);
         let mut clock = BudgetClock::new(self.budget).with_cancel(self.cancel.clone());
 
         while march.t < self.t_stop - 1e-15 * self.t_stop {
@@ -309,8 +316,7 @@ impl TransientAnalysis {
             let t_grid = (march.t + self.dt).min(self.t_stop);
             let (t_next, hit_bp) = clip_to_breakpoint(&mut bps, march.t, t_grid, bp_tol);
             march.step(netlist, t_next, &mut clock, hooks)?;
-            result.time.push(march.t);
-            result.solutions.push(march.x.clone());
+            result.push(march.t, &march.x);
             // Landing exactly on a breakpoint damps the next step.
             if hit_bp && (march.t - t_next).abs() < bp_tol {
                 march.post_discontinuity = true;
@@ -329,6 +335,8 @@ struct March {
     /// Persistent solver state: sparse structure, baseline stamps and
     /// LU factors are reused across every step.
     ctx: SolverContext,
+    /// The netlist's capacitors and inductors, resolved once.
+    reactive: Vec<Reactive>,
     history: ReactiveHistory,
     t: f64,
     /// The accepted solution at `t`.
@@ -364,12 +372,14 @@ impl March {
         start: StartCondition,
         rules: StepRules,
     ) -> Self {
+        let reactive = Reactive::all(netlist, &layout);
         let mut history = ReactiveHistory::new(netlist);
-        seed_history(netlist, &layout, &x, start, &mut history);
+        seed_history(&reactive, &x, start, &mut history);
         let n = x.len();
         March {
             layout,
             ctx,
+            reactive,
             history,
             t: 0.0,
             x,
@@ -461,8 +471,7 @@ impl March {
         // Rotate: x becomes prev, the accepted trial becomes x.
         std::mem::swap(&mut self.prev, &mut self.x);
         std::mem::swap(&mut self.x, &mut self.trial);
-        let (layout, x) = (&self.layout, &self.x);
-        update_history(netlist, layout, x, method, dt_try, &mut self.history);
+        update_history(&self.reactive, &self.x, method, dt_try, &mut self.history);
         self.dt_prev = Some(dt_try);
         self.post_discontinuity = false;
         Ok(())
@@ -510,63 +519,55 @@ fn clip_to_breakpoint(bps: &mut Breakpoints, t: f64, t_next: f64, bp_tol: f64) -
 
 /// Seeds the reactive history from the initial solution.
 fn seed_history(
-    netlist: &Netlist,
-    layout: &MnaLayout,
+    reactive: &[Reactive],
     x: &[f64],
     start: StartCondition,
     history: &mut ReactiveHistory,
 ) {
-    for (id, _, dev) in netlist.devices() {
-        match dev {
-            Device::Capacitor { a, b, ic, .. } => {
-                history.v[id.index()] = match (start, ic) {
-                    (StartCondition::Uic, Some(v0)) => *v0,
-                    _ => layout.voltage(x, *a) - layout.voltage(x, *b),
+    for &device in reactive {
+        match device {
+            Reactive::Capacitor { k, a, b, ic, .. } => {
+                history.v[k] = match (start, ic) {
+                    (StartCondition::Uic, Some(v0)) => v0,
+                    _ => branch_voltage(x, a, b),
                 };
-                history.i[id.index()] = 0.0;
+                history.i[k] = 0.0;
             }
-            Device::Inductor { a, b, .. } => {
-                history.i[id.index()] = layout
-                    .branch_index(id)
-                    .map(|j| x[j])
-                    .unwrap_or(0.0);
-                history.v[id.index()] = layout.voltage(x, *a) - layout.voltage(x, *b);
+            Reactive::Inductor { k, a, b, j, .. } => {
+                history.i[k] = x[j as usize];
+                history.v[k] = branch_voltage(x, a, b);
             }
-            _ => {}
         }
     }
 }
 
 /// Updates reactive history after an accepted step.
 fn update_history(
-    netlist: &Netlist,
-    layout: &MnaLayout,
+    reactive: &[Reactive],
     x: &[f64],
     method: Integrator,
     dt: f64,
     history: &mut ReactiveHistory,
 ) {
-    for (id, _, dev) in netlist.devices() {
-        match dev {
-            Device::Capacitor { a, b, farads, .. } => {
-                let v_new = layout.voltage(x, *a) - layout.voltage(x, *b);
-                let v_old = history.v[id.index()];
-                let i_old = history.i[id.index()];
+    for &device in reactive {
+        match device {
+            Reactive::Capacitor {
+                k, a, b, farads, ..
+            } => {
+                let v_new = branch_voltage(x, a, b);
+                let v_old = history.v[k];
+                let i_old = history.i[k];
                 let i_new = match method {
                     Integrator::BackwardEuler => farads / dt * (v_new - v_old),
                     Integrator::Trapezoidal => 2.0 * farads / dt * (v_new - v_old) - i_old,
                 };
-                history.v[id.index()] = v_new;
-                history.i[id.index()] = i_new;
+                history.v[k] = v_new;
+                history.i[k] = i_new;
             }
-            Device::Inductor { a, b, .. } => {
-                history.i[id.index()] = layout
-                    .branch_index(id)
-                    .map(|j| x[j])
-                    .unwrap_or(0.0);
-                history.v[id.index()] = layout.voltage(x, *a) - layout.voltage(x, *b);
+            Reactive::Inductor { k, a, b, j, .. } => {
+                history.i[k] = x[j as usize];
+                history.v[k] = branch_voltage(x, a, b);
             }
-            _ => {}
         }
     }
 }
@@ -577,10 +578,46 @@ fn update_history(
 pub struct TransientResult {
     layout: MnaLayout,
     time: Vec<f64>,
-    solutions: Vec<Vec<f64>>,
+    /// The solutions, row after row: `layout.size()` values per
+    /// accepted timepoint.
+    values: Vec<f64>,
 }
 
 impl TransientResult {
+    /// An empty result with room for `rows` timepoints. A reservation
+    /// the allocator refuses is left to ordinary growth.
+    fn with_capacity(layout: MnaLayout, rows: usize) -> Self {
+        let mut time = Vec::new();
+        let mut values = Vec::new();
+        let _ = time.try_reserve_exact(rows);
+        let _ = values.try_reserve_exact(rows.saturating_mul(layout.size()));
+        TransientResult {
+            layout,
+            time,
+            values,
+        }
+    }
+
+    /// Appends the solution `x` at time `t`.
+    fn push(&mut self, t: f64, x: &[f64]) {
+        self.time.push(t);
+        self.values.extend_from_slice(x);
+    }
+
+    /// Unknown `i` at every timepoint (`None`, ground, reads `0.0`).
+    fn column(&self, i: Option<usize>) -> Vec<f64> {
+        match i {
+            Some(i) => self
+                .values
+                .iter()
+                .skip(i)
+                .step_by(self.layout.size())
+                .copied()
+                .collect(),
+            None => vec![0.0; self.len()],
+        }
+    }
+
     /// Accepted timepoints.
     pub fn times(&self) -> &[f64] {
         &self.time
@@ -599,11 +636,7 @@ impl TransientResult {
 
     /// The voltage waveform at `node`.
     pub fn voltage(&self, node: NodeId) -> Waveform {
-        let v = self
-            .solutions
-            .iter()
-            .map(|x| self.layout.voltage(x, node))
-            .collect();
+        let v = self.column(self.layout.node_index(node));
         Waveform::from_samples(self.time.clone(), v)
     }
 
@@ -611,14 +644,17 @@ impl TransientResult {
     /// a branch unknown.
     pub fn branch_current(&self, device: DeviceId) -> Option<Waveform> {
         let j = self.layout.branch_index(device)?;
-        let v = self.solutions.iter().map(|x| x[j]).collect();
-        Some(Waveform::from_samples(self.time.clone(), v))
+        Some(Waveform::from_samples(
+            self.time.clone(),
+            self.column(Some(j)),
+        ))
     }
 
     /// Voltage at `node` at the final timepoint.
     pub fn final_voltage(&self, node: NodeId) -> f64 {
-        self.layout
-            .voltage(self.solutions.last().expect("non-empty result"), node)
+        assert!(!self.is_empty(), "non-empty result");
+        let last = self.values.len() - self.layout.size();
+        self.layout.voltage(&self.values[last..], node)
     }
 }
 
@@ -791,10 +827,210 @@ impl TransientSession {
     }
 }
 
+/// The netlist walks the compiled [`Reactive`] list replaced, kept as
+/// the test oracle it must match bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// Seeds the reactive history from the initial solution.
+    pub(super) fn seed_history(
+        netlist: &Netlist,
+        layout: &MnaLayout,
+        x: &[f64],
+        start: StartCondition,
+        history: &mut ReactiveHistory,
+    ) {
+        for (id, _, dev) in netlist.devices() {
+            match dev {
+                Device::Capacitor { a, b, ic, .. } => {
+                    history.v[id.index()] = match (start, ic) {
+                        (StartCondition::Uic, Some(v0)) => *v0,
+                        _ => layout.voltage(x, *a) - layout.voltage(x, *b),
+                    };
+                    history.i[id.index()] = 0.0;
+                }
+                Device::Inductor { a, b, .. } => {
+                    history.i[id.index()] = layout.branch_index(id).map(|j| x[j]).unwrap_or(0.0);
+                    history.v[id.index()] = layout.voltage(x, *a) - layout.voltage(x, *b);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Updates reactive history after an accepted step.
+    pub(super) fn update_history(
+        netlist: &Netlist,
+        layout: &MnaLayout,
+        x: &[f64],
+        method: Integrator,
+        dt: f64,
+        history: &mut ReactiveHistory,
+    ) {
+        for (id, _, dev) in netlist.devices() {
+            match dev {
+                Device::Capacitor { a, b, farads, .. } => {
+                    let v_new = layout.voltage(x, *a) - layout.voltage(x, *b);
+                    let v_old = history.v[id.index()];
+                    let i_old = history.i[id.index()];
+                    let i_new = match method {
+                        Integrator::BackwardEuler => farads / dt * (v_new - v_old),
+                        Integrator::Trapezoidal => 2.0 * farads / dt * (v_new - v_old) - i_old,
+                    };
+                    history.v[id.index()] = v_new;
+                    history.i[id.index()] = i_new;
+                }
+                Device::Inductor { a, b, .. } => {
+                    history.i[id.index()] = layout.branch_index(id).map(|j| x[j]).unwrap_or(0.0);
+                    history.v[id.index()] = layout.voltage(x, *a) - layout.voltage(x, *b);
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::SourceWaveform;
+
+    /// Asserts two value vectors agree bit for bit.
+    fn assert_bits(what: &str, got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{k}]: {g:e} vs {w:e}");
+        }
+    }
+
+    /// Capacitors (with and without an initial condition) and inductors
+    /// over nodes `[ground, a, b, c]`, each grounded on either side and
+    /// floating, with resistors between them that the history skips.
+    fn reactive_netlist() -> Netlist {
+        let mut nl = Netlist::new();
+        let g = Netlist::GROUND;
+        let [a, b, c] = [nl.node("a"), nl.node("b"), nl.node("c")];
+        for (k, (p, q)) in [(a, g), (g, b), (b, c), (c, a)].into_iter().enumerate() {
+            let farads = 1e-12 * (k + 1) as f64;
+            if k % 2 == 0 {
+                nl.capacitor(&format!("C{k}"), p, q, farads);
+            } else {
+                nl.capacitor_ic(&format!("C{k}"), p, q, farads, 0.5 * k as f64);
+            }
+            nl.resistor(&format!("R{k}"), p, q, 1e3);
+            nl.inductor(&format!("L{k}"), q, p, 1e-6 * (k + 1) as f64);
+        }
+        nl
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The compiled reactive list seeds and updates the history
+        /// exactly as the netlist walk does, by `to_bits`, under both
+        /// start conditions and both integrators.
+        #[test]
+        fn history_matches_the_netlist_walk(
+            x0 in proptest::collection::vec(-4.0..4.0f64, 7),
+            x1 in proptest::collection::vec(-4.0..4.0f64, 7),
+            dt in 1e-9..1e-6f64,
+            uic in proptest::prelude::any::<bool>(),
+            trapezoidal in proptest::prelude::any::<bool>(),
+        ) {
+            let nl = reactive_netlist();
+            let layout = MnaLayout::new(&nl);
+            assert_eq!(layout.size(), x0.len());
+            let reactive = Reactive::all(&nl, &layout);
+            let start = if uic {
+                StartCondition::Uic
+            } else {
+                StartCondition::OperatingPoint
+            };
+            let method = if trapezoidal {
+                Integrator::Trapezoidal
+            } else {
+                Integrator::BackwardEuler
+            };
+            let mut got = ReactiveHistory::new(&nl);
+            let mut want = ReactiveHistory::new(&nl);
+            seed_history(&reactive, &x0, start, &mut got);
+            oracle::seed_history(&nl, &layout, &x0, start, &mut want);
+            assert_bits("seeded v", &got.v, &want.v);
+            assert_bits("seeded i", &got.i, &want.i);
+            update_history(&reactive, &x1, method, dt, &mut got);
+            oracle::update_history(&nl, &layout, &x1, method, dt, &mut want);
+            assert_bits("updated v", &got.v, &want.v);
+            assert_bits("updated i", &got.i, &want.i);
+        }
+    }
+
+    #[test]
+    fn flat_results_match_a_session_on_the_grid() {
+        // A pulse-driven RLC whose pulse corners all land on the step
+        // grid, so `run` never clips a step and a session advanced to
+        // each stored time takes the identical steps.
+        let mut nl = Netlist::new();
+        let vin = nl.node("in");
+        let mid = nl.node("mid");
+        let out = nl.node("out");
+        let pulse = SourceWaveform::Pulse {
+            low: 0.0,
+            high: 1.0,
+            delay: 1e-6,
+            rise: 0.5e-6,
+            fall: 0.5e-6,
+            width: 2e-6,
+            period: 5e-6,
+        };
+        let v1 = nl.vsource("V1", vin, Netlist::GROUND, pulse);
+        nl.resistor("R1", vin, mid, 50.0);
+        let l1 = nl.inductor("L1", mid, out, 10e-6);
+        nl.capacitor("C1", out, Netlist::GROUND, 1e-9);
+        let (t_stop, dt) = (12e-6, 0.25e-6);
+        let res = TransientAnalysis::new(t_stop, dt).run(&nl).unwrap();
+
+        // The reservation held every row: nothing regrew.
+        let bps = source_breakpoints(&nl, 0.0, t_stop, BREAKPOINT_RELTOL * t_stop).len();
+        let rows = (t_stop / dt).ceil() as usize + bps + 1;
+        let n = res.layout.size();
+        assert_eq!(res.len(), (t_stop / dt).round() as usize + 1);
+        assert_eq!(res.time.capacity(), rows);
+        assert_eq!(res.values.capacity(), rows * n);
+        assert_eq!(res.values.len(), res.len() * n);
+
+        let waves = [
+            res.voltage(vin),
+            res.voltage(mid),
+            res.voltage(out),
+            res.branch_current(v1).unwrap(),
+            res.branch_current(l1).unwrap(),
+        ];
+        assert!(waves.iter().all(|w| w.len() == res.len()));
+        let ground = res.voltage(Netlist::GROUND);
+        assert!(ground.values().iter().all(|&v| v == 0.0));
+        let mut session = TransientSession::begin(&nl, dt).unwrap();
+        for (k, &t) in res.times().iter().enumerate() {
+            if k > 0 {
+                session.advance_to(t).unwrap();
+            }
+            let now = [
+                session.voltage(vin),
+                session.voltage(mid),
+                session.voltage(out),
+                session.branch_current(v1).unwrap(),
+                session.branch_current(l1).unwrap(),
+            ];
+            for (w, s) in waves.iter().zip(now) {
+                assert_eq!(w.values()[k].to_bits(), s.to_bits(), "row {k} at t = {t:e}");
+            }
+        }
+        assert_eq!(
+            res.final_voltage(out).to_bits(),
+            session.voltage(out).to_bits()
+        );
+        assert!(res.voltage(out).values().iter().any(|&v| v > 0.5));
+    }
 
     fn rc_circuit(tau_r: f64, tau_c: f64) -> (Netlist, NodeId) {
         let mut nl = Netlist::new();

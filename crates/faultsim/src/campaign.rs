@@ -2489,12 +2489,7 @@ mod tests {
                 o.status
             );
             assert_eq!(t.solver.demote_symbolic, 1, "{}", o.fault.name());
-            assert_eq!(
-                t.solver.demote_stale + t.solver.demote_refactor,
-                0,
-                "{}",
-                o.fault.name()
-            );
+            assert_eq!(t.solver.demote_refactor, 0, "{}", o.fault.name());
         }
     }
 

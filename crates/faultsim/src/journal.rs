@@ -298,7 +298,7 @@ pub fn telemetry_to_json(t: &FaultTelemetry) -> JsonValue {
 pub fn telemetry_from_json(v: &JsonValue) -> Result<FaultTelemetry, String> {
     let solver_obj = get(v, "solver")?;
     let mut solver = SolverSnapshot::default();
-    let fields: [&mut u64; 17] = [
+    let fields: [&mut u64; 16] = [
         &mut solver.newton_iterations,
         &mut solver.steps_accepted,
         &mut solver.steps_rejected,
@@ -312,7 +312,6 @@ pub fn telemetry_from_json(v: &JsonValue) -> Result<FaultTelemetry, String> {
         &mut solver.hazard_nonfinite,
         &mut solver.hazard_refinement_stall,
         &mut solver.hazard_ill_conditioned,
-        &mut solver.demote_stale,
         &mut solver.demote_refactor,
         &mut solver.demote_symbolic,
         &mut solver.refinement_rounds,

@@ -217,10 +217,12 @@ fn postmortem_bearing_records_replay_exactly() {
 }
 
 /// Rewrites one journal line's solver counters into the 19-counter shape
-/// written before the rank-one-update tier and the dense fallback were
-/// removed: `hazard.rank1_breakdown` after `hazard.pivot_growth` and
-/// `demote.dense` after `demote.symbolic`, both zero as every such run
-/// recorded them. Lines without a solver object pass through unchanged.
+/// written before the rank-one-update tier, the dense fallback and the
+/// stale demotion tier were removed: `hazard.rank1_breakdown` after
+/// `hazard.pivot_growth`, `demote.stale` after `hazard.ill_conditioned`
+/// and `demote.dense` after `demote.symbolic`, all zero as every such
+/// run recorded them. Lines without a solver object pass through
+/// unchanged.
 fn with_retired_counters(line: &str) -> String {
     let mut record = obs::json::parse(line).expect("journal line parses");
     let JsonValue::Obj(fields) = &mut record else {
@@ -244,6 +246,7 @@ fn with_retired_counters(line: &str) -> String {
             for (name, count) in counters.drain(..) {
                 let retired = match name.as_str() {
                     "hazard.pivot_growth" => Some("hazard.rank1_breakdown"),
+                    "hazard.ill_conditioned" => Some("demote.stale"),
                     "demote.symbolic" => Some("demote.dense"),
                     _ => None,
                 };
@@ -276,6 +279,7 @@ fn records_with_retired_solver_counters_resume_to_the_same_report() {
     let terminal = older.pop().expect("terminal record");
     assert!(terminal.contains("\"complete\""), "expected complete record");
     assert!(older.iter().any(|l| l.contains("\"demote.dense\":0")));
+    assert!(older.iter().any(|l| l.contains("\"demote.stale\":0")));
     let mut text = older.join("\n");
     text.push('\n');
     fs::write(&path, &text).unwrap();

@@ -247,47 +247,47 @@ impl SparseMatrix {
         (&s.row_col[lo..hi], &self.values[lo..hi])
     }
 
-    /// Row-oriented matrix–vector product into `out`, visiting each
-    /// row's entries in ascending column order (the dense
-    /// [`Matrix::mul_vec`] accumulation order restricted to the
-    /// pattern).
-    pub fn mul_vec_into(&self, x: &[f64], out: &mut [f64]) {
-        for (r, slot) in out.iter_mut().enumerate().take(self.n()) {
-            let (cols, vals) = self.row(r);
-            let mut acc = 0.0;
-            for (&c, &v) in cols.iter().zip(vals) {
-                acc += v * x[c as usize];
-            }
-            *slot = acc;
+    /// Row `r` of the residual `A·x − b`: the row's products summed
+    /// into an accumulator that starts at `0.0`, in ascending column
+    /// order (the dense `Matrix::mul_vec` order restricted to the
+    /// pattern), then `b[r]` subtracted.
+    ///
+    /// # Safety
+    ///
+    /// `r < n`, `x.len() >= n`, `b.len() >= n`, and `values` holds one
+    /// value per structural entry. `from_positions` builds `row_ptr`
+    /// with `n + 1` non-decreasing entries ending at `row_col.len()`
+    /// and asserts every column below `n`, and the structure is
+    /// immutable once built, so every read here is then in bounds.
+    #[inline(always)]
+    unsafe fn row_residual(&self, r: usize, x: &[f64], b: &[f64]) -> f64 {
+        let s = &*self.structure;
+        let mut acc = 0.0;
+        for e in *s.row_ptr.get_unchecked(r)..*s.row_ptr.get_unchecked(r + 1) {
+            acc += self.values.get_unchecked(e)
+                * x.get_unchecked(*s.row_col.get_unchecked(e) as usize);
         }
+        acc - b.get_unchecked(r)
     }
 
-    /// Residual `A·x − b` into `out` in one pass: each row accumulates
-    /// its product with [`SparseMatrix::mul_vec_into`]'s ascending-column
-    /// order, then subtracts `b[r]` — the identical operations of the
-    /// two-pass form, fused so the Newton stale-trial path touches
-    /// `out` once per iteration.
-    pub fn residual_into(&self, x: &[f64], b: &[f64], out: &mut [f64]) {
-        let s = &*self.structure;
-        let n = s.n;
+    /// Asserts the lengths [`SparseMatrix::row_residual`] relies on.
+    fn check_residual_args(&self, x: &[f64], b: &[f64]) {
+        let n = self.structure.n;
         assert!(
-            x.len() >= n && b.len() >= n && out.len() >= n && self.values.len() == s.row_col.len(),
+            x.len() >= n && b.len() >= n && self.values.len() == self.structure.row_col.len(),
             "vector shorter than the matrix"
         );
-        // SAFETY: `from_positions` builds `row_ptr` with `n + 1`
-        // non-decreasing entries ending at `row_col.len()` (the value
-        // count, asserted above) and asserts every column below `n`;
-        // the structure is immutable once built. So `r < n`,
-        // `e < values.len()` and `c < n <= x.len()` for every read.
-        unsafe {
-            for r in 0..n {
-                let mut acc = 0.0;
-                for e in *s.row_ptr.get_unchecked(r)..*s.row_ptr.get_unchecked(r + 1) {
-                    acc += self.values.get_unchecked(e)
-                        * x.get_unchecked(*s.row_col.get_unchecked(e) as usize);
-                }
-                *out.get_unchecked_mut(r) = acc - b.get_unchecked(r);
-            }
+    }
+
+    /// Residual `A·x − b` into `out`, one row at a time: each row
+    /// accumulates its products in ascending column order, then
+    /// subtracts `b[r]`.
+    pub fn residual_into(&self, x: &[f64], b: &[f64], out: &mut [f64]) {
+        let n = self.structure.n;
+        self.check_residual_args(x, b);
+        for (r, slot) in out[..n].iter_mut().enumerate() {
+            // SAFETY: `r < n` and the lengths were asserted above.
+            *slot = unsafe { self.row_residual(r, x, b) };
         }
     }
 
@@ -768,6 +768,60 @@ impl SparseLu {
         self.n
     }
 
+    /// Asserts the lengths the substitution rows
+    /// ([`SparseLu::forward_row`], [`SparseLu::backward_row`]) rely on.
+    fn check_factor(&self) {
+        let n = self.n;
+        let (lp, up) = (&self.lrow_ptr, &self.urow_ptr);
+        assert!(
+            self.perm.len() == n
+                && lp.len() == n + 1
+                && up.len() == n + 1
+                && lp[n] <= self.lrow_col.len().min(self.lrow_val.len())
+                && up[n] <= self.urow_col.len().min(self.urow_val.len())
+                && self.diag.len() >= n,
+            "factor not built for dimension {n}"
+        );
+    }
+
+    /// Forward substitution of pivotal row `r`: `sum` minus L's row `r`
+    /// against the already-final `y[..r]`, columns ascending.
+    ///
+    /// # Safety
+    ///
+    /// [`SparseLu::check_factor`] passed, `r < n` and `y.len() >= n`.
+    /// Every builder of the row forms (`build_row_forms`, and
+    /// `RefactorSchedule::rebuild`, whose forms a replay copies) ends
+    /// with `assert_triangle`, so the pointers are non-decreasing and
+    /// every column index is below `r`; the asserted lengths then put
+    /// `e < lp[n]` and `c < n` in bounds.
+    #[inline(always)]
+    unsafe fn forward_row(&self, r: usize, mut sum: f64, y: &[f64]) -> f64 {
+        let (lp, lc, lv) = (&self.lrow_ptr, &self.lrow_col, &self.lrow_val);
+        for e in *lp.get_unchecked(r)..*lp.get_unchecked(r + 1) {
+            sum -= lv.get_unchecked(e) * y.get_unchecked(*lc.get_unchecked(e) as usize);
+        }
+        sum
+    }
+
+    /// Back substitution of pivotal row `r`: `y[r]` minus U's strict row
+    /// `r` against the already-final `y[r + 1..]`, columns ascending,
+    /// divided by the pivot.
+    ///
+    /// # Safety
+    ///
+    /// As [`SparseLu::forward_row`], with U's columns between `r` and
+    /// `n`.
+    #[inline(always)]
+    unsafe fn backward_row(&self, r: usize, y: &[f64]) -> f64 {
+        let (up, uc, uv) = (&self.urow_ptr, &self.urow_col, &self.urow_val);
+        let mut sum = *y.get_unchecked(r);
+        for e in *up.get_unchecked(r)..*up.get_unchecked(r + 1) {
+            sum -= uv.get_unchecked(e) * y.get_unchecked(*uc.get_unchecked(e) as usize);
+        }
+        sum / self.diag.get_unchecked(r)
+    }
+
     /// Solves `A·x = b` into `x`, mirroring the dense substitution
     /// order (forward rows ascending, backward rows descending, columns
     /// ascending within each row).
@@ -782,42 +836,87 @@ impl SparseLu {
         if n == 0 {
             return;
         }
-        let (lp, lc, lv) = (&self.lrow_ptr[..], &self.lrow_col[..], &self.lrow_val[..]);
-        let (up, uc, uv) = (&self.urow_ptr[..], &self.urow_col[..], &self.urow_val[..]);
-        let diag = &self.diag[..];
-        assert!(
-            lp.len() == n + 1
-                && up.len() == n + 1
-                && lp[n] <= lc.len().min(lv.len())
-                && up[n] <= uc.len().min(uv.len())
-                && diag.len() >= n,
-            "factor not built for dimension {n}"
-        );
+        self.check_factor();
         for (xi, &p) in x.iter_mut().zip(&self.perm) {
             *xi = b[p];
         }
-        // SAFETY (both substitutions): every builder of the row forms
-        // (`build_row_forms`, and `RefactorSchedule::rebuild`, whose
-        // forms a replay copies) ends with `assert_triangle`, so the
-        // pointers are non-decreasing and every column index is below
-        // `lp.len() - 1`; the lengths asserted above then put every
-        // index read here in bounds: `r < n`, `e < lp[n]` (resp.
-        // `up[n]`), and `c < n == x.len()`.
+        // SAFETY: the factor's shape was checked above and
+        // `x.len() == n`; see `forward_row`.
         unsafe {
             for r in 1..n {
-                let mut sum = *x.get_unchecked(r);
-                for e in *lp.get_unchecked(r)..*lp.get_unchecked(r + 1) {
-                    sum -= lv.get_unchecked(e) * x.get_unchecked(*lc.get_unchecked(e) as usize);
-                }
-                *x.get_unchecked_mut(r) = sum;
+                *x.get_unchecked_mut(r) = self.forward_row(r, *x.get_unchecked(r), x);
             }
             for r in (0..n).rev() {
-                let mut sum = *x.get_unchecked(r);
-                for e in *up.get_unchecked(r)..*up.get_unchecked(r + 1) {
-                    sum -= uv.get_unchecked(e) * x.get_unchecked(*uc.get_unchecked(e) as usize);
-                }
-                *x.get_unchecked_mut(r) = sum / diag.get_unchecked(r);
+                *x.get_unchecked_mut(r) = self.backward_row(r, x);
             }
+        }
+    }
+
+    /// One modified-Newton step against these (stale) factors, fused
+    /// into a single pass: `x_new = x − M⁻¹·(A·x − b)` with the step's
+    /// zero signs normalised, returning `max_r |x_new[r] − x[r]|`, or
+    /// `INFINITY` if any of those deltas is not finite. `y` is scratch.
+    ///
+    /// Bit for bit the composition [`SparseMatrix::residual_into`] →
+    /// [`SparseLu::solve_into`] → `step += 0.0` → `x − step` → the max
+    /// delta: each pivotal row `i` computes residual row `perm[i]` (the
+    /// gather) and feeds it straight into L's row `i`; the back sweep
+    /// writes `x_new[r]` as soon as `y[r]` is final. Later back-sweep
+    /// rows read the raw `y`, because the two-pass form normalises zero
+    /// signs only after the whole solve; and the delta is taken from
+    /// `x_new − x`, not from the step, because that subtraction rounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a`'s dimension differs from the factor's or a vector
+    /// is shorter than it.
+    pub fn stale_step_into(
+        &self,
+        a: &SparseMatrix,
+        x: &[f64],
+        b: &[f64],
+        y: &mut [f64],
+        x_new: &mut [f64],
+    ) -> f64 {
+        let n = self.n;
+        assert_eq!(a.n(), n, "matrix dimension");
+        assert!(
+            y.len() >= n && x_new.len() >= n,
+            "vector shorter than the factor"
+        );
+        a.check_residual_args(x, b);
+        if n == 0 {
+            return 0.0;
+        }
+        self.check_factor();
+        let mut worst = 0.0_f64;
+        let mut finite = true;
+        // SAFETY: the lengths were asserted above (see `row_residual`,
+        // `forward_row`); `perm` is a permutation of `0..n` — the full
+        // kernel builds it by swaps from the identity and a replay
+        // copies one the full kernel built — so `perm[i] < n`.
+        unsafe {
+            for i in 0..n {
+                let res = a.row_residual(*self.perm.get_unchecked(i), x, b);
+                *y.get_unchecked_mut(i) = self.forward_row(i, res, y);
+            }
+            for r in (0..n).rev() {
+                let yr = self.backward_row(r, y);
+                *y.get_unchecked_mut(r) = yr;
+                let xr = *x.get_unchecked(r);
+                let xn = xr - (yr + 0.0);
+                *x_new.get_unchecked_mut(r) = xn;
+                let d = (xn - xr).abs();
+                finite &= d < f64::INFINITY;
+                if d > worst {
+                    worst = d;
+                }
+            }
+        }
+        if finite {
+            worst
+        } else {
+            f64::INFINITY
         }
     }
 
@@ -1311,12 +1410,18 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_matches_dense() {
+    fn residual_matches_dense() {
         let (dense, sparse) = dense_of(3, &mna_like(3, 7));
         let x = [1.5, -2.0, 0.25];
+        let b = [0.5, 1.0, -3.0];
         let mut out = [0.0; 3];
-        sparse.mul_vec_into(&x, &mut out);
-        let want = dense.mul_vec(&x);
+        sparse.residual_into(&x, &b, &mut out);
+        let want: Vec<f64> = dense
+            .mul_vec(&x)
+            .iter()
+            .zip(&b)
+            .map(|(ax, bv)| ax - bv)
+            .collect();
         assert_eq!(out.to_vec(), want);
     }
 
