@@ -843,7 +843,7 @@ pub fn newton_solve(
 /// analysis budget. `hooks` carries the optional iteration counter
 /// ([`crate::metrics::SolverMetrics`]), the optional
 /// [`crate::flight::FlightRecorder`] and the optional
-/// [`PhaseProfiler`] attributing stamp / factor / back-substitute /
+/// [`obs::profile::PhaseProfiler`] attributing stamp / factor / back-substitute /
 /// residual wall time; all handles are owned by the caller, so counts,
 /// traces and timings cannot bleed between unrelated analyses the way
 /// thread-global state would. A fully disarmed bundle costs a few

@@ -232,15 +232,36 @@ impl TransientAnalysis {
     /// circuits, or [`AnalysisError::BudgetExceeded`] when the
     /// [`SolveBudget`] runs out of steps or wall-clock time.
     pub fn run(&self, netlist: &Netlist) -> Result<TransientResult, AnalysisError> {
+        self.run_until(netlist, |_| false)
+    }
+
+    /// Runs the analysis over `netlist` like [`TransientAnalysis::run`],
+    /// but ends it early once `stop` — asked after every stored
+    /// timepoint, `t = 0` included — returns true. The march, its step
+    /// grid and its breakpoints are those of a full run, so an early
+    /// stop returns a bit-exact prefix of the full result.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TransientAnalysis::run`], up to the point of stopping.
+    pub fn run_until(
+        &self,
+        netlist: &Netlist,
+        stop: impl FnMut(&TransientResult) -> bool,
+    ) -> Result<TransientResult, AnalysisError> {
         let started = Instant::now();
-        let result = self.run_inner(netlist);
+        let result = self.run_inner(netlist, stop);
         if let Some(metrics) = &self.metrics {
             metrics.record_span("anasim.transient", started.elapsed());
         }
         result
     }
 
-    fn run_inner(&self, netlist: &Netlist) -> Result<TransientResult, AnalysisError> {
+    fn run_inner(
+        &self,
+        netlist: &Netlist,
+        mut stop: impl FnMut(&TransientResult) -> bool,
+    ) -> Result<TransientResult, AnalysisError> {
         let layout = MnaLayout::new(netlist);
         let hooks = SolveHooks {
             metrics: self.metrics.as_deref(),
@@ -311,7 +332,7 @@ impl TransientAnalysis {
         result.push(0.0, &march.x);
         let mut clock = BudgetClock::new(self.budget).with_cancel(self.cancel.clone());
 
-        while march.t < self.t_stop - 1e-15 * self.t_stop {
+        while !stop(&result) && march.t < self.t_stop - 1e-15 * self.t_stop {
             // Candidate next time: regular grid, clipped to breakpoint/stop.
             let t_grid = (march.t + self.dt).min(self.t_stop);
             let (t_next, hit_bp) = clip_to_breakpoint(&mut bps, march.t, t_grid, bp_tol);
@@ -1030,6 +1051,49 @@ mod tests {
             session.voltage(out).to_bits()
         );
         assert!(res.voltage(out).values().iter().any(|&v| v > 0.5));
+    }
+
+    #[test]
+    fn an_early_stop_returns_a_prefix_of_the_full_run() {
+        // Pulse corners off the step grid, so the march clips steps at
+        // breakpoints and damps the step after each.
+        let mut nl = Netlist::new();
+        let vin = nl.node("in");
+        let out = nl.node("out");
+        let pulse = SourceWaveform::Pulse {
+            low: 0.0,
+            high: 1.0,
+            delay: 0.3e-6,
+            rise: 0.2e-6,
+            fall: 0.2e-6,
+            width: 1.1e-6,
+            period: 3e-6,
+        };
+        nl.vsource("V1", vin, Netlist::GROUND, pulse);
+        nl.resistor("R1", vin, out, 50.0);
+        nl.capacitor("C1", out, Netlist::GROUND, 10e-9);
+        let analysis = TransientAnalysis::new(8e-6, 0.25e-6);
+        let full = analysis.run(&nl).unwrap();
+        let n = full.layout.size();
+        for rows in [1, 2, full.len() / 2, full.len()] {
+            let mut asked = 0;
+            let part = analysis
+                .run_until(&nl, |r| {
+                    asked += 1;
+                    assert_eq!(r.len(), asked, "asked after every stored row");
+                    r.len() == rows
+                })
+                .unwrap();
+            assert_eq!(part.len(), rows);
+            assert_eq!(part.time.capacity(), full.time.capacity());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&part.time), bits(&full.time[..rows]), "{rows} rows");
+            assert_eq!(
+                bits(&part.values),
+                bits(&full.values[..rows * n]),
+                "{rows} rows"
+            );
+        }
     }
 
     fn rc_circuit(tau_r: f64, tau_c: f64) -> (Netlist, NodeId) {

@@ -156,7 +156,7 @@ pub fn run_with(workers: usize) -> DivergeReport {
 ///
 /// # Errors
 ///
-/// [`AnalysisError`](anasim::AnalysisError)`::Cancelled` on cooperative
+/// [`AnalysisError`]`::Cancelled` on cooperative
 /// cancellation, or any golden-extraction error.
 pub fn run_with_hooks(
     workers: usize,

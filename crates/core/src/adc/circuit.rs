@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use anasim::metrics::SolverMetrics;
-use anasim::netlist::Netlist;
+use anasim::netlist::{Netlist, NodeId};
 use anasim::source::SourceWaveform;
 use anasim::transient::TransientAnalysis;
 use anasim::waveform::Waveform;
@@ -25,7 +25,7 @@ use anasim::AnalysisError;
 use macrolib::opamp::{BehavioralOpamp, OpampParams};
 use macrolib::process::ProcessParams;
 use obs::profile::PhaseProfiler;
-use sigproc::measure::{first_crossing_after, CrossingDirection};
+use sigproc::measure::{crossing_between, CrossingDirection};
 
 use super::AdcConverter;
 
@@ -116,13 +116,9 @@ impl CircuitAdc {
         self.full_count as f64 / self.clock_hz
     }
 
-    /// Builds and simulates the conversion circuit for input `vin`,
-    /// returning the integrator-output waveform.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator non-convergence.
-    pub fn integrator_waveform(&self, vin: f64) -> Result<Waveform, AnalysisError> {
+    /// Builds the conversion circuit for input `vin`: the netlist and
+    /// the integrator-output node.
+    fn circuit(&self, vin: f64) -> (Netlist, NodeId) {
         let t1 = self.t1();
         // RC = 2·T1 halves the swing so the worst-case peak (2.6 V of
         // drive) stays at VAG + 1.3 V, inside the op-amp's output range —
@@ -185,7 +181,13 @@ impl CircuitAdc {
             anasim::devices::SwitchParams::default(),
         );
 
-        let t_stop = t_rst + t1 * 3.0;
+        (nl, op.out)
+    }
+
+    /// The conversion's transient analysis: the reset phase then three
+    /// integration periods, room for the longest fall.
+    fn analysis(&self) -> TransientAnalysis {
+        let t_stop = Self::RESET_TIME + self.t1() * 3.0;
         let mut analysis = TransientAnalysis::new(t_stop, self.sim_dt);
         if let Some(metrics) = &self.metrics {
             analysis = analysis.metrics(Arc::clone(metrics));
@@ -193,8 +195,18 @@ impl CircuitAdc {
         if let Some(profile) = &self.profile {
             analysis = analysis.profile(Arc::clone(profile));
         }
-        let res = analysis.run(&nl)?;
-        Ok(res.voltage(op.out))
+        analysis
+    }
+
+    /// Simulates the conversion circuit for input `vin` over the whole
+    /// horizon, returning the integrator-output waveform.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator non-convergence.
+    pub fn integrator_waveform(&self, vin: f64) -> Result<Waveform, AnalysisError> {
+        let (nl, out) = self.circuit(vin);
+        Ok(self.analysis().run(&nl)?.voltage(out))
     }
 
     /// The integrator fall time for a step input of `vin`: the time from
@@ -203,21 +215,38 @@ impl CircuitAdc {
     /// analogue BIST step test reports (2.6 ms at 0 V … 0.1 ms at
     /// 2.5 V).
     ///
+    /// Like the macro's comparator, the simulation ends at that
+    /// crossing. The result is, bit for bit, the crossing that
+    /// [`sigproc::measure::first_crossing_after`] finds on the full
+    /// [`CircuitAdc::integrator_waveform`].
+    ///
     /// # Errors
     ///
     /// Propagates simulator non-convergence; returns
     /// [`AnalysisError::InvalidParameter`] if the output never crosses
     /// (a dead integrator).
     pub fn fall_time(&self, vin: f64) -> Result<f64, AnalysisError> {
-        let w = self.integrator_waveform(vin)?;
+        let (nl, out) = self.circuit(vin);
         let fall_start = Self::RESET_TIME + self.t1();
         // Threshold slightly below VAG so the phase-1 start (exactly at
         // VAG) is not itself a crossing.
-        let cross =
-            first_crossing_after(&w, self.vag() - 1e-3, CrossingDirection::Falling, fall_start)
-                .ok_or_else(|| {
-                    AnalysisError::InvalidParameter("integrator output never fell".into())
-                })?;
+        let threshold = self.vag() - 1e-3;
+        let mut last: Option<(f64, f64)> = None;
+        let mut cross = None;
+        self.analysis().run_until(&nl, |res| {
+            let sample = (
+                *res.times().last().expect("a run stores t = 0"),
+                res.final_voltage(out),
+            );
+            if let Some(prev) = last.replace(sample) {
+                cross = crossing_between(prev, sample, threshold, CrossingDirection::Falling)
+                    .filter(|&t| t >= fall_start);
+            }
+            cross.is_some()
+        })?;
+        let cross = cross.ok_or_else(|| {
+            AnalysisError::InvalidParameter("integrator output never fell".into())
+        })?;
         Ok(cross - fall_start)
     }
 

@@ -1,7 +1,6 @@
 //! Gate-level netlists and the event-driven simulation kernel.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{HashMap, VecDeque};
 
 use crate::logic::Logic;
 
@@ -56,23 +55,72 @@ struct Gate {
     ff_state: (Logic, Logic),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Event {
+/// Pending net changes in time buckets: the buckets are kept in
+/// ascending time order and each pops first in, first out. Every change
+/// is appended to its time's bucket when it is scheduled, so changes pop
+/// in (time, scheduling order), the order of a priority queue keyed on
+/// both.
+#[derive(Debug, Clone, Default)]
+struct EventQueue {
+    buckets: VecDeque<Bucket>,
+    /// Changes of the front bucket already popped.
+    head: usize,
+    /// Emptied bucket vectors, reused for the next new times.
+    spare: Vec<Vec<(NetId, Logic)>>,
+    /// Test builds can route the changes through a binary heap instead:
+    /// the reference the buckets are checked against.
+    #[cfg(test)]
+    reference: Option<tests::HeapQueue>,
+}
+
+#[derive(Debug, Clone)]
+struct Bucket {
     time: u64,
-    seq: u64,
-    net: NetId,
-    value: Logic,
+    changes: Vec<(NetId, Logic)>,
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+impl EventQueue {
+    fn push(&mut self, time: u64, net: NetId, value: Logic) {
+        #[cfg(test)]
+        if let Some(heap) = &mut self.reference {
+            return heap.push(time, net, value);
+        }
+        // Gate outputs land at or after the latest pending time, so the
+        // search is rarely needed.
+        let i = match self.buckets.back() {
+            Some(last) if last.time < time => self.buckets.len(),
+            Some(last) if last.time == time => self.buckets.len() - 1,
+            _ => self.buckets.partition_point(|b| b.time < time),
+        };
+        if self.buckets.get(i).is_none_or(|b| b.time != time) {
+            // The partly popped front bucket holds the current time,
+            // and nothing is scheduled before it.
+            debug_assert!(i > 0 || self.head == 0, "a change scheduled in the past");
+            let changes = self.spare.pop().unwrap_or_default();
+            self.buckets.insert(i, Bucket { time, changes });
+        }
+        self.buckets[i].changes.push((net, value));
     }
-}
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    /// Pops the earliest pending change due at or before `t_stop`.
+    fn pop_due(&mut self, t_stop: u64) -> Option<(u64, NetId, Logic)> {
+        #[cfg(test)]
+        if let Some(heap) = &mut self.reference {
+            return heap.pop_due(t_stop);
+        }
+        let front = self.buckets.front()?;
+        if front.time > t_stop {
+            return None;
+        }
+        let (time, (net, value)) = (front.time, front.changes[self.head]);
+        self.head += 1;
+        if self.head == front.changes.len() {
+            let mut done = self.buckets.pop_front().expect("the front bucket");
+            done.changes.clear();
+            self.spare.push(done.changes);
+            self.head = 0;
+        }
+        Some((time, net, value))
     }
 }
 
@@ -103,9 +151,8 @@ pub struct Circuit {
     name_lookup: HashMap<String, NetId>,
     gates: Vec<Gate>,
     fanout: Vec<Vec<usize>>,
-    queue: BinaryHeap<Reverse<Event>>,
+    queue: EventQueue,
     now: u64,
-    seq: u64,
     events_processed: u64,
 }
 
@@ -136,12 +183,6 @@ impl Circuit {
     /// distinction is documentary).
     pub fn input(&mut self, name: &str) -> NetId {
         self.net(name)
-    }
-
-    /// Creates an anonymous net.
-    pub fn anon(&mut self) -> NetId {
-        let name = format!("_n{}", self.nets.len());
-        self.net(&name)
     }
 
     /// Name of a net.
@@ -212,7 +253,7 @@ impl Circuit {
 
     /// Schedules a primary-input change at the current time.
     pub fn set_input(&mut self, net: NetId, value: Logic) {
-        self.schedule(self.now, net, value);
+        self.queue.push(self.now, net, value);
     }
 
     /// Schedules a primary-input change at an absolute future time.
@@ -222,17 +263,7 @@ impl Circuit {
     /// Panics if `time` is in the past.
     pub fn set_input_at(&mut self, time: u64, net: NetId, value: Logic) {
         assert!(time >= self.now, "cannot schedule in the past");
-        self.schedule(time, net, value);
-    }
-
-    fn schedule(&mut self, time: u64, net: NetId, value: Logic) {
-        self.seq += 1;
-        self.queue.push(Reverse(Event {
-            time,
-            seq: self.seq,
-            net,
-            value,
-        }));
+        self.queue.push(time, net, value);
     }
 
     /// Processes events up to and including time `t_stop`, advancing
@@ -255,26 +286,22 @@ impl Circuit {
 
     fn process_events(&mut self, t_stop: u64) {
         self.events_processed = 0;
-        while let Some(&Reverse(ev)) = self.queue.peek() {
-            if ev.time > t_stop {
-                break;
-            }
-            self.queue.pop();
-            self.now = ev.time;
+        while let Some((time, net, value)) = self.queue.pop_due(t_stop) {
+            self.now = time;
             self.events_processed += 1;
             assert!(
                 self.events_processed < Self::EVENT_LIMIT,
                 "event limit exceeded: possible zero-delay oscillation"
             );
-            if self.nets[ev.net.0] == ev.value {
+            if self.nets[net.0] == value {
                 continue;
             }
-            self.nets[ev.net.0] = ev.value;
+            self.nets[net.0] = value;
             // Re-evaluate fanout gates. Evaluation never changes the
             // fanout lists, so they are walked by index in place.
-            for k in 0..self.fanout[ev.net.0].len() {
-                let gid = self.fanout[ev.net.0][k];
-                self.evaluate_gate(gid, ev.net);
+            for k in 0..self.fanout[net.0].len() {
+                let gid = self.fanout[net.0][k];
+                self.evaluate_gate(gid, net);
             }
         }
     }
@@ -305,7 +332,7 @@ impl Circuit {
         // carry a stale value, and comparing against the *current* net
         // value would wrongly suppress the correction. Same-value events
         // are dropped harmlessly at apply time.
-        self.schedule(self.now + delay, output, new_value);
+        self.queue.push(self.now + delay, output, new_value);
     }
 }
 
@@ -326,6 +353,133 @@ fn combinational(kind: GateKind, mut inputs: impl Iterator<Item = Logic>) -> Log
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// A pending change keyed on (time, scheduling order).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Event {
+        time: u64,
+        seq: u64,
+        net: NetId,
+        value: Logic,
+    }
+
+    impl Ord for Event {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            (self.time, self.seq).cmp(&(other.time, other.seq))
+        }
+    }
+
+    impl PartialOrd for Event {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The reference event queue: a binary heap ordered by time, then
+    /// by scheduling order.
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct HeapQueue {
+        heap: BinaryHeap<Reverse<Event>>,
+        seq: u64,
+    }
+
+    impl HeapQueue {
+        pub(super) fn push(&mut self, time: u64, net: NetId, value: Logic) {
+            self.seq += 1;
+            self.heap.push(Reverse(Event {
+                time,
+                seq: self.seq,
+                net,
+                value,
+            }));
+        }
+
+        pub(super) fn pop_due(&mut self, t_stop: u64) -> Option<(u64, NetId, Logic)> {
+            let &Reverse(ev) = self.heap.peek()?;
+            if ev.time > t_stop {
+                return None;
+            }
+            self.heap.pop();
+            Some((ev.time, ev.net, ev.value))
+        }
+    }
+
+    /// One driver action of the oracle test.
+    #[derive(Debug, Clone, Copy)]
+    enum Action {
+        Set(usize, Logic),
+        SetAt(u64, usize, Logic),
+        RunFor(u64),
+        Settle,
+    }
+
+    fn logic(k: u64) -> Logic {
+        [Logic::Zero, Logic::One, Logic::X][(k % 3) as usize]
+    }
+
+    /// Decodes a raw draw into an action: same-time sets, sets a few
+    /// units ahead, far-future sets, short runs and settles.
+    fn action((kind, net, value, offset): (u64, usize, u64, u64)) -> Action {
+        match kind {
+            0..=3 => Action::Set(net, logic(value)),
+            4..=6 => Action::SetAt(offset % 8, net, logic(value)),
+            7 => Action::SetAt(1_000_000 + offset, net, logic(value)),
+            8 => Action::RunFor(offset % 12),
+            _ => Action::Settle,
+        }
+    }
+
+    /// A small circuit mixing zero and non-zero delays, reconvergent
+    /// fanout, a feedback loop through a flip-flop and a clock input
+    /// shared with data.
+    fn oracle_circuit() -> (Circuit, Vec<NetId>) {
+        let mut c = Circuit::new();
+        let ins: Vec<NetId> = (0..4).map(|i| c.input(&format!("i{i}"))).collect();
+        let n: Vec<NetId> = (0..6).map(|i| c.net(&format!("n{i}"))).collect();
+        c.gate(GateKind::Nand, &[ins[0], ins[1]], n[0], 0);
+        c.gate(GateKind::Xor, &[ins[1], ins[2], n[0]], n[1], 1);
+        c.gate(GateKind::Not, &[n[1]], n[2], 0);
+        c.gate(GateKind::Or, &[n[2], n[0]], n[3], 2);
+        c.gate(GateKind::Dff, &[n[5], ins[3], ins[0]], n[4], 1);
+        c.gate(GateKind::Xnor, &[n[4], n[3]], n[5], 3);
+        (c, ins)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The time buckets apply every change in the order the binary
+        /// heap they replaced did: after each action, every net, the
+        /// clock and the count of changes applied agree.
+        #[test]
+        fn buckets_match_the_heap_reference(
+            draws in proptest::collection::vec((0u64..10, 0usize..4, 0u64..3, 0u64..40), 1..60),
+        ) {
+            let (mut buckets, ins) = oracle_circuit();
+            let mut heap = buckets.clone();
+            heap.queue.reference = Some(HeapQueue::default());
+            for action in draws.into_iter().map(action) {
+                for c in [&mut buckets, &mut heap] {
+                    match action {
+                        Action::Set(i, v) => c.set_input(ins[i], v),
+                        Action::SetAt(ahead, i, v) => c.set_input_at(c.now() + ahead, ins[i], v),
+                        Action::RunFor(span) => c.run_until(c.now() + span),
+                        Action::Settle => c.settle(),
+                    }
+                }
+                proptest::prop_assert_eq!(buckets.now(), heap.now(), "{:?}", action);
+                proptest::prop_assert_eq!(&buckets.nets, &heap.nets, "{:?}", action);
+                proptest::prop_assert_eq!(
+                    buckets.events_processed,
+                    heap.events_processed,
+                    "{:?}",
+                    action
+                );
+            }
+        }
+    }
 
     fn drive(c: &mut Circuit, net: NetId, v: bool) {
         c.set_input(net, Logic::from_bool(v));

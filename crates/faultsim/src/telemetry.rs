@@ -191,7 +191,7 @@ struct EmitState {
 /// holds `emit` while visiting every lane). Nothing may acquire `emit`
 /// while holding a lane lock — that inversion deadlocks the monitor
 /// thread against a finishing worker. Cross-lock counters that worker
-/// events update under a lane lock ([`StatusEmitter::fault_wall_ns`])
+/// events update under a lane lock (`StatusEmitter::fault_wall_ns`)
 /// are atomics for exactly that reason.
 pub struct StatusEmitter {
     config: TelemetryConfig,

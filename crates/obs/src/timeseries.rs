@@ -5,7 +5,7 @@
 //! throughput and ETA figures that react to the recent past without
 //! unbounded memory: a campaign that runs for hours must not keep every
 //! observation. [`TimeSeries`] keeps the last `capacity` samples in a
-//! [`RingBuffer`](crate::ring::RingBuffer) and derives a windowed rate
+//! [`RingBuffer`] and derives a windowed rate
 //! from whatever the window currently spans; [`Ewma`] is the
 //! exponentially weighted moving average used to smooth per-fault
 //! throughput; [`WindowedCounter`] combines both for the common

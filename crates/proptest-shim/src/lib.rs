@@ -268,7 +268,7 @@ pub mod collection {
     use super::TestRng;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: an exact length or a half-open
+    /// Length specification for [`vec()`]: an exact length or a half-open
     /// range of lengths.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
@@ -292,7 +292,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -22,22 +22,29 @@ pub enum CrossingDirection {
 pub fn threshold_crossings(w: &Waveform, threshold: f64, dir: CrossingDirection) -> Vec<f64> {
     let t = w.times();
     let v = w.values();
-    let mut out = Vec::new();
-    for i in 1..w.len() {
-        let (v0, v1) = (v[i - 1], v[i]);
-        let rising = v0 < threshold && v1 >= threshold;
-        let falling = v0 > threshold && v1 <= threshold;
-        let hit = match dir {
-            CrossingDirection::Rising => rising,
-            CrossingDirection::Falling => falling,
-            CrossingDirection::Either => rising || falling,
-        };
-        if hit {
-            let frac = (threshold - v0) / (v1 - v0);
-            out.push(t[i - 1] + frac * (t[i] - t[i - 1]));
-        }
-    }
-    out
+    (1..w.len())
+        .filter_map(|i| crossing_between((t[i - 1], v[i - 1]), (t[i], v[i]), threshold, dir))
+        .collect()
+}
+
+/// The crossing of `threshold` in direction `dir` between two adjacent
+/// samples `(t0, v0)` and `(t1, v1)`, linearly interpolated, if the pair
+/// makes one. This is the rule [`threshold_crossings`] applies to every
+/// pair of a waveform, for callers that see samples one at a time.
+pub fn crossing_between(
+    (t0, v0): (f64, f64),
+    (t1, v1): (f64, f64),
+    threshold: f64,
+    dir: CrossingDirection,
+) -> Option<f64> {
+    let rising = v0 < threshold && v1 >= threshold;
+    let falling = v0 > threshold && v1 <= threshold;
+    let hit = match dir {
+        CrossingDirection::Rising => rising,
+        CrossingDirection::Falling => falling,
+        CrossingDirection::Either => rising || falling,
+    };
+    hit.then(|| t0 + (threshold - v0) / (v1 - v0) * (t1 - t0))
 }
 
 /// First crossing of `threshold` after `t_start`, if any.

@@ -2,12 +2,18 @@
 //! (`macrolib`), die modelling (`msbist::device`), quick tests
 //! (`msbist::bist`), characterisation and specification checking.
 
-use mixsig::macrolib::process::VariationModel;
+use mixsig::anasim::AnalysisError;
+use mixsig::macrolib::process::{ProcessParams, VariationModel};
+use mixsig::msbist::adc::circuit::CircuitAdc;
 use mixsig::msbist::adc::spec::AdcSpecification;
 use mixsig::msbist::adc::{AdcConverter, AdcErrorModel, DualSlopeAdc};
 use mixsig::msbist::bist::quick_test::{run_quick_tests, QuickTestLimits};
+use mixsig::msbist::bist::{RampGenerator, StepGenerator};
 use mixsig::msbist::charac::characterise;
 use mixsig::msbist::device::DieBatch;
+use mixsig::sigproc::measure::{first_crossing_after, CrossingDirection};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[test]
 fn batch_screening_end_to_end() {
@@ -70,4 +76,52 @@ fn conversion_time_scales_with_input() {
     let t_high = adc.conversion_time(2.4);
     assert!(t_high > t_low);
     assert!(t_high <= 5.6e-3, "worst case inside the paper spec");
+}
+
+/// A circuit-level conversion ends its simulation at the comparator
+/// crossing, yet reports, bit for bit, the fall time read off the
+/// integrator waveform over the full horizon: on the nominal macro and
+/// four sampled dies, at the ramp's and the step generator's inputs and
+/// at 2.6 V (full scale plus margin), whose crossing lands 7 µs into the
+/// reference phase. Inputs above that still never fall.
+#[test]
+fn early_stopped_fall_time_matches_the_full_waveform() {
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut dies = vec![ProcessParams::nominal()];
+    dies.extend(VariationModel::typical().sample_batch(&mut rng, 4));
+    let ramp = RampGenerator::paper();
+    let mut inputs: Vec<f64> = ramp
+        .sample_times()
+        .into_iter()
+        .map(|t| ramp.value_at(t))
+        .collect();
+    inputs.extend_from_slice(StepGenerator::paper().levels());
+    inputs.push(2.6);
+
+    for (d, process) in dies.into_iter().enumerate() {
+        let adc = CircuitAdc::new(process);
+        // The reference phase starts after the 0.2 ms reset and T1.
+        let fall_start = 0.2e-3 + adc.t1();
+        for &vin in &inputs {
+            let w = adc.integrator_waveform(vin).expect("full conversion run");
+            let cross =
+                first_crossing_after(&w, adc.vag() - 1e-3, CrossingDirection::Falling, fall_start)
+                    .expect("the integrator falls back through VAG");
+            let fall = adc.fall_time(vin).expect("early-stopped conversion run");
+            assert_eq!(
+                fall.to_bits(),
+                (cross - fall_start).to_bits(),
+                "die {d} at {vin} V: {fall} s vs {} s",
+                cross - fall_start
+            );
+        }
+        for vin in [2.7, 3.0] {
+            match adc.fall_time(vin) {
+                Err(AnalysisError::InvalidParameter(msg)) => {
+                    assert_eq!(msg, "integrator output never fell", "die {d} at {vin} V")
+                }
+                other => panic!("die {d} at {vin} V: expected no fall, got {other:?}"),
+            }
+        }
+    }
 }
