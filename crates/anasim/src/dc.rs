@@ -6,14 +6,12 @@
 //! conductance to ground) and source stepping (ramping all independent
 //! sources from zero).
 
-use crate::flight::{SolveHooks, SolvePhase};
-use crate::metrics::SolverMetrics;
+use crate::flight::SolvePhase;
 use crate::mna::{newton_solve_with_context, CompanionMode, MnaLayout, NewtonOptions, StampParams};
 use crate::netlist::{DeviceId, Netlist, NodeId};
+use crate::robust::Instruments;
 use crate::solver::{SolverContext, WarmStart};
 use crate::AnalysisError;
-
-use std::time::Instant;
 
 /// A solved operating point.
 #[derive(Debug, Clone)]
@@ -108,46 +106,19 @@ pub fn dc_operating_point_with(
     netlist: &Netlist,
     options: &DcOptions,
 ) -> Result<OperatingPoint, AnalysisError> {
-    dc_operating_point_metered(netlist, options, None)
-}
-
-/// [`dc_operating_point_with`] with an optional [`SolverMetrics`]
-/// handle: Newton iterations and homotopy stages (`dc_gmin_steps`,
-/// `dc_source_steps`) are counted on it, and an `anasim.dc` span is
-/// reported to its recorder on every exit path, success or failure.
-///
-/// # Errors
-///
-/// See [`dc_operating_point`].
-pub fn dc_operating_point_metered(
-    netlist: &Netlist,
-    options: &DcOptions,
-    metrics: Option<&SolverMetrics>,
-) -> Result<OperatingPoint, AnalysisError> {
-    dc_operating_point_hooked(netlist, options, SolveHooks::metrics(metrics))
-}
-
-/// [`dc_operating_point_metered`] generalised to the full
-/// [`SolveHooks`] bundle: an armed
-/// [`crate::flight::FlightRecorder`] sees every Newton iteration of the
-/// direct solve and both homotopies, each tagged with its
-/// [`SolvePhase`], with worst-unknown indices resolvable to node names.
-///
-/// # Errors
-///
-/// See [`dc_operating_point`].
-pub fn dc_operating_point_hooked(
-    netlist: &Netlist,
-    options: &DcOptions,
-    hooks: SolveHooks<'_>,
-) -> Result<OperatingPoint, AnalysisError> {
     let mut ctx = SolverContext::default();
-    dc_operating_point_solver(netlist, options, hooks, None, &mut ctx)
+    dc_operating_point_solver(netlist, options, &Instruments::default(), None, &mut ctx)
 }
 
-/// [`dc_operating_point_hooked`] against a caller-owned
-/// [`SolverContext`], optionally warm-started from a golden operating
-/// point.
+/// [`dc_operating_point_with`] under the given [`Instruments`] and
+/// against a caller-owned [`SolverContext`], optionally warm-started
+/// from a golden operating point.
+///
+/// Armed instruments count Newton iterations and homotopy stages
+/// (`dc_gmin_steps`, `dc_source_steps`), attribute `dc_solve`
+/// self-time, and show a [`crate::flight::FlightRecorder`] every Newton
+/// iteration of the direct solve and both homotopies, each tagged with
+/// its [`SolvePhase`].
 ///
 /// The context's cached symbolic structure and factorisation carry
 /// across the homotopy stages (and, when the caller is a transient
@@ -163,38 +134,24 @@ pub fn dc_operating_point_hooked(
 pub fn dc_operating_point_solver(
     netlist: &Netlist,
     options: &DcOptions,
-    hooks: SolveHooks<'_>,
-    warm: Option<&WarmStart>,
-    ctx: &mut SolverContext,
-) -> Result<OperatingPoint, AnalysisError> {
-    let started = Instant::now();
-    let result = dc_solve(netlist, options, hooks, warm, ctx);
-    if let Some(metrics) = hooks.metrics {
-        metrics.record_span("anasim.dc", started.elapsed());
-    }
-    result
-}
-
-fn dc_solve(
-    netlist: &Netlist,
-    options: &DcOptions,
-    hooks: SolveHooks<'_>,
+    instruments: &Instruments,
     warm: Option<&WarmStart>,
     ctx: &mut SolverContext,
 ) -> Result<OperatingPoint, AnalysisError> {
     // Homotopy scheduling is DC self-time; the Newton solves underneath
     // attribute their own stamp/factor/solve/residual phases.
-    let _dc = hooks
+    let _dc = instruments
         .profile
+        .as_ref()
         .map(|p| p.enter(obs::profile::Phase::DcSolve));
     let layout = MnaLayout::new(netlist);
     let mut x = vec![0.0; layout.size()];
     let set_phase = |phase: SolvePhase| {
-        if let Some(flight) = hooks.flight {
+        if let Some(flight) = &instruments.flight {
             flight.set_phase(phase);
         }
     };
-    if let Some(flight) = hooks.flight {
+    if let Some(flight) = &instruments.flight {
         flight.install_names(netlist, &layout);
     }
 
@@ -207,7 +164,7 @@ fn dc_solve(
         set_phase(SolvePhase::DcDirect);
         warm.seed(&layout, &mut x);
         if try_newton(
-            netlist, &layout, options, options.gmin, 1.0, hooks, ctx, &mut x,
+            netlist, &layout, options, options.gmin, 1.0, instruments, ctx, &mut x,
         )
         .is_ok()
         {
@@ -219,7 +176,7 @@ fn dc_solve(
     // 1. Plain Newton.
     set_phase(SolvePhase::DcDirect);
     let direct = try_newton(
-        netlist, &layout, options, options.gmin, 1.0, hooks, ctx, &mut x,
+        netlist, &layout, options, options.gmin, 1.0, instruments, ctx, &mut x,
     );
     if direct.is_ok() {
         return Ok(OperatingPoint::new(layout, x));
@@ -236,10 +193,12 @@ fn dc_solve(
         let mut ok = true;
         let mut gmin = 1e-2;
         while gmin >= options.gmin {
-            if let Some(metrics) = hooks.metrics {
+            if let Some(metrics) = &instruments.metrics {
                 metrics.dc_gmin_step();
             }
-            if let Err(e) = try_newton(netlist, &layout, options, gmin, 1.0, hooks, ctx, &mut x) {
+            if let Err(e) = try_newton(
+                netlist, &layout, options, gmin, 1.0, instruments, ctx, &mut x,
+            ) {
                 last_err = e;
                 ok = false;
                 break;
@@ -249,7 +208,7 @@ fn dc_solve(
         if ok {
             // Final solve at the target gmin.
             if try_newton(
-                netlist, &layout, options, options.gmin, 1.0, hooks, ctx, &mut x,
+                netlist, &layout, options, options.gmin, 1.0, instruments, ctx, &mut x,
             )
             .is_ok()
             {
@@ -264,11 +223,11 @@ fn dc_solve(
     let mut ok = true;
     for step in 1..=20 {
         let scale = step as f64 / 20.0;
-        if let Some(metrics) = hooks.metrics {
+        if let Some(metrics) = &instruments.metrics {
             metrics.dc_source_step();
         }
         if let Err(e) = try_newton(
-            netlist, &layout, options, options.gmin, scale, hooks, ctx, &mut x,
+            netlist, &layout, options, options.gmin, scale, instruments, ctx, &mut x,
         ) {
             last_err = e;
             ok = false;
@@ -288,7 +247,7 @@ fn try_newton(
     options: &DcOptions,
     gmin: f64,
     source_scale: f64,
-    hooks: SolveHooks<'_>,
+    instruments: &Instruments,
     ctx: &mut SolverContext,
     x: &mut Vec<f64>,
 ) -> Result<(), AnalysisError> {
@@ -304,7 +263,7 @@ fn try_newton(
         &params,
         &options.newton,
         None,
-        hooks,
+        instruments,
         ctx,
         x,
     )

@@ -1,38 +1,6 @@
 //! Dense linear algebra for the MNA solver.
 //!
-//! The matrix types live in [`linsys::matrix`]; this module re-exports
-//! them and adapts error types to [`AnalysisError`].
+//! The matrix type lives in [`linsys::matrix`]; this module re-exports
+//! it for the AC sweep and the MNA stamps.
 
-pub use linsys::matrix::{Lu, Matrix};
-
-use crate::AnalysisError;
-
-/// Solves `A·x = b` with a one-shot factorisation.
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::SingularMatrix`] if `a` is singular.
-pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, AnalysisError> {
-    linsys::matrix::solve(a, b).map_err(AnalysisError::from)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn solve_maps_singularity_to_analysis_error() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
-        match solve(&a, &[1.0, 2.0]) {
-            Err(AnalysisError::SingularMatrix { .. }) => {}
-            other => panic!("expected singular matrix error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn solve_passes_through_solution() {
-        let a = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 4.0]]);
-        let x = solve(&a, &[2.0, 8.0]).unwrap();
-        assert_eq!(x, vec![1.0, 2.0]);
-    }
-}
+pub use linsys::matrix::Matrix;

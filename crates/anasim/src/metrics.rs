@@ -2,26 +2,22 @@
 //!
 //! A [`SolverMetrics`] handle is owned by whoever runs an analysis (a
 //! campaign worker, a bench experiment, a test) and threaded into the
-//! solvers through [`crate::robust::SolveSettings`]. Counters are
+//! solvers through [`crate::robust::Instruments`]. Counters are
 //! atomics, so one handle can be shared across an analysis that retries
 //! internally; each worker in a parallel campaign gets its *own* handle,
 //! which is what makes per-fault counts exact — there is no process- or
 //! thread-global state to bleed between consecutive analyses.
 //!
-//! An optional [`obs::Recorder`] receives wall-clock spans as they
-//! close (`anasim.dc`, `anasim.transient`, `anasim.ac`). Counters stay
-//! in the atomics until the owner snapshots them, so deterministic
-//! quantities can be emitted in a deterministic order after parallel
-//! work completes.
+//! Counters stay in the atomics until the owner snapshots them, so
+//! deterministic quantities can be emitted in a deterministic order
+//! after parallel work completes.
 
 use std::fmt;
 use std::ops::{Add, AddAssign};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 use linsys::NumericalHazard;
-use obs::profile::{PhaseProfiler, PhaseSnapshot};
+use obs::profile::PhaseSnapshot;
 use obs::Recorder;
 
 /// Counter names under which [`SolverSnapshot::emit_to`] publishes to a
@@ -70,7 +66,7 @@ impl DemotionTier {
     }
 }
 
-/// Live, thread-safe solver counters plus an optional span recorder.
+/// Live, thread-safe solver counters.
 #[derive(Default)]
 pub struct SolverMetrics {
     newton_iterations: AtomicU64,
@@ -89,42 +85,20 @@ pub struct SolverMetrics {
     demote_refactor: AtomicU64,
     demote_symbolic: AtomicU64,
     refinement_rounds: AtomicU64,
-    recorder: Option<Arc<dyn Recorder>>,
-    profile: Option<Arc<PhaseProfiler>>,
 }
 
 impl fmt::Debug for SolverMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SolverMetrics")
             .field("snapshot", &self.snapshot())
-            .field("has_recorder", &self.recorder.is_some())
             .finish()
     }
 }
 
 impl SolverMetrics {
-    /// Fresh counters with no span recorder.
+    /// Fresh counters, all zero.
     pub fn new() -> Self {
         SolverMetrics::default()
-    }
-
-    /// Fresh counters whose spans are forwarded to `recorder`.
-    pub fn with_recorder(recorder: Arc<dyn Recorder>) -> Self {
-        SolverMetrics {
-            recorder: Some(recorder),
-            ..SolverMetrics::default()
-        }
-    }
-
-    /// `self` with a [`PhaseProfiler`] attached (builder style):
-    /// [`SolverMetrics::snapshot`] folds the profiler's per-phase
-    /// nanosecond totals into [`SolverSnapshot::phases`]. The handle
-    /// only links the profiler to the snapshot; arming the solver hot
-    /// path itself goes through
-    /// [`crate::robust::SolveSettings::profile`].
-    pub fn with_profile(mut self, profile: Arc<PhaseProfiler>) -> Self {
-        self.profile = Some(profile);
-        self
     }
 
     /// One Newton iteration performed.
@@ -209,26 +183,9 @@ impl SolverMetrics {
         self.refinement_rounds.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Reports a completed analysis span (e.g. `anasim.dc`) to the
-    /// attached recorder, if any.
-    pub fn record_span(&self, name: &str, elapsed: Duration) {
-        if let Some(recorder) = &self.recorder {
-            recorder.span(name, elapsed);
-        }
-    }
-
-    /// The attached span recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<dyn Recorder>> {
-        self.recorder.as_ref()
-    }
-
-    /// The attached phase profiler, if any.
-    pub fn profiler(&self) -> Option<&Arc<PhaseProfiler>> {
-        self.profile.as_ref()
-    }
-
-    /// A point-in-time copy of all counters, including the per-phase
-    /// nanosecond totals of an attached profiler (zero when disarmed).
+    /// A point-in-time copy of all counters. Its
+    /// [`SolverSnapshot::phases`] stay zero: phase totals come from
+    /// [`crate::robust::Instruments::snapshot`].
     pub fn snapshot(&self) -> SolverSnapshot {
         SolverSnapshot {
             newton_iterations: self.newton_iterations.load(Ordering::Relaxed),
@@ -247,7 +204,7 @@ impl SolverMetrics {
             demote_refactor: self.demote_refactor.load(Ordering::Relaxed),
             demote_symbolic: self.demote_symbolic.load(Ordering::Relaxed),
             refinement_rounds: self.refinement_rounds.load(Ordering::Relaxed),
-            phases: self.profile.as_ref().map(|p| p.snapshot()).unwrap_or_default(),
+            phases: PhaseSnapshot::default(),
         }
     }
 }
@@ -289,8 +246,9 @@ pub struct SolverSnapshot {
     pub demote_symbolic: u64,
     /// Iterative-refinement rounds executed.
     pub refinement_rounds: u64,
-    /// Per-phase self-time nanoseconds and span counts from an attached
-    /// [`PhaseProfiler`]; all-zero when profiling was disarmed. Being
+    /// Per-phase self-time nanoseconds and span counts from an armed
+    /// [`obs::profile::PhaseProfiler`]; all-zero when profiling was
+    /// disarmed. Being
     /// wall-clock measurements these are *not* deterministic, so they
     /// never reach canonical report output — they surface only through
     /// the bench sidecar, the phase table and trace exports.
@@ -551,33 +509,5 @@ mod tests {
                 "{field} emitted out of position"
             );
         }
-    }
-
-    #[test]
-    fn attached_profiler_totals_reach_the_snapshot() {
-        use obs::profile::Phase;
-
-        let profile = Arc::new(PhaseProfiler::new());
-        let m = SolverMetrics::new().with_profile(Arc::clone(&profile));
-        assert!(m.snapshot().phases.is_empty());
-        profile.add_ns(Phase::Factor, 1234, 2);
-        let snap = m.snapshot();
-        assert_eq!(snap.phases.ns(Phase::Factor), 1234);
-        assert_eq!(snap.phases.calls(Phase::Factor), 2);
-        // Adding snapshots sums the phase totals too.
-        let sum = snap + snap;
-        assert_eq!(sum.phases.ns(Phase::Factor), 2468);
-        // Without a profiler the phase block stays zero.
-        assert!(SolverMetrics::new().snapshot().phases.is_empty());
-    }
-
-    #[test]
-    fn spans_flow_to_the_attached_recorder() {
-        let rec = Arc::new(AggregatingRecorder::new());
-        let m = SolverMetrics::with_recorder(rec.clone());
-        m.record_span("anasim.dc", Duration::from_millis(2));
-        assert_eq!(rec.snapshot().spans["anasim.dc"].count(), 1);
-        // Without a recorder, spans are silently dropped.
-        SolverMetrics::new().record_span("anasim.dc", Duration::from_millis(1));
     }
 }

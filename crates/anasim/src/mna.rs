@@ -5,10 +5,9 @@ use std::sync::Arc;
 
 use crate::dense::Matrix;
 use crate::devices::{Device, DiodeParams, MosParams, MosPolarity, SwitchParams};
-use crate::flight::SolveHooks;
 use crate::metrics::DemotionTier;
 use crate::netlist::{DeviceId, Netlist, NodeId};
-use crate::robust::BudgetClock;
+use crate::robust::{BudgetClock, Instruments};
 use crate::solver::{solve_into, FactorKey, MnaMatrix, PositionProbe, SolverContext};
 use crate::source::SourceWaveform;
 use crate::AnalysisError;
@@ -832,42 +831,30 @@ pub fn newton_solve(
     options: &NewtonOptions,
     x: &mut Vec<f64>,
 ) -> Result<(), AnalysisError> {
-    newton_solve_budgeted(netlist, layout, params, options, None, SolveHooks::none(), x)
-}
-
-/// [`newton_solve`] with an optional wall-clock meter and the
-/// per-solve observer bundle.
-///
-/// When `clock` is provided, its wall-clock budget is polled between
-/// Newton iterations so a single stuck timestep cannot outlive the
-/// analysis budget. `hooks` carries the optional iteration counter
-/// ([`crate::metrics::SolverMetrics`]), the optional
-/// [`crate::flight::FlightRecorder`] and the optional
-/// [`obs::profile::PhaseProfiler`] attributing stamp / factor / back-substitute /
-/// residual wall time; all handles are owned by the caller, so counts,
-/// traces and timings cannot bleed between unrelated analyses the way
-/// thread-global state would. A fully disarmed bundle costs a few
-/// `None` branches per iteration, allocates nothing and never reads
-/// the clock.
-///
-/// # Errors
-///
-/// As [`newton_solve`], plus [`AnalysisError::BudgetExceeded`] when the
-/// clock's wall-clock ceiling is crossed.
-pub fn newton_solve_budgeted(
-    netlist: &Netlist,
-    layout: &MnaLayout,
-    params: &StampParams<'_>,
-    options: &NewtonOptions,
-    clock: Option<&BudgetClock>,
-    hooks: SolveHooks<'_>,
-    x: &mut Vec<f64>,
-) -> Result<(), AnalysisError> {
     let mut ctx = SolverContext::default();
-    newton_solve_with_context(netlist, layout, params, options, clock, hooks, &mut ctx, x)
+    newton_solve_with_context(
+        netlist,
+        layout,
+        params,
+        options,
+        None,
+        &Instruments::default(),
+        &mut ctx,
+        x,
+    )
 }
 
-/// [`newton_solve_budgeted`] against a caller-owned [`SolverContext`].
+/// [`newton_solve`] against a caller-owned [`SolverContext`], with an
+/// optional wall-clock meter and the analysis's [`Instruments`].
+///
+/// When `clock` is provided, its wall-clock budget (and any cancel
+/// token on it) is polled between Newton iterations, so a single stuck
+/// timestep cannot outlive the analysis budget. `instruments` carries
+/// the optional iteration counter, flight recorder, phase profiler and
+/// numeric-chaos state; all are owned by the caller, so counts, traces
+/// and timings cannot bleed between unrelated analyses the way
+/// thread-global state would. A disarmed handle costs a few `None`
+/// branches per iteration, allocates nothing and never reads the clock.
 ///
 /// The context carries the sparse symbolic structure, the assembled
 /// system workspace and the cached factorisation *across* solves, which
@@ -878,7 +865,9 @@ pub fn newton_solve_budgeted(
 ///
 /// # Errors
 ///
-/// As [`newton_solve_budgeted`].
+/// As [`newton_solve`], plus [`AnalysisError::BudgetExceeded`] when the
+/// clock's wall-clock ceiling is crossed and [`AnalysisError::Cancelled`]
+/// when its token is raised.
 #[allow(clippy::too_many_arguments)]
 pub fn newton_solve_with_context(
     netlist: &Netlist,
@@ -886,7 +875,7 @@ pub fn newton_solve_with_context(
     params: &StampParams<'_>,
     options: &NewtonOptions,
     clock: Option<&BudgetClock>,
-    hooks: SolveHooks<'_>,
+    instruments: &Instruments,
     ctx: &mut SolverContext,
     x: &mut Vec<f64>,
 ) -> Result<(), AnalysisError> {
@@ -897,19 +886,19 @@ pub fn newton_solve_with_context(
     // iteration; the lap timer keeps armed overhead in the low single
     // digits. The flush runs on every exit path so partial attribution
     // survives singular matrices and convergence failures.
-    let mut lap = hooks.profile.map(|_| LapTimer::start());
+    let mut lap = instruments.profile.as_ref().map(|_| LapTimer::start());
     let result = newton_iterate(
         netlist,
         layout,
         params,
         options,
         clock,
-        &hooks,
+        instruments,
         ctx,
         lap.as_mut(),
         x,
     );
-    if let (Some(lap), Some(profile)) = (lap, hooks.profile) {
+    if let (Some(lap), Some(profile)) = (lap, &instruments.profile) {
         lap.flush(profile);
     }
     result
@@ -1003,18 +992,23 @@ const COND_LIMIT: f64 = 1e14;
 const RESID_GATE_TOL: f64 = 1e-8;
 
 /// Counts a hazard and appends it to the flight-recorder history.
-fn note_hazard(hooks: &SolveHooks<'_>, hazard: NumericalHazard, action: &str, time: f64) {
-    if let Some(metrics) = hooks.metrics {
+fn note_hazard(instruments: &Instruments, hazard: NumericalHazard, action: &str, time: f64) {
+    if let Some(metrics) = &instruments.metrics {
         metrics.hazard(hazard);
     }
-    if let Some(flight) = hooks.flight {
+    if let Some(flight) = &instruments.flight {
         flight.record_hazard(hazard.label(), action, time);
     }
 }
 
+/// True when an armed numeric-chaos state fires at `site`.
+fn chaos_fires(instruments: &Instruments, site: NumericSite) -> bool {
+    instruments.chaos.as_ref().is_some_and(|c| c.fire(site))
+}
+
 /// Counts a demotion to `tier`.
-fn note_demotion(hooks: &SolveHooks<'_>, tier: DemotionTier) {
-    if let Some(metrics) = hooks.metrics {
+fn note_demotion(instruments: &Instruments, tier: DemotionTier) {
+    if let Some(metrics) = &instruments.metrics {
         metrics.demotion(tier);
     }
 }
@@ -1156,7 +1150,7 @@ fn assemble_baseline(
 /// `rnorm` the residual norm before refinement.
 fn residual_gate(
     ctx: &mut SolverContext,
-    hooks: &SolveHooks<'_>,
+    instruments: &Instruments,
     solve: impl FnMut(&[f64], &mut [f64]),
 ) -> (bool, f64) {
     let SolverContext {
@@ -1173,7 +1167,7 @@ fn residual_gate(
     if rnorm <= RESID_GATE_TOL * scale {
         return (true, rnorm);
     }
-    if let Some(metrics) = hooks.metrics {
+    if let Some(metrics) = &instruments.metrics {
         metrics.refinement_round();
     }
     let out = refine_once(
@@ -1269,7 +1263,7 @@ fn newton_iterate(
     params: &StampParams<'_>,
     options: &NewtonOptions,
     clock: Option<&BudgetClock>,
-    hooks: &SolveHooks<'_>,
+    instruments: &Instruments,
     ctx: &mut SolverContext,
     mut lap: Option<&mut LapTimer>,
     x: &mut Vec<f64>,
@@ -1318,7 +1312,7 @@ fn newton_iterate(
         if let Some(clock) = clock {
             clock.check_wall(params.time)?;
         }
-        if let Some(metrics) = hooks.metrics {
+        if let Some(metrics) = &instruments.metrics {
             metrics.newton_iteration();
         }
         // Budget/metrics bookkeeping (and the previous iteration's
@@ -1364,10 +1358,11 @@ fn newton_iterate(
             if let Some(l) = lap.as_deref_mut() {
                 l.lap(Phase::BackSubstitute);
             }
-            let (accepted, _) = residual_gate(ctx, hooks, |r, out| solve_into(&factor, r, out));
+            let (accepted, _) =
+                residual_gate(ctx, instruments, |r, out| solve_into(&factor, r, out));
             ctx.factor = Some((factor_key, factor));
             if accepted {
-                if let Some(metrics) = hooks.metrics {
+                if let Some(metrics) = &instruments.metrics {
                     metrics.factor_reuse_hit();
                 }
                 x.clear();
@@ -1376,9 +1371,9 @@ fn newton_iterate(
             }
             // The cached factors failed their gate even after
             // refinement: retire them so this iteration refactorises.
-            note_demotion(hooks, DemotionTier::Refactor);
+            note_demotion(instruments, DemotionTier::Refactor);
             note_hazard(
-                hooks,
+                instruments,
                 NumericalHazard::RefinementStall,
                 demote_action(DemotionTier::Refactor),
                 params.time,
@@ -1403,7 +1398,7 @@ fn newton_iterate(
                 l.lap(Phase::BackSubstitute);
             }
             if candidate_worst < stale_contraction * prev_worst {
-                if let Some(metrics) = hooks.metrics {
+                if let Some(metrics) = &instruments.metrics {
                     metrics.factor_reuse_hit();
                 }
                 ctx.stale_iters += 1;
@@ -1421,7 +1416,7 @@ fn newton_iterate(
                 // to a fresh Jacobian instead of repeating the trial.
                 ctx.distrust = DISTRUST_SOLVES;
             }
-            if let Some(metrics) = hooks.metrics {
+            if let Some(metrics) = &instruments.metrics {
                 metrics.factor_reuse_miss();
             }
             let same_key = matches!(&ctx.factor, Some((k, _)) if *k == key);
@@ -1430,7 +1425,7 @@ fn newton_iterate(
             // Numeric-chaos hook: a forced pivot breakdown walks the
             // demotion ladder exactly as a genuinely unfactorable
             // system would, without needing one in the netlist.
-            let factored = if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Pivot)) {
+            let factored = if chaos_fires(instruments, NumericSite::Pivot) {
                 Err(SingularMatrixError { row: 0 })
             } else {
                 let mut lu = reuse.unwrap_or_default();
@@ -1454,7 +1449,7 @@ fn newton_iterate(
                     // threshold, so the two agree on what is singular.
                     if symbolic_retry {
                         note_hazard(
-                            hooks,
+                            instruments,
                             NumericalHazard::NearSingularPivot,
                             "terminal",
                             params.time,
@@ -1462,9 +1457,9 @@ fn newton_iterate(
                         return Err(err.into());
                     }
                     symbolic_retry = true;
-                    note_demotion(hooks, DemotionTier::Symbolic);
+                    note_demotion(instruments, DemotionTier::Symbolic);
                     note_hazard(
-                        hooks,
+                        instruments,
                         NumericalHazard::NearSingularPivot,
                         demote_action(DemotionTier::Symbolic),
                         params.time,
@@ -1486,7 +1481,7 @@ fn newton_iterate(
             }
             // Numeric-chaos hook: corrupting a pivot hands the
             // acceptance gate a realistically-wrong factorisation.
-            if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Perturb)) {
+            if chaos_fires(instruments, NumericSite::Perturb) {
                 factor.perturb_first_pivot(1.5);
             }
             // Advisory hazards on fresh factorisations: flagged for
@@ -1494,11 +1489,11 @@ fn newton_iterate(
             // Newton's own convergence tests decide whether the answer
             // stands; the counters tell the postmortem why it may not.
             if factor.pivot_growth() > GROWTH_LIMIT {
-                note_hazard(hooks, NumericalHazard::PivotGrowth, "advisory", params.time);
+                note_hazard(instruments, NumericalHazard::PivotGrowth, "advisory", params.time);
             }
             if !same_key && factor.condest(sys.norm_one()) > COND_LIMIT {
                 note_hazard(
-                    hooks,
+                    instruments,
                     NumericalHazard::IllConditioned,
                     "advisory",
                     params.time,
@@ -1510,7 +1505,7 @@ fn newton_iterate(
             }
             // Numeric-chaos hook: a poisoned solution exercises the
             // non-finite scrub downstream of every fresh solve.
-            if hooks.chaos.is_some_and(|c| c.fire(NumericSite::Nan)) {
+            if chaos_fires(instruments, NumericSite::Nan) {
                 ctx.x_new[0] = f64::NAN;
             }
             if linear {
@@ -1519,7 +1514,7 @@ fn newton_iterate(
                 // what turns a corrupted factor or a poisoned solution
                 // into a typed hazard instead of a silent wrong report.
                 let (accepted, rnorm) =
-                    residual_gate(ctx, hooks, |r, out| solve_into(&factor, r, out));
+                    residual_gate(ctx, instruments, |r, out| solve_into(&factor, r, out));
                 if !accepted {
                     let hazard = if rnorm.is_finite() {
                         NumericalHazard::RefinementStall
@@ -1534,9 +1529,9 @@ fn newton_iterate(
                         // typed error below.
                         fresh_retry = true;
                         ctx.force_refactor = true;
-                        note_demotion(hooks, DemotionTier::Refactor);
+                        note_demotion(instruments, DemotionTier::Refactor);
                         note_hazard(
-                            hooks,
+                            instruments,
                             hazard,
                             demote_action(DemotionTier::Refactor),
                             params.time,
@@ -1544,7 +1539,7 @@ fn newton_iterate(
                         baseline_ready = false;
                         continue 'newton;
                     }
-                    note_hazard(hooks, hazard, "terminal", params.time);
+                    note_hazard(instruments, hazard, "terminal", params.time);
                     return Err(AnalysisError::Numerical {
                         hazard,
                         time: params.time,
@@ -1566,7 +1561,7 @@ fn newton_iterate(
         // ends the update at its unknown, after the ones before it. An
         // accepted stale step has none, and its kernel already returned
         // the largest delta; only the flight recorder wants its index.
-        let (nonfinite, largest, worst_index) = if stale_accepted && hooks.flight.is_none() {
+        let (nonfinite, largest, worst_index) = if stale_accepted && instruments.flight.is_none() {
             (None, stale_worst, 0)
         } else {
             largest_delta(x, &ctx.x_new)
@@ -1576,7 +1571,7 @@ fn newton_iterate(
         let end = nonfinite.unwrap_or(x.len());
         let converged = damped_update(x, &ctx.x_new, nv, end, options, tol_scale);
         if let Some(k) = nonfinite {
-            if let Some(flight) = hooks.flight {
+            if let Some(flight) = &instruments.flight {
                 flight.record_iteration(params.time, dt, (iter + 1) as u64, f64::INFINITY, k);
             }
             ctx.invalidate();
@@ -1588,9 +1583,9 @@ fn newton_iterate(
                 // lands on the typed hazard below.
                 nonfinite_retry = true;
                 ctx.force_refactor = true;
-                note_demotion(hooks, DemotionTier::Refactor);
+                note_demotion(instruments, DemotionTier::Refactor);
                 note_hazard(
-                    hooks,
+                    instruments,
                     NumericalHazard::NonFinite,
                     demote_action(DemotionTier::Refactor),
                     params.time,
@@ -1598,7 +1593,7 @@ fn newton_iterate(
                 baseline_ready = false;
                 continue 'newton;
             }
-            note_hazard(hooks, NumericalHazard::NonFinite, "terminal", params.time);
+            note_hazard(instruments, NumericalHazard::NonFinite, "terminal", params.time);
             return Err(AnalysisError::Numerical {
                 hazard: NumericalHazard::NonFinite,
                 time: params.time,
@@ -1607,7 +1602,7 @@ fn newton_iterate(
         if let Some(l) = lap.as_deref_mut() {
             l.lap(Phase::Residual);
         }
-        if let Some(flight) = hooks.flight {
+        if let Some(flight) = &instruments.flight {
             flight.record_iteration(params.time, dt, (iter + 1) as u64, worst, worst_index);
         }
         if converged {
@@ -2337,11 +2332,11 @@ mod tests {
         let chaos = obs::NumericChaosPlan::parse("pivot@0")
             .expect("valid spec")
             .arm();
-        let metrics = crate::metrics::SolverMetrics::new();
-        let hooks = SolveHooks {
-            metrics: Some(&metrics),
-            chaos: Some(&chaos),
-            ..SolveHooks::none()
+        let metrics = Arc::new(crate::metrics::SolverMetrics::new());
+        let instruments = Instruments {
+            metrics: Some(Arc::clone(&metrics)),
+            chaos: Some(Arc::new(chaos)),
+            ..Instruments::default()
         };
         let mut x = vec![0.0; layout.size()];
         newton_solve_with_context(
@@ -2350,7 +2345,7 @@ mod tests {
             &dc(1e-12, 1.0),
             &NewtonOptions::default(),
             None,
-            hooks,
+            &instruments,
             &mut ctx,
             &mut x,
         )
@@ -2369,11 +2364,11 @@ mod tests {
         let chaos = obs::NumericChaosPlan::parse("pivot@0,pivot@1")
             .expect("valid spec")
             .arm();
-        let metrics = crate::metrics::SolverMetrics::new();
-        let hooks = SolveHooks {
-            metrics: Some(&metrics),
-            chaos: Some(&chaos),
-            ..SolveHooks::none()
+        let metrics = Arc::new(crate::metrics::SolverMetrics::new());
+        let instruments = Instruments {
+            metrics: Some(Arc::clone(&metrics)),
+            chaos: Some(Arc::new(chaos)),
+            ..Instruments::default()
         };
         let params = StampParams {
             time: 0.0,
@@ -2389,7 +2384,7 @@ mod tests {
             &params,
             &NewtonOptions::default(),
             None,
-            hooks,
+            &instruments,
             &mut ctx,
             &mut x,
         )

@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 
 use crate::error::{AnalysisError, BudgetKind};
 use crate::flight::FlightRecorder;
+use crate::metrics::{SolverMetrics, SolverSnapshot};
 use crate::solver::WarmStart;
-use crate::metrics::SolverMetrics;
 use obs::profile::PhaseProfiler;
 
 /// Default ceiling on attempted timesteps, shared by
@@ -73,7 +73,7 @@ impl SolveBudget {
 ///
 /// Cloning is cheap (an [`Arc`] of one atomic); every clone observes the
 /// same flag. A token is threaded into analyses through
-/// [`SolveSettings::cancel`], from where the [`BudgetClock`] polls it
+/// [`Instruments::cancel`], from where the [`BudgetClock`] polls it
 /// between Newton iterations and timesteps — so cancellation interrupts
 /// an in-flight solve within one iteration, surfacing as
 /// [`AnalysisError::Cancelled`]. Cancellation is one-way: there is
@@ -282,73 +282,68 @@ pub fn escalation_ladder() -> Vec<SolverRung> {
     ]
 }
 
+/// The optional observers of one analysis, as one owned handle.
+///
+/// Every field is off by default, and a disarmed handle costs the
+/// solver a `None` branch per site: no allocation and no clock reads.
+/// Cloning shares the handles, so one value can arm every rung of a
+/// fault's escalation ladder.
+#[derive(Debug, Clone, Default)]
+pub struct Instruments {
+    /// Counter handle: Newton iterations, step totals, hazards and
+    /// demotions.
+    pub metrics: Option<Arc<SolverMetrics>>,
+    /// Phase profiler: stamping, device evaluation, LU factor/solve,
+    /// residual update and timestep control are attributed per phase.
+    pub profile: Option<Arc<PhaseProfiler>>,
+    /// Flight recorder: a bounded per-iteration trace for postmortems.
+    pub flight: Option<Arc<FlightRecorder>>,
+    /// Numeric-chaos firing state: deterministic arithmetic fault
+    /// injection into the Newton solver's factorisations and solutions.
+    pub chaos: Option<Arc<obs::NumericChaosState>>,
+    /// Cooperative-cancellation token, polled from the inner solver
+    /// loops; without one the analysis is uninterruptible.
+    pub cancel: Option<CancelToken>,
+}
+
+impl Instruments {
+    /// The counters so far, with the profiler's per-phase totals folded
+    /// into [`SolverSnapshot::phases`] (all zero without a profiler,
+    /// and every counter zero without metrics).
+    pub fn snapshot(&self) -> SolverSnapshot {
+        SolverSnapshot {
+            phases: self.profile.as_ref().map(|p| p.snapshot()).unwrap_or_default(),
+            ..self.metrics.as_ref().map(|m| m.snapshot()).unwrap_or_default()
+        }
+    }
+}
+
 /// A complete per-extraction solver configuration: which ladder rung to
-/// apply, what resource budget to enforce, and where to count solver
-/// work.
+/// apply, what resource budget to enforce, where to seed DC solves and
+/// what observes the solve.
 #[derive(Debug, Clone)]
 pub struct SolveSettings {
     /// Solver conservatism recipe.
     pub rung: SolverRung,
     /// Resource ceiling.
     pub budget: SolveBudget,
-    /// Counter handle installed into analyses run under these settings.
-    /// `None` leaves the analyses unmetered.
-    pub metrics: Option<Arc<SolverMetrics>>,
-    /// Flight recorder armed on analyses run under these settings.
-    /// `None` (the default) disables per-iteration tracing entirely.
-    pub flight: Option<Arc<FlightRecorder>>,
-    /// Cooperative-cancellation token polled from the inner solver
-    /// loops. `None` (the default) makes the analysis uninterruptible.
-    pub cancel: Option<CancelToken>,
-    /// Phase profiler armed on analyses run under these settings:
-    /// stamping, device evaluation, LU factor/solve, residual update
-    /// and timestep control are attributed per-phase on it. `None`
-    /// (the default) keeps the hot path free of clock reads.
-    pub profile: Option<Arc<PhaseProfiler>>,
     /// Golden operating point used to seed DC solves. `None` (the
     /// default) cold-starts.
     pub warm_start: Option<Arc<WarmStart>>,
-    /// Numeric-chaos firing state: deterministic arithmetic fault
-    /// injection into the Newton solver's factorisations and solutions.
-    /// `None` (the default) keeps every injection
-    /// site inert with a single branch.
-    pub numeric_chaos: Option<Arc<obs::NumericChaosState>>,
+    /// Observers installed into analyses run under these settings.
+    pub instruments: Instruments,
 }
 
 impl SolveSettings {
     /// `self` with `metrics` installed (builder style).
     pub fn metrics(mut self, metrics: Arc<SolverMetrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// `self` with a [`FlightRecorder`] armed (builder style).
-    pub fn flight(mut self, flight: Arc<FlightRecorder>) -> Self {
-        self.flight = Some(flight);
-        self
-    }
-
-    /// `self` with a [`CancelToken`] attached (builder style).
-    pub fn cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
+        self.instruments.metrics = Some(metrics);
         self
     }
 
     /// `self` with a [`PhaseProfiler`] armed (builder style).
     pub fn profile(mut self, profile: Arc<PhaseProfiler>) -> Self {
-        self.profile = Some(profile);
-        self
-    }
-
-    /// `self` with a golden [`WarmStart`] seed (builder style).
-    pub fn warm_start(mut self, warm: Arc<WarmStart>) -> Self {
-        self.warm_start = Some(warm);
-        self
-    }
-
-    /// `self` with a numeric-chaos firing state armed (builder style).
-    pub fn numeric_chaos(mut self, state: Arc<obs::NumericChaosState>) -> Self {
-        self.numeric_chaos = Some(state);
+        self.instruments.profile = Some(profile);
         self
     }
 }
@@ -360,12 +355,8 @@ impl Default for SolveSettings {
         SolveSettings {
             rung: SolverRung::nominal(),
             budget: SolveBudget::unlimited().steps(DEFAULT_MAX_STEPS),
-            metrics: None,
-            flight: None,
-            cancel: None,
-            profile: None,
             warm_start: None,
-            numeric_chaos: None,
+            instruments: Instruments::default(),
         }
     }
 }
@@ -461,6 +452,33 @@ mod tests {
         let clock =
             BudgetClock::new(SolveBudget::unlimited()).with_cancel(Some(CancelToken::new()));
         assert!(clock.check_wall(0.1).is_ok());
+    }
+
+    #[test]
+    fn instruments_fold_profiler_totals_into_the_snapshot() {
+        use obs::profile::Phase;
+
+        let metrics = Arc::new(SolverMetrics::new());
+        let profile = Arc::new(PhaseProfiler::new());
+        let instruments = Instruments {
+            metrics: Some(Arc::clone(&metrics)),
+            profile: Some(Arc::clone(&profile)),
+            ..Instruments::default()
+        };
+        assert!(instruments.snapshot().phases.is_empty());
+        metrics.newton_iteration();
+        profile.add_ns(Phase::Factor, 1234, 2);
+        let snap = instruments.snapshot();
+        assert_eq!(snap.newton_iterations, 1);
+        assert_eq!(snap.phases.ns(Phase::Factor), 1234);
+        assert_eq!(snap.phases.calls(Phase::Factor), 2);
+        // Adding snapshots sums the phase totals too.
+        let sum = snap + snap;
+        assert_eq!(sum.phases.ns(Phase::Factor), 2468);
+        // The counters alone carry no phase time, and a disarmed handle
+        // snapshots to all zeros.
+        assert!(metrics.snapshot().phases.is_empty());
+        assert_eq!(Instruments::default().snapshot(), SolverSnapshot::default());
     }
 
     #[test]

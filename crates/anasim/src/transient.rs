@@ -1,22 +1,21 @@
 //! Transient (time-domain) analysis.
 
-use crate::dc::{dc_operating_point_metered, dc_operating_point_solver, DcOptions};
+use crate::dc::{dc_operating_point_solver, dc_operating_point_with, DcOptions};
 use crate::devices::Device;
-use crate::flight::{FlightRecorder, SolveHooks, SolvePhase};
+use crate::flight::SolvePhase;
 use crate::metrics::SolverMetrics;
 use crate::mna::{
     branch_voltage, newton_solve_with_context, CompanionMode, Integrator, MnaLayout, NewtonOptions,
     Reactive, ReactiveHistory, StampParams,
 };
 use crate::netlist::{DeviceId, Netlist, NodeId};
-use crate::robust::{BudgetClock, CancelToken, SolveBudget, SolveSettings, DEFAULT_MAX_STEPS};
+use crate::robust::{BudgetClock, Instruments, SolveBudget, SolveSettings, DEFAULT_MAX_STEPS};
 use crate::solver::{SolverContext, WarmStart};
 use crate::waveform::Waveform;
 use crate::AnalysisError;
 
 use std::iter::Peekable;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Breakpoint comparisons use a tolerance relative to the analysis
 /// horizon rather than an absolute epsilon, so behaviour is invariant
@@ -70,12 +69,8 @@ pub struct TransientAnalysis {
     newton: NewtonOptions,
     gmin: f64,
     budget: SolveBudget,
-    metrics: Option<Arc<SolverMetrics>>,
-    flight: Option<Arc<FlightRecorder>>,
-    cancel: Option<CancelToken>,
-    profile: Option<Arc<obs::profile::PhaseProfiler>>,
     warm_start: Option<Arc<WarmStart>>,
-    numeric_chaos: Option<Arc<obs::NumericChaosState>>,
+    instruments: Instruments,
 }
 
 impl TransientAnalysis {
@@ -97,20 +92,9 @@ impl TransientAnalysis {
             newton: NewtonOptions::default(),
             gmin: 1e-12,
             budget: SolveBudget::unlimited().steps(DEFAULT_MAX_STEPS),
-            metrics: None,
-            flight: None,
-            cancel: None,
-            profile: None,
             warm_start: None,
-            numeric_chaos: None,
+            instruments: Instruments::default(),
         }
-    }
-
-    /// Seeds the DC starting point from a previously solved golden
-    /// operating point instead of the zero vector.
-    pub fn warm_start(mut self, warm: Arc<WarmStart>) -> Self {
-        self.warm_start = Some(warm);
-        self
     }
 
     /// Selects the integration rule (default: trapezoidal).
@@ -153,39 +137,15 @@ impl TransientAnalysis {
     }
 
     /// Installs a [`SolverMetrics`] handle: Newton iterations, step
-    /// accept/reject counts and dt shrinks are counted on it, and an
-    /// `anasim.transient` span is reported to its recorder per run.
+    /// accept/reject counts and dt shrinks are counted on it.
     pub fn metrics(mut self, metrics: Arc<SolverMetrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Arms a [`FlightRecorder`]: every Newton iteration of the DC
-    /// start and the time-march is captured into its bounded ring, so a
-    /// failure can be frozen into an [`obs::Postmortem`] afterwards.
-    pub fn flight(mut self, flight: Arc<FlightRecorder>) -> Self {
-        self.flight = Some(flight);
-        self
-    }
-
-    /// Attaches a [`CancelToken`]: raising it from any thread makes the
-    /// run abort with [`AnalysisError::Cancelled`] within one Newton
-    /// iteration.
-    pub fn cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Arms a phase profiler: the run's wall time is attributed across
-    /// the [`obs::profile::Phase`] taxonomy (stamping, device
-    /// evaluation, LU factor/solve, residual update, timestep control).
-    pub fn profile(mut self, profile: Arc<obs::profile::PhaseProfiler>) -> Self {
-        self.profile = Some(profile);
+        self.instruments.metrics = Some(metrics);
         self
     }
 
     /// Applies a complete [`SolveSettings`]: the escalation-rung scaling
-    /// (timestep, integrator, `gmin`) plus the resource budget.
+    /// (timestep, integrator, `gmin`), the resource budget, the warm
+    /// start and the [`Instruments`], which replace the analysis's own.
     ///
     /// This is how fault campaigns retry a failed extraction with a more
     /// conservative configuration without rebuilding the analysis by
@@ -201,24 +161,8 @@ impl TransientAnalysis {
             self.gmin = gmin;
         }
         self.budget = settings.budget;
-        if let Some(metrics) = &settings.metrics {
-            self.metrics = Some(Arc::clone(metrics));
-        }
-        if let Some(flight) = &settings.flight {
-            self.flight = Some(Arc::clone(flight));
-        }
-        if let Some(cancel) = &settings.cancel {
-            self.cancel = Some(cancel.clone());
-        }
-        if let Some(profile) = &settings.profile {
-            self.profile = Some(Arc::clone(profile));
-        }
-        if let Some(warm) = &settings.warm_start {
-            self.warm_start = Some(Arc::clone(warm));
-        }
-        if let Some(chaos) = &settings.numeric_chaos {
-            self.numeric_chaos = Some(Arc::clone(chaos));
-        }
+        self.warm_start = settings.warm_start.clone();
+        self.instruments = settings.instruments.clone();
         self
     }
 
@@ -247,35 +191,18 @@ impl TransientAnalysis {
     pub fn run_until(
         &self,
         netlist: &Netlist,
-        stop: impl FnMut(&TransientResult) -> bool,
-    ) -> Result<TransientResult, AnalysisError> {
-        let started = Instant::now();
-        let result = self.run_inner(netlist, stop);
-        if let Some(metrics) = &self.metrics {
-            metrics.record_span("anasim.transient", started.elapsed());
-        }
-        result
-    }
-
-    fn run_inner(
-        &self,
-        netlist: &Netlist,
         mut stop: impl FnMut(&TransientResult) -> bool,
     ) -> Result<TransientResult, AnalysisError> {
         let layout = MnaLayout::new(netlist);
-        let hooks = SolveHooks {
-            metrics: self.metrics.as_deref(),
-            flight: self.flight.as_deref(),
-            profile: self.profile.as_deref(),
-            chaos: self.numeric_chaos.as_deref(),
-        };
+        let instruments = &self.instruments;
         // Everything in this run not attributed to a nested phase (the
         // Newton solve internals, the DC start) is timestep control:
         // step selection, history updates, dt halving, result storage.
-        let _step_control = hooks
+        let _step_control = instruments
             .profile
+            .as_ref()
             .map(|p| p.enter(obs::profile::Phase::StepControl));
-        if let Some(flight) = hooks.flight {
+        if let Some(flight) = &instruments.flight {
             flight.install_names(netlist, &layout);
         }
 
@@ -294,7 +221,7 @@ impl TransientAnalysis {
                         gmin: self.gmin,
                         time: 0.0,
                     },
-                    hooks,
+                    instruments,
                     self.warm_start.as_deref(),
                     &mut ctx,
                 )?;
@@ -302,7 +229,7 @@ impl TransientAnalysis {
             }
             StartCondition::Uic => vec![0.0; layout.size()],
         };
-        if let Some(flight) = hooks.flight {
+        if let Some(flight) = &instruments.flight {
             flight.set_phase(SolvePhase::Transient);
         }
         let rules = StepRules {
@@ -330,13 +257,13 @@ impl TransientAnalysis {
             );
         let mut result = TransientResult::with_capacity(march.layout.clone(), rows);
         result.push(0.0, &march.x);
-        let mut clock = BudgetClock::new(self.budget).with_cancel(self.cancel.clone());
+        let mut clock = BudgetClock::new(self.budget).with_cancel(instruments.cancel.clone());
 
         while !stop(&result) && march.t < self.t_stop - 1e-15 * self.t_stop {
             // Candidate next time: regular grid, clipped to breakpoint/stop.
             let t_grid = (march.t + self.dt).min(self.t_stop);
             let (t_next, hit_bp) = clip_to_breakpoint(&mut bps, march.t, t_grid, bp_tol);
-            march.step(netlist, t_next, &mut clock, hooks)?;
+            march.step(netlist, t_next, &mut clock, instruments)?;
             result.push(march.t, &march.x);
             // Landing exactly on a breakpoint damps the next step.
             if hit_bp && (march.t - t_next).abs() < bp_tol {
@@ -423,7 +350,7 @@ impl March {
         netlist: &Netlist,
         t_next: f64,
         clock: &mut BudgetClock,
-        hooks: SolveHooks<'_>,
+        instruments: &Instruments,
     ) -> Result<(), AnalysisError> {
         clock.charge_step(self.t)?;
         let method = if self.post_discontinuity {
@@ -464,7 +391,7 @@ impl March {
                 &params,
                 &self.rules.newton,
                 Some(clock),
-                hooks,
+                instruments,
                 &mut self.ctx,
                 &mut self.trial,
             ) {
@@ -475,7 +402,7 @@ impl March {
                     // Each halving retry is a fresh attempted step as
                     // far as the budget is concerned.
                     clock.charge_step(self.t)?;
-                    if let Some(metrics) = hooks.metrics {
+                    if let Some(metrics) = &instruments.metrics {
                         metrics.step_rejected();
                         metrics.dt_shrink();
                     }
@@ -486,7 +413,7 @@ impl March {
         }
 
         self.t += dt_try;
-        if let Some(metrics) = hooks.metrics {
+        if let Some(metrics) = &instruments.metrics {
             metrics.step_accepted();
         }
         // Rotate: x becomes prev, the accepted trial becomes x.
@@ -715,7 +642,7 @@ impl TransientResult {
 pub struct TransientSession {
     netlist: Netlist,
     dt: f64,
-    metrics: Option<Arc<SolverMetrics>>,
+    instruments: Instruments,
     /// The march state survives between `advance_to` calls, solver
     /// context and predictor history included.
     march: March,
@@ -740,14 +667,13 @@ impl TransientSession {
             gmin: 1e-12,
             min_dt: dt / 1024.0,
         };
-        let op = dc_operating_point_metered(
+        let op = dc_operating_point_with(
             netlist,
             &DcOptions {
                 newton: rules.newton,
                 gmin: rules.gmin,
                 time: 0.0,
             },
-            None,
         )?;
         let layout = MnaLayout::new(netlist);
         let start = StartCondition::OperatingPoint;
@@ -756,7 +682,7 @@ impl TransientSession {
         Ok(TransientSession {
             netlist: netlist.clone(),
             dt,
-            metrics: None,
+            instruments: Instruments::default(),
             march,
         })
     }
@@ -764,7 +690,7 @@ impl TransientSession {
     /// Installs a [`SolverMetrics`] handle counting the session's Newton
     /// iterations and step accept/reject totals.
     pub fn with_metrics(mut self, metrics: Arc<SolverMetrics>) -> Self {
-        self.metrics = Some(metrics);
+        self.instruments.metrics = Some(metrics);
         self
     }
 
@@ -830,7 +756,6 @@ impl TransientSession {
         // Source breakpoints within the window keep steps aligned with
         // waveform corners.
         let mut bps = source_breakpoints(&self.netlist, march.t, t_stop, bp_tol);
-        let hooks = SolveHooks::metrics(self.metrics.as_deref());
         // A session has no budget: its clock only counts steps.
         let mut clock = BudgetClock::new(SolveBudget::unlimited());
         while march.t < t_stop - bp_tol {
@@ -841,7 +766,7 @@ impl TransientSession {
             let grid = march.t + self.dt;
             let t_end = if grid > t_stop + bp_tol { t_stop } else { grid };
             let (t_next, _) = clip_to_breakpoint(&mut bps, march.t, t_end, bp_tol);
-            march.step(&self.netlist, t_next, &mut clock, hooks)?;
+            march.step(&self.netlist, t_next, &mut clock, &self.instruments)?;
         }
         march.t = t_stop;
         Ok(())
@@ -1446,12 +1371,7 @@ mod tests {
                 gmin: Some(1e-9),
             },
             budget: SolveBudget::unlimited().steps(123),
-            metrics: None,
-            flight: None,
-            cancel: None,
-            profile: None,
-            warm_start: None,
-            numeric_chaos: None,
+            ..SolveSettings::default()
         };
         let tuned = base.clone().with_settings(&settings);
         assert!((tuned.dt - 0.5e-6).abs() < 1e-18);
@@ -1473,10 +1393,9 @@ mod tests {
         let (nl, _) = rc_circuit(1e3, 1e-6);
         let token = CancelToken::new();
         token.cancel();
-        let err = TransientAnalysis::new(1e-3, 10e-6)
-            .cancel(token)
-            .run(&nl)
-            .unwrap_err();
+        let mut analysis = TransientAnalysis::new(1e-3, 10e-6);
+        analysis.instruments.cancel = Some(token);
+        let err = analysis.run(&nl).unwrap_err();
         assert_eq!(err, AnalysisError::Cancelled);
     }
 
@@ -1487,7 +1406,8 @@ mod tests {
         let (nl, _) = rc_circuit(1e3, 1e-6);
         let token = CancelToken::new();
         token.cancel();
-        let settings = SolveSettings::default().cancel(token);
+        let mut settings = SolveSettings::default();
+        settings.instruments.cancel = Some(token);
         let err = TransientAnalysis::new(1e-3, 10e-6)
             .with_settings(&settings)
             .run(&nl)
@@ -1523,23 +1443,5 @@ mod tests {
             .run(&nl)
             .unwrap();
         assert!(fresh.snapshot().steps_accepted < snap.steps_accepted);
-    }
-
-    #[test]
-    fn metrics_record_transient_and_dc_spans() {
-        use crate::metrics::SolverMetrics;
-        use obs::AggregatingRecorder;
-        use std::sync::Arc;
-
-        let (nl, _) = rc_circuit(1e3, 1e-6);
-        let recorder = Arc::new(AggregatingRecorder::new());
-        let metrics = Arc::new(SolverMetrics::with_recorder(recorder.clone()));
-        TransientAnalysis::new(1e-4, 10e-6)
-            .metrics(metrics)
-            .run(&nl)
-            .unwrap();
-        let agg = recorder.snapshot();
-        assert_eq!(agg.spans["anasim.transient"].count(), 1);
-        assert_eq!(agg.spans["anasim.dc"].count(), 1);
     }
 }

@@ -1,18 +1,24 @@
-//! Arming the phase profiler must not change a single simulated bit:
-//! the profiler reads the clock and bumps atomics, nothing else. These
-//! tests run the same nonlinear transient disarmed (the pre-profiler
-//! fast path) and armed, and require bit-identical waveforms and
-//! byte-identical canonical solver counters.
+//! Arming an analysis's instruments must not change a single simulated
+//! bit: the profiler reads the clock and bumps atomics, the flight
+//! recorder copies iterations into a ring, an inert numeric-chaos state
+//! only counts attempts, and an untripped cancel token is only polled.
+//! These tests run the same nonlinear transient and DC solve with only
+//! counters attached and with the other instruments armed, and require
+//! bit-identical solutions and byte-identical canonical solver counters.
 
 use std::sync::Arc;
 
-use anasim::metrics::SolverMetrics;
+use anasim::dc::{dc_operating_point_solver, DcOptions};
+use anasim::flight::FlightRecorder;
+use anasim::metrics::{SolverMetrics, SolverSnapshot};
 use anasim::netlist::Netlist;
-use anasim::robust::SolveSettings;
+use anasim::robust::{CancelToken, Instruments, SolveSettings};
+use anasim::solver::SolverContext;
 use anasim::source::SourceWaveform;
 use anasim::transient::TransientAnalysis;
+use anasim::AnalysisError;
 use obs::profile::PhaseProfiler;
-use obs::AggregatingRecorder;
+use obs::{AggregatingRecorder, NumericChaosPlan};
 
 /// A diode clipper: nonlinear, so the Newton loop (and with it every
 /// profiled phase) actually runs.
@@ -27,12 +33,39 @@ fn clipper() -> Netlist {
     nl
 }
 
-/// Runs the transient with the given settings and returns the output
-/// waveform bits plus the solver metrics snapshot.
-fn run_with(settings: SolveSettings) -> (Vec<u64>, anasim::metrics::SolverSnapshot) {
+/// Counters only: the reference every armed run must match.
+fn counters_only() -> Instruments {
+    Instruments {
+        metrics: Some(Arc::new(SolverMetrics::new())),
+        ..Instruments::default()
+    }
+}
+
+/// Counters plus every other instrument: profiler, flight recorder,
+/// a numeric-chaos state whose window never opens, and a cancel token
+/// nobody raises.
+fn fully_armed() -> Instruments {
+    let inert = NumericChaosPlan::parse("pivot@99999999").expect("valid spec");
+    Instruments {
+        profile: Some(Arc::new(PhaseProfiler::new())),
+        flight: Some(Arc::new(FlightRecorder::new(
+            FlightRecorder::DEFAULT_CAPACITY,
+        ))),
+        chaos: Some(Arc::new(inert.arm())),
+        cancel: Some(CancelToken::new()),
+        ..counters_only()
+    }
+}
+
+/// Runs the transient under `instruments` and returns the output
+/// waveform bits plus the instruments' snapshot.
+fn run_transient(instruments: &Instruments) -> (Vec<u64>, SolverSnapshot) {
     let nl = clipper();
     let out = nl.find_node("out").expect("node out");
-    let metrics = settings.metrics.clone().expect("metrics attached");
+    let settings = SolveSettings {
+        instruments: instruments.clone(),
+        ..SolveSettings::default()
+    };
     let result = TransientAnalysis::new(20e-6, 0.5e-6)
         .with_settings(&settings)
         .run(&nl)
@@ -41,62 +74,104 @@ fn run_with(settings: SolveSettings) -> (Vec<u64>, anasim::metrics::SolverSnapsh
     let bits = (0..40)
         .map(|k| w.value_at(k as f64 * 0.5e-6).to_bits())
         .collect();
-    (bits, metrics.snapshot())
+    (bits, instruments.snapshot())
+}
+
+/// Solves the clipper's operating point after the step, with the diode
+/// conducting, under `instruments`; returns the solution bits plus the
+/// instruments' snapshot.
+fn run_dc(instruments: &Instruments) -> (Vec<u64>, SolverSnapshot) {
+    let options = DcOptions {
+        time: 5e-6,
+        ..DcOptions::default()
+    };
+    let op = dc_operating_point_solver(
+        &clipper(),
+        &options,
+        instruments,
+        None,
+        &mut SolverContext::default(),
+    )
+    .expect("clipper operating point converges");
+    let bits = op.solution().iter().map(|v| v.to_bits()).collect();
+    (bits, instruments.snapshot())
+}
+
+/// The counters as a canonical report would print them.
+fn canonical(snap: &SolverSnapshot) -> String {
+    let recorder = AggregatingRecorder::new();
+    snap.emit_to(&recorder);
+    format!("{:?}", recorder.snapshot().counters)
+}
+
+/// Asserts an armed run observed the solve and left its result and
+/// canonical counters exactly as the counters-only run did.
+fn assert_observation_only(
+    plain: (Vec<u64>, SolverSnapshot),
+    armed: (Vec<u64>, SolverSnapshot),
+    instruments: &Instruments,
+) {
+    assert_eq!(plain.0, armed.0, "armed instruments moved a simulated bit");
+    assert!(plain.1.newton_iterations > 0);
+    assert_eq!(plain.1.as_array(), armed.1.as_array());
+    assert_eq!(canonical(&plain.1), canonical(&armed.1));
+    // Phase time shows only when a profiler is armed.
+    assert!(plain.1.phases.is_empty());
+    assert_eq!(armed.1.phases.is_empty(), instruments.profile.is_none());
+    if let Some(flight) = &instruments.flight {
+        let pm = flight.freeze("probe", &AnalysisError::Cancelled, None);
+        assert!(pm.total_iterations > 0, "the flight recorder saw no iteration");
+    }
+    if let Some(chaos) = &instruments.chaos {
+        assert_eq!(chaos.injected(), 0, "an inert chaos plan fired");
+    }
+}
+
+/// The armed variants: the profiler alone, everything, and everything
+/// but the profiler.
+fn armed_variants() -> [Instruments; 3] {
+    [
+        Instruments {
+            profile: Some(Arc::new(PhaseProfiler::new())),
+            ..counters_only()
+        },
+        fully_armed(),
+        Instruments {
+            profile: None,
+            ..fully_armed()
+        },
+    ]
 }
 
 #[test]
-fn armed_profiler_changes_no_simulated_bit() {
-    let disarmed_metrics = Arc::new(SolverMetrics::new());
-    let disarmed = SolveSettings {
-        metrics: Some(Arc::clone(&disarmed_metrics)),
-        ..SolveSettings::default()
-    };
+fn armed_instruments_change_no_transient_bit() {
+    for armed in armed_variants() {
+        assert_observation_only(
+            run_transient(&counters_only()),
+            run_transient(&armed),
+            &armed,
+        );
+    }
+}
 
-    let profiler = Arc::new(PhaseProfiler::new());
-    let armed_metrics = Arc::new(
-        SolverMetrics::new().with_profile(Arc::clone(&profiler)),
-    );
-    let armed = SolveSettings {
-        metrics: Some(Arc::clone(&armed_metrics)),
-        profile: Some(Arc::clone(&profiler)),
-        ..SolveSettings::default()
-    };
-
-    let (bits_disarmed, snap_disarmed) = run_with(disarmed);
-    let (bits_armed, snap_armed) = run_with(armed);
-
-    // Bit-identical waveforms: profiling is observation only.
-    assert_eq!(bits_disarmed, bits_armed);
-
-    // The armed run actually attributed phase time...
-    assert!(snap_armed.phases.total_ns() > 0);
-    assert!(snap_disarmed.phases.is_empty());
-    // ...but the canonical counters are equal, so any canonical report
-    // built from them is byte-identical.
-    assert_eq!(snap_disarmed.as_array(), snap_armed.as_array());
-    let canonical = |snap: &anasim::metrics::SolverSnapshot| {
-        let recorder = AggregatingRecorder::new();
-        snap.emit_to(&recorder);
-        format!("{:?}", recorder.snapshot().counters)
-    };
-    assert_eq!(canonical(&snap_disarmed), canonical(&snap_armed));
+#[test]
+fn armed_instruments_change_no_dc_bit() {
+    for armed in armed_variants() {
+        assert_observation_only(run_dc(&counters_only()), run_dc(&armed), &armed);
+    }
 }
 
 #[test]
 fn default_settings_never_touch_the_clock_path() {
-    // The pre-profiler entry point — no settings at all — still works
-    // and is the same disarmed fast path.
+    // The plain entry point — no settings at all — is the same
+    // disarmed fast path as counters-only instruments.
     let nl = clipper();
     let out = nl.find_node("out").expect("node out");
     let plain = TransientAnalysis::new(20e-6, 0.5e-6)
         .run(&nl)
         .expect("clipper converges");
 
-    let metrics = Arc::new(SolverMetrics::new());
-    let (bits, snap) = run_with(SolveSettings {
-        metrics: Some(Arc::clone(&metrics)),
-        ..SolveSettings::default()
-    });
+    let (bits, snap) = run_transient(&counters_only());
     assert!(snap.phases.is_empty());
     assert!(snap.newton_iterations > 0);
     let w = plain.voltage(out);

@@ -9,6 +9,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use anasim::metrics::{SolverMetrics, SolverSnapshot, COUNTER_NAMES};
+use anasim::robust::Instruments;
 use macrolib::process::ProcessParams;
 use msbist::adc::circuit::CircuitAdc;
 use msbist::bist::StepGenerator;
@@ -115,16 +116,12 @@ pub fn run(sim_dt: f64) -> E1Report {
 /// given — phase cost attribution, threaded into every conversion
 /// transient.
 pub fn run_instrumented(sim_dt: f64, profile: Option<Arc<PhaseProfiler>>) -> E1Report {
-    let mut metrics = SolverMetrics::new();
-    if let Some(p) = &profile {
-        metrics = metrics.with_profile(Arc::clone(p));
-    }
-    let metrics = Arc::new(metrics);
+    let metrics = Arc::new(SolverMetrics::new());
     let mut adc = CircuitAdc::new(ProcessParams::nominal())
         .with_sim_dt(sim_dt)
         .with_metrics(Arc::clone(&metrics));
-    if let Some(p) = profile {
-        adc = adc.with_profile(p);
+    if let Some(p) = &profile {
+        adc = adc.with_profile(Arc::clone(p));
     }
     let generator = StepGenerator::paper();
     let rows = generator
@@ -137,9 +134,14 @@ pub fn run_instrumented(sim_dt: f64, profile: Option<Arc<PhaseProfiler>>) -> E1R
             measured_ms: adc.fall_time(level).ok().map(|s| s * 1e3),
         })
         .collect();
+    let instruments = Instruments {
+        metrics: Some(metrics),
+        profile,
+        ..Instruments::default()
+    };
     E1Report {
         rows,
-        solver: metrics.snapshot(),
+        solver: instruments.snapshot(),
     }
 }
 

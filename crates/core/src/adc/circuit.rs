@@ -18,6 +18,7 @@ use std::sync::Arc;
 
 use anasim::metrics::SolverMetrics;
 use anasim::netlist::{Netlist, NodeId};
+use anasim::robust::{Instruments, SolveSettings};
 use anasim::source::SourceWaveform;
 use anasim::transient::TransientAnalysis;
 use anasim::waveform::Waveform;
@@ -55,10 +56,9 @@ pub struct CircuitAdc {
     clock_hz: f64,
     /// Transient step used for conversion runs.
     sim_dt: f64,
-    /// Solver-effort accounting shared across conversion runs.
-    metrics: Option<Arc<SolverMetrics>>,
-    /// Phase cost-attribution profiler shared across conversion runs.
-    profile: Option<Arc<PhaseProfiler>>,
+    /// Solver-effort counters and phase profiler shared across
+    /// conversion runs.
+    instruments: Instruments,
 }
 
 impl CircuitAdc {
@@ -72,8 +72,7 @@ impl CircuitAdc {
             full_count: 250,
             clock_hz: 100e3,
             sim_dt: 4e-6,
-            metrics: None,
-            profile: None,
+            instruments: Instruments::default(),
         }
     }
 
@@ -92,14 +91,14 @@ impl CircuitAdc {
     /// transient run accumulates into it, so callers (the bench
     /// sidecar) can report the macro's true Newton cost instead of 0.
     pub fn with_metrics(mut self, metrics: Arc<SolverMetrics>) -> Self {
-        self.metrics = Some(metrics);
+        self.instruments.metrics = Some(metrics);
         self
     }
 
     /// Attaches a shared phase profiler: every conversion's transient
     /// run attributes its wall-clock to solver phases.
     pub fn with_profile(mut self, profile: Arc<PhaseProfiler>) -> Self {
-        self.profile = Some(profile);
+        self.instruments.profile = Some(profile);
         self
     }
 
@@ -188,14 +187,10 @@ impl CircuitAdc {
     /// integration periods, room for the longest fall.
     fn analysis(&self) -> TransientAnalysis {
         let t_stop = Self::RESET_TIME + self.t1() * 3.0;
-        let mut analysis = TransientAnalysis::new(t_stop, self.sim_dt);
-        if let Some(metrics) = &self.metrics {
-            analysis = analysis.metrics(Arc::clone(metrics));
-        }
-        if let Some(profile) = &self.profile {
-            analysis = analysis.profile(Arc::clone(profile));
-        }
-        analysis
+        TransientAnalysis::new(t_stop, self.sim_dt).with_settings(&SolveSettings {
+            instruments: self.instruments.clone(),
+            ..SolveSettings::default()
+        })
     }
 
     /// Simulates the conversion circuit for input `vin` over the whole

@@ -39,7 +39,9 @@ use anasim::flight::FlightRecorder;
 use anasim::metrics::{SolverMetrics, SolverSnapshot};
 use anasim::mna::MnaLayout;
 use anasim::netlist::Netlist;
-use anasim::robust::{escalation_ladder, CancelToken, SolveBudget, SolveSettings, SolverRung};
+use anasim::robust::{
+    escalation_ladder, CancelToken, Instruments, SolveBudget, SolveSettings, SolverRung,
+};
 use anasim::solver::WarmStart;
 use anasim::AnalysisError;
 use obs::chaos::FaultPlan;
@@ -870,6 +872,32 @@ impl JournalState {
     }
 }
 
+/// Fresh instruments for one extraction: its own counters, its own
+/// profiler when `config.profile` is armed, and the campaign's cancel
+/// token. A fault's extraction (`fault`) also gets its own flight
+/// recorder and numeric-chaos firing state; the golden run always
+/// solves clean, because chaos tests the recovery ladder against
+/// faults, never the reference signature. Fresh chaos state per fault
+/// keeps attempt indices a function of that fault's own solves, so the
+/// injection schedule replays bit for bit at any worker count.
+fn extraction_instruments(config: &CampaignConfig, fault: bool) -> Instruments {
+    let mut instruments = Instruments {
+        metrics: Some(Arc::new(SolverMetrics::new())),
+        profile: config.profile.then(|| Arc::new(PhaseProfiler::new())),
+        cancel: config.cancel.clone(),
+        ..Instruments::default()
+    };
+    if fault {
+        instruments.flight = config.flight.map(|cap| Arc::new(FlightRecorder::new(cap)));
+        instruments.chaos = config
+            .numeric_chaos
+            .as_ref()
+            .filter(|plan| !plan.is_empty())
+            .map(|plan| Arc::new(plan.arm()));
+    }
+    instruments
+}
+
 /// Runs a fault campaign with the resilient engine.
 ///
 /// `extract` simulates a netlist under the given [`SolveSettings`] and
@@ -921,36 +949,19 @@ where
     let campaign_start = Instant::now();
 
     // Golden extraction at nominal settings, same budget as faults.
-    // Each extraction gets its own SolverMetrics handle: counts are
-    // exact per extraction and nothing is shared between threads.
     // A resumed campaign re-runs this too: the solver is deterministic,
     // so re-deriving the golden signature is both cheap (one fault's
     // worth of work) and exactly reproducible, which keeps the journal
     // free of bulk golden data.
-    let golden_profile = config.profile.then(|| Arc::new(PhaseProfiler::new()));
-    let golden_metrics = {
-        let mut metrics = SolverMetrics::new();
-        if let Some(p) = &golden_profile {
-            metrics = metrics.with_profile(Arc::clone(p));
-        }
-        Arc::new(metrics)
-    };
     let golden_settings = SolveSettings {
-        rung: SolverRung::nominal(),
         budget: config.budget,
-        metrics: Some(Arc::clone(&golden_metrics)),
-        flight: None,
-        cancel: config.cancel.clone(),
-        profile: golden_profile.clone(),
-        warm_start: None,
-        // The golden run always solves clean: chaos tests the recovery
-        // ladder against faults, never the reference signature.
-        numeric_chaos: None,
+        instruments: extraction_instruments(config, false),
+        ..SolveSettings::default()
     };
     let golden_start = Instant::now();
     let golden_sig = extract(golden, &golden_settings)?;
     let golden_wall = golden_start.elapsed();
-    let golden_solver = golden_metrics.snapshot();
+    let golden_solver = golden_settings.instruments.snapshot();
 
     // Golden DC operating point, reused as the Newton seed for every
     // fault: injection appends hardware at the end of the netlist, so
@@ -1090,29 +1101,16 @@ where
 
     let simulate_fault = |fault: &Fault, lane: usize| -> Option<(FaultOutcome, FaultTelemetry)> {
         let faulty = inject(golden, fault);
-        // One handle per fault, accumulated across ladder rungs. When
-        // profiling is armed the profiler is fresh per fault too, so the
-        // phase rollup in the telemetry is exact for this fault alone.
-        let profile = config.profile.then(|| Arc::new(PhaseProfiler::new()));
-        let metrics = {
-            let mut metrics = SolverMetrics::new();
-            if let Some(p) = &profile {
-                metrics = metrics.with_profile(Arc::clone(p));
-            }
-            Arc::new(metrics)
+        // One set of instruments per fault, shared across every ladder
+        // rung: the counts and phase rollup are exact for this fault
+        // alone, and a frozen postmortem shows the whole escalation path.
+        let mut settings = SolveSettings {
+            budget: config.budget,
+            warm_start: warm_start.clone(),
+            instruments: extraction_instruments(config, true),
+            ..SolveSettings::default()
         };
-        // One flight recorder per fault too, shared across every rung so
-        // a frozen postmortem shows the whole escalation path.
-        let flight = config.flight.map(|cap| Arc::new(FlightRecorder::new(cap)));
-        // Fresh numeric-chaos firing state per fault, shared across
-        // rungs: attempt indices depend only on this fault's own solve
-        // sequence, so the injection schedule — and with it the typed
-        // outcome — replays bit-for-bit at any worker count.
-        let numeric_chaos = config
-            .numeric_chaos
-            .as_ref()
-            .filter(|plan| !plan.is_empty())
-            .map(|plan| Arc::new(plan.arm()));
+        let flight = &settings.instruments.flight;
         let start_offset = campaign_start.elapsed();
         let start = Instant::now();
 
@@ -1123,26 +1121,17 @@ where
         let mut panicked: Option<String> = None;
         for (i, rung) in config.ladder.iter().enumerate() {
             rungs_tried += 1;
-            if let Some(flight) = &flight {
+            if let Some(flight) = flight {
                 flight.begin_rung(i, &rung.label());
             }
-            let settings = SolveSettings {
-                rung: *rung,
-                budget: config.budget,
-                metrics: Some(Arc::clone(&metrics)),
-                flight: flight.clone(),
-                cancel: config.cancel.clone(),
-                profile: profile.clone(),
-                warm_start: warm_start.clone(),
-                numeric_chaos: numeric_chaos.clone(),
-            };
+            settings.rung = *rung;
             // The extraction is the untrusted part of the engine: a
             // panicking solver must become this fault's outcome, not
             // take down the worker (which would poison the thread-pool
             // scope and abort the whole campaign).
             match catch_unwind(AssertUnwindSafe(|| extract(&faulty, &settings))) {
                 Err(panic) => {
-                    if let Some(flight) = &flight {
+                    if let Some(flight) = flight {
                         flight.end_rung("panic");
                     }
                     // Terminal for this fault: a panic means solver
@@ -1152,14 +1141,14 @@ where
                     break;
                 }
                 Ok(Ok(sig)) => {
-                    if let Some(flight) = &flight {
+                    if let Some(flight) = flight {
                         flight.end_rung("ok");
                     }
                     produced = Some((i, sig));
                     break;
                 }
                 Ok(Err(AnalysisError::Cancelled)) => {
-                    if let Some(flight) = &flight {
+                    if let Some(flight) = flight {
                         flight.end_rung("cancelled");
                     }
                     // Cancellation abandons the in-flight fault: it is
@@ -1170,7 +1159,7 @@ where
                 Ok(Err(err @ AnalysisError::BudgetExceeded { .. })) => {
                     // The budget bounds total effort per fault: do not
                     // walk further down the ladder.
-                    if let Some(flight) = &flight {
+                    if let Some(flight) = flight {
                         flight.end_rung("budget");
                     }
                     last_err = Some(err);
@@ -1178,7 +1167,7 @@ where
                     break;
                 }
                 Ok(Err(err)) => {
-                    if let Some(flight) = &flight {
+                    if let Some(flight) = flight {
                         flight.end_rung(match &err {
                             AnalysisError::NoConvergence { .. } => "no-convergence",
                             AnalysisError::SingularMatrix { .. } => "singular",
@@ -1192,7 +1181,7 @@ where
         }
 
         let wall = start.elapsed();
-        let solver = metrics.snapshot();
+        let solver = settings.instruments.snapshot();
 
         // A fault that exhausted the ladder (or its budget), or died in
         // a panic, freezes its flight recorder into a postmortem before
@@ -1200,7 +1189,7 @@ where
         let postmortem = if let Some(payload) = &panicked {
             flight.as_ref().map(|f| f.freeze_panic(fault.name(), payload))
         } else {
-            match (&flight, &last_err, &produced) {
+            match (flight, &last_err, &produced) {
                 (Some(flight), Some(err), None) => {
                     let budget_steps = match err {
                         AnalysisError::BudgetExceeded { steps, .. } => Some(*steps as u64),

@@ -2,8 +2,8 @@
 //!
 //! A span is a named duration reported to a [`Recorder`] when it ends.
 //! Naming convention across the workspace: `<crate>.<operation>`, e.g.
-//! `anasim.dc`, `anasim.transient`, `campaign.fault`,
-//! `sigproc.cross_correlation`, `bench.e6`. Dots separate layers;
+//! `campaign.golden`, `campaign.fault`, `sigproc.cross_correlation`,
+//! `bench.e6`. Dots separate layers;
 //! names are lowercase and stable — they are keys in run reports.
 
 use std::time::{Duration, Instant};
