@@ -9,7 +9,7 @@
 use crate::flight::SolvePhase;
 use crate::mna::{newton_solve_with_context, CompanionMode, MnaLayout, NewtonOptions, StampParams};
 use crate::netlist::{DeviceId, Netlist, NodeId};
-use crate::robust::Instruments;
+use crate::robust::{BudgetClock, Instruments, SolveBudget};
 use crate::solver::{SolverContext, WarmStart};
 use crate::AnalysisError;
 
@@ -130,7 +130,9 @@ pub fn dc_operating_point_with(
 ///
 /// # Errors
 ///
-/// See [`dc_operating_point`].
+/// See [`dc_operating_point`]; also [`AnalysisError::Cancelled`] once
+/// the instruments' cancel token is raised, before the next Newton
+/// iteration.
 pub fn dc_operating_point_solver(
     netlist: &Netlist,
     options: &DcOptions,
@@ -146,6 +148,9 @@ pub fn dc_operating_point_solver(
         .map(|p| p.enter(obs::profile::Phase::DcSolve));
     let layout = MnaLayout::new(netlist);
     let mut x = vec![0.0; layout.size()];
+    // No budget, but a raised cancel token stops every Newton solve
+    // before its next iteration.
+    let clock = BudgetClock::new(SolveBudget::unlimited()).with_cancel(instruments.cancel.clone());
     let set_phase = |phase: SolvePhase| {
         if let Some(flight) = &instruments.flight {
             flight.set_phase(phase);
@@ -164,7 +169,7 @@ pub fn dc_operating_point_solver(
         set_phase(SolvePhase::DcDirect);
         warm.seed(&layout, &mut x);
         if try_newton(
-            netlist, &layout, options, options.gmin, 1.0, instruments, ctx, &mut x,
+            netlist, &layout, options, options.gmin, 1.0, &clock, instruments, ctx, &mut x,
         )
         .is_ok()
         {
@@ -176,7 +181,7 @@ pub fn dc_operating_point_solver(
     // 1. Plain Newton.
     set_phase(SolvePhase::DcDirect);
     let direct = try_newton(
-        netlist, &layout, options, options.gmin, 1.0, instruments, ctx, &mut x,
+        netlist, &layout, options, options.gmin, 1.0, &clock, instruments, ctx, &mut x,
     );
     if direct.is_ok() {
         return Ok(OperatingPoint::new(layout, x));
@@ -197,7 +202,7 @@ pub fn dc_operating_point_solver(
                 metrics.dc_gmin_step();
             }
             if let Err(e) = try_newton(
-                netlist, &layout, options, gmin, 1.0, instruments, ctx, &mut x,
+                netlist, &layout, options, gmin, 1.0, &clock, instruments, ctx, &mut x,
             ) {
                 last_err = e;
                 ok = false;
@@ -208,7 +213,7 @@ pub fn dc_operating_point_solver(
         if ok {
             // Final solve at the target gmin.
             if try_newton(
-                netlist, &layout, options, options.gmin, 1.0, instruments, ctx, &mut x,
+                netlist, &layout, options, options.gmin, 1.0, &clock, instruments, ctx, &mut x,
             )
             .is_ok()
             {
@@ -217,7 +222,10 @@ pub fn dc_operating_point_solver(
         }
     }
 
-    // 3. Source stepping: ramp independent sources 0 -> 100 %.
+    // 3. Source stepping: ramp independent sources 0 -> 100 %. A
+    // cancelled solve above (the gmin chain skips a cancelled direct
+    // solve) ends the chain here.
+    clock.check_wall(options.time)?;
     set_phase(SolvePhase::DcSource);
     x.iter_mut().for_each(|v| *v = 0.0);
     let mut ok = true;
@@ -227,7 +235,7 @@ pub fn dc_operating_point_solver(
             metrics.dc_source_step();
         }
         if let Err(e) = try_newton(
-            netlist, &layout, options, options.gmin, scale, instruments, ctx, &mut x,
+            netlist, &layout, options, options.gmin, scale, &clock, instruments, ctx, &mut x,
         ) {
             last_err = e;
             ok = false;
@@ -247,6 +255,7 @@ fn try_newton(
     options: &DcOptions,
     gmin: f64,
     source_scale: f64,
+    clock: &BudgetClock,
     instruments: &Instruments,
     ctx: &mut SolverContext,
     x: &mut Vec<f64>,
@@ -262,7 +271,7 @@ fn try_newton(
         layout,
         &params,
         &options.newton,
-        None,
+        Some(clock),
         instruments,
         ctx,
         x,

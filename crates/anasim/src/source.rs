@@ -164,7 +164,7 @@ impl SourceWaveform {
                 if t < *delay {
                     return *low;
                 }
-                let tp = (t - delay) % period;
+                let tp = pulse_phase(t - delay, *period);
                 if tp < *rise {
                     low + (high - low) * tp / rise.max(1e-15)
                 } else if tp < rise + width {
@@ -297,9 +297,205 @@ impl SourceWaveform {
     }
 }
 
+/// `x % period`, bit for bit, for the phase of a [`SourceWaveform::Pulse`]
+/// (`x = t − delay ≥ 0`), without the library `fmod` a stamp would
+/// otherwise call for every pulse source.
+///
+/// The remainder `x − n·period`, `n = ⌊x/period⌋`, is exactly
+/// representable, and the reduction computes it exactly:
+///
+/// * below one period it is `x`, and below two it is `x − period`
+///   (exact by Sterbenz's lemma);
+/// * otherwise the rounded quotient `q` is `n` or `n + 1`, since
+///   rounding is monotonic. Split `period = hi + lo` (Veltkamp, hi and
+///   lo of at most 26 significant bits each) so that for `q < 2²⁷` the
+///   products `q·hi` and `q·lo` are exact. `x − q·hi` is then exact too:
+///   its magnitude stays below 2⁵³ units of the coarser of the two
+///   operands' last places. So `(x − q·hi) − q·lo` has the sign of
+///   `x − q·period`, and, once `q = n`, rounds to that exact value;
+/// * anything else (non-finite or extreme values, quotients of 2²⁷ and
+///   more) falls back to `%`.
+fn pulse_phase(x: f64, period: f64) -> f64 {
+    // 2^27 + 1, the Veltkamp splitter for 26-bit halves.
+    const SPLIT: f64 = 134_217_729.0;
+    if !(x >= 0.0 && period > 1e-290 && period < 1e290) {
+        return x % period;
+    }
+    if x < period {
+        return x;
+    }
+    if x < 2.0 * period {
+        return x - period;
+    }
+    let ratio = x / period;
+    if ratio >= 134_217_728.0 {
+        return x % period;
+    }
+    let split = SPLIT * period;
+    let hi = split - (split - period);
+    let lo = period - hi;
+    let q = (ratio as u64) as f64;
+    let r = (x - q * hi) - q * lo;
+    if r < 0.0 {
+        let q = q - 1.0;
+        (x - q * hi) - q * lo
+    } else {
+        r
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A pulse evaluated with `%`, as before [`pulse_phase`]: the oracle
+    /// it must match bit for bit.
+    fn pulse_with_fmod(w: &SourceWaveform, t: f64) -> f64 {
+        let SourceWaveform::Pulse {
+            low,
+            high,
+            delay,
+            rise,
+            fall,
+            width,
+            period,
+        } = *w
+        else {
+            unreachable!("a pulse")
+        };
+        if t < delay {
+            return low;
+        }
+        let tp = (t - delay) % period;
+        if tp < rise {
+            low + (high - low) * tp / rise.max(1e-15)
+        } else if tp < rise + width {
+            high
+        } else if tp < rise + width + fall {
+            high - (high - low) * (tp - rise - width) / fall.max(1e-15)
+        } else {
+            low
+        }
+    }
+
+    fn next_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    fn next_down(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() - 1)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// The phase reduction is `%` by `to_bits`: below and at one
+        /// period, on exact multiples of the period (as computed) and one
+        /// ulp either side, one period below a multiple, inside a period,
+        /// and far beyond the exact range (`t ≫ period`).
+        #[test]
+        fn pulse_phase_is_fmod(
+            log_period in -12.0..6.0f64,
+            mantissa in 1.0..2.0f64,
+            k in 0u64..(1 << 28),
+            log_big in 0.0..40.0f64,
+            frac in 0.0..1.0f64,
+        ) {
+            let period = mantissa * 10f64.powf(log_period);
+            let kf = k as f64;
+            let multiple = kf * period;
+            let xs = [
+                0.0,
+                -0.0,
+                frac * period,
+                period,
+                next_down(period),
+                2.0 * period,
+                next_down(2.0 * period),
+                multiple,
+                next_up(multiple),
+                if multiple > 0.0 { next_down(multiple) } else { 0.0 },
+                (kf - 1.0).max(0.0) * period,
+                multiple - period,
+                (kf + frac) * period,
+                period * 2f64.powf(log_big),
+                period * 2f64.powf(log_big) * (1.0 + frac),
+            ];
+            for x in xs {
+                proptest::prop_assert_eq!(
+                    pulse_phase(x, period).to_bits(),
+                    (x % period).to_bits(),
+                    "{:e} % {:e}",
+                    x,
+                    period
+                );
+            }
+        }
+
+        /// A pulse reads what it read with `%`, by `to_bits`, before its
+        /// delay, inside its first periods and far along the train.
+        #[test]
+        fn pulse_value_matches_fmod(
+            delay in 0.0..1e-6f64,
+            rise in 0.0..1e-7f64,
+            fall in 0.0..1e-7f64,
+            width in 0.0..3e-6f64,
+            gap in 1e-9..3e-6f64,
+            periods in 0u64..1_000_000,
+            frac in 0.0..1.0f64,
+        ) {
+            let period = rise + width + fall + gap;
+            let w = SourceWaveform::Pulse {
+                low: -0.3,
+                high: 4.2,
+                delay,
+                rise,
+                fall,
+                width,
+                period,
+            };
+            let on_train = delay + (periods as f64 + frac) * period;
+            for t in [
+                0.0,
+                frac * delay,
+                delay,
+                next_up(delay),
+                delay + frac * period,
+                delay + periods as f64 * period,
+                on_train,
+                delay + rise,
+                delay + rise + width,
+                delay + rise + width + fall,
+            ] {
+                proptest::prop_assert_eq!(
+                    w.value_at(t).to_bits(),
+                    pulse_with_fmod(&w, t).to_bits(),
+                    "t = {:e}",
+                    t
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pulse_phase_falls_back_outside_its_range() {
+        for (x, p) in [
+            (f64::INFINITY, 1.0),
+            (f64::NAN, 1.0),
+            (1.0, 0.0),
+            (1.0, -0.3),
+            (-2.5, 1.0),
+            (1e300, 1e-5),
+            (3.0, f64::INFINITY),
+            (5e-300, 1e-300),
+        ] {
+            let (got, want) = (pulse_phase(x, p), x % p);
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "{x:e} % {p:e}: {got:e} vs {want:e}"
+            );
+        }
+    }
 
     #[test]
     fn dc_is_constant() {

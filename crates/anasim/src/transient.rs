@@ -15,6 +15,7 @@ use crate::waveform::Waveform;
 use crate::AnalysisError;
 
 use std::iter::Peekable;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Breakpoint comparisons use a tolerance relative to the analysis
@@ -166,7 +167,8 @@ impl TransientAnalysis {
         self
     }
 
-    /// Runs the analysis over `netlist`.
+    /// Runs the analysis over `netlist`, storing every accepted
+    /// timepoint.
     ///
     /// # Errors
     ///
@@ -176,28 +178,46 @@ impl TransientAnalysis {
     /// circuits, or [`AnalysisError::BudgetExceeded`] when the
     /// [`SolveBudget`] runs out of steps or wall-clock time.
     pub fn run(&self, netlist: &Netlist) -> Result<TransientResult, AnalysisError> {
-        self.run_until(netlist, |_| false)
+        // Every step ends on the grid or on a breakpoint, so a march that
+        // never halves its step stores at most this many rows.
+        let bp_tol = BREAKPOINT_RELTOL * self.t_stop;
+        let rows = ((self.t_stop / self.dt).ceil() as usize)
+            .saturating_add(source_breakpoints(netlist, 0.0, self.t_stop, bp_tol).len())
+            .saturating_add(1)
+            .min(
+                self.budget
+                    .max_steps
+                    .map_or(usize::MAX, |m| m.saturating_add(1)),
+            );
+        let mut result = TransientResult::with_capacity(MnaLayout::new(netlist), rows);
+        self.march(netlist, |t, x| {
+            result.push(t, x);
+            ControlFlow::Continue(())
+        })?;
+        Ok(result)
     }
 
-    /// Runs the analysis over `netlist` like [`TransientAnalysis::run`],
-    /// but ends it early once `stop` — asked after every stored
-    /// timepoint, `t = 0` included — returns true. The march, its step
-    /// grid and its breakpoints are those of a full run, so an early
-    /// stop returns a bit-exact prefix of the full result.
+    /// Marches the analysis over `netlist`, handing `visit` every
+    /// accepted timepoint — `t = 0` included — as its time and solution
+    /// vector (laid out by [`MnaLayout::new`] on `netlist`), and stores
+    /// nothing. The march ends early, without error, once `visit`
+    /// returns [`ControlFlow::Break`]; its step grid and breakpoints are
+    /// those of a full run, so the rows visited up to then are, bit for
+    /// bit, the full run's first rows.
     ///
     /// # Errors
     ///
     /// As for [`TransientAnalysis::run`], up to the point of stopping.
-    pub fn run_until(
+    pub fn march(
         &self,
         netlist: &Netlist,
-        mut stop: impl FnMut(&TransientResult) -> bool,
-    ) -> Result<TransientResult, AnalysisError> {
+        mut visit: impl FnMut(f64, &[f64]) -> ControlFlow<()>,
+    ) -> Result<(), AnalysisError> {
         let layout = MnaLayout::new(netlist);
         let instruments = &self.instruments;
         // Everything in this run not attributed to a nested phase (the
         // Newton solve internals, the DC start) is timestep control:
-        // step selection, history updates, dt halving, result storage.
+        // step selection, history updates, dt halving, the visitor.
         let _step_control = instruments
             .profile
             .as_ref()
@@ -245,37 +265,29 @@ impl TransientAnalysis {
         let mut bps = source_breakpoints(netlist, 0.0, self.t_stop, bp_tol);
 
         // --- Time march ---------------------------------------------------
-        // Every step ends on the grid or on a breakpoint, so a march that
-        // never halves its step stores at most this many rows.
-        let rows = ((self.t_stop / self.dt).ceil() as usize)
-            .saturating_add(bps.len())
-            .saturating_add(1)
-            .min(
-                self.budget
-                    .max_steps
-                    .map_or(usize::MAX, |m| m.saturating_add(1)),
-            );
-        let mut result = TransientResult::with_capacity(march.layout.clone(), rows);
-        result.push(0.0, &march.x);
         let mut clock = BudgetClock::new(self.budget).with_cancel(instruments.cancel.clone());
-
-        while !stop(&result) && march.t < self.t_stop - 1e-15 * self.t_stop {
+        if visit(0.0, &march.x).is_break() {
+            return Ok(());
+        }
+        while march.t < self.t_stop - 1e-15 * self.t_stop {
             // Candidate next time: regular grid, clipped to breakpoint/stop.
             let t_grid = (march.t + self.dt).min(self.t_stop);
             let (t_next, hit_bp) = clip_to_breakpoint(&mut bps, march.t, t_grid, bp_tol);
             march.step(netlist, t_next, &mut clock, instruments)?;
-            result.push(march.t, &march.x);
+            if visit(march.t, &march.x).is_break() {
+                break;
+            }
             // Landing exactly on a breakpoint damps the next step.
             if hit_bp && (march.t - t_next).abs() < bp_tol {
                 march.post_discontinuity = true;
             }
         }
-        Ok(result)
+        Ok(())
     }
 }
 
 /// The state a transient march carries from step to step, and the step
-/// routine that [`TransientAnalysis::run`] and
+/// routine that [`TransientAnalysis::march`] and
 /// [`TransientSession::advance_to`] share.
 #[derive(Debug, Clone)]
 struct March {
@@ -296,7 +308,7 @@ struct March {
     /// Newton's working vector; rotated into `x` when a step is accepted.
     trial: Vec<f64>,
     /// Damp the next step with backward Euler, which, unlike trapezoidal,
-    /// does not ring: set at the start, on a breakpoint (`run` only) and
+    /// does not ring: set at the start, on a breakpoint (`march` only) and
     /// after a source rewrite.
     post_discontinuity: bool,
     rules: StepRules,
@@ -1000,24 +1012,23 @@ mod tests {
         let analysis = TransientAnalysis::new(8e-6, 0.25e-6);
         let full = analysis.run(&nl).unwrap();
         let n = full.layout.size();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for rows in [1, 2, full.len() / 2, full.len()] {
-            let mut asked = 0;
-            let part = analysis
-                .run_until(&nl, |r| {
-                    asked += 1;
-                    assert_eq!(r.len(), asked, "asked after every stored row");
-                    r.len() == rows
+            let (mut time, mut values) = (Vec::new(), Vec::new());
+            analysis
+                .march(&nl, |t, x| {
+                    time.push(t);
+                    values.extend_from_slice(x);
+                    if time.len() == rows {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
                 })
                 .unwrap();
-            assert_eq!(part.len(), rows);
-            assert_eq!(part.time.capacity(), full.time.capacity());
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&part.time), bits(&full.time[..rows]), "{rows} rows");
-            assert_eq!(
-                bits(&part.values),
-                bits(&full.values[..rows * n]),
-                "{rows} rows"
-            );
+            assert_eq!(time.len(), rows, "visited once per row until the break");
+            assert_eq!(bits(&time), bits(&full.time[..rows]), "{rows} rows");
+            assert_eq!(bits(&values), bits(&full.values[..rows * n]), "{rows} rows");
         }
     }
 
@@ -1397,6 +1408,43 @@ mod tests {
         analysis.instruments.cancel = Some(token);
         let err = analysis.run(&nl).unwrap_err();
         assert_eq!(err, AnalysisError::Cancelled);
+    }
+
+    #[test]
+    fn pre_raised_cancel_token_stops_the_dc_start() {
+        use crate::devices::DiodeParams;
+        use crate::metrics::SolverMetrics;
+        use crate::robust::CancelToken;
+
+        // A diode makes the DC start a real Newton solve, and its
+        // failure modes would walk the homotopies.
+        let (mut nl, out) = rc_circuit(1e3, 1e-6);
+        nl.diode("D1", out, Netlist::GROUND, DiodeParams::default());
+        let token = CancelToken::new();
+        token.cancel();
+        let metrics = Arc::new(SolverMetrics::new());
+        let mut analysis = TransientAnalysis::new(1e-3, 10e-6).metrics(Arc::clone(&metrics));
+        analysis.instruments.cancel = Some(token);
+        assert_eq!(analysis.run(&nl).unwrap_err(), AnalysisError::Cancelled);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.newton_iterations, 0, "{snap:?}");
+        assert_eq!(snap.dc_gmin_steps + snap.dc_source_steps, 0, "{snap:?}");
+        assert_eq!(snap.steps_accepted, 0, "{snap:?}");
+
+        // Without the token the same analysis iterates in its DC start.
+        let armed = Arc::new(SolverMetrics::new());
+        crate::dc::dc_operating_point_solver(
+            &nl,
+            &crate::dc::DcOptions::default(),
+            &Instruments {
+                metrics: Some(Arc::clone(&armed)),
+                ..Instruments::default()
+            },
+            None,
+            &mut SolverContext::default(),
+        )
+        .unwrap();
+        assert!(armed.snapshot().newton_iterations > 0);
     }
 
     #[test]

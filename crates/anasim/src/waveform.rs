@@ -1,5 +1,7 @@
 //! Sampled time-domain signals.
 
+use std::iter::Peekable;
+
 /// A sampled signal: strictly increasing time points with one value each.
 ///
 /// Produced by transient analysis; consumed by the measurement and signal
@@ -99,9 +101,11 @@ impl Waveform {
             return self.v[n - 1];
         }
         let idx = self.t.partition_point(|&t| t <= time);
-        let (t0, v0) = (self.t[idx - 1], self.v[idx - 1]);
-        let (t1, v1) = (self.t[idx], self.v[idx]);
-        v0 + (v1 - v0) * (time - t0) / (t1 - t0)
+        lerp(
+            (self.t[idx - 1], self.v[idx - 1]),
+            (self.t[idx], self.v[idx]),
+            time,
+        )
     }
 
     /// Minimum sample value (`+inf` if empty).
@@ -171,6 +175,87 @@ impl Waveform {
             return 0.0;
         }
         (self.v.iter().map(|v| v * v).sum::<f64>() / self.v.len() as f64).sqrt()
+    }
+}
+
+/// The value at `time` on the line through `(t0, v0)` and `(t1, v1)`:
+/// the one interpolation [`Waveform::value_at`] and [`Sampler`] share.
+fn lerp((t0, v0): (f64, f64), (t1, v1): (f64, f64), time: f64) -> f64 {
+    v0 + (v1 - v0) * (time - t0) / (t1 - t0)
+}
+
+/// Reads a signal at ascending sample times while its samples arrive in
+/// time order, keeping only the latest one: the streaming form of
+/// [`Waveform::value_at`], which it reproduces bit for bit on the
+/// waveform the pushed samples would form.
+///
+/// A sample time at or before the first pushed time reads the first
+/// value, one at or after the last pushed time reads the last value,
+/// and one in between is interpolated over its bracket
+/// `t[i−1] ≤ time < t[i]`. The output is reserved for the sample times'
+/// lower size hint, so pushing allocates nothing for an exact-size
+/// iterator.
+///
+/// # Example
+///
+/// ```
+/// use anasim::waveform::{Sampler, Waveform};
+///
+/// let (t, v) = (vec![0.0, 1.0, 2.0], vec![0.0, 10.0, 0.0]);
+/// let mut sampler = Sampler::new([-1.0, 0.5, 1.0, 1.75, 3.0]);
+/// for (&t, &v) in t.iter().zip(&v) {
+///     sampler.push(t, v);
+/// }
+/// let w = Waveform::from_samples(t, v);
+/// assert_eq!(sampler.finish(), [-1.0, 0.5, 1.0, 1.75, 3.0].map(|s| w.value_at(s)));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Sampler<I: Iterator<Item = f64>> {
+    times: Peekable<I>,
+    /// The latest pushed sample (`None` before the first).
+    last: Option<(f64, f64)>,
+    values: Vec<f64>,
+}
+
+impl<I: Iterator<Item = f64>> Sampler<I> {
+    /// A sampler reading at `times`, which must ascend.
+    pub fn new(times: impl IntoIterator<IntoIter = I>) -> Self {
+        let times = times.into_iter();
+        let values = Vec::with_capacity(times.size_hint().0);
+        Sampler {
+            times: times.peekable(),
+            last: None,
+            values,
+        }
+    }
+
+    /// Takes the signal's next sample, `value` at `time` (after every
+    /// earlier one), and reads every pending sample time it settles:
+    /// those at or before `time` for the first sample, those before
+    /// `time` after that.
+    pub fn push(&mut self, time: f64, value: f64) {
+        match self.last {
+            None => {
+                while self.times.next_if(|&s| s <= time).is_some() {
+                    self.values.push(value);
+                }
+            }
+            Some(last) => {
+                while let Some(s) = self.times.next_if(|&s| s < time) {
+                    self.values.push(lerp(last, (time, value), s));
+                }
+            }
+        }
+        self.last = Some((time, value));
+    }
+
+    /// Reads the remaining sample times at the last value (`0.0` if
+    /// nothing was pushed, as for an empty [`Waveform`]) and returns one
+    /// value per sample time.
+    pub fn finish(mut self) -> Vec<f64> {
+        let last = self.last.map_or(0.0, |(_, v)| v);
+        self.values.extend(self.times.map(|_| last));
+        self.values
     }
 }
 
@@ -252,6 +337,58 @@ mod tests {
     fn rms_of_constant() {
         let w = Waveform::from_samples(vec![0.0, 1.0, 2.0], vec![3.0, 3.0, 3.0]);
         assert!((w.rms() - 3.0).abs() < 1e-12);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// The sampler reads what `value_at` reads off the stored
+        /// waveform, by `to_bits`: sample times before the first row, on
+        /// row times, between rows, on the last row and after it.
+        #[test]
+        fn sampler_matches_value_at(
+            steps in proptest::collection::vec(1e-3..2.0f64, 1..40),
+            values in proptest::collection::vec(-3.0..3.0f64, 41),
+            picks in proptest::collection::vec((0usize..45, 0.0..1.0f64, 0usize..4), 0..60),
+            t0 in -1.0..1.0f64,
+        ) {
+            let mut t = vec![t0];
+            for dt in &steps {
+                let next = t[t.len() - 1] + dt;
+                t.push(next);
+            }
+            let v = values[..t.len()].to_vec();
+            let n = t.len();
+            // Row times, points inside a bracket, and points before the
+            // first and after the last row.
+            let mut times: Vec<f64> = picks
+                .iter()
+                .map(|&(i, frac, kind)| match kind {
+                    0 => t[i % n],
+                    1 => t[0] - frac,
+                    2 => t[n - 1] + frac,
+                    _ if i % n + 1 < n => t[i % n] + frac * (t[i % n + 1] - t[i % n]),
+                    _ => t[n - 1],
+                })
+                .collect();
+            times.sort_by(f64::total_cmp);
+            let mut sampler = Sampler::new(times.clone());
+            for (&ti, &vi) in t.iter().zip(&v) {
+                sampler.push(ti, vi);
+            }
+            let got = sampler.finish();
+            let w = Waveform::from_samples(t, v);
+            proptest::prop_assert_eq!(got.len(), times.len());
+            for (g, &s) in got.iter().zip(&times) {
+                proptest::prop_assert_eq!(g.to_bits(), w.value_at(s).to_bits(), "at {}", s);
+            }
+        }
+    }
+
+    #[test]
+    fn sampler_without_rows_reads_zero() {
+        let sampler = Sampler::new([0.0, 1.0]);
+        assert_eq!(sampler.finish(), [0.0, 0.0]);
     }
 
     #[test]

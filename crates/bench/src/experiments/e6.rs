@@ -10,8 +10,12 @@
 use std::fmt;
 
 use anasim::metrics::SolverSnapshot;
+use anasim::netlist::Netlist;
+use anasim::robust::SolveSettings;
 use anasim::AnalysisError;
-use faultsim::campaign::{CampaignConfig, CampaignReport};
+use faultsim::campaign::{
+    extract_golden, run_campaign_from_golden, CampaignConfig, CampaignReport,
+};
 
 use crate::hooks::CampaignHooks;
 use macrolib::process::ProcessParams;
@@ -185,8 +189,10 @@ impl fmt::Display for E6Report {
 }
 
 /// Runs the correlation campaign for one example circuit on the
-/// resilient engine and adds it to the figure. The campaign journals
-/// under `e6.c<N>.correlation` when the hooks carry a journal.
+/// resilient engine and adds it to the figure. The threshold is sized
+/// from the campaign's own golden extraction, which the engine then
+/// reuses. The campaign journals under `e6.c<N>.correlation` when the
+/// hooks carry a journal.
 fn correlation_campaign(
     figure: &mut DetectionFigure,
     solver: &mut SolverSummary,
@@ -194,19 +200,21 @@ fn correlation_campaign(
     workers: usize,
     hooks: &CampaignHooks,
 ) -> Result<(), AnalysisError> {
-    let golden = circuit
-        .bench
-        .correlation_signature(circuit.bench.netlist())
-        .expect("golden circuit must simulate");
-    let peak = golden.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
     let label = format!("e6.c{}.correlation", circuit.number);
-    let config = hooks.apply(
-        CampaignConfig::new(RELATIVE_THRESHOLD * peak).workers(workers),
-        &label,
-    );
-    let report = circuit
-        .bench
-        .run_correlation_campaign_with(&circuit.faults, &config)?;
+    let config = hooks.apply(CampaignConfig::new(0.0).workers(workers), &label);
+    let extract = |nl: &Netlist, settings: &SolveSettings| {
+        circuit.bench.correlation_signature_with(nl, settings)
+    };
+    let golden = extract_golden(circuit.bench.netlist(), &config, &extract)?;
+    let peak = golden.signature().iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+    let config = config.threshold(RELATIVE_THRESHOLD * peak);
+    let report = run_campaign_from_golden(
+        circuit.bench.netlist(),
+        golden,
+        &circuit.faults,
+        &config,
+        extract,
+    )?;
     solver.absorb(&report);
     figure.add_campaign(circuit.number, &report);
     hooks.observe(&label, &report);

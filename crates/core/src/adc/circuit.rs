@@ -14,9 +14,11 @@
 //! *decrease* linearly with input amplitude (2.6 ms at 0 V down to
 //! 0.1 ms at 2.5 V).
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use anasim::metrics::SolverMetrics;
+use anasim::mna::MnaLayout;
 use anasim::netlist::{Netlist, NodeId};
 use anasim::robust::{Instruments, SolveSettings};
 use anasim::source::SourceWaveform;
@@ -201,7 +203,13 @@ impl CircuitAdc {
     /// Propagates simulator non-convergence.
     pub fn integrator_waveform(&self, vin: f64) -> Result<Waveform, AnalysisError> {
         let (nl, out) = self.circuit(vin);
-        Ok(self.analysis().run(&nl)?.voltage(out))
+        let layout = MnaLayout::new(&nl);
+        let mut wave = Waveform::new();
+        self.analysis().march(&nl, |t, x| {
+            wave.push(t, layout.voltage(x, out));
+            ControlFlow::Continue(())
+        })?;
+        Ok(wave)
     }
 
     /// The integrator fall time for a step input of `vin`: the time from
@@ -226,18 +234,20 @@ impl CircuitAdc {
         // Threshold slightly below VAG so the phase-1 start (exactly at
         // VAG) is not itself a crossing.
         let threshold = self.vag() - 1e-3;
+        let layout = MnaLayout::new(&nl);
         let mut last: Option<(f64, f64)> = None;
         let mut cross = None;
-        self.analysis().run_until(&nl, |res| {
-            let sample = (
-                *res.times().last().expect("a run stores t = 0"),
-                res.final_voltage(out),
-            );
+        self.analysis().march(&nl, |t, x| {
+            let sample = (t, layout.voltage(x, out));
             if let Some(prev) = last.replace(sample) {
                 cross = crossing_between(prev, sample, threshold, CrossingDirection::Falling)
-                    .filter(|&t| t >= fall_start);
+                    .filter(|&at| at >= fall_start);
             }
-            cross.is_some()
+            if cross.is_some() {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
         })?;
         let cross = cross.ok_or_else(|| {
             AnalysisError::InvalidParameter("integrator output never fell".into())

@@ -1,10 +1,14 @@
 //! The transient-response test bench (approach 1: correlation).
 
+use std::ops::ControlFlow;
+
 use anasim::devices::Device;
+use anasim::mna::MnaLayout;
 use anasim::netlist::{DeviceId, Netlist, NodeId};
 use anasim::robust::SolveSettings;
 use anasim::source::SourceWaveform;
 use anasim::transient::TransientAnalysis;
+use anasim::waveform::Sampler;
 use anasim::AnalysisError;
 use faultsim::campaign::{run_campaign, run_campaign_with, CampaignConfig, CampaignReport};
 use faultsim::model::Fault;
@@ -130,9 +134,7 @@ impl TransientTestBench {
         netlist: &Netlist,
         node: NodeId,
     ) -> Result<Vec<f64>, AnalysisError> {
-        let t_stop = self.stimulus.total_duration() * self.periods as f64;
-        let result = TransientAnalysis::new(t_stop, self.sim_dt).run(netlist)?;
-        self.sample_voltage(&result, node)
+        self.sample_voltage(&self.analysis(), netlist, node)
     }
 
     /// [`TransientTestBench::response_at`] under explicit
@@ -148,11 +150,7 @@ impl TransientTestBench {
         node: NodeId,
         settings: &SolveSettings,
     ) -> Result<Vec<f64>, AnalysisError> {
-        let t_stop = self.stimulus.total_duration() * self.periods as f64;
-        let result = TransientAnalysis::new(t_stop, self.sim_dt)
-            .with_settings(settings)
-            .run(netlist)?;
-        self.sample_voltage(&result, node)
+        self.sample_voltage(&self.analysis().with_settings(settings), netlist, node)
     }
 
     /// [`TransientTestBench::response`] under explicit [`SolveSettings`].
@@ -168,16 +166,28 @@ impl TransientTestBench {
         self.response_at_with(netlist, self.output, settings)
     }
 
+    /// The bench's transient analysis: every PRBS period at `sim_dt`.
+    fn analysis(&self) -> TransientAnalysis {
+        let t_stop = self.stimulus.total_duration() * self.periods as f64;
+        TransientAnalysis::new(t_stop, self.sim_dt)
+    }
+
+    /// The response grid: one sample in the middle of each sample
+    /// period.
+    fn sample_times(&self) -> impl Iterator<Item = f64> + Clone {
+        let dt = self.stimulus.sample_period(self.samples_per_bit);
+        (0..self.sample_count()).map(move |k| (k as f64 + 0.5) * dt)
+    }
+
     fn sample_voltage(
         &self,
-        result: &anasim::transient::TransientResult,
+        analysis: &TransientAnalysis,
+        netlist: &Netlist,
         node: NodeId,
     ) -> Result<Vec<f64>, AnalysisError> {
-        let w = result.voltage(node);
-        let dt = self.stimulus.sample_period(self.samples_per_bit);
-        Ok((0..self.sample_count())
-            .map(|k| w.value_at((k as f64 + 0.5) * dt))
-            .collect())
+        let column = MnaLayout::new(netlist).node_index(node);
+        let mut y = sample_columns(analysis, netlist, &[column], self.sample_times())?;
+        Ok(y.swap_remove(0))
     }
 
     /// Samples the summed branch currents of the given voltage-defined
@@ -210,26 +220,24 @@ impl TransientTestBench {
         devices: &[DeviceId],
         settings: &SolveSettings,
     ) -> Result<Vec<f64>, AnalysisError> {
-        let t_stop = self.stimulus.total_duration() * self.periods as f64;
-        let result = TransientAnalysis::new(t_stop, self.sim_dt)
-            .with_settings(settings)
-            .run(netlist)?;
-        let mut waves = Vec::with_capacity(devices.len());
-        for &d in devices {
-            let w = result.branch_current(d).ok_or_else(|| {
-                AnalysisError::UnknownElement(format!(
-                    "device {} has no branch current",
-                    netlist.device_name(d)
-                ))
-            })?;
-            waves.push(w);
-        }
-        let dt = self.stimulus.sample_period(self.samples_per_bit);
-        Ok((0..self.sample_count())
-            .map(|k| {
-                let t = (k as f64 + 0.5) * dt;
-                waves.iter().map(|w| w.value_at(t)).sum()
+        let layout = MnaLayout::new(netlist);
+        let columns = devices
+            .iter()
+            .map(|&d| {
+                layout.branch_index(d).map(Some).ok_or_else(|| {
+                    AnalysisError::UnknownElement(format!(
+                        "device {} has no branch current",
+                        netlist.device_name(d)
+                    ))
+                })
             })
+            .collect::<Result<Vec<_>, _>>()?;
+        let analysis = self.analysis().with_settings(settings);
+        let waves = sample_columns(&analysis, netlist, &columns, self.sample_times())?;
+        // Summed per sample in device order, as the stored waveforms
+        // were.
+        Ok((0..self.sample_count())
+            .map(|k| waves.iter().map(|w| w[k]).sum())
             .collect())
     }
 
@@ -267,14 +275,20 @@ impl TransientTestBench {
         // removal: a shifted DC operating level is one of the strongest
         // fault signatures (stuck stages, bias faults), and the PRBS's
         // slight bit imbalance carries it into the correlation function.
-        let y = self.response_with(netlist, settings)?;
+        Ok(self.correlate(&self.response_with(netlist, settings)?))
+    }
+
+    /// The correlation of a sampled response `y` with the stimulus's
+    /// correlation signal over every period, normalised by that
+    /// signal's energy.
+    fn correlate(&self, y: &[f64]) -> Vec<f64> {
         let one_period = self.stimulus.correlation_signal(self.samples_per_bit);
         let p: Vec<f64> = std::iter::repeat_n(one_period, self.periods)
             .flatten()
             .collect();
         let e_p = energy(&p);
-        let r = cross_correlation(&y, &p);
-        Ok(r.into_iter().map(|v| v / e_p).collect())
+        let r = cross_correlation(y, &p);
+        r.into_iter().map(|v| v / e_p).collect()
     }
 
     /// Runs a fault campaign with correlation signatures, counting
@@ -417,10 +431,143 @@ impl TransientTestBench {
     }
 }
 
+/// Marches `analysis` over `netlist` and reads each unknown in
+/// `columns` (`None`, ground, reads `0.0`) at the ascending `times`,
+/// bit for bit as [`anasim::waveform::Waveform::value_at`] reads the
+/// stored column, while holding only the samples: one vector per
+/// column.
+pub(crate) fn sample_columns(
+    analysis: &TransientAnalysis,
+    netlist: &Netlist,
+    columns: &[Option<usize>],
+    times: impl Iterator<Item = f64> + Clone,
+) -> Result<Vec<Vec<f64>>, AnalysisError> {
+    let mut samplers: Vec<_> = columns.iter().map(|_| Sampler::new(times.clone())).collect();
+    analysis.march(netlist, |t, x| {
+        for (sampler, column) in samplers.iter_mut().zip(columns) {
+            sampler.push(t, column.map_or(0.0, |i| x[i]));
+        }
+        ControlFlow::Continue(())
+    })?;
+    Ok(samplers.into_iter().map(Sampler::finish).collect())
+}
+
+/// The stored-then-sampled path the streaming sampler replaced: a full
+/// [`anasim::transient::TransientResult`] read with
+/// [`anasim::waveform::Waveform::value_at`], kept as the test oracle the
+/// bench must match bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use anasim::transient::TransientResult;
+
+    /// The stored transient `response_at_with` and
+    /// `current_response_with` used to sample.
+    pub(super) fn run(
+        bench: &TransientTestBench,
+        netlist: &Netlist,
+        settings: &SolveSettings,
+    ) -> TransientResult {
+        bench
+            .analysis()
+            .with_settings(settings)
+            .run(netlist)
+            .expect("simulates")
+    }
+
+    pub(super) fn voltage(
+        bench: &TransientTestBench,
+        result: &TransientResult,
+        node: NodeId,
+    ) -> Vec<f64> {
+        let w = result.voltage(node);
+        bench.sample_times().map(|t| w.value_at(t)).collect()
+    }
+
+    pub(super) fn current(
+        bench: &TransientTestBench,
+        result: &TransientResult,
+        devices: &[DeviceId],
+    ) -> Vec<f64> {
+        let waves: Vec<_> = devices
+            .iter()
+            .map(|&d| result.branch_current(d).expect("a branch"))
+            .collect();
+        bench
+            .sample_times()
+            .map(|t| waves.iter().map(|w| w.value_at(t)).sum())
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use faultsim::model::Fault;
+
+    fn assert_bits(what: &str, got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{k}]: {g:e} vs {w:e}");
+        }
+    }
+
+    /// On circuit 1, golden and two faults, every streamed signature
+    /// equals the stored-then-sampled oracle by `to_bits`: the output
+    /// response, an internal node, the correlation signature, and the
+    /// supply current over one and over two devices.
+    #[test]
+    fn streamed_signatures_match_the_stored_oracle() {
+        use crate::transtest::circuits::circuit1;
+        use macrolib::process::ProcessParams;
+
+        let c1 = circuit1(&ProcessParams::nominal());
+        let bench = &c1.bench;
+        let golden = bench.netlist();
+        let vdd = c1.vdd_sources[0];
+        let vref = golden.find_device("c1:VREF").expect("reference source");
+        let internal = golden.find_node("c1:n5").expect("an internal node");
+        let settings = SolveSettings::default();
+        let mut variants = vec![("golden".to_string(), golden.clone())];
+        for name in ["n4-sa0", "n8-n9-dsa1"] {
+            let fault = c1.faults.iter().find(|f| f.name() == name).expect(name);
+            variants.push((name.to_string(), faultsim::inject::inject(golden, fault)));
+        }
+        for (name, nl) in &variants {
+            let stored = oracle::run(bench, nl, &settings);
+            let y = oracle::voltage(bench, &stored, bench.output());
+            assert_bits(
+                &format!("{name} response"),
+                &bench.response_at_with(nl, bench.output(), &settings).unwrap(),
+                &y,
+            );
+            assert_bits(
+                &format!("{name} internal"),
+                &bench.response_at_with(nl, internal, &settings).unwrap(),
+                &oracle::voltage(bench, &stored, internal),
+            );
+            assert_bits(
+                &format!("{name} correlation"),
+                &bench.correlation_signature_with(nl, &settings).unwrap(),
+                &bench.correlate(&y),
+            );
+            for devices in [&[vdd][..], &[vdd, vref]] {
+                assert_bits(
+                    &format!("{name} current over {} devices", devices.len()),
+                    &bench.current_response_with(nl, devices, &settings).unwrap(),
+                    &oracle::current(bench, &stored, devices),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_device_without_a_branch_current_is_rejected() {
+        let (bench, _) = rc_bench();
+        let r1 = bench.netlist().find_device("R1").unwrap();
+        let err = bench.current_response(bench.netlist(), &[r1]).unwrap_err();
+        assert!(matches!(err, AnalysisError::UnknownElement(_)), "{err:?}");
+    }
 
     /// A simple RC low-pass as the circuit under test: fast to simulate
     /// and fully analysable.

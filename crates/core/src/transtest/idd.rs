@@ -9,9 +9,9 @@
 //! untouched.
 
 use anasim::netlist::{DeviceId, Netlist};
-use anasim::robust::SolveSettings;
+use anasim::robust::{SolveBudget, SolveSettings, SolverRung};
 use anasim::AnalysisError;
-use faultsim::campaign::{run_campaign, run_campaign_with, CampaignConfig, CampaignReport};
+use faultsim::campaign::{extract_golden, run_campaign_from_golden, CampaignConfig, CampaignReport};
 use faultsim::model::Fault;
 
 use super::bench::TransientTestBench;
@@ -90,9 +90,12 @@ pub fn run_idd_campaign(
     faults: &[Fault],
     threshold_rel: f64,
 ) -> Result<CampaignReport, AnalysisError> {
-    let golden = idd_signature(bench, bench.netlist(), supplies)?;
-    let threshold = threshold_rel * idd_stats(&golden).mean.max(1e-12);
-    run_campaign(bench.netlist(), faults, threshold, |nl| {
+    // `faultsim::campaign::run_campaign`'s configuration, with the
+    // threshold left for the golden signature to size.
+    let config = CampaignConfig::new(0.0)
+        .ladder(vec![SolverRung::nominal()])
+        .budget(SolveBudget::unlimited());
+    idd_campaign(bench, faults, threshold_rel, &config, |nl, _settings| {
         idd_signature(bench, nl, supplies)
     })
 }
@@ -113,12 +116,27 @@ pub fn run_idd_campaign_with(
     threshold_rel: f64,
     config: &CampaignConfig,
 ) -> Result<CampaignReport, AnalysisError> {
-    let golden = idd_signature(bench, bench.netlist(), supplies)?;
-    let threshold = threshold_rel * idd_stats(&golden).mean.max(1e-12);
-    let config = config.clone().threshold(threshold);
-    run_campaign_with(bench.netlist(), faults, &config, |nl, settings| {
+    idd_campaign(bench, faults, threshold_rel, config, |nl, settings| {
         idd_signature_with(bench, nl, supplies, settings)
     })
+}
+
+/// Extracts the golden IDD signature once, sizes the threshold from its
+/// mean current, and hands the same extraction to the campaign engine.
+fn idd_campaign<F>(
+    bench: &TransientTestBench,
+    faults: &[Fault],
+    threshold_rel: f64,
+    config: &CampaignConfig,
+    extract: F,
+) -> Result<CampaignReport, AnalysisError>
+where
+    F: Fn(&Netlist, &SolveSettings) -> Result<Vec<f64>, AnalysisError> + Sync,
+{
+    let golden = extract_golden(bench.netlist(), config, &extract)?;
+    let threshold = threshold_rel * idd_stats(golden.signature()).mean.max(1e-12);
+    let config = config.clone().threshold(threshold);
+    run_campaign_from_golden(bench.netlist(), golden, faults, &config, extract)
 }
 
 #[cfg(test)]
@@ -172,6 +190,9 @@ mod tests {
             .cloned()
             .collect();
         let report = run_idd_campaign(&c1.bench, &[vdd], &faults, 0.05).unwrap();
+        // The threshold is sized from the campaign's own golden.
+        let threshold = 0.05 * idd_stats(&report.golden).mean.max(1e-12);
+        assert_eq!(report.threshold.to_bits(), threshold.to_bits());
         for o in &report.outcomes {
             assert!(
                 o.figure_pct() > 60.0,

@@ -16,13 +16,14 @@
 //!   golden and faulty impulse responses can be compared sample by
 //!   sample.
 
+use anasim::mna::MnaLayout;
 use anasim::netlist::Netlist;
 use anasim::source::SourceWaveform;
 use anasim::transient::TransientAnalysis;
 use anasim::AnalysisError;
 use linsys::transfer::DiscreteTransferFunction;
 
-use super::bench::TransientTestBench;
+use super::bench::{sample_columns, TransientTestBench};
 
 /// Measures a circuit's small-signal impulse response by pulse
 /// perturbation.
@@ -57,13 +58,13 @@ pub fn measured_impulse_response(
             _ => unreachable!("bench validated the stimulus source"),
         }
         let sim_dt = (pulse_width / 4.0).min(sample_dt / 2.0);
-        let result = TransientAnalysis::new(t_stop, sim_dt).run(&nl)?;
-        let w = result.voltage(bench.output());
+        let analysis = TransientAnalysis::new(t_stop, sim_dt);
+        let column = MnaLayout::new(&nl).node_index(bench.output());
         // Sample from the end of the pulse: the impulse approximation
         // y_diff/area ~ h(t) holds once the pulse has finished.
-        Ok((0..samples)
-            .map(|k| w.value_at(2.0 * pulse_width + k as f64 * sample_dt))
-            .collect())
+        let times = (0..samples).map(|k| 2.0 * pulse_width + k as f64 * sample_dt);
+        let mut y = sample_columns(&analysis, &nl, &[column], times)?;
+        Ok(y.swap_remove(0))
     };
 
     let baseline = run(SourceWaveform::dc(bias))?;

@@ -940,28 +940,102 @@ pub fn run_campaign_with<F>(
 where
     F: Fn(&Netlist, &SolveSettings) -> Result<Vec<f64>, AnalysisError> + Sync,
 {
-    if config.ladder.is_empty() {
-        return Err(AnalysisError::InvalidParameter(
-            "campaign escalation ladder is empty".into(),
-        ));
+    check_ladder(config)?;
+    let reference = extract_golden(golden, config, &extract)?;
+    run_campaign_from_golden(golden, reference, faults, config, extract)
+}
+
+/// The first step of a campaign: the golden (fault-free) netlist
+/// extracted once, at nominal settings under `config`'s budget, with its
+/// own counters, and its profiler and cancel token from `config`.
+///
+/// [`run_campaign_with`] is this step followed by
+/// [`run_campaign_from_golden`]. Calling the two directly lets a caller
+/// read the golden signature in between — to size a threshold from it,
+/// say — without simulating the golden netlist a second time.
+#[derive(Debug, Clone)]
+pub struct GoldenExtraction {
+    signature: Vec<f64>,
+    solver: SolverSnapshot,
+    wall: Duration,
+    /// When the extraction began: the start of the campaign's wall.
+    started: Instant,
+}
+
+impl GoldenExtraction {
+    /// The golden signature.
+    pub fn signature(&self) -> &[f64] {
+        &self.signature
     }
+}
 
-    let campaign_start = Instant::now();
-
+/// Extracts the golden netlist for a campaign under `config` (its
+/// threshold is not read): see [`GoldenExtraction`].
+///
+/// # Errors
+///
+/// Returns the golden circuit's analysis error.
+pub fn extract_golden<F>(
+    golden: &Netlist,
+    config: &CampaignConfig,
+    extract: &F,
+) -> Result<GoldenExtraction, AnalysisError>
+where
+    F: Fn(&Netlist, &SolveSettings) -> Result<Vec<f64>, AnalysisError>,
+{
+    let started = Instant::now();
     // Golden extraction at nominal settings, same budget as faults.
     // A resumed campaign re-runs this too: the solver is deterministic,
     // so re-deriving the golden signature is both cheap (one fault's
     // worth of work) and exactly reproducible, which keeps the journal
     // free of bulk golden data.
-    let golden_settings = SolveSettings {
+    let settings = SolveSettings {
         budget: config.budget,
         instruments: extraction_instruments(config, false),
         ..SolveSettings::default()
     };
-    let golden_start = Instant::now();
-    let golden_sig = extract(golden, &golden_settings)?;
-    let golden_wall = golden_start.elapsed();
-    let golden_solver = golden_settings.instruments.snapshot();
+    let signature = extract(golden, &settings)?;
+    Ok(GoldenExtraction {
+        signature,
+        solver: settings.instruments.snapshot(),
+        wall: started.elapsed(),
+        started,
+    })
+}
+
+fn check_ladder(config: &CampaignConfig) -> Result<(), AnalysisError> {
+    if config.ladder.is_empty() {
+        return Err(AnalysisError::InvalidParameter(
+            "campaign escalation ladder is empty".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// The rest of [`run_campaign_with`]: the fault campaign on `golden`
+/// against a golden extraction already made by [`extract_golden`],
+/// whose signature, counters and wall the report carries.
+///
+/// # Errors
+///
+/// As [`run_campaign_with`], except the golden extraction's.
+pub fn run_campaign_from_golden<F>(
+    golden: &Netlist,
+    reference: GoldenExtraction,
+    faults: &[Fault],
+    config: &CampaignConfig,
+    extract: F,
+) -> Result<CampaignReport, AnalysisError>
+where
+    F: Fn(&Netlist, &SolveSettings) -> Result<Vec<f64>, AnalysisError> + Sync,
+{
+    check_ladder(config)?;
+    let GoldenExtraction {
+        signature: golden_sig,
+        solver: golden_solver,
+        wall: golden_wall,
+        started: campaign_start,
+    } = reference;
 
     // Golden DC operating point, reused as the Newton seed for every
     // fault: injection appends hardware at the end of the netlist, so
@@ -1641,6 +1715,43 @@ mod tests {
         for o in &report.outcomes {
             assert!(matches!(o.status, FaultStatus::Detected { .. }));
         }
+    }
+
+    #[test]
+    fn a_golden_extraction_serves_the_campaign_once() {
+        // A signature whose threshold is read off the golden one: the
+        // split entry points extract the golden netlist once and land on
+        // the report `run_campaign_with` produces with that threshold.
+        let (nl, b) = divider_fixture();
+        let faults = vec![Fault::stuck_at_0("sa0", b), Fault::stuck_at_1("sa1", b)];
+        let calls = AtomicUsize::new(0);
+        let extract = |n: &Netlist, _: &SolveSettings| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            Ok(vec![dc_operating_point(n)?.voltage(b), 1.0])
+        };
+        let config = CampaignConfig::new(0.0).workers(2);
+        let golden = extract_golden(&nl, &config, &extract).unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        let threshold = 0.1 * golden.signature()[0];
+        let config = config.threshold(threshold);
+        let split = run_campaign_from_golden(&nl, golden, &faults, &config, extract).unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 1 + faults.len());
+        let whole = run_campaign_with(&nl, &faults, &config, |n, _| {
+            Ok(vec![dc_operating_point(n)?.voltage(b), 1.0])
+        })
+        .unwrap();
+        assert_eq!(split.threshold.to_bits(), threshold.to_bits());
+        assert_eq!(split.canonical_text(), whole.canonical_text());
+        assert!(split.stats.campaign_wall >= split.stats.golden_wall);
+        // The engine checks its ladder before taking a golden.
+        let empty = config.clone().ladder(Vec::new());
+        let golden = extract_golden(&nl, &empty, &|n: &Netlist, _: &SolveSettings| {
+            Ok(vec![dc_operating_point(n)?.voltage(b)])
+        })
+        .unwrap();
+        let err = run_campaign_from_golden(&nl, golden, &faults, &empty, |_, _| Ok(vec![0.0]))
+            .unwrap_err();
+        assert!(matches!(err, AnalysisError::InvalidParameter(_)), "{err:?}");
     }
 
     #[test]
