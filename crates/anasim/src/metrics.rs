@@ -18,10 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use linsys::NumericalHazard;
 use obs::profile::PhaseSnapshot;
-use obs::Recorder;
 
-/// Counter names under which [`SolverSnapshot::emit_to`] publishes to a
-/// recorder, in emission order.
+/// Report counter names of the [`SolverSnapshot`] fields, in
+/// [`SolverSnapshot::as_array`] order.
 pub const COUNTER_NAMES: [&str; 16] = [
     "solver.newton_iterations",
     "solver.steps_accepted",
@@ -257,7 +256,7 @@ pub struct SolverSnapshot {
 
 impl SolverSnapshot {
     /// Bare field names in [`SolverSnapshot::as_array`] order; the
-    /// recorder-facing [`COUNTER_NAMES`] are these with a `solver.`
+    /// report-facing [`COUNTER_NAMES`] are these with a `solver.`
     /// prefix. Keeping one authoritative name list next to the value
     /// list stops the two from drifting into positional magic.
     pub const FIELDS: [&'static str; 16] = [
@@ -278,15 +277,6 @@ impl SolverSnapshot {
         "demote.symbolic",
         "refinement.rounds",
     ];
-
-    /// Publishes each counter to `recorder` under its
-    /// [`COUNTER_NAMES`] name. Zero counters are emitted too, so
-    /// aggregate key sets do not depend on which code paths ran.
-    pub fn emit_to(&self, recorder: &dyn Recorder) {
-        for (name, value) in COUNTER_NAMES.iter().zip(self.as_array()) {
-            recorder.add(name, value);
-        }
-    }
 
     /// Counter values in [`COUNTER_NAMES`] order.
     pub fn as_array(&self) -> [u64; 16] {
@@ -369,7 +359,12 @@ impl AddAssign for SolverSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::AggregatingRecorder;
+    use std::collections::BTreeMap;
+
+    /// The counters as a report section would carry them.
+    fn named(snap: &SolverSnapshot) -> BTreeMap<&'static str, u64> {
+        COUNTER_NAMES.iter().copied().zip(snap.as_array()).collect()
+    }
 
     #[test]
     fn counters_accumulate_and_snapshot() {
@@ -451,31 +446,29 @@ mod tests {
     }
 
     #[test]
-    fn emit_publishes_every_counter_even_zeroes() {
-        let rec = AggregatingRecorder::new();
+    fn named_counters_include_every_counter_even_zeroes() {
         let snap = SolverSnapshot {
             newton_iterations: 3,
             ..SolverSnapshot::default()
         };
-        snap.emit_to(&rec);
-        let agg = rec.snapshot();
+        let counters = named(&snap);
         for name in COUNTER_NAMES {
-            assert!(agg.counters.contains_key(name), "{name} missing");
+            assert!(counters.contains_key(name), "{name} missing");
         }
-        assert_eq!(agg.counters["solver.newton_iterations"], 3);
-        assert_eq!(agg.counters["solver.dt_shrinks"], 0);
+        assert_eq!(counters["solver.newton_iterations"], 3);
+        assert_eq!(counters["solver.dt_shrinks"], 0);
     }
 
     #[test]
     fn field_names_stay_in_sync_with_counter_names_and_as_array() {
-        // The recorder names are exactly the field names with the
+        // The report names are exactly the field names with the
         // `solver.` prefix, position for position.
         for (counter, field) in COUNTER_NAMES.iter().zip(SolverSnapshot::FIELDS) {
             assert_eq!(*counter, format!("solver.{field}"));
         }
-        // Distinct per-position values prove as_array/emit_to use the
-        // same ordering as FIELDS: the value emitted under each name
-        // matches the field the name claims.
+        // Distinct per-position values prove as_array uses the same
+        // ordering as FIELDS: the value paired with each name matches
+        // the field the name claims.
         let snap = SolverSnapshot {
             newton_iterations: 1,
             steps_accepted: 2,
@@ -499,12 +492,10 @@ mod tests {
             snap.as_array(),
             [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]
         );
-        let rec = AggregatingRecorder::new();
-        snap.emit_to(&rec);
-        let agg = rec.snapshot();
+        let counters = named(&snap);
         for (i, field) in SolverSnapshot::FIELDS.iter().enumerate() {
             assert_eq!(
-                agg.counters[&format!("solver.{field}")],
+                counters[format!("solver.{field}").as_str()],
                 (i + 1) as u64,
                 "{field} emitted out of position"
             );

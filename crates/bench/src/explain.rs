@@ -20,7 +20,7 @@
 use std::fmt::Write as _;
 
 use faultsim::campaign::FaultStatus;
-use faultsim::journal::{JournalReplay, ReplayedCampaign};
+use faultsim::journal::{JournalReplay, ReplayedCampaign, ReplayedState};
 use obs::json::JsonValue;
 use obs::postmortem::Postmortem;
 use obs::table::{Align, Table};
@@ -240,17 +240,14 @@ pub fn looks_like_journal(text: &str) -> bool {
 fn render_campaign_progress(label: &str, campaign: &ReplayedCampaign) -> String {
     let mut out = String::new();
     let total = campaign.names.len();
-    let state = if let Some(d) = &campaign.degraded {
-        format!(
+    let state = match campaign.state() {
+        ReplayedState::Degraded(d) => format!(
             "journal degraded ({} journaled, {} unjournaled)",
             d.journaled, d.unjournaled
-        )
-    } else if campaign.complete {
-        "complete".to_owned()
-    } else if campaign.cancelled {
-        format!("cancelled after {}", campaign.faults.len())
-    } else {
-        "interrupted (no terminal record)".to_owned()
+        ),
+        ReplayedState::Cancelled => format!("cancelled after {}", campaign.faults.len()),
+        ReplayedState::Interrupted => "interrupted (no terminal record)".to_owned(),
+        ReplayedState::Complete => "complete".to_owned(),
     };
     let _ = writeln!(
         out,

@@ -106,6 +106,7 @@ use std::time::Instant;
 use anasim::robust::CancelToken;
 use anasim::AnalysisError;
 use faultsim::campaign::DegradePolicy;
+use faultsim::journal::ReplayedState;
 use faultsim::trace::CampaignTrace;
 use msbist_bench::hooks::CampaignHooks;
 use msbist_bench::solver_bench::{self, BenchEntry};
@@ -979,17 +980,14 @@ fn check_journal(path: &str, text: &str) -> ExitCode {
             .campaigns
             .iter()
             .map(|(label, c)| {
-                let state = if let Some(d) = &c.degraded {
-                    format!("degraded ({} unjournaled: {})", d.unjournaled, d.reason)
-                } else if c.complete {
-                    "complete".to_owned()
-                } else if c.cancelled {
-                    "cancelled".to_owned()
-                } else {
-                    "interrupted".to_owned()
+                let state = match c.state() {
+                    ReplayedState::Degraded(d) => {
+                        format!("degraded ({} unjournaled: {})", d.unjournaled, d.reason)
+                    }
+                    other => other.label().to_owned(),
                 };
-                // The same fold the live status snapshot uses, so the
-                // two progress views cannot disagree.
+                // `StatusRollup`, the fold the live status snapshot
+                // keeps, so the two progress views cannot disagree.
                 let rollup = msbist_bench::watch::fold_campaign(label, c, None);
                 format!(
                     "{label} {}/{} {state} ({} detected, {} undetected, {} failed)",

@@ -16,10 +16,10 @@
 //!    gone stale while claiming `running` (the campaign process died
 //!    between snapshots), the journal named in the snapshot — or any
 //!    journal found in the directory — is replayed and folded into a
-//!    synthesized snapshot by [`fold_campaign`]. The fold is the same
-//!    rollup a live `StatusEmitter` maintains, so `explain` and
-//!    `check-report` reuse it for their in-flight-journal progress
-//!    views.
+//!    synthesized snapshot by [`fold_campaign`]. The fold is
+//!    `faultsim::telemetry::StatusRollup`, the one a live
+//!    `StatusEmitter` keeps, and `explain` and `check-report` reuse it
+//!    for their in-flight-journal progress views.
 //!
 //! Everything here is read-only and wall-clock quarantined: watching a
 //! campaign cannot change what it produces.
@@ -29,10 +29,9 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use anasim::metrics::SolverSnapshot;
 use faultsim::journal::ReplayedCampaign;
+use faultsim::telemetry::StatusRollup;
 use obs::json::JsonValue;
-use obs::profile::Phase;
 use obs::status::{self, CampaignStatus, WorkerLane};
 use obs::table::{bar, Align, Table};
 
@@ -53,103 +52,37 @@ pub struct WatchView {
     pub stale_ms: Option<f64>,
 }
 
-/// Folds a replayed campaign into the same `mixsig.campaign-status/1`
-/// rollup a live `StatusEmitter` maintains: outcome counts from the
-/// journaled statuses, per-lane completion and busy time from the
-/// journaled fault telemetry, solver counters and phase hot spots from
-/// the accumulated [`SolverSnapshot`]s.
+/// Folds a replayed campaign into a `mixsig.campaign-status/1`
+/// snapshot through [`StatusRollup`], the fold a live `StatusEmitter`
+/// keeps: outcome counts, solver counters, phase hot spots and
+/// per-lane completions, with `elapsed_ms` and each lane's `busy_ms`
+/// the summed journaled fault walls.
 ///
-/// Rates and ETA are zero/absent (a journal has no wall-clock epoch)
-/// and `elapsed_ms` is the summed per-fault busy time. Every journaled
-/// outcome counts as `replayed` — that is exactly what a resume would
-/// do with it. Worker lanes are scheduling metadata the journal
-/// deliberately never records, so a replayed journal folds to a single
-/// aggregate lane 0; [`overlay_heartbeats`] recovers real lanes from
-/// the heartbeat sidecar when one is available.
+/// Rates and ETA are zero/absent (a journal has no wall-clock epoch).
+/// Every journaled outcome counts as `replayed` — that is exactly what
+/// a resume would do with it. Worker lanes are scheduling metadata the
+/// journal deliberately never records, so a replayed journal folds to
+/// a single aggregate lane 0; [`overlay_heartbeats`] recovers real
+/// lanes from the heartbeat sidecar when one is available.
 pub fn fold_campaign(
     label: &str,
     campaign: &ReplayedCampaign,
     journal: Option<&str>,
 ) -> CampaignStatus {
-    let mut detected = 0u64;
-    let mut undetected = 0u64;
-    let mut failed = 0u64;
-    let mut solver = SolverSnapshot::default();
-    // lane → (completed, busy_ms, phase rollup)
-    let mut lanes: BTreeMap<usize, (u64, f64, obs::profile::PhaseSnapshot)> = BTreeMap::new();
+    let mut rollup = StatusRollup::default();
     for fault in campaign.faults.values() {
-        match fault.status.tag() {
-            "detected" => detected += 1,
-            "undetected" => undetected += 1,
-            _ => failed += 1,
-        }
-        solver += fault.telemetry.solver;
-        let entry = lanes.entry(fault.telemetry.lane).or_default();
-        entry.0 += 1;
-        entry.1 += fault.telemetry.wall.as_secs_f64() * 1e3;
-        entry.2 += fault.telemetry.solver.phases;
+        rollup.add(&fault.status, &fault.telemetry);
     }
-    let state = if campaign.degraded.is_some() {
-        "degraded"
-    } else if campaign.complete {
-        "complete"
-    } else if campaign.cancelled {
-        "cancelled"
-    } else {
-        "interrupted"
-    };
-    let done = campaign.faults.len() as u64;
-    let counters = SolverSnapshot::FIELDS
-        .iter()
-        .zip(solver.as_array())
-        .map(|(name, value)| ((*name).to_owned(), value))
-        .collect();
-    let phases = Phase::ALL
-        .iter()
-        .filter(|&&p| solver.phases.ns(p) > 0 || solver.phases.calls(p) > 0)
-        .map(|&p| (p.label().to_owned(), solver.phases.ns(p), solver.phases.calls(p)))
-        .collect();
-    let workers = lanes
-        .into_iter()
-        .map(|(lane, (completed, busy_ms, phases))| WorkerLane {
-            lane: lane as u64,
-            completed,
-            busy_ms,
-            hot_phase: hot_phase_of(&phases),
-            ..WorkerLane::default()
-        })
-        .collect();
-    let elapsed_ms = campaign
-        .faults
-        .values()
-        .map(|f| f.telemetry.wall.as_secs_f64() * 1e3)
-        .sum();
-    CampaignStatus {
+    let mut status = CampaignStatus {
         label: label.to_owned(),
-        state: state.to_owned(),
+        state: campaign.state().label().to_owned(),
         total: campaign.names.len() as u64,
-        done,
-        replayed: done,
-        detected,
-        undetected,
-        failed,
-        elapsed_ms,
-        counters,
-        phases,
-        workers,
         journal: journal.map(str::to_owned),
         ..CampaignStatus::default()
-    }
-}
-
-/// The phase with the most attributed self-time, if any time was
-/// attributed at all.
-fn hot_phase_of(phases: &obs::profile::PhaseSnapshot) -> Option<String> {
-    Phase::ALL
-        .iter()
-        .max_by_key(|&&p| phases.ns(p))
-        .filter(|&&p| phases.ns(p) > 0)
-        .map(|&p| p.label().to_owned())
+    };
+    rollup.fill(&mut status);
+    status.replayed = status.done;
+    status
 }
 
 /// Replays the journal at `path` and folds every campaign it holds, in
@@ -489,6 +422,7 @@ fn indent(text: &str, pad: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anasim::metrics::SolverSnapshot;
     use faultsim::campaign::{FaultStatus, FaultTelemetry};
     use faultsim::journal::{complete_record, fault_record, start_record};
     use faultsim::model::Fault;
@@ -725,6 +659,78 @@ mod tests {
         assert!(text.contains("#1 f1"), "{text}");
         assert!(text.contains("STALLED: lane 1"), "{text}");
         assert!(text.contains("19 Newton iterations"), "{text}");
+    }
+
+    #[test]
+    fn the_live_snapshot_and_the_journal_fold_agree() {
+        use anasim::netlist::Netlist;
+        use anasim::source::SourceWaveform;
+        use anasim::transient::TransientAnalysis;
+        use faultsim::campaign::{run_campaign_with, CampaignConfig, JournalConfig};
+        use faultsim::telemetry::TelemetryConfig;
+
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        let b = nl.node("b");
+        let c = nl.node("c");
+        nl.vsource("V1", a, Netlist::GROUND, SourceWaveform::step(5.0, 1e-5));
+        nl.resistor("R1", a, b, 10e3);
+        nl.capacitor("C1", b, Netlist::GROUND, 1e-9);
+        nl.resistor("R2", b, c, 10e3);
+        nl.capacitor("C2", c, Netlist::GROUND, 1e-9);
+        let faults = [
+            Fault::stuck_at_0("b-sa0", b),
+            Fault::stuck_at_1("b-sa1", b),
+            Fault::stuck_at_0("c-sa0", c),
+            Fault::stuck_at_1("c-sa1", c),
+            Fault::bridge("b-c-br", b, c),
+            Fault::bridge("a-c-br", a, c).with_impedance(1e9),
+        ];
+        let dir = temp_dir("live-vs-journal");
+        let journal = dir.join("campaign.jsonl");
+        let config = CampaignConfig::new(0.5)
+            .workers(2)
+            .journal(JournalConfig::fresh(&journal, "rc"))
+            .telemetry(TelemetryConfig::new(&dir));
+        run_campaign_with(&nl, &faults, &config, |n, settings| {
+            let result = TransientAnalysis::new(2e-4, 2e-6)
+                .with_settings(settings)
+                .run(n)?;
+            let w = result.voltage(n.find_node("c").expect("node c"));
+            Ok((0..20).map(|k| w.value_at(k as f64 * 1e-5)).collect())
+        })
+        .unwrap();
+
+        let live = status::read_status(&dir.join(status::STATUS_FILE))
+            .unwrap()
+            .unwrap();
+        let mut folded = pick_campaign(fold_journal(&journal).unwrap()).unwrap();
+        overlay_heartbeats(&dir, &mut folded);
+        assert_eq!(live.state, "complete");
+        assert_eq!(folded.state, "complete");
+        let progress = |s: &CampaignStatus| (s.total, s.done, s.detected, s.undetected, s.failed);
+        assert_eq!(progress(&live), progress(&folded));
+        assert!(counter(&live, "newton_iterations") > 0);
+        for name in SolverSnapshot::FIELDS {
+            assert_eq!(counter(&live, name), counter(&folded, name), "{name}");
+        }
+        // Journals carry no phase times, so phases agree for a run with
+        // profiling disarmed, as this one is.
+        let labels_and_calls = |s: &CampaignStatus| -> Vec<(String, u64)> {
+            let calls = s.phases.iter().map(|(l, _, calls)| (l.clone(), *calls));
+            calls.collect()
+        };
+        assert_eq!(labels_and_calls(&live), labels_and_calls(&folded));
+        // A lane with no heartbeat has completed nothing.
+        let completed = |s: &CampaignStatus| -> BTreeMap<u64, u64> {
+            s.workers
+                .iter()
+                .filter(|w| w.completed > 0)
+                .map(|w| (w.lane, w.completed))
+                .collect()
+        };
+        assert_eq!(completed(&live), completed(&folded));
+        assert_eq!(completed(&live).values().sum::<u64>(), faults.len() as u64);
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //! *detected* (the paper's hard-fault convention: a chip whose faulty
 //! circuit cannot reach a stable state fails test trivially).
 
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -47,13 +46,13 @@ use anasim::AnalysisError;
 use obs::chaos::FaultPlan;
 use obs::journal::{JournalOptions, JournalWriter, RetryPolicy};
 use obs::profile::PhaseProfiler;
-use obs::{Postmortem, Recorder, Section};
+use obs::{Postmortem, Section};
 use sigproc::correlation::detection_instances;
 
 use crate::inject::inject;
 use crate::journal;
 use crate::model::Fault;
-use crate::telemetry::{StatusEmitter, TelemetryConfig};
+use crate::telemetry::{StatusEmitter, StatusRollup, TelemetryConfig};
 
 /// How one fault's simulation ended.
 ///
@@ -350,8 +349,8 @@ pub enum DegradePolicy {
     /// its report is fully populated, but outcomes after the failure
     /// exist only in memory. The report carries a
     /// [`JournalDegradation`] (surfaced as a canonical
-    /// `[journal degraded …]` marker, a `journal_degraded.faults`
-    /// counter and a recorder event), and a best-effort `degraded`
+    /// `[journal degraded …]` marker and a `journal_degraded.faults`
+    /// counter), and a best-effort `degraded`
     /// terminal record marks the journal itself as incomplete.
     Continue,
 }
@@ -371,14 +370,16 @@ pub struct JournalDegradation {
     pub reason: String,
 }
 
+/// The paper's detection criterion: a fault whose signature deviates
+/// on at least this percentage of instances is
+/// [`FaultStatus::Detected`].
+pub const DETECT_PCT: f64 = 50.0;
+
 /// Configuration for [`run_campaign_with`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Per-instance deviation threshold for the detection metric.
     pub threshold: f64,
-    /// Minimum deviation percentage for [`FaultStatus::Detected`]
-    /// (the paper's detection criterion; default 50 %).
-    pub min_detect_pct: f64,
     /// Worker threads simulating faults (default 1 = serial). Reports
     /// are identical for any worker count.
     pub workers: usize,
@@ -393,11 +394,6 @@ pub struct CampaignConfig {
     /// fault that fails terminally freezes it into
     /// [`FaultTelemetry::postmortem`].
     pub flight: Option<usize>,
-    /// Observability sink. Telemetry is accumulated per fault on worker
-    /// threads and emitted here in universe order after collection, so
-    /// what the recorder sees is deterministic for any worker count
-    /// (aside from the wall-clock span durations themselves).
-    pub recorder: Option<Arc<dyn Recorder>>,
     /// Checkpoint journal: every completed fault is appended (fsync'd)
     /// to this JSONL file, and with [`JournalConfig::resume`] set,
     /// previously journaled faults are replayed instead of
@@ -446,26 +442,6 @@ pub struct CampaignConfig {
     pub numeric_chaos: Option<obs::NumericChaosPlan>,
 }
 
-impl fmt::Debug for CampaignConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CampaignConfig")
-            .field("threshold", &self.threshold)
-            .field("min_detect_pct", &self.min_detect_pct)
-            .field("workers", &self.workers)
-            .field("ladder", &self.ladder)
-            .field("budget", &self.budget)
-            .field("flight", &self.flight)
-            .field("has_recorder", &self.recorder.is_some())
-            .field("journal", &self.journal)
-            .field("has_cancel", &self.cancel.is_some())
-            .field("degrade", &self.degrade)
-            .field("profile", &self.profile)
-            .field("telemetry", &self.telemetry)
-            .field("numeric_chaos", &self.numeric_chaos)
-            .finish()
-    }
-}
-
 impl CampaignConfig {
     /// A configuration with the given detection threshold, the default
     /// escalation ladder, a generous step budget, one worker and the
@@ -473,12 +449,10 @@ impl CampaignConfig {
     pub fn new(threshold: f64) -> Self {
         CampaignConfig {
             threshold,
-            min_detect_pct: 50.0,
             workers: 1,
             ladder: escalation_ladder(),
             budget: SolveBudget::unlimited().steps(5_000_000),
             flight: None,
-            recorder: None,
             journal: None,
             cancel: None,
             degrade: DegradePolicy::default(),
@@ -492,12 +466,6 @@ impl CampaignConfig {
     /// derived from the golden signature after construction).
     pub fn threshold(mut self, threshold: f64) -> Self {
         self.threshold = threshold;
-        self
-    }
-
-    /// Sets the minimum deviation percentage for `Detected`.
-    pub fn min_detect_pct(mut self, pct: f64) -> Self {
-        self.min_detect_pct = pct;
         self
     }
 
@@ -527,14 +495,6 @@ impl CampaignConfig {
     /// [`Postmortem`] in their telemetry.
     pub fn flight(mut self, capacity: usize) -> Self {
         self.flight = Some(capacity);
-        self
-    }
-
-    /// Installs an observability sink receiving `campaign.golden` /
-    /// `campaign.fault` spans and solver counters after the campaign
-    /// completes.
-    pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = Some(recorder);
         self
     }
 
@@ -831,17 +791,140 @@ struct JournalState {
     reason: Mutex<Option<String>>,
 }
 
+/// What a finished run's journal adds to its report: the degradation,
+/// if any, and the append retries the writer absorbed.
+type JournalEnd = (Option<JournalDegradation>, u64);
+
 impl JournalState {
-    fn new(writer: JournalWriter, label: String, replayed: usize) -> Self {
-        JournalState {
+    /// Opens `jc` for one run. When resuming, the journal's outcomes for
+    /// this campaign are replayed into `results` first; a journal whose
+    /// fault universe, threshold or golden length disagrees with the
+    /// campaign is refused. Then the run's `start` record is appended.
+    /// Replay stops at a raised cancel token: the run then simulates
+    /// nothing, and its terminal step journals a clean `cancelled`.
+    fn open(
+        jc: &JournalConfig,
+        faults: &[Fault],
+        config: &CampaignConfig,
+        golden_len: usize,
+        results: &mut [Option<(FaultOutcome, FaultTelemetry)>],
+    ) -> Result<Self, AnalysisError> {
+        let journal_err =
+            |e: String| AnalysisError::InvalidParameter(format!("campaign journal: {e}"));
+        let campaign = if jc.resume && jc.path.exists() {
+            let mut replay = journal::load(&jc.path).map_err(journal_err)?;
+            replay.campaigns.remove(&jc.label)
+        } else {
+            None
+        };
+        if let Some(campaign) = &campaign {
+            // Refuse a journal that belongs to a different campaign:
+            // replaying foreign outcomes would be silent corruption,
+            // not resilience.
+            let names = campaign.names.iter().map(String::as_str);
+            let mismatch = if names.ne(faults.iter().map(Fault::name)) {
+                Some("a different fault universe".to_owned())
+            } else if campaign.threshold.to_bits() != config.threshold.to_bits() {
+                Some(format!(
+                    "threshold {}, campaign has {}",
+                    campaign.threshold, config.threshold
+                ))
+            } else if campaign.golden_len != golden_len {
+                Some(format!(
+                    "{} golden samples, campaign has {golden_len}",
+                    campaign.golden_len
+                ))
+            } else {
+                None
+            };
+            if let Some(what) = mismatch {
+                return Err(journal_err(format!(
+                    "label {:?} was journaled with {what}",
+                    jc.label
+                )));
+            }
+        }
+        // Opening and the `start` record go through the configured
+        // retry/chaos options too; errors here carry the path and
+        // operation from `obs::journal::JournalError`.
+        let options = JournalOptions {
+            retry: jc.retry.clone(),
+            chaos: jc.chaos.clone(),
+        };
+        let mut writer = JournalWriter::append_to_with(&jc.path, options)
+            .map_err(|e| journal_err(e.to_string()))?;
+        let start = journal::start_record(&jc.label, faults, config.threshold, golden_len);
+        writer
+            .append(&start)
+            .map_err(|e| journal_err(e.to_string()))?;
+        let mut replayed = 0usize;
+        for fault in campaign.into_iter().flat_map(|c| c.faults.into_values()) {
+            // Replaying a big journal decodes thousands of records;
+            // honour cancellation at record granularity.
+            if cancelled(config) {
+                break;
+            }
+            if fault.index >= faults.len() || fault.name != faults[fault.index].name() {
+                return Err(journal_err(format!(
+                    "fault record {:?} (index {}) does not match the universe",
+                    fault.name, fault.index
+                )));
+            }
+            let outcome = FaultOutcome {
+                fault: faults[fault.index].clone(),
+                signature: fault.signature,
+                status: fault.status,
+            };
+            results[fault.index] = Some((outcome, fault.telemetry));
+            replayed += 1;
+        }
+        Ok(JournalState {
             writer: Mutex::new(writer),
-            label,
+            label: jc.label.clone(),
             replayed,
             failed: AtomicBool::new(false),
             abort: AtomicBool::new(false),
             journaled: AtomicUsize::new(0),
             unjournaled: AtomicUsize::new(0),
             reason: Mutex::new(None),
+        })
+    }
+
+    /// Appends one completed fault: one fsync'd line, from whichever
+    /// worker finished it. Journal order is completion order; the
+    /// record's index restores universe order on replay. Transient
+    /// write failures are absorbed by the writer's retry policy; a
+    /// persistent one latches the degradation state, and `policy`
+    /// decides whether workers stop claiming (Abort) or keep simulating
+    /// with the gap accounted (Continue) — dropping checkpoints
+    /// *silently* would break the resume guarantee.
+    fn record(
+        &self,
+        index: usize,
+        outcome: &FaultOutcome,
+        telemetry: &FaultTelemetry,
+        policy: DegradePolicy,
+    ) {
+        if self.failed.load(Ordering::Acquire) {
+            self.unjournaled.fetch_add(1, Ordering::AcqRel);
+            return;
+        }
+        let record = journal::fault_record(
+            &self.label,
+            index,
+            outcome.fault.name(),
+            outcome.signature.as_deref(),
+            &outcome.status,
+            telemetry,
+        );
+        match self.writer.lock().expect("journal lock").append(&record) {
+            Ok(()) => {
+                self.journaled.fetch_add(1, Ordering::AcqRel);
+            }
+            Err(err) => {
+                self.degrade(&err, policy);
+                self.unjournaled.fetch_add(1, Ordering::AcqRel);
+            }
         }
     }
 
@@ -870,6 +953,86 @@ impl JournalState {
             .clone()
             .unwrap_or_else(|| "unknown journal failure".into())
     }
+
+    /// Appends the run's terminal record and names the terminal state
+    /// the run ended in. `complete` says every fault has an outcome; a
+    /// missing one can only mean cancellation or a journal abort.
+    fn finish(
+        &self,
+        complete: bool,
+        policy: DegradePolicy,
+        total: usize,
+    ) -> (&'static str, Result<JournalEnd, AnalysisError>) {
+        let mut writer = self.writer.lock().expect("journal lock");
+        let cancelled = journal::cancelled_record(&self.label, self.journaled_total());
+        let write_failed = |err: std::io::Error| {
+            AnalysisError::InvalidParameter(format!("campaign journal: write failed: {err}"))
+        };
+        // A persistent journal failure under Abort fails the campaign
+        // at the fault boundary it stopped at, exactly like a
+        // cancellation: a best-effort `cancelled` record keeps the
+        // journal replayable when the underlying fault was bounded (an
+        // ENOSPC that cleared), and its own failure is ignored — the
+        // journal is already known-broken, and the error the caller
+        // needs is the original one.
+        if self.failed.load(Ordering::Acquire) && policy == DegradePolicy::Abort {
+            let _ = writer.append(&cancelled);
+            let err = AnalysisError::InvalidParameter(format!(
+                "campaign journal: write failed ({} of {total} fault outcomes journaled, \
+                 aborted at the next fault boundary): {}",
+                self.journaled_total(),
+                self.reason()
+            ));
+            return ("aborted", Err(err));
+        }
+        if !complete {
+            // A journal that already degraded (Continue policy) gets
+            // best-effort terminal records only.
+            let end = match writer.append(&cancelled) {
+                Err(err) if !self.failed.load(Ordering::Acquire) => Err(write_failed(err)),
+                _ => Err(AnalysisError::Cancelled),
+            };
+            return ("cancelled", end);
+        }
+        // `complete` for a healthy journal, `degraded` (best-effort)
+        // for one that failed under Continue — a bounded outage lets the
+        // degraded record land, making the journal self-describing
+        // about its own gap.
+        if !self.failed.load(Ordering::Acquire) {
+            if let Err(err) = writer.append(&journal::complete_record(&self.label)) {
+                if policy == DegradePolicy::Abort {
+                    return ("aborted", Err(write_failed(err)));
+                }
+                // Continue: every fault outcome is journaled and the
+                // campaign is complete — only the terminal record is
+                // missing, so degrade with zero unjournaled faults.
+                self.degrade(&err, policy);
+            }
+        }
+        let degradation = self.failed.load(Ordering::Acquire).then(|| {
+            let degradation = JournalDegradation {
+                journaled: self.journaled_total(),
+                unjournaled: self.unjournaled.load(Ordering::Acquire),
+                reason: self.reason(),
+            };
+            let _ = writer.append(&journal::degraded_record(
+                &self.label,
+                degradation.journaled,
+                degradation.unjournaled,
+                &degradation.reason,
+            ));
+            degradation
+        });
+        ("complete", Ok((degradation, writer.retries())))
+    }
+}
+
+/// True once the campaign's cancel token is raised.
+fn cancelled(config: &CampaignConfig) -> bool {
+    config
+        .cancel
+        .as_ref()
+        .is_some_and(CancelToken::is_cancelled)
 }
 
 /// Fresh instruments for one extraction: its own counters, its own
@@ -921,8 +1084,9 @@ fn extraction_instruments(config: &CampaignConfig, fault: bool) -> Instruments {
 ///   Newton iteration) and returns [`AnalysisError::Cancelled`];
 /// * with [`CampaignConfig::journal`] configured, every completed fault
 ///   is checkpointed to an fsync'd JSONL journal, so a crash, kill or
-///   cancellation can be resumed ([`run_campaign_resumed`]) without
-///   redoing completed work.
+///   cancellation can be resumed ([`JournalConfig::resume`]) without
+///   redoing completed work: journaled faults are replayed, and the
+///   report is byte-identical to an uninterrupted run's.
 ///
 /// # Errors
 ///
@@ -940,7 +1104,6 @@ pub fn run_campaign_with<F>(
 where
     F: Fn(&Netlist, &SolveSettings) -> Result<Vec<f64>, AnalysisError> + Sync,
 {
-    check_ladder(config)?;
     let reference = extract_golden(golden, config, &extract)?;
     run_campaign_from_golden(golden, reference, faults, config, extract)
 }
@@ -1003,15 +1166,6 @@ where
     })
 }
 
-fn check_ladder(config: &CampaignConfig) -> Result<(), AnalysisError> {
-    if config.ladder.is_empty() {
-        return Err(AnalysisError::InvalidParameter(
-            "campaign escalation ladder is empty".into(),
-        ));
-    }
-    Ok(())
-}
-
 /// The rest of [`run_campaign_with`]: the fault campaign on `golden`
 /// against a golden extraction already made by [`extract_golden`],
 /// whose signature, counters and wall the report carries.
@@ -1029,121 +1183,27 @@ pub fn run_campaign_from_golden<F>(
 where
     F: Fn(&Netlist, &SolveSettings) -> Result<Vec<f64>, AnalysisError> + Sync,
 {
-    check_ladder(config)?;
+    if config.ladder.is_empty() {
+        return Err(AnalysisError::InvalidParameter(
+            "campaign escalation ladder is empty".into(),
+        ));
+    }
     let GoldenExtraction {
         signature: golden_sig,
         solver: golden_solver,
         wall: golden_wall,
-        started: campaign_start,
+        started,
     } = reference;
-
-    // Golden DC operating point, reused as the Newton seed for every
-    // fault: injection appends hardware at the end of the netlist, so
-    // golden unknowns map directly onto the faulty layout and only the
-    // fault's own unknowns start cold. Best-effort — a circuit whose
-    // golden DC point does not converge simply skips warm-starting.
-    let warm_start: Option<Arc<WarmStart>> = anasim::dc::dc_operating_point(golden)
-        .ok()
-        .map(|op| {
-            let node_count = MnaLayout::new(golden).node_count();
-            Arc::new(WarmStart::new(op.into_solution(), node_count))
-        });
 
     // Replay the checkpoint journal (resume) and open it for appending.
     // `results[i]` starts as the replayed outcome for fault `i`, or
     // `None` for faults still to simulate.
-    let is_cancelled = || config.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-    let mut results: Vec<Option<(FaultOutcome, FaultTelemetry)>> =
-        faults.iter().map(|_| None).collect();
-    let journal_state: Option<JournalState> = match &config.journal {
-        Some(jc) => {
-            let journal_err =
-                |e: String| AnalysisError::InvalidParameter(format!("campaign journal: {e}"));
-            let mut replayed_campaign = None;
-            if jc.resume && jc.path.exists() {
-                let replay = journal::load(&jc.path).map_err(journal_err)?;
-                if let Some(campaign) = replay.campaign(&jc.label) {
-                    // Refuse a journal that belongs to a different
-                    // campaign: replaying foreign outcomes would be
-                    // silent corruption, not resilience.
-                    if campaign.names.iter().map(String::as_str).ne(faults.iter().map(Fault::name))
-                    {
-                        return Err(journal_err(format!(
-                            "label {:?} was journaled with a different fault universe",
-                            jc.label
-                        )));
-                    }
-                    if campaign.threshold.to_bits() != config.threshold.to_bits() {
-                        return Err(journal_err(format!(
-                            "label {:?} was journaled with threshold {}, campaign has {}",
-                            jc.label, campaign.threshold, config.threshold
-                        )));
-                    }
-                    if campaign.golden_len != golden_sig.len() {
-                        return Err(journal_err(format!(
-                            "label {:?} was journaled with {} golden samples, campaign has {}",
-                            jc.label,
-                            campaign.golden_len,
-                            golden_sig.len()
-                        )));
-                    }
-                    replayed_campaign = Some(campaign.clone());
-                }
-            }
-            // Opening and the `start` record go through the configured
-            // retry/chaos options too; errors here carry the path and
-            // operation from `obs::journal::JournalError`.
-            let mut writer = JournalWriter::append_to_with(
-                &jc.path,
-                JournalOptions {
-                    retry: jc.retry.clone(),
-                    chaos: jc.chaos.clone(),
-                },
-            )
-            .map_err(|e| journal_err(e.to_string()))?;
-            writer
-                .append(&journal::start_record(
-                    &jc.label,
-                    faults,
-                    config.threshold,
-                    golden_sig.len(),
-                ))
-                .map_err(|e| journal_err(e.to_string()))?;
-            let mut replayed = 0usize;
-            if let Some(campaign) = replayed_campaign {
-                for fault in campaign.faults.values() {
-                    // Replaying a big journal decodes thousands of
-                    // records; honour cancellation at record
-                    // granularity, terminating the fresh segment
-                    // cleanly so the journal still replays.
-                    if is_cancelled() {
-                        writer
-                            .append(&journal::cancelled_record(&jc.label, replayed))
-                            .map_err(|e| journal_err(e.to_string()))?;
-                        return Err(AnalysisError::Cancelled);
-                    }
-                    if fault.index >= faults.len() || fault.name != faults[fault.index].name()
-                    {
-                        return Err(journal_err(format!(
-                            "fault record {:?} (index {}) does not match the universe",
-                            fault.name, fault.index
-                        )));
-                    }
-                    results[fault.index] = Some((
-                        FaultOutcome {
-                            fault: faults[fault.index].clone(),
-                            signature: fault.signature.clone(),
-                            status: fault.status.clone(),
-                        },
-                        fault.telemetry.clone(),
-                    ));
-                    replayed += 1;
-                }
-            }
-            Some(JournalState::new(writer, jc.label.clone(), replayed))
-        }
-        None => None,
-    };
+    let mut results: Vec<Option<(FaultOutcome, FaultTelemetry)>> = vec![None; faults.len()];
+    let journal = config
+        .journal
+        .as_ref()
+        .map(|jc| JournalState::open(jc, faults, config, golden_sig.len(), &mut results))
+        .transpose()?;
 
     // Live telemetry arms after replay so replayed outcomes seed the
     // progress rollup, and before any fault simulates so the first
@@ -1151,196 +1211,35 @@ where
     // emitter does is advisory and best-effort: a dead telemetry
     // directory costs dropped snapshots, never the campaign.
     let emitter: Option<StatusEmitter> = config.telemetry.as_ref().map(|tc| {
-        let mut rollup = (0usize, 0usize, 0usize);
-        for (outcome, _) in results.iter().flatten() {
-            match outcome.status.tag() {
-                "detected" => rollup.0 += 1,
-                "undetected" => rollup.1 += 1,
-                _ => rollup.2 += 1,
-            }
+        let mut replayed = StatusRollup::default();
+        for (outcome, telemetry) in results.iter().flatten() {
+            replayed.add(&outcome.status, telemetry);
         }
+        let journal = config.journal.as_ref();
         StatusEmitter::arm(
             tc.clone(),
-            config
-                .journal
-                .as_ref()
-                .map_or("campaign", |jc| jc.label.as_str()),
-            config.journal.as_ref().map(|jc| jc.path.as_path()),
+            journal.map_or("campaign", |jc| jc.label.as_str()),
+            journal.map(|jc| jc.path.as_path()),
             faults.len(),
             config.workers.max(1),
-            rollup,
+            replayed,
             config.budget,
         )
     });
 
-    let simulate_fault = |fault: &Fault, lane: usize| -> Option<(FaultOutcome, FaultTelemetry)> {
-        let faulty = inject(golden, fault);
-        // One set of instruments per fault, shared across every ladder
-        // rung: the counts and phase rollup are exact for this fault
-        // alone, and a frozen postmortem shows the whole escalation path.
-        let mut settings = SolveSettings {
-            budget: config.budget,
-            warm_start: warm_start.clone(),
-            instruments: extraction_instruments(config, true),
-            ..SolveSettings::default()
-        };
-        let flight = &settings.instruments.flight;
-        let start_offset = campaign_start.elapsed();
-        let start = Instant::now();
-
-        let mut rungs_tried = 0usize;
-        let mut last_err: Option<AnalysisError> = None;
-        let mut produced: Option<(usize, Vec<f64>)> = None;
-        let mut out_of_budget = false;
-        let mut panicked: Option<String> = None;
-        for (i, rung) in config.ladder.iter().enumerate() {
-            rungs_tried += 1;
-            if let Some(flight) = flight {
-                flight.begin_rung(i, &rung.label());
-            }
-            settings.rung = *rung;
-            // The extraction is the untrusted part of the engine: a
-            // panicking solver must become this fault's outcome, not
-            // take down the worker (which would poison the thread-pool
-            // scope and abort the whole campaign).
-            match catch_unwind(AssertUnwindSafe(|| extract(&faulty, &settings))) {
-                Err(panic) => {
-                    if let Some(flight) = flight {
-                        flight.end_rung("panic");
-                    }
-                    // Terminal for this fault: a panic means solver
-                    // state is suspect, so walking further down the
-                    // ladder would prove nothing.
-                    panicked = Some(panic_payload(panic.as_ref()));
-                    break;
-                }
-                Ok(Ok(sig)) => {
-                    if let Some(flight) = flight {
-                        flight.end_rung("ok");
-                    }
-                    produced = Some((i, sig));
-                    break;
-                }
-                Ok(Err(AnalysisError::Cancelled)) => {
-                    if let Some(flight) = flight {
-                        flight.end_rung("cancelled");
-                    }
-                    // Cancellation abandons the in-flight fault: it is
-                    // not journaled and carries no outcome — a resume
-                    // will simulate it from scratch.
-                    return None;
-                }
-                Ok(Err(err @ AnalysisError::BudgetExceeded { .. })) => {
-                    // The budget bounds total effort per fault: do not
-                    // walk further down the ladder.
-                    if let Some(flight) = flight {
-                        flight.end_rung("budget");
-                    }
-                    last_err = Some(err);
-                    out_of_budget = true;
-                    break;
-                }
-                Ok(Err(err)) => {
-                    if let Some(flight) = flight {
-                        flight.end_rung(match &err {
-                            AnalysisError::NoConvergence { .. } => "no-convergence",
-                            AnalysisError::SingularMatrix { .. } => "singular",
-                            AnalysisError::Numerical { .. } => "numerical",
-                            _ => "error",
-                        });
-                    }
-                    last_err = Some(err);
-                }
-            }
-        }
-
-        let wall = start.elapsed();
-        let solver = settings.instruments.snapshot();
-
-        // A fault that exhausted the ladder (or its budget), or died in
-        // a panic, freezes its flight recorder into a postmortem before
-        // the failure is moved into the status.
-        let postmortem = if let Some(payload) = &panicked {
-            flight.as_ref().map(|f| f.freeze_panic(fault.name(), payload))
-        } else {
-            match (flight, &last_err, &produced) {
-                (Some(flight), Some(err), None) => {
-                    let budget_steps = match err {
-                        AnalysisError::BudgetExceeded { steps, .. } => Some(*steps as u64),
-                        _ => None,
-                    };
-                    Some(flight.freeze(fault.name(), err, budget_steps))
-                }
-                _ => None,
-            }
-        };
-
-        let (signature, rung, status) = if let Some(payload) = panicked {
-            (None, None, FaultStatus::Panicked { payload })
-        } else {
-            match produced {
-                Some((i, sig)) => {
-                    if sig.len() != golden_sig.len() {
-                        let status = FaultStatus::SignatureMismatch {
-                            got: sig.len(),
-                            want: golden_sig.len(),
-                        };
-                        (Some(sig), Some(i), status)
-                    } else {
-                        let pct = detection_instances(&golden_sig, &sig, config.threshold);
-                        let status = if pct >= config.min_detect_pct {
-                            FaultStatus::Detected { pct }
-                        } else {
-                            FaultStatus::Undetected { pct }
-                        };
-                        (Some(sig), Some(i), status)
-                    }
-                }
-                None if out_of_budget => {
-                    (None, None, FaultStatus::BudgetExceeded { rungs_tried })
-                }
-                None => (
-                    None,
-                    None,
-                    FaultStatus::SimFailed {
-                        error: last_err.expect("non-empty ladder records an error"),
-                        rungs_tried,
-                    },
-                ),
-            }
-        };
-
-        Some((
-            FaultOutcome {
-                fault: fault.clone(),
-                signature,
-                status,
-            },
-            FaultTelemetry {
-                solver,
-                rung,
-                rungs_tried,
-                wall,
-                lane,
-                start: start_offset,
-                postmortem,
-            },
-        ))
+    let cx = FaultContext {
+        golden,
+        golden_sig: &golden_sig,
+        config,
+        warm_start: golden_warm_start(golden),
+        started,
+        extract: &extract,
     };
-
-    // One completed fault = one fsync'd journal line, appended from
-    // whichever worker finished it. Journal order is completion order;
-    // the record's index restores universe order on replay. Transient
-    // write failures are absorbed by the writer's retry policy; a
-    // persistent one latches the degradation state, and the configured
-    // `DegradePolicy` decides whether workers stop claiming (Abort) or
-    // keep simulating with the gap accounted (Continue) — dropping
-    // checkpoints *silently* would break the resume guarantee.
     let run_one = |i: usize, lane: usize| -> Option<(FaultOutcome, FaultTelemetry)> {
         if let Some(em) = &emitter {
             em.fault_claimed(lane, i, faults[i].name());
         }
-        let Some(result) = simulate_fault(&faults[i], lane) else {
+        let Some((outcome, telemetry)) = simulate_fault(&cx, &faults[i], lane) else {
             // Cancellation abandoned the in-flight fault: release the
             // lane so the terminal snapshot shows it idle, not hung.
             if let Some(em) = &emitter {
@@ -1349,173 +1248,62 @@ where
             return None;
         };
         if let Some(em) = &emitter {
-            em.fault_done(lane, i, faults[i].name(), result.0.status.tag(), &result.1.solver);
+            em.fault_done(i, &outcome, &telemetry);
         }
-        if let Some(js) = &journal_state {
-            if js.failed.load(Ordering::Acquire) {
-                js.unjournaled.fetch_add(1, Ordering::AcqRel);
-            } else {
-                let record = journal::fault_record(
-                    &js.label,
-                    i,
-                    faults[i].name(),
-                    result.0.signature.as_deref(),
-                    &result.0.status,
-                    &result.1,
-                );
-                match js.writer.lock().expect("journal lock").append(&record) {
-                    Ok(()) => {
-                        js.journaled.fetch_add(1, Ordering::AcqRel);
-                    }
-                    Err(err) => {
-                        js.degrade(&err, config.degrade);
-                        js.unjournaled.fetch_add(1, Ordering::AcqRel);
-                    }
-                }
-            }
+        if let Some(js) = &journal {
+            js.record(i, &outcome, &telemetry, config.degrade);
         }
-        Some(result)
+        Some((outcome, telemetry))
     };
     // Workers stop claiming for either reason — user cancellation or a
     // journal abort — through the same fault-boundary check.
     let should_stop = || {
-        is_cancelled()
-            || journal_state
+        cancelled(config)
+            || journal
                 .as_ref()
                 .is_some_and(|js| js.abort.load(Ordering::Acquire))
     };
 
-    // Only faults without a replayed outcome are simulated. The whole
-    // execution block runs inside one scope so the telemetry monitor
-    // (when armed) can tick on its own scoped thread beside either the
-    // serial loop or the worker pool; it is told to stop (and joins at
-    // scope exit) before results are inspected.
-    let pending: Vec<usize> = (0..faults.len()).filter(|&i| results[i].is_none()).collect();
-    let workers = config.workers.max(1).min(pending.len().max(1));
-    std::thread::scope(|scope| {
+    // Only faults without a replayed outcome are simulated. The claim
+    // loop runs inside one scope so the telemetry monitor (when armed)
+    // can tick on its own scoped thread beside it; it is told to stop
+    // (and joins at scope exit) before results are inspected.
+    let pending: Vec<usize> = (0..faults.len())
+        .filter(|&i| results[i].is_none())
+        .collect();
+    let lanes = config.workers.max(1).min(pending.len().max(1));
+    let claimed = std::thread::scope(|scope| {
         if let Some(em) = &emitter {
             scope.spawn(move || em.monitor());
         }
-        if workers <= 1 {
-            for &i in &pending {
-                if should_stop() {
-                    break;
-                }
-                let Some(result) = run_one(i, 0) else { break };
-                results[i] = Some(result);
-            }
-        } else {
-            // Deterministic parallel execution: an atomic cursor hands
-            // out pending fault indices, each fault runs entirely on
-            // one thread, and results land in per-index slots so
-            // universe order is restored exactly regardless of
-            // scheduling. Workers check the cancellation token (and the
-            // journal-abort latch) at every fault boundary and stop
-            // claiming once either trips.
-            let slots: Vec<Mutex<Option<(FaultOutcome, FaultTelemetry)>>> =
-                pending.iter().map(|_| Mutex::new(None)).collect();
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for lane in 0..workers {
-                    let (cursor, slots, pending) = (&cursor, &slots, &pending);
-                    let (run_one, should_stop) = (&run_one, &should_stop);
-                    scope.spawn(move || loop {
-                        if should_stop() {
-                            break;
-                        }
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = pending.get(k) else { break };
-                        let Some(result) = run_one(i, lane) else { break };
-                        *slots[k].lock().expect("slot lock") = Some(result);
-                    });
-                }
-            });
-            for (k, slot) in slots.into_iter().enumerate() {
-                if let Some(result) = slot.into_inner().expect("slot lock") {
-                    results[pending[k]] = Some(result);
-                }
-            }
-        }
+        let claimed = claim_faults(&pending, lanes, should_stop, run_one);
         if let Some(em) = &emitter {
             em.finish();
         }
+        claimed
     });
-
-    // A persistent journal failure under Abort fails the campaign at
-    // the fault boundary it stopped at, exactly like a cancellation: a
-    // best-effort `cancelled` terminal record keeps the journal
-    // replayable when the underlying fault was bounded (an ENOSPC that
-    // cleared), and its own failure is ignored — the journal is already
-    // known-broken, and the error the caller needs is the original one.
-    if let Some(js) = &journal_state {
-        if js.failed.load(Ordering::Acquire) && config.degrade == DegradePolicy::Abort {
-            let _ = js
-                .writer
-                .lock()
-                .expect("journal lock")
-                .append(&journal::cancelled_record(&js.label, js.journaled_total()));
-            if let Some(em) = &emitter {
-                em.emit_terminal("aborted");
-            }
-            return Err(AnalysisError::InvalidParameter(format!(
-                "campaign journal: write failed ({} of {} fault outcomes journaled, \
-                 aborted at the next fault boundary): {}",
-                js.journaled_total(),
-                faults.len(),
-                js.reason()
-            )));
-        }
+    for (i, result) in pending.into_iter().zip(claimed) {
+        results[i] = result;
     }
+    let campaign_wall = started.elapsed();
 
-    // A missing outcome past this point can only mean cancellation
-    // (every other path produces a typed status). Journal a clean
-    // terminal record so the file replays, then report cancellation to
-    // the caller.
-    let completed = results.iter().filter(|r| r.is_some()).count();
-    if completed < faults.len() {
-        if let Some(js) = &journal_state {
-            let append = js
-                .writer
-                .lock()
-                .expect("journal lock")
-                .append(&journal::cancelled_record(&js.label, js.journaled_total()));
-            match append {
-                Ok(()) => {}
-                // A journal that already degraded (Continue policy)
-                // gets best-effort terminal records only.
-                Err(_) if js.failed.load(Ordering::Acquire) => {}
-                Err(err) => {
-                    if let Some(em) = &emitter {
-                        em.emit_terminal("cancelled");
-                    }
-                    return Err(AnalysisError::InvalidParameter(format!(
-                        "campaign journal: write failed: {err}"
-                    )));
-                }
-            }
-        }
-        // After the journal's terminal record, like the complete path:
-        // a watcher seeing a terminal snapshot can rely on the journal
-        // being finished too.
-        if let Some(em) = &emitter {
-            em.emit_terminal("cancelled");
-        }
-        return Err(AnalysisError::Cancelled);
-    }
-
-    let mut outcomes = Vec::with_capacity(results.len());
-    let mut per_fault = Vec::with_capacity(results.len());
-    for result in results {
-        let (outcome, telemetry) = result.expect("complete campaign has every outcome");
-        outcomes.push(outcome);
-        per_fault.push(telemetry);
-    }
+    let complete = results.iter().all(Option::is_some);
+    let (degradation, journal_retries) = finish_run(
+        journal.as_ref(),
+        emitter.as_ref(),
+        complete,
+        config,
+        faults.len(),
+    )?;
+    let (outcomes, per_fault): (Vec<_>, Vec<_>) = results
+        .into_iter()
+        .map(|result| result.expect("complete campaign has every outcome"))
+        .unzip();
     let panicked = outcomes
         .iter()
         .filter(|o| matches!(o.status, FaultStatus::Panicked { .. }))
         .count();
-
-    let mut report = CampaignReport {
+    Ok(CampaignReport {
         golden: golden_sig,
         outcomes,
         threshold: config.threshold,
@@ -1523,102 +1311,261 @@ where
             golden_solver,
             golden_wall,
             per_fault,
-            campaign_wall: campaign_start.elapsed(),
+            campaign_wall,
             panicked,
-            journal_retries: 0,
+            journal_retries,
         },
-        degradation: None,
-    };
-
-    // Terminal record: `complete` for a healthy journal, `degraded`
-    // (best-effort) for one that failed under Continue — a bounded
-    // outage lets the degraded record land, making the journal
-    // self-describing about its own gap.
-    if let Some(js) = &journal_state {
-        let mut writer = js.writer.lock().expect("journal lock");
-        if !js.failed.load(Ordering::Acquire) {
-            if let Err(err) = writer.append(&journal::complete_record(&js.label)) {
-                if config.degrade == DegradePolicy::Abort {
-                    return Err(AnalysisError::InvalidParameter(format!(
-                        "campaign journal: write failed: {err}"
-                    )));
-                }
-                // Continue: every fault outcome is journaled and the
-                // campaign is complete — only the terminal record is
-                // missing, so degrade with zero unjournaled faults.
-                js.degrade(&err, config.degrade);
-            }
-        }
-        if js.failed.load(Ordering::Acquire) {
-            let degradation = JournalDegradation {
-                journaled: js.journaled_total(),
-                unjournaled: js.unjournaled.load(Ordering::Acquire),
-                reason: js.reason(),
-            };
-            let _ = writer.append(&journal::degraded_record(
-                &js.label,
-                degradation.journaled,
-                degradation.unjournaled,
-                &degradation.reason,
-            ));
-            report.degradation = Some(degradation);
-        }
-        report.stats.journal_retries = writer.retries();
-    }
-
-    // Telemetry reaches the recorder only here, after collection, in
-    // universe order — emission order is deterministic no matter how
-    // the workers interleaved.
-    if let Some(recorder) = &config.recorder {
-        emit_campaign(recorder.as_ref(), &report);
-    }
-
-    // The terminal snapshot lands after the journal's own terminal
-    // records, so a watcher seeing `state: "complete"` can rely on the
-    // journal being finished too.
-    if let Some(em) = &emitter {
-        em.emit_terminal("complete");
-    }
-
-    Ok(report)
+        degradation,
+    })
 }
 
-/// [`run_campaign_with`], forced to resume from the configured
-/// checkpoint journal: faults already journaled under
-/// [`JournalConfig::label`] are replayed (skipping their simulation)
-/// and only the remainder is simulated, after which the report is
-/// byte-identical — canonical text and canonical JSON — to the same
-/// campaign run uninterrupted with any worker count.
-///
-/// A journal file that does not exist yet simply means nothing is
-/// replayed; a journal whose metadata (fault universe, threshold,
-/// golden-signature length) disagrees with this campaign is rejected.
-///
-/// # Errors
-///
-/// [`AnalysisError::InvalidParameter`] when `config` has no
-/// [`CampaignConfig::journal`] or the journal belongs to a different
-/// campaign, plus everything [`run_campaign_with`] returns.
-pub fn run_campaign_resumed<F>(
-    golden: &Netlist,
-    faults: &[Fault],
+/// The golden DC operating point, reused as the Newton seed for every
+/// fault: injection appends hardware at the end of the netlist, so
+/// golden unknowns map directly onto the faulty layout and only the
+/// fault's own unknowns start cold. Best-effort — a circuit whose golden
+/// DC point does not converge simply skips warm-starting.
+fn golden_warm_start(golden: &Netlist) -> Option<Arc<WarmStart>> {
+    let op = anasim::dc::dc_operating_point(golden).ok()?;
+    let node_count = MnaLayout::new(golden).node_count();
+    Some(Arc::new(WarmStart::new(op.into_solution(), node_count)))
+}
+
+/// The one terminal step of a campaign run: the journal's terminal
+/// record first, then the terminal status snapshot, so a watcher that
+/// sees a terminal snapshot can rely on the journal being finished too.
+/// `complete` says every fault has an outcome.
+fn finish_run(
+    journal: Option<&JournalState>,
+    emitter: Option<&StatusEmitter>,
+    complete: bool,
     config: &CampaignConfig,
-    extract: F,
-) -> Result<CampaignReport, AnalysisError>
-where
-    F: Fn(&Netlist, &SolveSettings) -> Result<Vec<f64>, AnalysisError> + Sync,
-{
-    let Some(journal) = &config.journal else {
-        return Err(AnalysisError::InvalidParameter(
-            "run_campaign_resumed requires CampaignConfig::journal".into(),
-        ));
+    total: usize,
+) -> Result<JournalEnd, AnalysisError> {
+    let (state, end) = match journal {
+        Some(js) => js.finish(complete, config.degrade, total),
+        None if complete => ("complete", Ok((None, 0))),
+        None => ("cancelled", Err(AnalysisError::Cancelled)),
     };
-    let mut config = config.clone();
-    config.journal = Some(JournalConfig {
-        resume: true,
-        ..journal.clone()
-    });
-    run_campaign_with(golden, faults, &config, extract)
+    if let Some(em) = emitter {
+        em.emit_terminal(state);
+    }
+    end
+}
+
+/// Runs `run(i, lane)` for every fault index in `pending` on `lanes`
+/// lanes. Each lane claims the next pending fault from a shared cursor
+/// until none is left, `stop` trips at a fault boundary, or `run`
+/// returns `None` (cancellation). A fault runs entirely on one lane and
+/// its result lands in its own slot, so the results come back in
+/// `pending` order however the lanes interleaved. One lane runs on the
+/// calling thread.
+fn claim_faults<T: Send>(
+    pending: &[usize],
+    lanes: usize,
+    stop: impl Fn() -> bool + Sync,
+    run: impl Fn(usize, usize) -> Option<T> + Sync,
+) -> Vec<Option<T>> {
+    let slots: Vec<Mutex<Option<T>>> = pending.iter().map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    let lane_loop = |lane: usize| {
+        while !stop() {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&i) = pending.get(k) else { break };
+            let Some(result) = run(i, lane) else { break };
+            *slots[k].lock().expect("slot lock") = Some(result);
+        }
+    };
+    if lanes <= 1 {
+        lane_loop(0);
+    } else {
+        std::thread::scope(|scope| {
+            for lane in 0..lanes {
+                let lane_loop = &lane_loop;
+                scope.spawn(move || lane_loop(lane));
+            }
+        });
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("slot lock"))
+        .collect()
+}
+
+/// What every fault of one campaign run is simulated against.
+struct FaultContext<'a, F> {
+    golden: &'a Netlist,
+    golden_sig: &'a [f64],
+    config: &'a CampaignConfig,
+    /// Newton seed for every fault: the golden DC operating point.
+    warm_start: Option<Arc<WarmStart>>,
+    /// The campaign epoch fault start offsets are measured from.
+    started: Instant,
+    extract: &'a F,
+}
+
+/// How a fault's walk down the escalation ladder ended.
+enum LadderEnd {
+    /// The rung at this index produced the signature.
+    Produced(usize, Vec<f64>),
+    /// The last rung tried failed with this error: every rung failed,
+    /// or the budget ran out, which ends the walk early.
+    Failed(AnalysisError),
+    /// The extraction panicked with this payload.
+    Panicked(String),
+}
+
+/// Simulates one fault: injects it into the golden netlist, walks the
+/// escalation ladder with one set of instruments shared across every
+/// rung, and scores the signature against golden. `None` when
+/// cancellation abandoned the fault: it is not journaled and carries no
+/// outcome — a resume simulates it from scratch.
+fn simulate_fault<F>(
+    cx: &FaultContext<'_, F>,
+    fault: &Fault,
+    lane: usize,
+) -> Option<(FaultOutcome, FaultTelemetry)>
+where
+    F: Fn(&Netlist, &SolveSettings) -> Result<Vec<f64>, AnalysisError>,
+{
+    let faulty = inject(cx.golden, fault);
+    // One set of instruments per fault, shared across every ladder
+    // rung: the counts and phase rollup are exact for this fault alone,
+    // and a frozen postmortem shows the whole escalation path.
+    let mut settings = SolveSettings {
+        budget: cx.config.budget,
+        warm_start: cx.warm_start.clone(),
+        instruments: extraction_instruments(cx.config, true),
+        ..SolveSettings::default()
+    };
+    let start_offset = cx.started.elapsed();
+    let start = Instant::now();
+    let (end, rungs_tried) = walk_ladder(cx, &faulty, &mut settings)?;
+    let wall = start.elapsed();
+    let solver = settings.instruments.snapshot();
+
+    // A fault that exhausted the ladder (or its budget), or died in a
+    // panic, freezes its flight recorder into a postmortem before the
+    // failure is moved into the status.
+    let postmortem = settings
+        .instruments
+        .flight
+        .as_ref()
+        .and_then(|flight| match &end {
+            LadderEnd::Produced(..) => None,
+            LadderEnd::Panicked(payload) => Some(flight.freeze_panic(fault.name(), payload)),
+            LadderEnd::Failed(err) => {
+                let budget_steps = match err {
+                    AnalysisError::BudgetExceeded { steps, .. } => Some(*steps as u64),
+                    _ => None,
+                };
+                Some(flight.freeze(fault.name(), err, budget_steps))
+            }
+        });
+
+    let (signature, rung, status) = match end {
+        LadderEnd::Produced(i, sig) => {
+            let status = if sig.len() != cx.golden_sig.len() {
+                FaultStatus::SignatureMismatch {
+                    got: sig.len(),
+                    want: cx.golden_sig.len(),
+                }
+            } else {
+                let pct = detection_instances(cx.golden_sig, &sig, cx.config.threshold);
+                if pct >= DETECT_PCT {
+                    FaultStatus::Detected { pct }
+                } else {
+                    FaultStatus::Undetected { pct }
+                }
+            };
+            (Some(sig), Some(i), status)
+        }
+        LadderEnd::Panicked(payload) => (None, None, FaultStatus::Panicked { payload }),
+        LadderEnd::Failed(AnalysisError::BudgetExceeded { .. }) => {
+            (None, None, FaultStatus::BudgetExceeded { rungs_tried })
+        }
+        LadderEnd::Failed(error) => (None, None, FaultStatus::SimFailed { error, rungs_tried }),
+    };
+    let outcome = FaultOutcome {
+        fault: fault.clone(),
+        signature,
+        status,
+    };
+    let telemetry = FaultTelemetry {
+        solver,
+        rung,
+        rungs_tried,
+        wall,
+        lane,
+        start: start_offset,
+        postmortem,
+    };
+    Some((outcome, telemetry))
+}
+
+/// Walks the escalation ladder for one faulty netlist until a rung
+/// produces a signature, the budget runs out, the extraction panics or
+/// every rung has failed, and returns how the walk ended with the
+/// number of rungs tried; `None` when the extraction was cancelled.
+/// An armed flight recorder brackets every rung.
+fn walk_ladder<F>(
+    cx: &FaultContext<'_, F>,
+    faulty: &Netlist,
+    settings: &mut SolveSettings,
+) -> Option<(LadderEnd, usize)>
+where
+    F: Fn(&Netlist, &SolveSettings) -> Result<Vec<f64>, AnalysisError>,
+{
+    let flight = settings.instruments.flight.clone();
+    let mut last_err = None;
+    for (i, rung) in cx.config.ladder.iter().enumerate() {
+        if let Some(flight) = &flight {
+            flight.begin_rung(i, &rung.label());
+        }
+        settings.rung = *rung;
+        // The extraction is the untrusted part of the engine: a
+        // panicking solver must become this fault's outcome, not take
+        // down the worker (which would poison the thread-pool scope and
+        // abort the whole campaign).
+        let (label, end) = match catch_unwind(AssertUnwindSafe(|| (cx.extract)(faulty, settings))) {
+            // Terminal for this fault: a panic means solver state is
+            // suspect, so walking further down the ladder would prove
+            // nothing.
+            Err(panic) => (
+                "panic",
+                Some(LadderEnd::Panicked(panic_payload(panic.as_ref()))),
+            ),
+            Ok(Ok(sig)) => ("ok", Some(LadderEnd::Produced(i, sig))),
+            Ok(Err(AnalysisError::Cancelled)) => {
+                if let Some(flight) = &flight {
+                    flight.end_rung("cancelled");
+                }
+                return None;
+            }
+            // The budget bounds total effort per fault: do not walk
+            // further down the ladder.
+            Ok(Err(err @ AnalysisError::BudgetExceeded { .. })) => {
+                ("budget", Some(LadderEnd::Failed(err)))
+            }
+            Ok(Err(err)) => {
+                let label = match &err {
+                    AnalysisError::NoConvergence { .. } => "no-convergence",
+                    AnalysisError::SingularMatrix { .. } => "singular",
+                    AnalysisError::Numerical { .. } => "numerical",
+                    _ => "error",
+                };
+                last_err = Some(err);
+                (label, None)
+            }
+        };
+        if let Some(flight) = &flight {
+            flight.end_rung(label);
+        }
+        if let Some(end) = end {
+            return Some((end, i + 1));
+        }
+    }
+    let err = last_err.expect("non-empty ladder records an error");
+    Some((LadderEnd::Failed(err), cx.config.ladder.len()))
 }
 
 /// Best-effort string form of a caught panic payload (`&str` and
@@ -1630,28 +1577,6 @@ fn panic_payload(panic: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
-    }
-}
-
-/// Publishes a completed campaign to a recorder: golden and per-fault
-/// spans, summed solver counters, and one `campaign.rung.<i>` counter
-/// per escalation-ladder rung that produced a signature.
-fn emit_campaign(recorder: &dyn Recorder, report: &CampaignReport) {
-    recorder.span("campaign.golden", report.stats.golden_wall);
-    report.stats.golden_solver.emit_to(recorder);
-    for t in &report.stats.per_fault {
-        recorder.span("campaign.fault", t.wall);
-        t.solver.emit_to(recorder);
-    }
-    recorder.add("campaign.faults", report.outcomes.len() as u64);
-    recorder.add("campaign.detected", report.detected_count() as u64);
-    recorder.add("campaign.panicked", report.stats.panicked as u64);
-    recorder.add("campaign.journal.retries", report.stats.journal_retries);
-    if let Some(d) = &report.degradation {
-        recorder.add("campaign.journal.degraded", d.unjournaled as u64);
-    }
-    for (i, count) in report.stats.rung_histogram().iter().enumerate() {
-        recorder.add(&format!("campaign.rung.{i}"), *count as u64);
     }
 }
 
@@ -2092,32 +2017,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_sees_campaign_spans_and_counters() {
-        let (nl, faults) = rc_fixture();
-        let recorder = Arc::new(obs::AggregatingRecorder::new());
-        let config = CampaignConfig::new(0.05)
-            .workers(2)
-            .recorder(recorder.clone());
-        let report = run_campaign_with(&nl, &faults, &config, transient_extract).unwrap();
-        let agg = recorder.snapshot();
-        assert_eq!(agg.spans["campaign.golden"].count(), 1);
-        assert_eq!(agg.spans["campaign.fault"].count(), faults.len());
-        assert_eq!(agg.counters["campaign.faults"], faults.len() as u64);
-        assert_eq!(
-            agg.counters["solver.newton_iterations"],
-            report.stats.total_solver().newton_iterations
-        );
-        // The rung histogram reaches the recorder as indexed counters.
-        let rungs: u64 = (0..report.stats.rung_histogram().len())
-            .map(|i| agg.counters[&format!("campaign.rung.{i}")])
-            .sum();
-        assert_eq!(
-            rungs,
-            report.stats.per_fault.iter().filter(|t| t.rung.is_some()).count() as u64
-        );
-    }
-
-    #[test]
     fn campaign_section_carries_solver_and_rung_telemetry() {
         let (nl, faults) = rc_fixture();
         let report = run_campaign_with(
@@ -2442,8 +2341,8 @@ mod tests {
         // Resume with a counting extractor: only the four faults that
         // never completed are re-simulated.
         let fault_calls = AtomicUsize::new(0);
-        let config = CampaignConfig::new(0.05).journal(JournalConfig::fresh(&path, "rc"));
-        let resumed = run_campaign_resumed(&nl, &faults, &config, |n, settings| {
+        let config = CampaignConfig::new(0.05).journal(JournalConfig::resume(&path, "rc"));
+        let resumed = run_campaign_with(&nl, &faults, &config, |n, settings| {
             if n.devices().any(|(_, name, _)| name.starts_with("fault:")) {
                 fault_calls.fetch_add(1, Ordering::Relaxed);
             }
@@ -2465,7 +2364,7 @@ mod tests {
         let replayed = journal::load(&path).unwrap();
         assert!(replayed.campaign("rc").unwrap().complete);
         let again_calls = AtomicUsize::new(0);
-        let again = run_campaign_resumed(&nl, &faults, &config, |n, settings| {
+        let again = run_campaign_with(&nl, &faults, &config, |n, settings| {
             if n.devices().any(|(_, name, _)| name.starts_with("fault:")) {
                 again_calls.fetch_add(1, Ordering::Relaxed);
             }
@@ -2486,7 +2385,8 @@ mod tests {
         let config = CampaignConfig::new(0.05).journal(JournalConfig::fresh(&path, "rc"));
         run_campaign_with(&nl, &faults[..2], &config, transient_extract).unwrap();
         // Resuming the full universe from it must refuse.
-        let err = run_campaign_resumed(&nl, &faults, &config, transient_extract).unwrap_err();
+        let config = CampaignConfig::new(0.05).journal(JournalConfig::resume(&path, "rc"));
+        let err = run_campaign_with(&nl, &faults, &config, transient_extract).unwrap_err();
         assert!(
             matches!(&err, AnalysisError::InvalidParameter(msg)
                 if msg.contains("different fault universe")),
@@ -2504,19 +2404,6 @@ mod tests {
         assert_eq!(report.outcomes.len(), faults.len());
         assert!(journal::load(&path).unwrap().campaign("rc").unwrap().complete);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn run_campaign_resumed_requires_a_journal() {
-        let (nl, faults) = rc_fixture();
-        let err = run_campaign_resumed(
-            &nl,
-            &faults,
-            &CampaignConfig::new(0.05),
-            transient_extract,
-        )
-        .unwrap_err();
-        assert!(matches!(err, AnalysisError::InvalidParameter(_)));
     }
 
     #[test]

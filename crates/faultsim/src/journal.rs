@@ -493,6 +493,50 @@ pub struct ReplayedCampaign {
     pub degraded: Option<ReplayedDegradation>,
 }
 
+/// How a journal says a campaign ended, judged from its terminal
+/// records ([`ReplayedCampaign::state`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ReplayedState<'a> {
+    /// A `degraded` record: the campaign finished, the journal lacks
+    /// some of its outcomes.
+    Degraded(&'a ReplayedDegradation),
+    /// A `complete` record: every outcome is journaled.
+    Complete,
+    /// A `cancelled` record: the campaign stopped cleanly part-way.
+    Cancelled,
+    /// No terminal record: the campaign was killed mid-run.
+    Interrupted,
+}
+
+impl ReplayedState<'_> {
+    /// Stable lowercase label (`degraded`, `complete`, `cancelled`,
+    /// `interrupted`), the state a journal's status snapshot carries.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ReplayedState::Degraded(_) => "degraded",
+            ReplayedState::Complete => "complete",
+            ReplayedState::Cancelled => "cancelled",
+            ReplayedState::Interrupted => "interrupted",
+        }
+    }
+}
+
+impl ReplayedCampaign {
+    /// The campaign's terminal state. A degradation outranks the other
+    /// records, because it says the journal itself is incomplete.
+    pub fn state(&self) -> ReplayedState<'_> {
+        if let Some(d) = &self.degraded {
+            ReplayedState::Degraded(d)
+        } else if self.complete {
+            ReplayedState::Complete
+        } else if self.cancelled {
+            ReplayedState::Cancelled
+        } else {
+            ReplayedState::Interrupted
+        }
+    }
+}
+
 /// A decoded journal: campaigns by label, plus whether the file ended
 /// in a torn line (the signature of a hard kill).
 #[derive(Debug, Clone, Default)]

@@ -15,8 +15,9 @@
 //!   paper's "faulty chip diagnosis at a functional macro level",
 //! * [`journal`] — the `mixsig.campaign-journal/1` checkpoint format:
 //!   campaigns journal every completed fault to an append-only JSONL
-//!   file and [`campaign::run_campaign_resumed`] replays it, so a
-//!   killed or cancelled campaign resumes instead of restarting,
+//!   file and a campaign run with [`campaign::JournalConfig::resume`]
+//!   replays it, so a killed or cancelled campaign resumes instead of
+//!   restarting,
 //! * [`trace`] — Chrome Trace Event timelines of completed campaigns:
 //!   worker lanes, per-fault spans and (with
 //!   [`campaign::CampaignConfig::profile`] armed) solver phase
@@ -24,7 +25,9 @@
 //! * [`telemetry`] — live campaign telemetry: per-worker heartbeat
 //!   records, periodically rewritten `mixsig.campaign-status/1`
 //!   snapshots (`experiments watch` tails them) and stall detection,
-//!   all advisory and fully outside the canonical byte-stable path.
+//!   all advisory and fully outside the canonical byte-stable path;
+//!   [`telemetry::StatusRollup`] is the one progress fold, shared by
+//!   the live snapshot and a journal's post-hoc view.
 //!
 //! # Example
 //!

@@ -23,16 +23,23 @@
 //!   output — reports stay byte-identical with telemetry armed or
 //!   disarmed.
 //!
+//! Progress is folded one way: [`StatusRollup`] adds each completed
+//! fault's outcome and telemetry. The live [`StatusEmitter`] keeps one,
+//! seeded with a resume's replayed outcomes, and `experiments watch`
+//! folds a journal through the same type, so the live and post-hoc
+//! views of one run agree on everything the journal records.
+//!
 //! Stall detection: a lane with a fault in flight whose heartbeat age
-//! exceeds [`TelemetryConfig::stall_factor`] × the per-fault wall
-//! budget is flagged `stalled` in the snapshot. Campaigns without a
-//! wall budget fall back to the same multiple of the average observed
-//! fault duration (floored at one second), so a hung worker is still
-//! distinguishable from a merely slow fault once enough faults have
-//! completed to establish "slow".
+//! exceeds [`STALL_FACTOR`] × the per-fault wall budget is flagged
+//! `stalled` in the snapshot. Campaigns without a wall budget fall back
+//! to the same multiple of the average observed fault duration (floored
+//! at one second), so a hung worker is still distinguishable from a
+//! merely slow fault once enough faults have completed to establish
+//! "slow".
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -45,6 +52,13 @@ use obs::profile::{Phase, PhaseSnapshot};
 use obs::status::{self, CampaignStatus, WorkerLane};
 use obs::timeseries::WindowedCounter;
 
+use crate::campaign::{FaultOutcome, FaultStatus, FaultTelemetry};
+
+/// A lane whose heartbeat age exceeds this multiple of the per-fault
+/// wall budget (or, without one, of the average observed fault
+/// duration) while a fault is in flight is flagged stalled.
+pub const STALL_FACTOR: f64 = 4.0;
+
 /// Live-telemetry configuration for a campaign
 /// ([`CampaignConfig::telemetry`](crate::campaign::CampaignConfig)).
 #[derive(Debug, Clone)]
@@ -54,11 +68,6 @@ pub struct TelemetryConfig {
     pub dir: PathBuf,
     /// How often the status snapshot is rewritten (default 250 ms).
     pub interval: Duration,
-    /// A lane whose heartbeat age exceeds this multiple of the
-    /// per-fault wall budget (or, without one, of the average observed
-    /// fault duration) while a fault is in flight is flagged stalled
-    /// (default 4.0).
-    pub stall_factor: f64,
     /// Retry policy for heartbeat appends (default: the journal
     /// default). Exhausted retries disable the heartbeat writer rather
     /// than failing the campaign.
@@ -73,15 +82,11 @@ impl TelemetryConfig {
     /// Default snapshot interval.
     pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(250);
 
-    /// Default stall multiple.
-    pub const DEFAULT_STALL_FACTOR: f64 = 4.0;
-
-    /// Telemetry into `dir` with default interval and stall policy.
+    /// Telemetry into `dir` with the default interval.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         TelemetryConfig {
             dir: dir.into(),
             interval: Self::DEFAULT_INTERVAL,
-            stall_factor: Self::DEFAULT_STALL_FACTOR,
             retry: RetryPolicy::default(),
             chaos: None,
         }
@@ -91,13 +96,6 @@ impl TelemetryConfig {
     #[must_use]
     pub fn interval(mut self, interval: Duration) -> Self {
         self.interval = interval;
-        self
-    }
-
-    /// Replaces the stall multiple.
-    #[must_use]
-    pub fn stall_factor(mut self, factor: f64) -> Self {
-        self.stall_factor = factor.max(1.0);
         self
     }
 
@@ -162,6 +160,93 @@ pub fn heartbeat_record(
     obj
 }
 
+/// The progress fold of a campaign's completed faults: the outcome
+/// split, the summed solver counters and phases, and per worker lane
+/// the faults it completed.
+#[derive(Debug, Clone, Default)]
+pub struct StatusRollup {
+    detected: u64,
+    undetected: u64,
+    failed: u64,
+    solver: SolverSnapshot,
+    /// Summed wall milliseconds of the folded faults.
+    wall_ms: f64,
+    /// By lane: faults completed, their summed wall milliseconds and
+    /// their phase rollup.
+    lanes: BTreeMap<usize, (u64, f64, PhaseSnapshot)>,
+}
+
+impl StatusRollup {
+    /// Folds one completed fault, on the lane its telemetry names.
+    pub fn add(&mut self, status: &FaultStatus, telemetry: &FaultTelemetry) {
+        match status {
+            FaultStatus::Detected { .. } => self.detected += 1,
+            FaultStatus::Undetected { .. } => self.undetected += 1,
+            _ => self.failed += 1,
+        }
+        self.solver += telemetry.solver;
+        let wall_ms = telemetry.wall.as_secs_f64() * 1e3;
+        self.wall_ms += wall_ms;
+        let lane = self.lanes.entry(telemetry.lane).or_default();
+        lane.0 += 1;
+        lane.1 += wall_ms;
+        lane.2 += telemetry.solver.phases;
+    }
+
+    /// Faults folded so far.
+    pub fn done(&self) -> u64 {
+        self.detected + self.undetected + self.failed
+    }
+
+    /// Writes the fold into `status`: `done` and the outcome split, the
+    /// solver counters (replacing any), the phases that saw time or
+    /// calls, `elapsed_ms` as the summed fault wall, and for every lane
+    /// that completed a fault its `completed`, `busy_ms` (the summed
+    /// wall of those faults) and hottest phase. A lane `status` does not
+    /// list yet is added in lane order.
+    pub fn fill(&self, status: &mut CampaignStatus) {
+        status.done = self.done();
+        status.detected = self.detected;
+        status.undetected = self.undetected;
+        status.failed = self.failed;
+        status.counters = SolverSnapshot::FIELDS
+            .iter()
+            .zip(self.solver.as_array())
+            .map(|(name, value)| ((*name).to_owned(), value))
+            .collect();
+        let phases = &self.solver.phases;
+        status.phases = Phase::ALL
+            .iter()
+            .filter(|&&p| phases.ns(p) > 0 || phases.calls(p) > 0)
+            .map(|&p| (p.label().to_owned(), phases.ns(p), phases.calls(p)))
+            .collect();
+        status.elapsed_ms = self.wall_ms;
+        for (&lane, (completed, busy_ms, phases)) in &self.lanes {
+            let lane = lane as u64;
+            let at = match status.workers.binary_search_by_key(&lane, |w| w.lane) {
+                Ok(at) => at,
+                Err(at) => {
+                    let worker = WorkerLane {
+                        lane,
+                        ..WorkerLane::default()
+                    };
+                    status.workers.insert(at, worker);
+                    at
+                }
+            };
+            let worker = &mut status.workers[at];
+            worker.completed = *completed;
+            worker.busy_ms = *busy_ms;
+            worker.hot_phase = Phase::ALL
+                .iter()
+                .copied()
+                .max_by_key(|&p| phases.ns(p))
+                .filter(|&p| phases.ns(p) > 0)
+                .map(|p| p.label().to_owned());
+        }
+    }
+}
+
 /// One worker lane's live state.
 #[derive(Debug)]
 struct LaneState {
@@ -169,11 +254,6 @@ struct LaneState {
     current: Option<(usize, String, Instant)>,
     /// Last heartbeat-worthy event on this lane.
     last_beat: Instant,
-    /// Faults completed by this lane.
-    completed: usize,
-    /// Phase rollup of this lane's completed faults (profiling armed
-    /// only).
-    phases: PhaseSnapshot,
 }
 
 /// Rate/emission state mutated only under one lock.
@@ -187,30 +267,21 @@ struct EmitState {
 /// events) and the monitor thread (periodic emission); every method is
 /// `&self`.
 ///
-/// Lock order: `emit` strictly before any lane lock (`snapshot_locked`
-/// holds `emit` while visiting every lane). Nothing may acquire `emit`
-/// while holding a lane lock — that inversion deadlocks the monitor
-/// thread against a finishing worker. Cross-lock counters that worker
-/// events update under a lane lock (`StatusEmitter::fault_wall_ns`)
-/// are atomics for exactly that reason.
+/// Lock order: `emit` strictly before any lane lock or the rollup lock
+/// (`snapshot_locked` holds `emit` while it reads them). Nothing may
+/// acquire `emit` while holding a lane lock — that inversion deadlocks
+/// the monitor thread against a finishing worker — and a worker holds
+/// at most one of its lane lock and the rollup lock at a time.
 pub struct StatusEmitter {
     config: TelemetryConfig,
     label: String,
     journal: Option<String>,
     total: usize,
-    replayed: usize,
+    replayed: u64,
     epoch: Instant,
     budget_wall: Option<Duration>,
     lanes: Vec<Mutex<LaneState>>,
-    done: AtomicUsize,
-    detected: AtomicUsize,
-    undetected: AtomicUsize,
-    failed: AtomicUsize,
-    /// Sum of completed-fault wall time in nanoseconds, for the
-    /// budget-less stall fallback. Atomic (not part of [`EmitState`])
-    /// because workers add to it while holding their lane lock.
-    fault_wall_ns: AtomicU64,
-    solver: Mutex<SolverSnapshot>,
+    rollup: Mutex<StatusRollup>,
     heartbeats: Mutex<Option<JournalWriter>>,
     heartbeat_drops: AtomicU64,
     status_drops: AtomicU64,
@@ -220,10 +291,13 @@ pub struct StatusEmitter {
 
 impl StatusEmitter {
     /// Arms telemetry: creates the directory, truncates the heartbeat
-    /// sidecar, seeds counters with the replayed rollup and writes the
-    /// first snapshot. Failures are absorbed (a dead telemetry
-    /// directory must not kill the campaign): a failed heartbeat open
-    /// leaves heartbeats disabled, a failed snapshot is counted.
+    /// sidecar, seeds the progress fold with the `replayed` outcomes and
+    /// writes the first snapshot. Replayed faults were completed by an
+    /// earlier run, not by a lane of this one, so they count toward the
+    /// outcome split and the solver counters but toward no lane.
+    /// Failures are absorbed (a dead telemetry directory must not kill
+    /// the campaign): a failed heartbeat open leaves heartbeats
+    /// disabled, a failed snapshot is counted.
     #[allow(clippy::too_many_arguments)]
     pub fn arm(
         config: TelemetryConfig,
@@ -231,7 +305,7 @@ impl StatusEmitter {
         journal: Option<&Path>,
         total: usize,
         workers: usize,
-        replayed: (usize, usize, usize),
+        mut replayed: StatusRollup,
         budget: SolveBudget,
     ) -> Self {
         let _ = std::fs::create_dir_all(&config.dir);
@@ -244,13 +318,12 @@ impl StatusEmitter {
             },
         )
         .ok();
-        let (detected, undetected, failed) = replayed;
-        let replayed_total = detected + undetected + failed;
+        replayed.lanes.clear();
         let emitter = StatusEmitter {
             label: label.to_owned(),
             journal: journal.map(|p| p.to_string_lossy().into_owned()),
             total,
-            replayed: replayed_total,
+            replayed: replayed.done(),
             epoch: now,
             budget_wall: budget.max_wall,
             lanes: (0..workers.max(1))
@@ -258,17 +331,10 @@ impl StatusEmitter {
                     Mutex::new(LaneState {
                         current: None,
                         last_beat: now,
-                        completed: 0,
-                        phases: PhaseSnapshot::default(),
                     })
                 })
                 .collect(),
-            done: AtomicUsize::new(replayed_total),
-            detected: AtomicUsize::new(detected),
-            undetected: AtomicUsize::new(undetected),
-            failed: AtomicUsize::new(failed),
-            fault_wall_ns: AtomicU64::new(0),
-            solver: Mutex::new(SolverSnapshot::default()),
+            rollup: Mutex::new(replayed),
             heartbeats: Mutex::new(heartbeats),
             heartbeat_drops: AtomicU64::new(0),
             status_drops: AtomicU64::new(0),
@@ -293,7 +359,7 @@ impl StatusEmitter {
     /// failure disables the writer: telemetry must never become the
     /// slowest (or loudest) part of a campaign.
     fn beat(&self, lane: usize, event: &str, fault: Option<(usize, &str)>) {
-        let completed = self.done.load(Ordering::Acquire);
+        let completed = self.rollup.lock().expect("rollup lock").done() as usize;
         let record =
             heartbeat_record(&self.label, lane, event, fault, completed, self.elapsed_ms());
         let mut guard = self.heartbeats.lock().expect("heartbeat lock");
@@ -330,56 +396,34 @@ impl StatusEmitter {
         self.beat(lane, "abandon", None);
     }
 
-    /// A worker finished fault `index` with the given status tag
-    /// (`FaultStatus::tag`) and solver counters.
-    pub fn fault_done(
-        &self,
-        lane: usize,
-        index: usize,
-        name: &str,
-        status_tag: &str,
-        solver: &SolverSnapshot,
-    ) {
-        let now = Instant::now();
+    /// A worker finished fault `index` on the lane its telemetry names.
+    pub fn fault_done(&self, index: usize, outcome: &FaultOutcome, telemetry: &FaultTelemetry) {
+        let lane = telemetry.lane;
         {
             let mut state = self.lanes[lane].lock().expect("lane lock");
-            if let Some((_, _, claimed)) = state.current.take() {
-                // Atomic, not the emit lock: taking emit here while
-                // holding the lane lock would invert the emit→lane
-                // order snapshot_locked relies on and deadlock against
-                // the monitor thread.
-                let wall = now.saturating_duration_since(claimed);
-                self.fault_wall_ns
-                    .fetch_add(wall.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::AcqRel);
-            }
-            state.last_beat = now;
-            state.completed += 1;
-            state.phases += solver.phases;
+            state.current = None;
+            state.last_beat = Instant::now();
         }
-        self.done.fetch_add(1, Ordering::AcqRel);
-        match status_tag {
-            "detected" => self.detected.fetch_add(1, Ordering::AcqRel),
-            "undetected" => self.undetected.fetch_add(1, Ordering::AcqRel),
-            _ => self.failed.fetch_add(1, Ordering::AcqRel),
-        };
-        *self.solver.lock().expect("solver lock") += *solver;
-        self.beat(lane, "done", Some((index, name)));
+        self.rollup
+            .lock()
+            .expect("rollup lock")
+            .add(&outcome.status, telemetry);
+        self.beat(lane, "done", Some((index, outcome.fault.name())));
     }
 
-    /// The stall threshold in milliseconds: `stall_factor` × the wall
-    /// budget when one is configured, else `stall_factor` × the average
-    /// observed fault duration (floored at 1 s), else `None` before any
-    /// fault completed.
-    fn stall_after_ms(&self) -> Option<f64> {
+    /// The stall threshold in milliseconds: [`STALL_FACTOR`] × the wall
+    /// budget when one is configured, else [`STALL_FACTOR`] × the
+    /// average fault duration (floored at 1 s), else `None` before any
+    /// fault of this run completed.
+    fn stall_after_ms(&self, rollup: &StatusRollup) -> Option<f64> {
         if let Some(wall) = self.budget_wall {
-            return Some(self.config.stall_factor * wall.as_secs_f64() * 1e3);
+            return Some(STALL_FACTOR * wall.as_secs_f64() * 1e3);
         }
-        let fresh = self.done.load(Ordering::Acquire).saturating_sub(self.replayed);
-        if fresh == 0 {
+        if rollup.done() == self.replayed {
             return None;
         }
-        let avg_ms = self.fault_wall_ns.load(Ordering::Acquire) as f64 / 1e6 / fresh as f64;
-        Some(self.config.stall_factor * avg_ms.max(1e3))
+        let avg_ms = rollup.wall_ms / rollup.done() as f64;
+        Some(STALL_FACTOR * avg_ms.max(1e3))
     }
 
     /// Builds the current snapshot without writing it.
@@ -388,93 +432,70 @@ impl StatusEmitter {
         self.snapshot_locked(state, &mut emit)
     }
 
+    /// The rollup's snapshot with the wall-clock fields only a live
+    /// campaign has laid over it: elapsed time, rates and ETA, each
+    /// lane's fault in flight, busy time, heartbeat age and stall flag,
+    /// and the telemetry drop counters.
     fn snapshot_locked(&self, state: &str, emit: &mut EmitState) -> CampaignStatus {
+        let mut status = CampaignStatus {
+            label: self.label.clone(),
+            state: state.to_owned(),
+            total: self.total as u64,
+            replayed: self.replayed,
+            workers: (0..self.lanes.len() as u64)
+                .map(|lane| WorkerLane {
+                    lane,
+                    ..WorkerLane::default()
+                })
+                .collect(),
+            journal: self.journal.clone(),
+            ..CampaignStatus::default()
+        };
         let elapsed_ms = self.elapsed_ms();
-        let done = self.done.load(Ordering::Acquire);
-        emit.throughput.observe(elapsed_ms, done as f64);
+        {
+            let rollup = self.rollup.lock().expect("rollup lock");
+            rollup.fill(&mut status);
+            status.stall_after_ms = self.stall_after_ms(&rollup);
+        }
+        status.elapsed_ms = elapsed_ms;
+        emit.throughput.observe(elapsed_ms, status.done as f64);
         // The windowed rate counts replayed faults as instantaneous
         // progress at arm time; past the first interval the window
         // reflects only real simulation throughput.
         let rate = emit.throughput.rate_per_sec().unwrap_or(0.0).max(0.0);
         let ewma = emit.throughput.ewma_per_sec().unwrap_or(rate).max(0.0);
-        let remaining = self.total.saturating_sub(done);
-        let eta_ms = if remaining == 0 {
+        status.faults_per_sec = rate;
+        status.ewma_faults_per_sec = ewma;
+        let remaining = status.remaining();
+        status.eta_ms = if remaining == 0 {
             Some(0.0)
         } else {
             let best = ewma.max(rate);
             (best > 0.0).then(|| remaining as f64 / best * 1e3)
         };
-        let stall_after_ms = self.stall_after_ms();
-        let workers = self
-            .lanes
-            .iter()
-            .enumerate()
-            .map(|(lane, state)| {
-                let state = state.lock().expect("lane lock");
-                let busy_ms = state
-                    .current
-                    .as_ref()
-                    .map_or(0.0, |(_, _, claimed)| claimed.elapsed().as_secs_f64() * 1e3);
-                let age_ms = state.last_beat.elapsed().as_secs_f64() * 1e3;
-                let stalled = state.current.is_some()
-                    && stall_after_ms.is_some_and(|limit| age_ms > limit);
-                let hot_phase = Phase::ALL
-                    .iter()
-                    .copied()
-                    .max_by_key(|&p| state.phases.ns(p))
-                    .filter(|&p| state.phases.ns(p) > 0)
-                    .map(|p| p.label().to_owned());
-                WorkerLane {
-                    lane: lane as u64,
-                    fault: state.current.as_ref().map(|(i, _, _)| *i as u64),
-                    fault_name: state.current.as_ref().map(|(_, n, _)| n.clone()),
-                    busy_ms,
-                    heartbeat_age_ms: age_ms,
-                    completed: state.completed as u64,
-                    stalled,
-                    hot_phase,
-                }
-            })
-            .collect();
-        let solver = *self.solver.lock().expect("solver lock");
-        let mut counters: Vec<(String, u64)> = SolverSnapshot::FIELDS
-            .iter()
-            .zip(solver.as_array())
-            .map(|(name, value)| ((*name).to_owned(), value))
-            .collect();
-        counters.push((
+        for (worker, state) in status.workers.iter_mut().zip(&self.lanes) {
+            let state = state.lock().expect("lane lock");
+            let age_ms = state.last_beat.elapsed().as_secs_f64() * 1e3;
+            worker.fault = state.current.as_ref().map(|(i, _, _)| *i as u64);
+            worker.fault_name = state.current.as_ref().map(|(_, n, _)| n.clone());
+            worker.busy_ms = state
+                .current
+                .as_ref()
+                .map_or(0.0, |(_, _, claimed)| claimed.elapsed().as_secs_f64() * 1e3);
+            worker.heartbeat_age_ms = age_ms;
+            worker.stalled = state.current.is_some()
+                && status.stall_after_ms.is_some_and(|limit| age_ms > limit);
+        }
+        status.counters.push((
             "heartbeat_drops".into(),
             self.heartbeat_drops.load(Ordering::Acquire),
         ));
-        counters.push((
+        status.counters.push((
             "status_drops".into(),
             self.status_drops.load(Ordering::Acquire),
         ));
-        let phases = Phase::ALL
-            .iter()
-            .filter(|&&p| solver.phases.calls(p) > 0 || solver.phases.ns(p) > 0)
-            .map(|&p| (p.label().to_owned(), solver.phases.ns(p), solver.phases.calls(p)))
-            .collect();
-        CampaignStatus {
-            label: self.label.clone(),
-            state: state.to_owned(),
-            total: self.total as u64,
-            done: done as u64,
-            replayed: self.replayed as u64,
-            detected: self.detected.load(Ordering::Acquire) as u64,
-            undetected: self.undetected.load(Ordering::Acquire) as u64,
-            failed: self.failed.load(Ordering::Acquire) as u64,
-            elapsed_ms,
-            faults_per_sec: rate,
-            ewma_faults_per_sec: ewma,
-            eta_ms,
-            counters,
-            phases,
-            workers,
-            journal: self.journal.clone(),
-            stall_after_ms,
-            updated_at_ms: unix_ms(),
-        }
+        status.updated_at_ms = unix_ms();
+        status
     }
 
     /// Folds and writes one snapshot now, best-effort.
@@ -555,15 +576,41 @@ mod tests {
     }
 
     fn armed(dir: &Path, budget: SolveBudget) -> StatusEmitter {
+        let mut replayed = StatusRollup::default();
+        let status = FaultStatus::Detected { pct: 100.0 };
+        replayed.add(&status, &FaultTelemetry::default());
         StatusEmitter::arm(
             TelemetryConfig::new(dir),
             "unit.test",
             Some(Path::new("unit.jsonl")),
             4,
             2,
-            (1, 0, 0),
+            replayed,
             budget,
         )
+    }
+
+    /// A completed fault named `name` with `status`, simulated on `lane`
+    /// with `newton` Newton iterations.
+    fn done(
+        name: &str,
+        status: FaultStatus,
+        lane: usize,
+        newton: u64,
+    ) -> (FaultOutcome, FaultTelemetry) {
+        let mut nl = anasim::netlist::Netlist::new();
+        let node = nl.node("n");
+        let outcome = FaultOutcome {
+            fault: crate::model::Fault::stuck_at_0(name, node),
+            signature: None,
+            status,
+        };
+        let mut telemetry = FaultTelemetry {
+            lane,
+            ..FaultTelemetry::default()
+        };
+        telemetry.solver.newton_iterations = newton;
+        (outcome, telemetry)
     }
 
     #[test]
@@ -596,18 +643,18 @@ mod tests {
         let status = emitter.snapshot("running");
         assert_eq!(status.workers[1].fault, Some(2));
         assert_eq!(status.workers[1].fault_name.as_deref(), Some("b-sa0"));
-        let solver = SolverSnapshot {
-            newton_iterations: 7,
-            ..SolverSnapshot::default()
-        };
-        emitter.fault_done(1, 2, "b-sa0", "detected", &solver);
+        let (outcome, telemetry) = done("b-sa0", FaultStatus::Detected { pct: 80.0 }, 1, 7);
+        emitter.fault_done(2, &outcome, &telemetry);
         emitter.fault_claimed(0, 3, "b-sa1");
-        emitter.fault_done(0, 3, "b-sa1", "sim-failed", &solver);
+        let status = FaultStatus::BudgetExceeded { rungs_tried: 1 };
+        let (outcome, telemetry) = done("b-sa1", status, 0, 7);
+        emitter.fault_done(3, &outcome, &telemetry);
         let status = emitter.snapshot("running");
         assert_eq!(status.done, 3);
         assert_eq!(status.detected, 2);
         assert_eq!(status.failed, 1);
         assert_eq!(status.workers[1].completed, 1);
+        assert_eq!(status.workers[0].completed, 1, "replay is on no lane");
         assert_eq!(status.workers[1].fault, None, "done clears the lane");
         let newton = status
             .counters
@@ -619,6 +666,22 @@ mod tests {
         // Five heartbeats: armed + claim + done + claim + done.
         let beats = obs::journal::read_journal(&emitter.config.heartbeat_path()).unwrap();
         assert_eq!(beats.records.len(), 5);
+    }
+
+    #[test]
+    fn the_rollup_fills_lanes_in_lane_order() {
+        let mut rollup = StatusRollup::default();
+        for (lane, newton) in [(2, 5), (0, 3), (2, 1)] {
+            let (outcome, telemetry) =
+                done("f", FaultStatus::Undetected { pct: 1.0 }, lane, newton);
+            rollup.add(&outcome.status, &telemetry);
+        }
+        let mut status = CampaignStatus::default();
+        rollup.fill(&mut status);
+        assert_eq!((status.done, status.undetected), (3, 3));
+        let lanes = status.workers.iter().map(|w| (w.lane, w.completed));
+        assert_eq!(lanes.collect::<Vec<_>>(), [(0, 1), (2, 2)]);
+        assert_eq!(status.counters[0], ("newton_iterations".to_owned(), 9));
     }
 
     #[test]
@@ -644,7 +707,8 @@ mod tests {
         let status = emitter.snapshot("running");
         assert_eq!(status.stall_after_ms, None, "no budget, nothing observed");
         assert!(!status.workers[0].stalled);
-        emitter.fault_done(0, 1, "c-sa0", "detected", &SolverSnapshot::default());
+        let (outcome, telemetry) = done("c-sa0", FaultStatus::Detected { pct: 80.0 }, 0, 0);
+        emitter.fault_done(1, &outcome, &telemetry);
         let status = emitter.snapshot("running");
         // One observed fault establishes the adaptive threshold, with
         // the 1 s floor dominating this fast unit test.
@@ -664,14 +728,15 @@ mod tests {
             None,
             2,
             1,
-            (0, 0, 0),
+            StatusRollup::default(),
             SolveBudget::unlimited(),
         );
         // The armed beat hit the injected fault and disabled the
         // writer; subsequent beats are counted as drops without
         // touching it again.
         emitter.fault_claimed(0, 0, "b-sa0");
-        emitter.fault_done(0, 0, "b-sa0", "detected", &SolverSnapshot::default());
+        let (outcome, telemetry) = done("b-sa0", FaultStatus::Detected { pct: 80.0 }, 0, 0);
+        emitter.fault_done(0, &outcome, &telemetry);
         assert_eq!(emitter.heartbeat_drops(), 3);
         // The campaign-facing API never surfaced an error, and the
         // status snapshot still works and reports the drops (terminal

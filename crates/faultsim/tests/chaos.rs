@@ -25,8 +25,7 @@ use anasim::source::SourceWaveform;
 use anasim::transient::TransientAnalysis;
 use anasim::AnalysisError;
 use faultsim::campaign::{
-    run_campaign_resumed, run_campaign_with, CampaignConfig, CampaignReport, DegradePolicy,
-    JournalConfig,
+    run_campaign_with, CampaignConfig, CampaignReport, DegradePolicy, JournalConfig,
 };
 use faultsim::journal;
 use faultsim::model::Fault;
@@ -168,7 +167,7 @@ fn persistent_failure_aborts_at_a_fault_boundary_and_resume_recovers() {
     // report is byte-identical to an uninterrupted run.
     let jc = JournalConfig::resume(&path, "chaos");
     let resumed =
-        run_campaign_resumed(&nl, &faults, &config(jc), transient_extract).unwrap();
+        run_campaign_with(&nl, &faults, &config(jc), transient_extract).unwrap();
     assert!(resumed.degradation.is_none());
     assert_eq!(resumed.canonical_text(), clean_report("chaos").canonical_text());
     let replay = journal::load(&path).unwrap();
@@ -213,7 +212,7 @@ fn continue_policy_finishes_journal_less_with_a_degradation_marker() {
     let replayed_degradation = campaign.degraded.as_ref().expect("degraded record");
     assert_eq!(replayed_degradation.journaled, 1);
     assert_eq!(replayed_degradation.unjournaled, 5);
-    let resumed = run_campaign_resumed(
+    let resumed = run_campaign_with(
         &nl,
         &faults,
         &config(JournalConfig::resume(&path, "chaos")),
@@ -268,7 +267,7 @@ fn cancellation_during_replay_stops_promptly_with_a_clean_record() {
         Ok(sig)
     };
     let cfg = config(JournalConfig::resume(&path, "chaos")).cancel(cancel.clone());
-    let err = run_campaign_resumed(&nl, &faults, &cfg, extract).unwrap_err();
+    let err = run_campaign_with(&nl, &faults, &cfg, extract).unwrap_err();
     assert!(matches!(err, AnalysisError::Cancelled), "{err:?}");
     assert_eq!(
         calls.load(Ordering::SeqCst),
@@ -328,7 +327,7 @@ fn seeded_injection_sweep_never_corrupts_and_always_recovers() {
                 }
                 // Resume (chaos cleared) must converge to the clean
                 // baseline byte-for-byte, degraded or not.
-                let resumed = run_campaign_resumed(
+                let resumed = run_campaign_with(
                     &nl,
                     &faults,
                     &config(JournalConfig::resume(&path, "chaos")),

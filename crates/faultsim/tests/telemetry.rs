@@ -11,21 +11,24 @@
 //! * chaos-injected heartbeat failures are counted in the snapshot and
 //!   change nothing else;
 //! * a resumed campaign seeds the progress rollup with the replayed
-//!   outcomes.
+//!   outcomes;
+//! * every terminal path leaves a terminal snapshot: a cancelled
+//!   campaign `cancelled` with idle lanes, a journal abort `aborted`.
 //!
 //! The fixture mirrors the chaos suite: an RC ladder whose node-c
 //! transient response is the 20-sample signature.
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use anasim::netlist::Netlist;
-use anasim::robust::{SolveBudget, SolveSettings};
+use anasim::robust::{CancelToken, SolveBudget, SolveSettings};
 use anasim::source::SourceWaveform;
 use anasim::transient::TransientAnalysis;
 use anasim::AnalysisError;
-use faultsim::campaign::{run_campaign_resumed, run_campaign_with, CampaignConfig, JournalConfig};
+use faultsim::campaign::{run_campaign_with, CampaignConfig, DegradePolicy, JournalConfig};
 use faultsim::model::Fault;
 use faultsim::telemetry::TelemetryConfig;
 use obs::chaos::FaultPlan;
@@ -254,7 +257,7 @@ fn resumed_campaigns_seed_the_replayed_rollup() {
     let config = CampaignConfig::new(0.5)
         .journal(JournalConfig::resume(&journal, "rc"))
         .telemetry(TelemetryConfig::new(&dir));
-    let resumed = run_campaign_resumed(&nl, &faults, &config, transient_extract).unwrap();
+    let resumed = run_campaign_with(&nl, &faults, &config, transient_extract).unwrap();
     assert_eq!(resumed.canonical_text(), first.canonical_text());
 
     let last = status::read_status(&dir.join(status::STATUS_FILE))
@@ -268,4 +271,71 @@ fn resumed_campaigns_seed_the_replayed_rollup() {
     assert_eq!(last.done, faults.len() as u64);
     assert_eq!(last.replayed, faults.len() as u64);
     assert_eq!(last.detected, resumed.detected_count() as u64);
+}
+
+#[test]
+fn a_cancelled_campaign_leaves_a_cancelled_snapshot_with_idle_lanes() {
+    let (nl, faults) = rc_fixture();
+    let dir = temp_dir("cancelled");
+    let journal_path = dir.join("campaign.jsonl");
+    let cancel = CancelToken::new();
+    let calls = AtomicUsize::new(0);
+    // The golden extraction is call 0; the token trips inside the third
+    // fault extraction, after two faults completed.
+    let extract = |n: &Netlist, settings: &SolveSettings| {
+        if calls.fetch_add(1, Ordering::SeqCst) == 3 {
+            cancel.cancel();
+            return Err(AnalysisError::Cancelled);
+        }
+        transient_extract(n, settings)
+    };
+    let config = CampaignConfig::new(0.5)
+        .workers(2)
+        .journal(JournalConfig::fresh(&journal_path, "rc"))
+        .cancel(cancel.clone())
+        .telemetry(TelemetryConfig::new(&dir));
+    let err = run_campaign_with(&nl, &faults, &config, extract).unwrap_err();
+    assert!(matches!(err, AnalysisError::Cancelled), "{err:?}");
+
+    let last = status::read_status(&dir.join(status::STATUS_FILE))
+        .unwrap()
+        .unwrap();
+    assert_eq!(last.state, "cancelled");
+    assert!(last.done < faults.len() as u64, "{last:?}");
+    for lane in &last.workers {
+        assert_eq!(lane.fault, None, "lane {} holds a fault", lane.lane);
+    }
+    let contents = obs::journal::read_journal(&journal_path).unwrap();
+    let last_record = contents.records.last().unwrap().get("record");
+    assert_eq!(
+        last_record.and_then(obs::json::JsonValue::as_str),
+        Some("cancelled")
+    );
+    assert!(faultsim::journal::load(&journal_path).unwrap().campaigns["rc"].cancelled);
+}
+
+#[test]
+fn a_journal_abort_leaves_an_aborted_snapshot() {
+    let (nl, faults) = rc_fixture();
+    let dir = temp_dir("aborted");
+    // Every write from the second on fails and nothing retries: the
+    // first fault record is lost, and the default Abort policy stops
+    // the campaign at the next fault boundary.
+    let jc = JournalConfig::fresh(dir.join("campaign.jsonl"), "rc")
+        .retry(RetryPolicy::none())
+        .chaos(FaultPlan::parse("write@1..").unwrap());
+    let config = CampaignConfig::new(0.5)
+        .journal(jc)
+        .degrade(DegradePolicy::Abort)
+        .telemetry(TelemetryConfig::new(&dir));
+    let err = run_campaign_with(&nl, &faults, &config, transient_extract).unwrap_err();
+    assert!(
+        matches!(&err, AnalysisError::InvalidParameter(msg) if msg.contains("campaign journal")),
+        "{err:?}"
+    );
+    let last = status::read_status(&dir.join(status::STATUS_FILE))
+        .unwrap()
+        .unwrap();
+    assert_eq!(last.state, "aborted");
+    assert!(last.is_terminal());
 }

@@ -1,22 +1,14 @@
 //! `obs` — zero-dependency instrumentation for the `mixsig` workspace.
 //!
-//! Every layer of the stack (solvers, campaigns, signal processing, the
-//! experiment harness) reports what it did through the same three
-//! primitives:
+//! Every layer of the stack (solvers, campaigns, the experiment
+//! harness) reports what it did as data its owner folds after the work
+//! completes: counters and values land in a [`report::Section`], and
+//! sampled scalars aggregate into [`histogram::Histogram`]s with
+//! nearest-rank percentiles. Nothing is pushed to a global sink while
+//! the work runs, so reports come out in a deterministic order however
+//! the work was scheduled.
 //!
-//! * **counters** — monotonically increasing event counts (Newton
-//!   iterations, accepted steps, homotopy stages);
-//! * **values** — sampled scalar observations, aggregated into
-//!   [`histogram::Histogram`]s with nearest-rank percentiles;
-//! * **spans** — named wall-clock durations recorded via the RAII
-//!   [`span::SpanTimer`] or [`span::time`].
-//!
-//! Events flow into a pluggable [`recorder::Recorder`]: the no-op
-//! default costs nothing, [`recorder::AggregatingRecorder`] is the
-//! thread-safe aggregate for real runs, and [`recorder::JsonlSink`]
-//! streams events as JSON lines for external tooling.
-//!
-//! The machine-readable end of the pipeline is [`report::RunReport`]:
+//! The machine-readable end is [`report::RunReport`]:
 //! named [`report::Section`]s of counters, values, histograms and
 //! timing summaries, serialised with the hand-rolled [`json`] writer
 //! (the workspace builds offline, so there is no serde). The canonical
@@ -61,10 +53,8 @@ pub mod journal;
 pub mod json;
 pub mod postmortem;
 pub mod profile;
-pub mod recorder;
 pub mod report;
 pub mod ring;
-pub mod span;
 pub mod status;
 pub mod table;
 pub mod timeseries;
@@ -78,7 +68,6 @@ pub use journal::{
 };
 pub use postmortem::{HazardStep, LadderStep, Postmortem, PostmortemIteration};
 pub use profile::{Phase, PhaseProfiler, PhaseSnapshot};
-pub use recorder::{AggregatingRecorder, NoopRecorder, Recorder};
 pub use report::{RunReport, Section};
 pub use status::{CampaignStatus, WorkerLane};
 pub use timeseries::{Ewma, Gauge, TimeSeries, WindowedCounter};

@@ -19,7 +19,6 @@ use std::collections::BTreeMap;
 use crate::histogram::Histogram;
 use crate::json::JsonValue;
 use crate::postmortem::Postmortem;
-use crate::recorder::Aggregate;
 
 /// Report schema identifier, bumped on breaking layout changes.
 pub const SCHEMA: &str = "mixsig.run-report/1";
@@ -79,23 +78,6 @@ impl Section {
     /// Attaches a solver failure postmortem.
     pub fn postmortem(&mut self, pm: Postmortem) -> &mut Self {
         self.postmortems.push(pm);
-        self
-    }
-
-    /// Folds a recorder [`Aggregate`] into this section: counters add,
-    /// span histograms merge, and scalar observations keep their mean.
-    pub fn absorb_aggregate(&mut self, agg: &Aggregate) -> &mut Self {
-        for (name, delta) in &agg.counters {
-            self.counter(name, *delta);
-        }
-        for (name, hist) in &agg.values {
-            if let Some(mean) = hist.mean() {
-                self.value(name, mean);
-            }
-        }
-        for (name, hist) in &agg.spans {
-            self.timings.entry(name.clone()).or_default().merge(hist);
-        }
         self
     }
 
@@ -307,8 +289,6 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::json;
-    use crate::recorder::{AggregatingRecorder, Recorder};
-    use std::time::Duration;
 
     fn sample_section(name: &str, coverage: f64, faults: u64, ms: f64) -> Section {
         let mut s = Section::new(name);
@@ -455,69 +435,5 @@ mod tests {
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].0, "c1");
         assert_eq!(found[0].1.label, "f17");
-    }
-
-    #[test]
-    fn absorb_aggregate_folds_recorder_state() {
-        let rec = AggregatingRecorder::new();
-        rec.add("solver.newton_iterations", 40);
-        rec.add("solver.newton_iterations", 2);
-        rec.value("coverage", 75.0);
-        rec.value("coverage", 85.0);
-        rec.span("anasim.dc", Duration::from_millis(3));
-        let mut section = Section::new("solver");
-        section.absorb_aggregate(&rec.snapshot());
-        assert_eq!(section.counters["solver.newton_iterations"], 42);
-        assert_eq!(section.values["coverage"], 80.0);
-        assert_eq!(section.timings["anasim.dc"].count(), 1);
-    }
-
-    #[test]
-    fn serial_and_sharded_aggregation_give_identical_canonical_bytes() {
-        // Simulates the campaign pattern: per-item aggregates produced
-        // on worker threads, merged in input order.
-        let work: Vec<u64> = (0..12).collect();
-
-        let serial = {
-            let mut section = Section::new("campaign");
-            for &i in &work {
-                let rec = AggregatingRecorder::new();
-                rec.add("solver.newton_iterations", 10 + i);
-                rec.span("campaign.fault", Duration::from_micros(100 * (i + 1)));
-                section.absorb_aggregate(&rec.snapshot());
-            }
-            let mut report = RunReport::new();
-            report.push(section);
-            report.canonical_json_string()
-        };
-
-        let sharded = {
-            let shards: Vec<Aggregate> = {
-                let mut out: Vec<Option<Aggregate>> = (0..work.len()).map(|_| None).collect();
-                std::thread::scope(|scope| {
-                    for (slot, &i) in out.iter_mut().zip(&work) {
-                        scope.spawn(move || {
-                            let rec = AggregatingRecorder::new();
-                            rec.add("solver.newton_iterations", 10 + i);
-                            rec.span(
-                                "campaign.fault",
-                                Duration::from_micros(100 * (i + 1)),
-                            );
-                            *slot = Some(rec.snapshot());
-                        });
-                    }
-                });
-                out.into_iter().map(|s| s.expect("worker ran")).collect()
-            };
-            let mut section = Section::new("campaign");
-            for shard in &shards {
-                section.absorb_aggregate(shard);
-            }
-            let mut report = RunReport::new();
-            report.push(section);
-            report.canonical_json_string()
-        };
-
-        assert_eq!(serial, sharded);
     }
 }

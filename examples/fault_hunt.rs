@@ -5,14 +5,12 @@
 //!
 //! Run with: `cargo run --release --example fault_hunt`
 
-use std::sync::Arc;
-
 use mixsig::anasim::flight::FlightRecorder;
 use mixsig::faultsim::campaign::{CampaignConfig, JournalConfig};
 use mixsig::faultsim::journal;
 use mixsig::macrolib::process::ProcessParams;
 use mixsig::msbist::transtest::circuits::circuit1;
-use mixsig::obs::{self, AggregatingRecorder};
+use mixsig::obs;
 
 fn main() {
     // Circuit 1: the 13-transistor OP1 in a comparator configuration,
@@ -35,19 +33,16 @@ fn main() {
 
     // Campaign on the resilient engine: every fault simulated in
     // parallel under the escalation ladder, scored by detection
-    // instances. The report is identical for any worker count, and the
-    // recorder sees the telemetry in universe order.
+    // instances. The report is identical for any worker count.
     // The flight recorder is armed so any fault that exhausts the whole
     // escalation ladder freezes a postmortem naming the worst node, and
     // a checkpoint journal makes the campaign kill-safe: every completed
     // fault is fsync'd to an append-only JSONL file as it finishes.
     let journal_path = std::env::temp_dir().join("fault_hunt.journal.jsonl");
-    let recorder = Arc::new(AggregatingRecorder::new());
     let config = CampaignConfig::new(0.02 * peak)
         .workers(4)
         .flight(FlightRecorder::DEFAULT_CAPACITY)
-        .journal(JournalConfig::fresh(&journal_path, "fault-hunt"))
-        .recorder(recorder.clone());
+        .journal(JournalConfig::fresh(&journal_path, "fault-hunt"));
     let report = circuit
         .bench
         .run_correlation_campaign_with(&circuit.faults, &config)
@@ -138,14 +133,14 @@ fn main() {
         }
     }
 
-    // The same numbers as the recorder saw them: per-step counters and
-    // campaign spans, deterministic apart from the wall-clock values.
-    let agg = recorder.snapshot();
+    // The same numbers as a run report carries them: counters and
+    // timings, deterministic apart from the wall-clock values.
+    let section = report.to_section("fault-hunt");
     println!(
-        "  recorder          : {} counters, {} span names, {} fault spans",
-        agg.counters.len(),
-        agg.spans.len(),
-        agg.spans.get("campaign.fault").map_or(0, obs::Histogram::count)
+        "  run report        : {} counters, {} timing names, {} fault timings",
+        section.counters.len(),
+        section.timings.len(),
+        section.timings.get("campaign.fault").map_or(0, obs::Histogram::count)
     );
 
     // Crash safety: every fault above was checkpointed as it completed.
