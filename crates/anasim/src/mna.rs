@@ -2399,4 +2399,414 @@ mod tests {
         assert_eq!(t.hazard_near_singular_pivot, 2);
         assert_eq!(t.newton_iterations, 2);
     }
+
+    /// One row of [`every_recovery_path_is_pinned`]: a circuit, a chaos
+    /// plan, and one solve per entry of `source_scales` on one context,
+    /// with what the run must come to.
+    struct LadderCase {
+        name: &'static str,
+        netlist: fn() -> Netlist,
+        transient: bool,
+        chaos: &'static str,
+        source_scales: &'static [f64],
+        /// `Debug` of every solve's result, joined by `"; "`.
+        results: &'static str,
+        /// [`SolverSnapshot::as_array`] after the last solve.
+        counters: [u64; 16],
+        /// The final solution's `to_bits`.
+        solution: &'static [u64],
+        /// The flight recorder's hazard trail, `hazard→action`.
+        hazards: &'static [&'static str],
+        /// FNV-1a digest of the frozen flight record's JSON text.
+        flight_digest: u64,
+    }
+
+    /// A diode clamp with a capacitor on the diode node, so transient
+    /// solves stamp a companion model.
+    fn diode_rc() -> Netlist {
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        let k = nl.node("k");
+        nl.vsource("V1", a, Netlist::GROUND, SourceWaveform::dc(5.0));
+        nl.resistor("R1", a, k, 1e3);
+        nl.diode("D1", k, Netlist::GROUND, DiodeParams::default());
+        nl.capacitor("C1", k, Netlist::GROUND, 1e-9);
+        nl
+    }
+
+    fn divider_netlist() -> Netlist {
+        divider().0
+    }
+
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// One Newton solve of a ladder case.
+    fn ladder_solve(
+        nl: &Netlist,
+        layout: &MnaLayout,
+        params: &StampParams<'_>,
+        instruments: &Instruments,
+        ctx: &mut SolverContext,
+        x: &mut Vec<f64>,
+    ) -> Result<(), AnalysisError> {
+        let options = NewtonOptions::default();
+        newton_solve_with_context(nl, layout, params, &options, None, instruments, ctx, x)
+    }
+
+    /// Runs a case's solves with and without a flight recorder: the
+    /// recorder observes, so both runs must agree on results, counters
+    /// and solution. Returns `(results, counters, solution bits,
+    /// hazard trail, flight digest)`.
+    fn run_ladder_case(case: &LadderCase) -> (String, [u64; 16], Vec<u64>, Vec<String>, u64) {
+        let nl = (case.netlist)();
+        let layout = MnaLayout::new(&nl);
+        let mut history = ReactiveHistory::new(&nl);
+        history.v.fill(0.25);
+        let mut runs = Vec::new();
+        for armed in [false, true] {
+            let chaos = obs::NumericChaosPlan::parse(case.chaos)
+                .expect("valid spec")
+                .arm();
+            let metrics = Arc::new(crate::metrics::SolverMetrics::new());
+            let flight = Arc::new(crate::flight::FlightRecorder::new(256));
+            let instruments = Instruments {
+                metrics: Some(Arc::clone(&metrics)),
+                chaos: Some(Arc::new(chaos)),
+                flight: armed.then(|| Arc::clone(&flight)),
+                ..Instruments::default()
+            };
+            let mut ctx = SolverContext::default();
+            let mut x = vec![0.0; layout.size()];
+            let mut results = Vec::new();
+            for &source_scale in case.source_scales {
+                let companion = if case.transient {
+                    CompanionMode::Transient {
+                        method: Integrator::Trapezoidal,
+                        dt: 1e-7,
+                        history: &history,
+                    }
+                } else {
+                    CompanionMode::Dc
+                };
+                let params = StampParams {
+                    time: 2e-7,
+                    companion,
+                    gmin: 1e-12,
+                    source_scale,
+                };
+                let result = ladder_solve(&nl, &layout, &params, &instruments, &mut ctx, &mut x);
+                results.push(format!("{result:?}"));
+            }
+            let frozen = flight.freeze("ladder", &AnalysisError::Cancelled, None);
+            let hazards = frozen
+                .hazards
+                .iter()
+                .map(|h| format!("{}→{}", h.hazard, h.action))
+                .collect();
+            runs.push((
+                results.join("; "),
+                metrics.snapshot().as_array(),
+                x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                hazards,
+                fnv1a(&frozen.to_json().to_json()),
+            ));
+        }
+        let armed = runs.pop().expect("armed run");
+        let bare = runs.pop().expect("bare run");
+        assert_eq!(bare.0, armed.0, "{}: results", case.name);
+        assert_eq!(bare.1, armed.1, "{}: counters", case.name);
+        assert_eq!(bare.2, armed.2, "{}: solution", case.name);
+        armed
+    }
+
+    /// Every rung of the Newton loop's recovery ladder, driven by
+    /// numeric chaos on a linear divider and a nonlinear diode circuit
+    /// (DC and transient): the cached linear solve failing its gate, the
+    /// fresh linear solve failing it (retried once, then terminal), the
+    /// non-finite update (retried once, then terminal) and the symbolic
+    /// rebuild (once, then terminal). Results, counters, solution bits
+    /// and the flight record are pinned exactly.
+    #[test]
+    fn every_recovery_path_is_pinned() {
+        // Counter order: newton, steps acc/rej, dt shrinks, gmin and
+        // source steps, reuse hits/misses, hazards (near-singular,
+        // growth, non-finite, stall, ill-conditioned), demotions
+        // (refactor, symbolic), refinement rounds. The two "poisoned
+        // solution" rows pin a gap: a NaN in a linear solution makes
+        // both the residual and its scale infinite, so the gate accepts
+        // it and the solve returns the NaN.
+        let cases = [
+            LadderCase {
+                name: "cached linear gate failure",
+                netlist: divider_netlist,
+                transient: false,
+                chaos: "perturb@0",
+                source_scales: &[0.0, 1.0],
+                results: "Ok(()); Ok(())",
+                counters: [2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 1, 0, 1],
+                solution: &[0x4024000000000000, 0x401dffffff9f5cfe, 0xbf647ae149d3d5f4],
+                hazards: &["refinement-stall→demote:refactor"],
+                flight_digest: 0x223241541784936e,
+            },
+            LadderCase {
+                name: "cached linear gate failure then fresh retry",
+                netlist: divider_netlist,
+                transient: false,
+                chaos: "perturb@0,perturb@1",
+                source_scales: &[0.0, 1.0],
+                results: "Ok(()); Ok(())",
+                counters: [3, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 2, 0, 2, 0, 2],
+                solution: &[0x4024000000000000, 0x401dffffff9f5cfe, 0xbf647ae149d3d5f4],
+                hazards: &[
+                    "refinement-stall→demote:refactor",
+                    "refinement-stall→demote:refactor",
+                ],
+                flight_digest: 0x58d103dfb5c613b,
+            },
+            LadderCase {
+                name: "cached linear gate failure then terminal",
+                netlist: divider_netlist,
+                transient: false,
+                chaos: "perturb@0..3",
+                source_scales: &[0.0, 1.0],
+                results: "Ok(()); Err(Numerical { hazard: RefinementStall, time: 2e-7 })",
+                counters: [3, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 3, 0, 2, 0, 3],
+                solution: &[0, 0, 0],
+                hazards: &[
+                    "refinement-stall→demote:refactor",
+                    "refinement-stall→demote:refactor",
+                    "refinement-stall→terminal",
+                ],
+                flight_digest: 0xa3df0515276c38ca,
+            },
+            LadderCase {
+                name: "linear fresh gate failure",
+                netlist: divider_netlist,
+                transient: false,
+                chaos: "perturb@0",
+                source_scales: &[1.0],
+                results: "Ok(())",
+                counters: [2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 1, 0, 1],
+                solution: &[0x4024000000000000, 0x401dffffff9f5cfe, 0xbf647ae149d3d5f4],
+                hazards: &["refinement-stall→demote:refactor"],
+                flight_digest: 0x223241541784936e,
+            },
+            LadderCase {
+                name: "linear poisoned solution passes the gate",
+                netlist: divider_netlist,
+                transient: false,
+                chaos: "nan@0,nan@1",
+                source_scales: &[1.0],
+                results: "Ok(())",
+                counters: [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+                solution: &[0x7ff8000000000000, 0x401dffffff9f5cfe, 0xbf647ae149d3d5f4],
+                hazards: &[],
+                flight_digest: 0x8954a4249c531655,
+            },
+            LadderCase {
+                name: "linear fresh retry then terminal",
+                netlist: divider_netlist,
+                transient: false,
+                chaos: "perturb@0,perturb@1",
+                source_scales: &[1.0],
+                results: "Err(Numerical { hazard: RefinementStall, time: 2e-7 })",
+                counters: [2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 1, 0, 2],
+                solution: &[0x0000000000000000, 0x0000000000000000, 0x0000000000000000],
+                hazards: &["refinement-stall→demote:refactor", "refinement-stall→terminal"],
+                flight_digest: 0xb69e2d25daaca68d,
+            },
+            LadderCase {
+                name: "linear symbolic rebuild",
+                netlist: divider_netlist,
+                transient: false,
+                chaos: "pivot@0",
+                source_scales: &[1.0],
+                results: "Ok(())",
+                counters: [2, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 1, 0],
+                solution: &[0x4024000000000000, 0x401dffffff9f5cfe, 0xbf647ae149d3d5f4],
+                hazards: &["near-singular-pivot→demote:symbolic"],
+                flight_digest: 0x396634fb3b1a004b,
+            },
+            LadderCase {
+                name: "linear symbolic then terminal",
+                netlist: divider_netlist,
+                transient: false,
+                chaos: "pivot@0,pivot@1",
+                source_scales: &[1.0],
+                results: "Err(SingularMatrix { row: 0 })",
+                counters: [2, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 1, 0],
+                solution: &[0x0000000000000000, 0x0000000000000000, 0x0000000000000000],
+                hazards: &["near-singular-pivot→demote:symbolic", "near-singular-pivot→terminal"],
+                flight_digest: 0x54b39675fe0e492f,
+            },
+            LadderCase {
+                name: "linear symbolic rebuild then poisoned solution",
+                netlist: divider_netlist,
+                transient: false,
+                chaos: "pivot@0,nan@0",
+                source_scales: &[1.0],
+                results: "Ok(())",
+                counters: [2, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 1, 0],
+                solution: &[0x7ff8000000000000, 0x401dffffff9f5cfe, 0xbf647ae149d3d5f4],
+                hazards: &["near-singular-pivot→demote:symbolic"],
+                flight_digest: 0x396634fb3b1a004b,
+            },
+            LadderCase {
+                name: "nonlinear non-finite retry",
+                netlist: diode_rc,
+                transient: false,
+                chaos: "nan@0",
+                source_scales: &[1.0],
+                results: "Ok(())",
+                counters: [27, 0, 0, 0, 0, 0, 14, 13, 0, 0, 1, 0, 0, 1, 0, 0],
+                solution: &[0x4014000000000000, 0x3fe628e1935b6954, 0xbf71a4c04fc93031],
+                hazards: &["non-finite→demote:refactor"],
+                flight_digest: 0xd24cd18e0fffd23f,
+            },
+            LadderCase {
+                name: "nonlinear non-finite retry then terminal",
+                netlist: diode_rc,
+                transient: false,
+                chaos: "nan@0,nan@1",
+                source_scales: &[1.0],
+                results: "Err(Numerical { hazard: NonFinite, time: 2e-7 })",
+                counters: [2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 1, 0, 0],
+                solution: &[0x0000000000000000, 0x0000000000000000, 0x0000000000000000],
+                hazards: &["non-finite→demote:refactor", "non-finite→terminal"],
+                flight_digest: 0x2ee80c6ef321570b,
+            },
+            LadderCase {
+                name: "nonlinear late non-finite retry",
+                netlist: diode_rc,
+                transient: false,
+                chaos: "nan@2",
+                source_scales: &[1.0, 1.0],
+                results: "Ok(()); Ok(())",
+                counters: [28, 0, 0, 0, 0, 0, 14, 14, 0, 0, 1, 0, 0, 1, 0, 0],
+                solution: &[0x4014000000000000, 0x3fe628e1934bad46, 0xbf71a4c04fcb33c9],
+                hazards: &["non-finite→demote:refactor"],
+                flight_digest: 0xeaf98c56c1dbafff,
+            },
+            LadderCase {
+                name: "nonlinear symbolic rebuild",
+                netlist: diode_rc,
+                transient: false,
+                chaos: "pivot@0",
+                source_scales: &[1.0],
+                results: "Ok(())",
+                counters: [27, 0, 0, 0, 0, 0, 14, 13, 1, 0, 0, 0, 0, 0, 1, 0],
+                solution: &[0x4014000000000000, 0x3fe628e1935b6954, 0xbf71a4c04fc93031],
+                hazards: &["near-singular-pivot→demote:symbolic"],
+                flight_digest: 0x86d2dbba8f8177bd,
+            },
+            LadderCase {
+                name: "nonlinear late symbolic rebuild",
+                netlist: diode_rc,
+                transient: false,
+                chaos: "pivot@1",
+                source_scales: &[1.0],
+                results: "Ok(())",
+                counters: [27, 0, 0, 0, 0, 0, 14, 13, 1, 0, 0, 0, 0, 0, 1, 0],
+                solution: &[0x4014000000000000, 0x3fe628e1935b6954, 0xbf71a4c04fc93031],
+                hazards: &["near-singular-pivot→demote:symbolic"],
+                flight_digest: 0x7447616531825164,
+            },
+            LadderCase {
+                name: "nonlinear symbolic then non-finite retry",
+                netlist: diode_rc,
+                transient: false,
+                chaos: "pivot@0,nan@0",
+                source_scales: &[1.0],
+                results: "Ok(())",
+                counters: [28, 0, 0, 0, 0, 0, 14, 14, 1, 0, 1, 0, 0, 1, 1, 0],
+                solution: &[0x4014000000000000, 0x3fe628e1935b6954, 0xbf71a4c04fc93031],
+                hazards: &["near-singular-pivot→demote:symbolic", "non-finite→demote:refactor"],
+                flight_digest: 0x1025837a9c7cc202,
+            },
+            LadderCase {
+                name: "nonlinear symbolic then terminal",
+                netlist: diode_rc,
+                transient: false,
+                chaos: "pivot@0,pivot@1",
+                source_scales: &[1.0],
+                results: "Err(SingularMatrix { row: 0 })",
+                counters: [2, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 1, 0],
+                solution: &[0x0000000000000000, 0x0000000000000000, 0x0000000000000000],
+                hazards: &["near-singular-pivot→demote:symbolic", "near-singular-pivot→terminal"],
+                flight_digest: 0x54b39675fe0e492f,
+            },
+            LadderCase {
+                name: "nonlinear perturbed factor",
+                netlist: diode_rc,
+                transient: false,
+                chaos: "perturb@0",
+                source_scales: &[0.5, 1.0],
+                results: "Ok(()); Ok(())",
+                counters: [54, 0, 0, 0, 0, 0, 41, 13, 0, 0, 0, 0, 0, 0, 0, 0],
+                solution: &[0x4014000000000000, 0x3fe628e1955f8f2b, 0xbf71a4c04f871f10],
+                hazards: &[],
+                flight_digest: 0x9940a319684c6f97,
+            },
+            LadderCase {
+                name: "transient non-finite retry",
+                netlist: diode_rc,
+                transient: true,
+                chaos: "nan@0",
+                source_scales: &[1.0, 1.0],
+                results: "Ok(()); Ok(())",
+                counters: [8, 0, 0, 0, 0, 0, 6, 2, 0, 0, 1, 0, 0, 1, 0, 0],
+                solution: &[0x4014000000000000, 0x3fde792022843f2d, 0xbf72879ba405c4e6],
+                hazards: &["non-finite→demote:refactor"],
+                flight_digest: 0x4421990de4d73c4,
+            },
+            LadderCase {
+                name: "transient non-finite retry then terminal",
+                netlist: diode_rc,
+                transient: true,
+                chaos: "nan@0,nan@1",
+                source_scales: &[1.0],
+                results: "Err(Numerical { hazard: NonFinite, time: 2e-7 })",
+                counters: [2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 1, 0, 0],
+                solution: &[0x0000000000000000, 0x0000000000000000, 0x0000000000000000],
+                hazards: &["non-finite→demote:refactor", "non-finite→terminal"],
+                flight_digest: 0x4441fef602d802a7,
+            },
+            LadderCase {
+                name: "transient symbolic rebuild",
+                netlist: diode_rc,
+                transient: true,
+                chaos: "pivot@0",
+                source_scales: &[1.0, 1.0],
+                results: "Ok(()); Ok(())",
+                counters: [8, 0, 0, 0, 0, 0, 6, 2, 1, 0, 0, 0, 0, 0, 1, 0],
+                solution: &[0x4014000000000000, 0x3fde792022843f2d, 0xbf72879ba405c4e6],
+                hazards: &["near-singular-pivot→demote:symbolic"],
+                flight_digest: 0x425c4c52f671e213,
+            },
+            LadderCase {
+                name: "transient perturbed factor",
+                netlist: diode_rc,
+                transient: true,
+                chaos: "perturb@0",
+                source_scales: &[1.0, 1.0],
+                results: "Ok(()); Ok(())",
+                counters: [13, 0, 0, 0, 0, 0, 12, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+                solution: &[0x4013fff2ae843872, 0x3fde792022843f2d, 0xbf72879ba405c4e6],
+                hazards: &[],
+                flight_digest: 0xe65dc20a479e0545,
+            },
+        ];
+        for case in &cases {
+            let (results, counters, solution, hazards, digest) = run_ladder_case(case);
+            assert_eq!(results, case.results, "{}: results", case.name);
+            assert_eq!(counters, case.counters, "{}: counters", case.name);
+            assert_eq!(solution, case.solution, "{}: solution bits", case.name);
+            assert_eq!(hazards, case.hazards, "{}: hazard trail", case.name);
+            assert_eq!(digest, case.flight_digest, "{}: flight record", case.name);
+        }
+    }
 }
