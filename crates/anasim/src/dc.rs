@@ -271,7 +271,7 @@ fn try_newton(
         layout,
         &params,
         &options.newton,
-        Some(clock),
+        clock,
         instruments,
         ctx,
         x,

@@ -300,6 +300,31 @@ impl SolverSnapshot {
         ]
     }
 
+    /// The snapshot whose counters are `values`, in [`COUNTER_NAMES`]
+    /// order (the inverse of [`SolverSnapshot::as_array`]), with no
+    /// phase times.
+    pub fn from_array(v: [u64; 16]) -> Self {
+        SolverSnapshot {
+            newton_iterations: v[0],
+            steps_accepted: v[1],
+            steps_rejected: v[2],
+            dt_shrinks: v[3],
+            dc_gmin_steps: v[4],
+            dc_source_steps: v[5],
+            factor_reuse_hits: v[6],
+            factor_reuse_misses: v[7],
+            hazard_near_singular_pivot: v[8],
+            hazard_pivot_growth: v[9],
+            hazard_nonfinite: v[10],
+            hazard_refinement_stall: v[11],
+            hazard_ill_conditioned: v[12],
+            demote_refactor: v[13],
+            demote_symbolic: v[14],
+            refinement_rounds: v[15],
+            phases: PhaseSnapshot::default(),
+        }
+    }
+
     /// Hazard counters paired with their [`NumericalHazard::label`]s,
     /// in [`NumericalHazard::ALL`] order — the shape canonical-report
     /// markers and `experiments explain` render from.
@@ -492,6 +517,7 @@ mod tests {
             snap.as_array(),
             [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]
         );
+        assert_eq!(SolverSnapshot::from_array(snap.as_array()), snap);
         let counters = named(&snap);
         for (i, field) in SolverSnapshot::FIELDS.iter().enumerate() {
             assert_eq!(

@@ -7,11 +7,11 @@ use crate::dense::Matrix;
 use crate::devices::{Device, DiodeParams, MosParams, MosPolarity, SwitchParams};
 use crate::metrics::DemotionTier;
 use crate::netlist::{DeviceId, Netlist, NodeId};
-use crate::robust::{BudgetClock, Instruments};
+use crate::robust::{BudgetClock, Instruments, SolveBudget};
 use crate::solver::{solve_into, FactorKey, MnaMatrix, PositionProbe, SolverContext};
 use crate::source::SourceWaveform;
 use crate::AnalysisError;
-use linsys::sparse::{SparseMatrix, SparseStructure};
+use linsys::sparse::{SparseLu, SparseMatrix, SparseStructure};
 use linsys::{refine_once, NumericalHazard, SingularMatrixError};
 use obs::profile::{LapTimer, Phase};
 use obs::NumericSite;
@@ -831,30 +831,33 @@ pub fn newton_solve(
     options: &NewtonOptions,
     x: &mut Vec<f64>,
 ) -> Result<(), AnalysisError> {
+    let clock = BudgetClock::new(SolveBudget::unlimited());
+    let instruments = Instruments::default();
     let mut ctx = SolverContext::default();
     newton_solve_with_context(
         netlist,
         layout,
         params,
         options,
-        None,
-        &Instruments::default(),
+        &clock,
+        &instruments,
         &mut ctx,
         x,
     )
 }
 
-/// [`newton_solve`] against a caller-owned [`SolverContext`], with an
-/// optional wall-clock meter and the analysis's [`Instruments`].
+/// [`newton_solve`] against a caller-owned [`SolverContext`], with the
+/// analysis's wall-clock meter and [`Instruments`].
 ///
-/// When `clock` is provided, its wall-clock budget (and any cancel
-/// token on it) is polled between Newton iterations, so a single stuck
-/// timestep cannot outlive the analysis budget. `instruments` carries
-/// the optional iteration counter, flight recorder, phase profiler and
-/// numeric-chaos state; all are owned by the caller, so counts, traces
-/// and timings cannot bleed between unrelated analyses the way
-/// thread-global state would. A disarmed handle costs a few `None`
-/// branches per iteration, allocates nothing and never reads the clock.
+/// The `clock`'s wall-clock budget (and any cancel token on it) is
+/// polled between Newton iterations, so a single stuck timestep cannot
+/// outlive the analysis budget; a clock with neither reads no time.
+/// `instruments` carries the optional iteration counter, flight
+/// recorder, phase profiler and numeric-chaos state; all are owned by
+/// the caller, so counts, traces and timings cannot bleed between
+/// unrelated analyses the way thread-global state would. A disarmed
+/// handle costs a few `None` branches per iteration, allocates nothing
+/// and never reads the clock.
 ///
 /// The context carries the sparse symbolic structure, the assembled
 /// system workspace and the cached factorisation *across* solves, which
@@ -874,7 +877,7 @@ pub fn newton_solve_with_context(
     layout: &MnaLayout,
     params: &StampParams<'_>,
     options: &NewtonOptions,
-    clock: Option<&BudgetClock>,
+    clock: &BudgetClock,
     instruments: &Instruments,
     ctx: &mut SolverContext,
     x: &mut Vec<f64>,
@@ -886,19 +889,21 @@ pub fn newton_solve_with_context(
     // iteration; the lap timer keeps armed overhead in the low single
     // digits. The flush runs on every exit path so partial attribution
     // survives singular matrices and convergence failures.
-    let mut lap = instruments.profile.as_ref().map(|_| LapTimer::start());
-    let result = newton_iterate(
+    let mut solve = NewtonSolve {
         netlist,
         layout,
         params,
         options,
-        clock,
         instruments,
-        ctx,
-        lap.as_mut(),
-        x,
-    );
-    if let (Some(lap), Some(profile)) = (lap, &instruments.profile) {
+        mode: SolveMode::of(params),
+        lap: instruments.profile.as_ref().map(|_| LapTimer::start()),
+        worst: f64::INFINITY,
+        prev_worst: f64::INFINITY,
+        baseline_ready: false,
+        recovery: Recovery::default(),
+    };
+    let result = newton_iterate(&mut solve, clock, ctx, x);
+    if let (Some(lap), Some(profile)) = (solve.lap, &instruments.profile) {
         lap.flush(profile);
     }
     result
@@ -947,7 +952,8 @@ const STALE_CONTRACTION_DC: f64 = 0.5;
 /// so stopping at `tol` leaves at most `tol·ρ/(1−ρ) ≤ tol` of error —
 /// fine inside a transient step, whose local truncation error already
 /// dwarfs the solver tolerance. DC sweeps are different: each point is
-/// reported directly and adjacent points share cached factors, so
+/// reported directly, warm-started from the previous point's solution
+/// (each in a fresh [`SolverContext`], so no factors carry over), and
 /// point-to-point solver error of `O(tol)` shows up as visible wiggle
 /// on an otherwise monotone curve (the inverter-VTC quality test
 /// catches exactly this). Tightening only the DC stale stop keeps
@@ -991,83 +997,82 @@ const COND_LIMIT: f64 = 1e14;
 /// iterative refinement before the tier demotes.
 const RESID_GATE_TOL: f64 = 1e-8;
 
-/// Counts a hazard and appends it to the flight-recorder history.
-fn note_hazard(instruments: &Instruments, hazard: NumericalHazard, action: &str, time: f64) {
-    if let Some(metrics) = &instruments.metrics {
-        metrics.hazard(hazard);
-    }
-    if let Some(flight) = &instruments.flight {
-        flight.record_hazard(hazard.label(), action, time);
+/// Marks a phase boundary on an armed lap timer.
+#[inline]
+fn mark(lap: &mut Option<LapTimer>, phase: Phase) {
+    if let Some(l) = lap {
+        l.lap(phase);
     }
 }
 
-/// True when an armed numeric-chaos state fires at `site`.
-fn chaos_fires(instruments: &Instruments, site: NumericSite) -> bool {
-    instruments.chaos.as_ref().is_some_and(|c| c.fire(site))
+/// Everything a solve reads off its companion mode, decided once per
+/// solve.
+struct SolveMode {
+    /// Cache key of the factorisation. Time and `source_scale` only
+    /// shape the right-hand side, so they stay out of the key; its
+    /// `mode` (0 = DC, 1 = transient) indexes the symbolic structures.
+    key: FactorKey,
+    /// The attempted step size for flight records; DC solves carry 0.
+    dt: f64,
+    /// Tolerance scale for convergence declared on a stale step: a DC
+    /// solve tightens it (see [`STALE_TOL_SCALE_DC`]), a transient step
+    /// uses the plain tolerance.
+    stale_tol_scale: f64,
+    /// The contraction a stale step must deliver to be accepted.
+    stale_contraction: f64,
 }
 
-/// Counts a demotion to `tier`.
-fn note_demotion(instruments: &Instruments, tier: DemotionTier) {
-    if let Some(metrics) = &instruments.metrics {
-        metrics.demotion(tier);
-    }
-}
-
-/// Flight-recorder action string for a demotion to `tier`.
-fn demote_action(tier: DemotionTier) -> &'static str {
-    match tier {
-        DemotionTier::Refactor => "demote:refactor",
-        DemotionTier::Symbolic => "demote:symbolic",
-    }
-}
-
-/// Cache key for the current stamp parameters. Time and `source_scale`
-/// only shape the right-hand side, so they stay out of the key.
-fn factor_key(params: &StampParams<'_>) -> FactorKey {
-    match &params.companion {
-        CompanionMode::Dc => FactorKey {
-            mode: 0,
-            method: 2,
-            dt_bits: 0,
-            gmin_bits: params.gmin.to_bits(),
-        },
-        CompanionMode::Transient { method, dt, .. } => FactorKey {
-            mode: 1,
-            method: match method {
-                Integrator::BackwardEuler => 0,
-                Integrator::Trapezoidal => 1,
+impl SolveMode {
+    /// The one companion-mode decision of a solve.
+    fn of(params: &StampParams<'_>) -> Self {
+        // Per mode: the key's mode and integrator discriminant (DC
+        // solves use a fixed sentinel), the step size and the
+        // stale-step policy.
+        let (mode, method, dt, stale_tol_scale, stale_contraction) = match &params.companion {
+            CompanionMode::Dc => (0, 2, 0.0, STALE_TOL_SCALE_DC, STALE_CONTRACTION_DC),
+            CompanionMode::Transient { method, dt, .. } => {
+                let method = match method {
+                    Integrator::BackwardEuler => 0,
+                    Integrator::Trapezoidal => 1,
+                };
+                (1, method, *dt, 1.0, STALE_CONTRACTION)
+            }
+        };
+        SolveMode {
+            key: FactorKey {
+                mode,
+                method,
+                dt_bits: dt.to_bits(),
+                gmin_bits: params.gmin.to_bits(),
             },
-            dt_bits: dt.to_bits(),
-            gmin_bits: params.gmin.to_bits(),
-        },
+            dt,
+            stale_tol_scale,
+            stale_contraction,
+        }
     }
 }
 
 /// Prepares the context's assembled-system workspace for this solve:
-/// sizes the scratch vectors, builds the sparse system matrix over a
-/// per-mode symbolic structure found by a one-time stamping probe, and
-/// compiles the nonlinear device program against its value slots and
-/// the right-hand-side program. A rebuilt system drops the
-/// linear-baseline record.
+/// sizes the scratch vectors, builds the sparse system matrix over the
+/// symbolic structure of companion mode `mode` (0 = DC, 1 = transient),
+/// found by a one-time stamping probe, and compiles the nonlinear
+/// device program against its value slots and the right-hand-side
+/// program. A rebuilt system drops the linear-baseline record.
 fn ensure_system(
     ctx: &mut SolverContext,
     netlist: &Netlist,
     layout: &MnaLayout,
     params: &StampParams<'_>,
+    mode: usize,
     lap: Option<&mut LapTimer>,
 ) {
     let n = layout.size();
-    let mode = match &params.companion {
-        CompanionMode::Dc => 0,
-        CompanionMode::Transient { .. } => 1,
-    };
     if ctx.b.len() != n {
         // Dimension change: this context is being pointed at a new
         // layout, so nothing cached about the old one survives.
         ctx.structures = [None, None];
         ctx.sys = None;
         ctx.factor = None;
-        ctx.force_refactor = false;
         ctx.stale_iters = 0;
         ctx.b.resize(n, 0.0);
         ctx.x_new.resize(n, 0.0);
@@ -1142,45 +1147,6 @@ fn assemble_baseline(
     reused
 }
 
-/// The acceptance gate for a solve in `ctx.x_new` returned off a reused
-/// (or single-shot fresh) factorisation: the true residual against the
-/// assembled system must sit below [`RESID_GATE_TOL`] of its
-/// Oettli–Prager scale, after one round of iterative refinement through
-/// `solve` if the first check fails. Returns `(accepted, rnorm)`, with
-/// `rnorm` the residual norm before refinement.
-fn residual_gate(
-    ctx: &mut SolverContext,
-    instruments: &Instruments,
-    solve: impl FnMut(&[f64], &mut [f64]),
-) -> (bool, f64) {
-    let SolverContext {
-        sys,
-        b,
-        x_new,
-        resid,
-        scratch,
-        trial,
-        ..
-    } = ctx;
-    let (_, sys) = sys.as_ref().expect("system prepared");
-    let (rnorm, scale) = sys.residual_gate_into(x_new, b, resid);
-    if rnorm <= RESID_GATE_TOL * scale {
-        return (true, rnorm);
-    }
-    if let Some(metrics) = &instruments.metrics {
-        metrics.refinement_round();
-    }
-    let out = refine_once(
-        x_new,
-        resid,
-        scratch,
-        trial,
-        |xv, out| sys.residual_into(xv, b, out),
-        solve,
-    );
-    (out.residual_after <= RESID_GATE_TOL * scale, rnorm)
-}
-
 /// The largest delta `|x_new[k] − x[k]|` (ties to the first) and its
 /// unknown, taken over the unknowns before the first non-finite delta,
 /// whose index comes back as the first element (`None` when every
@@ -1238,383 +1204,435 @@ fn damped_update(
     converged
 }
 
-/// The damped Newton loop behind [`newton_solve_with_context`], with
-/// phase boundaries marked on the caller's [`LapTimer`].
-///
-/// Per iteration the loop restores the linear-baseline stamp snapshot
-/// (first iteration of a solve assembles and captures it), stamps the
-/// nonlinear devices on top, then picks a linear-solve tier:
-///
-/// 1. **Cached factorisation** (key matches, not forced): linear
-///    netlists solve directly; nonlinear ones take a modified-Newton
-///    step in residual form `x_new = x − M⁻¹(A(x)·x − b(x))` against
-///    the stale factors.
-/// 2. **(Re)factorisation** otherwise, attributed to
-///    [`Phase::Factor`] on a fresh key and [`Phase::Refactor`] when the
-///    reuse policy retired a same-key factorisation.
-///
-/// The stale policy is deterministic and depends only on the `worst`
-/// update magnitudes, so a run's iteration trajectory is the same at
-/// any worker count.
-#[allow(clippy::too_many_arguments)]
-fn newton_iterate(
-    netlist: &Netlist,
-    layout: &MnaLayout,
-    params: &StampParams<'_>,
-    options: &NewtonOptions,
-    clock: Option<&BudgetClock>,
-    instruments: &Instruments,
-    ctx: &mut SolverContext,
-    mut lap: Option<&mut LapTimer>,
-    x: &mut Vec<f64>,
-) -> Result<(), AnalysisError> {
-    let nv = layout.node_count() - 1;
-    let key = factor_key(params);
+/// The demotion ladder's per-solve latches: whether each rung — a
+/// fresh refactorisation, a symbolic rebuild — has fired in this solve
+/// (see [`NewtonSolve::demote`]).
+#[derive(Default)]
+struct Recovery {
+    refactor: bool,
+    symbolic: bool,
+}
 
-    ensure_system(ctx, netlist, layout, params, lap.as_deref_mut());
+/// How an iteration's linear step ended.
+enum LinearStep {
+    /// A linear netlist's solve passed its gate and is in `x`.
+    Solved,
+    /// `ctx.x_new` holds the next iterate for the update; an accepted
+    /// stale step carries its largest delta.
+    Update(Option<f64>),
+    /// A recovery rung fired: the next iteration starts over.
+    Retry,
+}
 
-    // Flight records need the attempted step size; DC solves carry 0.
-    let dt = match &params.companion {
-        CompanionMode::Dc => 0.0,
-        CompanionMode::Transient { dt, .. } => *dt,
-    };
+/// One Newton solve: its inputs, the mode decision, the lap timer and
+/// the state its iterations share.
+struct NewtonSolve<'a> {
+    netlist: &'a Netlist,
+    layout: &'a MnaLayout,
+    params: &'a StampParams<'a>,
+    options: &'a NewtonOptions,
+    instruments: &'a Instruments,
+    mode: SolveMode,
+    lap: Option<LapTimer>,
+    /// The largest update of the latest iteration.
+    worst: f64,
+    /// `worst` of the iteration before, the contraction guard's
+    /// reference.
+    prev_worst: f64,
+    /// Whether the linear baseline of this solve is assembled; a
+    /// recovery clears it, so the retry assembles afresh.
+    baseline_ready: bool,
+    recovery: Recovery,
+}
 
-    // Linear circuits (an empty device program) need exactly one solve.
-    let linear = ctx.program.is_empty();
-
-    // Stale steps of a DC solve stop against a tightened tolerance (see
-    // STALE_TOL_SCALE_DC); transient steps use the plain tolerance.
-    let stale_tol_scale = match &params.companion {
-        CompanionMode::Dc => STALE_TOL_SCALE_DC,
-        CompanionMode::Transient { .. } => 1.0,
-    };
-    let stale_contraction = match &params.companion {
-        CompanionMode::Dc => STALE_CONTRACTION_DC,
-        CompanionMode::Transient { .. } => STALE_CONTRACTION,
-    };
-
-    // One solve has begun: age the distrust window. While it is open,
-    // the first iteration refactorises instead of trialling the cached
-    // factors (the gate below), because a just-failed contraction guard
-    // says the circuit is moving too fast for the stale Jacobian.
-    ctx.distrust = ctx.distrust.saturating_sub(1);
-
-    let mut worst = f64::INFINITY;
-    let mut prev_worst = f64::INFINITY;
-    let mut baseline_ready = false;
-    // Per-solve recovery latches: each rung of the demotion ladder may
-    // fire once per `newton_iterate` call, so recovery work stays
-    // bounded and a persistent hazard reaches its typed error promptly.
-    let mut symbolic_retry = false;
-    let mut fresh_retry = false;
-    let mut nonfinite_retry = false;
-    'newton: for iter in 0..options.max_iterations {
-        if let Some(clock) = clock {
-            clock.check_wall(params.time)?;
+impl NewtonSolve<'_> {
+    /// Counts `hazard` and appends it, with the `action` taken, to the
+    /// flight-recorder history.
+    fn note_hazard(&self, hazard: NumericalHazard, action: &str) {
+        if let Some(metrics) = &self.instruments.metrics {
+            metrics.hazard(hazard);
         }
-        if let Some(metrics) = &instruments.metrics {
-            metrics.newton_iteration();
+        if let Some(flight) = &self.instruments.flight {
+            flight.record_hazard(hazard.label(), action, self.params.time);
         }
-        // Budget/metrics bookkeeping (and the previous iteration's
-        // tail) stays with the enclosing guard, not any solver phase.
-        if let Some(l) = lap.as_deref_mut() {
-            l.skip();
-        }
+    }
 
-        // Assemble: restore the linear baseline (assembled on the first
-        // iteration of this solve), then run the device program at x.
-        if baseline_ready {
+    /// Counts a demotion to `tier` on `hazard`, recorded with the
+    /// tier's action.
+    fn note_demotion(&self, tier: DemotionTier, hazard: NumericalHazard) {
+        if let Some(metrics) = &self.instruments.metrics {
+            metrics.demotion(tier);
+        }
+        let action = match tier {
+            DemotionTier::Refactor => "demote:refactor",
+            DemotionTier::Symbolic => "demote:symbolic",
+        };
+        self.note_hazard(hazard, action);
+    }
+
+    /// True when an armed numeric-chaos state fires at `site`.
+    fn chaos_fires(&self, site: NumericSite) -> bool {
+        let chaos = &self.instruments.chaos;
+        chaos.as_ref().is_some_and(|c| c.fire(site))
+    }
+
+    /// The one recovery rule: fires `rung` on `hazard`. Each rung may
+    /// fire once per solve, so recovery work stays bounded and a
+    /// persistent hazard reaches its typed error promptly. The first
+    /// firing counts the demotion, records the hazard with the rung's
+    /// action and retries the iteration; a second one records the
+    /// hazard as `"terminal"` and returns `terminal`.
+    fn demote(
+        &mut self,
+        rung: DemotionTier,
+        hazard: NumericalHazard,
+        terminal: AnalysisError,
+    ) -> Result<LinearStep, AnalysisError> {
+        let fired = match rung {
+            DemotionTier::Refactor => &mut self.recovery.refactor,
+            DemotionTier::Symbolic => &mut self.recovery.symbolic,
+        };
+        if std::mem::replace(fired, true) {
+            self.note_hazard(hazard, "terminal");
+            return Err(terminal);
+        }
+        self.note_demotion(rung, hazard);
+        self.baseline_ready = false;
+        Ok(LinearStep::Retry)
+    }
+
+    /// [`ensure_system`] for this solve's netlist and companion mode.
+    fn ensure_system(&mut self, ctx: &mut SolverContext) {
+        let mode = usize::from(self.mode.key.mode);
+        let lap = self.lap.as_mut();
+        ensure_system(ctx, self.netlist, self.layout, self.params, mode, lap);
+    }
+
+    /// The one exit of a linear netlist's solve in `ctx.x_new`, off
+    /// cached or fresh factors: the solve is copied into `x` only once
+    /// the true residual against the assembled system sits below
+    /// [`RESID_GATE_TOL`] of its Oettli–Prager scale, after one round
+    /// of iterative refinement through `factor` if the first check
+    /// fails. A failed gate returns the residual norm before
+    /// refinement.
+    fn linear_exit(
+        &self,
+        ctx: &mut SolverContext,
+        factor: &SparseLu,
+        x: &mut Vec<f64>,
+    ) -> Result<(), f64> {
+        let (_, sys) = ctx.sys.as_ref().expect("system prepared");
+        let (rnorm, scale) = sys.residual_gate_into(&ctx.x_new, &ctx.b, &mut ctx.resid);
+        let accepted = rnorm <= RESID_GATE_TOL * scale || {
+            if let Some(metrics) = &self.instruments.metrics {
+                metrics.refinement_round();
+            }
+            let out = refine_once(
+                &mut ctx.x_new,
+                &mut ctx.resid,
+                &mut ctx.scratch,
+                &mut ctx.trial,
+                |xv, out| sys.residual_into(xv, &ctx.b, out),
+                |r, out| solve_into(factor, r, out),
+            );
+            out.residual_after <= RESID_GATE_TOL * scale
+        };
+        if !accepted {
+            return Err(rnorm);
+        }
+        x.clear();
+        x.extend_from_slice(&ctx.x_new);
+        Ok(())
+    }
+
+    /// Assemble: restores the linear baseline (assembled and captured
+    /// on the solve's first iteration), then runs the device program
+    /// at `x`.
+    fn assemble(&mut self, ctx: &mut SolverContext, x: &[f64]) {
+        if self.baseline_ready {
             let (_, sys) = ctx.sys.as_mut().expect("system prepared");
             sys.load_values(&ctx.baseline_a);
             ctx.b.copy_from_slice(&ctx.baseline_b);
         } else {
-            assemble_baseline(ctx, netlist, layout, params, key);
-            baseline_ready = true;
+            assemble_baseline(ctx, self.netlist, self.layout, self.params, self.mode.key);
+            self.baseline_ready = true;
         }
-        if let Some(l) = lap.as_deref_mut() {
-            l.lap(Phase::Stamp);
-        }
-        if !linear {
+        mark(&mut self.lap, Phase::Stamp);
+        if !ctx.program.is_empty() {
             let (_, sys) = ctx.sys.as_mut().expect("system prepared");
             ctx.program.stamp(x, sys.values_mut(), &mut ctx.b);
-            if let Some(l) = lap.as_deref_mut() {
-                l.lap(Phase::DeviceEval);
-            }
+            mark(&mut self.lap, Phase::DeviceEval);
         }
+    }
 
-        let mut cached = !ctx.force_refactor && matches!(&ctx.factor, Some((k, _)) if *k == key);
-        let mut stale_accepted = false;
-        let mut stale_rejected = false;
-        // The largest delta of an accepted stale step.
-        let mut stale_worst = f64::INFINITY;
-        if cached && linear {
+    /// The linear step: the cached factorisation when its key matches
+    /// — a linear netlist's exact solve, or a nonlinear one's trial
+    /// modified-Newton step — and a (re)factorisation otherwise.
+    fn linear_step(
+        &mut self,
+        ctx: &mut SolverContext,
+        iter: usize,
+        x: &mut Vec<f64>,
+    ) -> Result<LinearStep, AnalysisError> {
+        let metrics = &self.instruments.metrics;
+        let mut cached = matches!(&ctx.factor, Some((k, _)) if *k == self.mode.key);
+        if cached && ctx.program.is_empty() {
             // The matrix is exactly the one the factorisation was
             // computed from (linear stamps depend only on the key), so
             // the cached solve is exact — but the factors are still a
-            // reused tier, so the acceptance gate (plus one refinement
-            // round) must pass before the solve is returned.
-            let (factor_key, factor) = ctx.factor.take().expect("cached factor present");
+            // reused tier, so they pass the same gate as fresh ones.
+            let (key, factor) = ctx.factor.take().expect("cached factor present");
             solve_into(&factor, &ctx.b, &mut ctx.x_new);
-            if let Some(l) = lap.as_deref_mut() {
-                l.lap(Phase::BackSubstitute);
-            }
-            let (accepted, _) =
-                residual_gate(ctx, instruments, |r, out| solve_into(&factor, r, out));
-            ctx.factor = Some((factor_key, factor));
-            if accepted {
-                if let Some(metrics) = &instruments.metrics {
+            mark(&mut self.lap, Phase::BackSubstitute);
+            let exit = self.linear_exit(ctx, &factor, x);
+            ctx.factor = Some((key, factor));
+            if exit.is_ok() {
+                if let Some(metrics) = metrics {
                     metrics.factor_reuse_hit();
                 }
-                x.clear();
-                x.extend_from_slice(&ctx.x_new);
-                return Ok(());
+                return Ok(LinearStep::Solved);
             }
             // The cached factors failed their gate even after
             // refinement: retire them so this iteration refactorises.
-            note_demotion(instruments, DemotionTier::Refactor);
-            note_hazard(
-                instruments,
-                NumericalHazard::RefinementStall,
-                demote_action(DemotionTier::Refactor),
-                params.time,
-            );
+            self.note_demotion(DemotionTier::Refactor, NumericalHazard::RefinementStall);
             cached = false;
         }
         if cached && ctx.stale_iters < STALE_ITER_CAP && (iter > 0 || ctx.distrust == 0) {
-            // Tier 1: trial modified-Newton step in residual form
-            // against the stale factors: x_new = x − M⁻¹(A(x)·x − b(x)).
-            // The step is only *accepted* if it keeps contracting the
-            // update; otherwise this iteration refactorises below, so a
-            // stale Jacobian can never push the iterate off course.
-            // Inside a distrust window the first iteration skips the
-            // trial outright — after a recent rejection the odds of the
-            // cached Jacobian carrying a brand-new solve are poor, and a
-            // doomed trial costs an assembly and a stale-step pass.
+            // Trial modified-Newton step in residual form against the
+            // stale factors: x_new = x − M⁻¹(A(x)·x − b(x)). The step
+            // is only *accepted* if it keeps contracting the update;
+            // otherwise this iteration refactorises below, so a stale
+            // Jacobian can never push the iterate off course. Inside a
+            // distrust window the first iteration skips the trial
+            // outright — after a recent rejection the odds of the
+            // cached Jacobian carrying a brand-new solve are poor, and
+            // a doomed trial costs an assembly and a stale-step pass.
             let (_, factor) = ctx.factor.as_ref().expect("cached factor present");
             let (_, sys) = ctx.sys.as_ref().expect("system prepared");
-            let candidate_worst =
+            let candidate =
                 factor.stale_step_into(sys, x, &ctx.b, &mut ctx.scratch, &mut ctx.x_new);
-            if let Some(l) = lap.as_deref_mut() {
-                l.lap(Phase::BackSubstitute);
-            }
-            if candidate_worst < stale_contraction * prev_worst {
-                if let Some(metrics) = &instruments.metrics {
+            mark(&mut self.lap, Phase::BackSubstitute);
+            if candidate < self.mode.stale_contraction * self.prev_worst {
+                if let Some(metrics) = metrics {
                     metrics.factor_reuse_hit();
                 }
                 ctx.stale_iters += 1;
-                stale_accepted = true;
-                stale_worst = candidate_worst;
-            } else {
-                stale_rejected = true;
+                return Ok(LinearStep::Update(Some(candidate)));
             }
+            // The contraction guard just retired these factors: open a
+            // distrust window so the next few solves go straight to a
+            // fresh Jacobian instead of repeating the trial.
+            ctx.distrust = DISTRUST_SOLVES;
         }
-        if !stale_accepted {
-            // Tier 2: (re)factorise at the current iterate.
-            if stale_rejected {
-                // The contraction guard just retired these factors: open
-                // a distrust window so the next few solves go straight
-                // to a fresh Jacobian instead of repeating the trial.
-                ctx.distrust = DISTRUST_SOLVES;
-            }
-            if let Some(metrics) = &instruments.metrics {
-                metrics.factor_reuse_miss();
-            }
-            let same_key = matches!(&ctx.factor, Some((k, _)) if *k == key);
-            let reuse = ctx.factor.take().map(|(_, f)| f);
-            let (_, sys) = ctx.sys.as_ref().expect("system prepared");
-            // Numeric-chaos hook: a forced pivot breakdown walks the
-            // demotion ladder exactly as a genuinely unfactorable
-            // system would, without needing one in the netlist.
-            let factored = if chaos_fires(instruments, NumericSite::Pivot) {
-                Err(SingularMatrixError { row: 0 })
-            } else {
-                let mut lu = reuse.unwrap_or_default();
-                lu.refactor_scheduled(sys, &mut ctx.ws, &mut ctx.schedule)
-                    .map(|()| lu)
-            };
-            let mut factor = match factored {
-                Ok(f) => f,
-                Err(err) => {
-                    ctx.force_refactor = false;
-                    ctx.stale_iters = 0;
-                    // Demotion ladder for a failed factorisation:
-                    // rebuild the symbolic structure once (a stale
-                    // pattern can starve the numeric phase of the
-                    // positions it needs), then give up with the typed
-                    // error. The rebuild consumes one Newton iteration
-                    // of budget, so a genuinely singular system still
-                    // terminates promptly. Dense LU would recover
-                    // nothing past this point: the sparse kernel
-                    // replays dense partial pivoting under the same
-                    // threshold, so the two agree on what is singular.
-                    if symbolic_retry {
-                        note_hazard(
-                            instruments,
-                            NumericalHazard::NearSingularPivot,
-                            "terminal",
-                            params.time,
-                        );
-                        return Err(err.into());
-                    }
-                    symbolic_retry = true;
-                    note_demotion(instruments, DemotionTier::Symbolic);
-                    note_hazard(
-                        instruments,
-                        NumericalHazard::NearSingularPivot,
-                        demote_action(DemotionTier::Symbolic),
-                        params.time,
-                    );
-                    ctx.structures = [None, None];
-                    ctx.sys = None;
-                    ctx.factor = None;
-                    ensure_system(ctx, netlist, layout, params, lap.as_deref_mut());
-                    baseline_ready = false;
-                    continue 'newton;
-                }
-            };
-            if let Some(l) = lap.as_deref_mut() {
-                l.lap(if same_key {
-                    Phase::Refactor
-                } else {
-                    Phase::Factor
-                });
-            }
-            // Numeric-chaos hook: corrupting a pivot hands the
-            // acceptance gate a realistically-wrong factorisation.
-            if chaos_fires(instruments, NumericSite::Perturb) {
-                factor.perturb_first_pivot(1.5);
-            }
-            // Advisory hazards on fresh factorisations: flagged for
-            // diagnosis, never demoted on — the acceptance gates and
-            // Newton's own convergence tests decide whether the answer
-            // stands; the counters tell the postmortem why it may not.
-            if factor.pivot_growth() > GROWTH_LIMIT {
-                note_hazard(instruments, NumericalHazard::PivotGrowth, "advisory", params.time);
-            }
-            if !same_key && factor.condest(sys.norm_one()) > COND_LIMIT {
-                note_hazard(
-                    instruments,
-                    NumericalHazard::IllConditioned,
-                    "advisory",
-                    params.time,
-                );
-            }
-            solve_into(&factor, &ctx.b, &mut ctx.x_new);
-            if let Some(l) = lap.as_deref_mut() {
-                l.lap(Phase::BackSubstitute);
-            }
-            // Numeric-chaos hook: a poisoned solution exercises the
-            // non-finite scrub downstream of every fresh solve.
-            if chaos_fires(instruments, NumericSite::Nan) {
-                ctx.x_new[0] = f64::NAN;
-            }
-            if linear {
-                // A linear solve returns this answer directly, so even
-                // a fresh factorisation proves it first: the gate is
-                // what turns a corrupted factor or a poisoned solution
-                // into a typed hazard instead of a silent wrong report.
-                let (accepted, rnorm) =
-                    residual_gate(ctx, instruments, |r, out| solve_into(&factor, r, out));
-                if !accepted {
-                    let hazard = if rnorm.is_finite() {
-                        NumericalHazard::RefinementStall
-                    } else {
-                        NumericalHazard::NonFinite
-                    };
-                    ctx.invalidate();
-                    if !fresh_retry {
-                        // One retry from a full refactorisation: a
-                        // transiently corrupted factor or solution is
-                        // repaired; a persistent hazard lands on the
-                        // typed error below.
-                        fresh_retry = true;
-                        ctx.force_refactor = true;
-                        note_demotion(instruments, DemotionTier::Refactor);
-                        note_hazard(
-                            instruments,
-                            hazard,
-                            demote_action(DemotionTier::Refactor),
-                            params.time,
-                        );
-                        baseline_ready = false;
-                        continue 'newton;
-                    }
-                    note_hazard(instruments, hazard, "terminal", params.time);
-                    return Err(AnalysisError::Numerical {
-                        hazard,
-                        time: params.time,
-                    });
-                }
-                ctx.factor = Some((key, factor));
-                ctx.force_refactor = false;
-                ctx.stale_iters = 0;
-                x.clear();
-                x.extend_from_slice(&ctx.x_new);
-                return Ok(());
-            }
-            ctx.factor = Some((key, factor));
-            ctx.force_refactor = false;
-            ctx.stale_iters = 0;
-        }
+        self.refactor(ctx, x)
+    }
 
-        // Damped update with convergence check. A non-finite delta
-        // ends the update at its unknown, after the ones before it. An
-        // accepted stale step has none, and its kernel already returned
-        // the largest delta; only the flight recorder wants its index.
-        let (nonfinite, largest, worst_index) = if stale_accepted && instruments.flight.is_none() {
-            (None, stale_worst, 0)
+    /// (Re)factorises at the current iterate and solves, attributed to
+    /// [`Phase::Factor`] on a fresh key and [`Phase::Refactor`] when
+    /// the reuse policy retired a same-key factorisation.
+    fn refactor(
+        &mut self,
+        ctx: &mut SolverContext,
+        x: &mut Vec<f64>,
+    ) -> Result<LinearStep, AnalysisError> {
+        if let Some(metrics) = &self.instruments.metrics {
+            metrics.factor_reuse_miss();
+        }
+        let same_key = matches!(&ctx.factor, Some((k, _)) if *k == self.mode.key);
+        let reuse = ctx.factor.take().map(|(_, f)| f);
+        let (_, sys) = ctx.sys.as_ref().expect("system prepared");
+        // Numeric-chaos hook: a forced pivot breakdown walks the
+        // demotion ladder exactly as a genuinely unfactorable system
+        // would, without needing one in the netlist.
+        let factored = if self.chaos_fires(NumericSite::Pivot) {
+            Err(SingularMatrixError { row: 0 })
         } else {
-            largest_delta(x, &ctx.x_new)
+            let mut lu = reuse.unwrap_or_default();
+            lu.refactor_scheduled(sys, &mut ctx.ws, &mut ctx.schedule)
+                .map(|()| lu)
         };
-        worst = largest;
-        let tol_scale = if stale_accepted { stale_tol_scale } else { 1.0 };
-        let end = nonfinite.unwrap_or(x.len());
-        let converged = damped_update(x, &ctx.x_new, nv, end, options, tol_scale);
-        if let Some(k) = nonfinite {
+        let mut factor = match factored {
+            Ok(f) => f,
+            Err(err) => {
+                // A failed factorisation rebuilds the symbolic
+                // structure once (a stale pattern can starve the
+                // numeric phase of the positions it needs), then gives
+                // up with the typed error. The rebuild consumes one
+                // Newton iteration of budget, so a genuinely singular
+                // system still terminates promptly. Dense LU would
+                // recover nothing past this point: the sparse kernel
+                // replays dense partial pivoting under the same
+                // threshold, so the two agree on what is singular.
+                ctx.stale_iters = 0;
+                let hazard = NumericalHazard::NearSingularPivot;
+                let retry = self.demote(DemotionTier::Symbolic, hazard, err.into())?;
+                ctx.structures = [None, None];
+                ctx.sys = None;
+                self.ensure_system(ctx);
+                return Ok(retry);
+            }
+        };
+        let phase = if same_key {
+            Phase::Refactor
+        } else {
+            Phase::Factor
+        };
+        mark(&mut self.lap, phase);
+        // Numeric-chaos hook: corrupting a pivot hands the acceptance
+        // gate a realistically-wrong factorisation.
+        if self.chaos_fires(NumericSite::Perturb) {
+            factor.perturb_first_pivot(1.5);
+        }
+        // Advisory hazards on fresh factorisations: flagged for
+        // diagnosis, never demoted on — the acceptance gates and
+        // Newton's own convergence tests decide whether the answer
+        // stands; the counters tell the postmortem why it may not.
+        if factor.pivot_growth() > GROWTH_LIMIT {
+            self.note_hazard(NumericalHazard::PivotGrowth, "advisory");
+        }
+        if !same_key && factor.condest(sys.norm_one()) > COND_LIMIT {
+            self.note_hazard(NumericalHazard::IllConditioned, "advisory");
+        }
+        solve_into(&factor, &ctx.b, &mut ctx.x_new);
+        mark(&mut self.lap, Phase::BackSubstitute);
+        // Numeric-chaos hook: a poisoned solution exercises the
+        // non-finite scrub downstream of every fresh solve.
+        if self.chaos_fires(NumericSite::Nan) {
+            ctx.x_new[0] = f64::NAN;
+        }
+        let linear = ctx.program.is_empty();
+        if linear {
+            // A linear solve returns this answer directly, so even a
+            // fresh factorisation proves it first: the gate is what
+            // turns a corrupted factor into a typed hazard instead of a
+            // silent wrong report. One retry from a full
+            // refactorisation repairs a transient corruption; a
+            // persistent one lands on the typed error.
+            if let Err(rnorm) = self.linear_exit(ctx, &factor, x) {
+                let hazard = if rnorm.is_finite() {
+                    NumericalHazard::RefinementStall
+                } else {
+                    NumericalHazard::NonFinite
+                };
+                ctx.invalidate();
+                let time = self.params.time;
+                let terminal = AnalysisError::Numerical { hazard, time };
+                return self.demote(DemotionTier::Refactor, hazard, terminal);
+            }
+        }
+        ctx.factor = Some((self.mode.key, factor));
+        ctx.stale_iters = 0;
+        Ok(if linear {
+            LinearStep::Solved
+        } else {
+            LinearStep::Update(None)
+        })
+    }
+
+    /// The update: the largest delta, the damped update with its
+    /// convergence check, the non-finite scrub and the flight record.
+    /// Returns whether the solve converged.
+    fn update(
+        &mut self,
+        ctx: &mut SolverContext,
+        iter: usize,
+        stale_worst: Option<f64>,
+        x: &mut [f64],
+    ) -> Result<bool, AnalysisError> {
+        let instruments = self.instruments;
+        let (time, dt) = (self.params.time, self.mode.dt);
+        let record = |residual: f64, index: usize| {
             if let Some(flight) = &instruments.flight {
-                flight.record_iteration(params.time, dt, (iter + 1) as u64, f64::INFINITY, k);
+                flight.record_iteration(time, dt, (iter + 1) as u64, residual, index);
             }
+        };
+        // A non-finite delta ends the update at its unknown, after the
+        // ones before it. An accepted stale step has none, and its
+        // kernel already returned the largest delta; only the flight
+        // recorder wants its index.
+        let (nonfinite, worst, worst_index) = match stale_worst {
+            Some(worst) if instruments.flight.is_none() => (None, worst, 0),
+            _ => largest_delta(x, &ctx.x_new),
+        };
+        self.worst = worst;
+        let tol_scale = stale_worst.map_or(1.0, |_| self.mode.stale_tol_scale);
+        let nv = self.layout.node_count() - 1;
+        let end = nonfinite.unwrap_or(x.len());
+        let converged = damped_update(x, &ctx.x_new, nv, end, self.options, tol_scale);
+        if let Some(k) = nonfinite {
+            // One retry from a fresh factorisation at the last finite
+            // iterate: a transient overflow (a bad stale step, a
+            // corrupted factor) is repaired; a genuinely divergent
+            // system fails again and lands on the typed hazard.
+            record(f64::INFINITY, k);
             ctx.invalidate();
-            if !nonfinite_retry {
-                // One demotion retry from a fresh factorisation at
-                // the last finite iterate: a transient overflow (a
-                // bad stale step, a corrupted factor) is repaired;
-                // a genuinely divergent system fails again and
-                // lands on the typed hazard below.
-                nonfinite_retry = true;
-                ctx.force_refactor = true;
-                note_demotion(instruments, DemotionTier::Refactor);
-                note_hazard(
-                    instruments,
-                    NumericalHazard::NonFinite,
-                    demote_action(DemotionTier::Refactor),
-                    params.time,
-                );
-                baseline_ready = false;
-                continue 'newton;
-            }
-            note_hazard(instruments, NumericalHazard::NonFinite, "terminal", params.time);
-            return Err(AnalysisError::Numerical {
-                hazard: NumericalHazard::NonFinite,
-                time: params.time,
-            });
+            let hazard = NumericalHazard::NonFinite;
+            let terminal = AnalysisError::Numerical { hazard, time };
+            self.demote(DemotionTier::Refactor, hazard, terminal)?;
+            return Ok(false);
         }
-        if let Some(l) = lap.as_deref_mut() {
-            l.lap(Phase::Residual);
+        mark(&mut self.lap, Phase::Residual);
+        record(worst, worst_index);
+        self.prev_worst = worst;
+        Ok(converged)
+    }
+}
+
+/// The damped Newton loop behind [`newton_solve_with_context`], with
+/// phase boundaries marked on the solve's lap timer.
+///
+/// Each iteration assembles (restores the linear baseline, then stamps
+/// the nonlinear devices on top), takes a linear step and applies the
+/// damped update. The linear step picks a tier:
+///
+/// 1. **Cached factorisation** (key matches): linear netlists solve
+///    directly; nonlinear ones take a modified-Newton step in residual
+///    form `x_new = x − M⁻¹(A(x)·x − b(x))` against the stale factors.
+/// 2. **(Re)factorisation** otherwise.
+///
+/// A failed gate, a non-finite update or a failed factorisation fires
+/// one rung of the demotion ladder ([`NewtonSolve::demote`]).
+///
+/// The stale policy is deterministic and depends only on the `worst`
+/// update magnitudes, so a run's iteration trajectory is the same at
+/// any worker count.
+fn newton_iterate(
+    solve: &mut NewtonSolve<'_>,
+    clock: &BudgetClock,
+    ctx: &mut SolverContext,
+    x: &mut Vec<f64>,
+) -> Result<(), AnalysisError> {
+    solve.ensure_system(ctx);
+    // One solve has begun: age the distrust window. While it is open,
+    // the first iteration refactorises instead of trialling the cached
+    // factors, because a just-failed contraction guard says the circuit
+    // is moving too fast for the stale Jacobian.
+    ctx.distrust = ctx.distrust.saturating_sub(1);
+    for iter in 0..solve.options.max_iterations {
+        clock.check_wall(solve.params.time)?;
+        if let Some(metrics) = &solve.instruments.metrics {
+            metrics.newton_iteration();
         }
-        if let Some(flight) = &instruments.flight {
-            flight.record_iteration(params.time, dt, (iter + 1) as u64, worst, worst_index);
+        // Budget/metrics bookkeeping (and the previous iteration's
+        // tail) stays with the enclosing guard, not any solver phase.
+        if let Some(l) = &mut solve.lap {
+            l.skip();
         }
-        if converged {
+        solve.assemble(ctx, x);
+        let stale_worst = match solve.linear_step(ctx, iter, x)? {
+            LinearStep::Solved => return Ok(()),
+            LinearStep::Retry => continue,
+            LinearStep::Update(stale_worst) => stale_worst,
+        };
+        if solve.update(ctx, iter, stale_worst, x)? {
             return Ok(());
         }
-        prev_worst = worst;
     }
     ctx.invalidate();
     Err(AnalysisError::NoConvergence {
-        time: params.time,
-        residual: worst,
-        iterations: options.max_iterations,
+        time: solve.params.time,
+        residual: solve.worst,
+        iterations: solve.options.max_iterations,
     })
 }
 
@@ -2105,8 +2123,8 @@ mod tests {
                 source_scale: 1.0,
             };
             let mut ctx = SolverContext::default();
-            ensure_system(&mut ctx, &nl, &layout, &params, None);
-            assemble_baseline(&mut ctx, &nl, &layout, &params, factor_key(&params));
+            ensure_system(&mut ctx, &nl, &layout, &params, 0, None);
+            assemble_baseline(&mut ctx, &nl, &layout, &params, SolveMode::of(&params).key);
             let (_, sys) = ctx.sys.as_mut().expect("system prepared");
             let mut want = sys.clone();
             ctx.program.stamp(&x, sys.values_mut(), &mut ctx.b);
@@ -2248,8 +2266,9 @@ mod tests {
         layout: &MnaLayout,
         params: &StampParams<'_>,
     ) -> bool {
-        ensure_system(ctx, nl, layout, params, None);
-        let reused = assemble_baseline(ctx, nl, layout, params, factor_key(params));
+        let key = SolveMode::of(params).key;
+        ensure_system(ctx, nl, layout, params, usize::from(key.mode), None);
+        let reused = assemble_baseline(ctx, nl, layout, params, key);
         let (_, sys) = ctx.sys.as_ref().expect("system prepared");
         let mut fresh = sys.clone();
         fresh.clear();
@@ -2344,7 +2363,7 @@ mod tests {
             &layout,
             &dc(1e-12, 1.0),
             &NewtonOptions::default(),
-            None,
+            &BudgetClock::new(SolveBudget::unlimited()),
             &instruments,
             &mut ctx,
             &mut x,
@@ -2383,7 +2402,7 @@ mod tests {
             &layout,
             &params,
             &NewtonOptions::default(),
-            None,
+            &BudgetClock::new(SolveBudget::unlimited()),
             &instruments,
             &mut ctx,
             &mut x,
@@ -2454,7 +2473,8 @@ mod tests {
         x: &mut Vec<f64>,
     ) -> Result<(), AnalysisError> {
         let options = NewtonOptions::default();
-        newton_solve_with_context(nl, layout, params, &options, None, instruments, ctx, x)
+        let clock = BudgetClock::new(SolveBudget::unlimited());
+        newton_solve_with_context(nl, layout, params, &options, &clock, instruments, ctx, x)
     }
 
     /// Runs a case's solves with and without a flight recorder: the
@@ -2616,7 +2636,10 @@ mod tests {
                 results: "Err(Numerical { hazard: RefinementStall, time: 2e-7 })",
                 counters: [2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 1, 0, 2],
                 solution: &[0x0000000000000000, 0x0000000000000000, 0x0000000000000000],
-                hazards: &["refinement-stall→demote:refactor", "refinement-stall→terminal"],
+                hazards: &[
+                    "refinement-stall→demote:refactor",
+                    "refinement-stall→terminal",
+                ],
                 flight_digest: 0xb69e2d25daaca68d,
             },
             LadderCase {
@@ -2640,7 +2663,10 @@ mod tests {
                 results: "Err(SingularMatrix { row: 0 })",
                 counters: [2, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 1, 0],
                 solution: &[0x0000000000000000, 0x0000000000000000, 0x0000000000000000],
-                hazards: &["near-singular-pivot→demote:symbolic", "near-singular-pivot→terminal"],
+                hazards: &[
+                    "near-singular-pivot→demote:symbolic",
+                    "near-singular-pivot→terminal",
+                ],
                 flight_digest: 0x54b39675fe0e492f,
             },
             LadderCase {
@@ -2724,7 +2750,10 @@ mod tests {
                 results: "Ok(())",
                 counters: [28, 0, 0, 0, 0, 0, 14, 14, 1, 0, 1, 0, 0, 1, 1, 0],
                 solution: &[0x4014000000000000, 0x3fe628e1935b6954, 0xbf71a4c04fc93031],
-                hazards: &["near-singular-pivot→demote:symbolic", "non-finite→demote:refactor"],
+                hazards: &[
+                    "near-singular-pivot→demote:symbolic",
+                    "non-finite→demote:refactor",
+                ],
                 flight_digest: 0x1025837a9c7cc202,
             },
             LadderCase {
@@ -2736,7 +2765,10 @@ mod tests {
                 results: "Err(SingularMatrix { row: 0 })",
                 counters: [2, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 1, 0],
                 solution: &[0x0000000000000000, 0x0000000000000000, 0x0000000000000000],
-                hazards: &["near-singular-pivot→demote:symbolic", "near-singular-pivot→terminal"],
+                hazards: &[
+                    "near-singular-pivot→demote:symbolic",
+                    "near-singular-pivot→terminal",
+                ],
                 flight_digest: 0x54b39675fe0e492f,
             },
             LadderCase {

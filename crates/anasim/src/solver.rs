@@ -227,9 +227,6 @@ pub struct SolverContext {
     /// only on that one, so a rebuilt `sys` never replays a stale
     /// schedule.
     pub(crate) schedule: Option<RefactorSchedule>,
-    /// Set when the reuse policy demands a refactorisation before the
-    /// next linear solve.
-    pub(crate) force_refactor: bool,
     /// Newton iterations taken on the current factorisation since it
     /// was last recomputed.
     pub(crate) stale_iters: u32,
@@ -246,12 +243,11 @@ pub struct SolverContext {
 }
 
 impl SolverContext {
-    /// Drops the cached factorisation and forces the next solve to
-    /// refactor — called after non-convergence so a retry (e.g. at a
-    /// halved timestep) starts from a fresh Jacobian.
+    /// Drops the cached factorisation, so the next solve refactors —
+    /// called after non-convergence so a retry (e.g. at a halved
+    /// timestep) starts from a fresh Jacobian.
     pub fn invalidate(&mut self) {
         self.factor = None;
-        self.force_refactor = false;
         self.stale_iters = 0;
     }
 }

@@ -123,7 +123,7 @@ pub fn dc_sweep(
     let mut x = vec![0.0; layout.size()];
     let mut solutions = Vec::with_capacity(values.len());
 
-    for (k, &value) in values.iter().enumerate() {
+    for &value in values {
         match working.device_mut(source) {
             Device::Vsource { wave, .. } | Device::Isource { wave, .. } => {
                 *wave = SourceWaveform::dc(value)
@@ -156,7 +156,6 @@ pub fn dc_sweep(
             })?;
             x = op.into_solution();
         }
-        let _ = k;
         solutions.push(x.clone());
     }
 

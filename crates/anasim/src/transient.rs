@@ -402,7 +402,7 @@ impl March {
                 &self.layout,
                 &params,
                 &self.rules.newton,
-                Some(clock),
+                clock,
                 instruments,
                 &mut self.ctx,
                 &mut self.trial,

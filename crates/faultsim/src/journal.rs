@@ -297,26 +297,8 @@ pub fn telemetry_to_json(t: &FaultTelemetry) -> JsonValue {
 /// Missing or mistyped fields.
 pub fn telemetry_from_json(v: &JsonValue) -> Result<FaultTelemetry, String> {
     let solver_obj = get(v, "solver")?;
-    let mut solver = SolverSnapshot::default();
-    let fields: [&mut u64; 16] = [
-        &mut solver.newton_iterations,
-        &mut solver.steps_accepted,
-        &mut solver.steps_rejected,
-        &mut solver.dt_shrinks,
-        &mut solver.dc_gmin_steps,
-        &mut solver.dc_source_steps,
-        &mut solver.factor_reuse_hits,
-        &mut solver.factor_reuse_misses,
-        &mut solver.hazard_near_singular_pivot,
-        &mut solver.hazard_pivot_growth,
-        &mut solver.hazard_nonfinite,
-        &mut solver.hazard_refinement_stall,
-        &mut solver.hazard_ill_conditioned,
-        &mut solver.demote_refactor,
-        &mut solver.demote_symbolic,
-        &mut solver.refinement_rounds,
-    ];
-    for (field, slot) in SolverSnapshot::FIELDS.iter().zip(fields) {
+    let mut counters = [0; 16];
+    for (field, slot) in SolverSnapshot::FIELDS.iter().zip(&mut counters) {
         // Counters absent from the record default to zero, so journals
         // written before a counter existed keep replaying.
         *slot = match get(solver_obj, field) {
@@ -327,6 +309,7 @@ pub fn telemetry_from_json(v: &JsonValue) -> Result<FaultTelemetry, String> {
             Err(_) => 0,
         };
     }
+    let solver = SolverSnapshot::from_array(counters);
     let rung = match get(v, "rung")? {
         JsonValue::Null => None,
         other => Some(

@@ -1,7 +1,7 @@
-//! Circuit 3's Figure-4 figures at the nominal process, pinned entry by
-//! entry: twelve correlation, twelve dynamic-IDD and twelve
-//! impulse-response detection percentages, built from the same calls
-//! as `experiments e6`.
+//! Circuits 2 and 3's Figure-4 figures at the nominal process, pinned
+//! entry by entry: per circuit twelve correlation, twelve dynamic-IDD
+//! and twelve impulse-response detection percentages, built from the
+//! same calls as `experiments e6`.
 //!
 //! Each figure is `k` of `N` detection instances (signature samples,
 //! supply-current samples or impulse-response taps). A solver change
@@ -15,7 +15,7 @@ use mixsig::anasim::robust::SolveSettings;
 use mixsig::faultsim::campaign::{CampaignConfig, CampaignReport, FaultStatus};
 use mixsig::faultsim::inject::inject;
 use mixsig::macrolib::process::ProcessParams;
-use mixsig::msbist::transtest::circuits::{circuit3, ExampleCircuit};
+use mixsig::msbist::transtest::circuits::{circuit2, circuit3, ExampleCircuit};
 use mixsig::msbist::transtest::idd::{idd_signature, run_idd_campaign_with};
 use mixsig::msbist::transtest::impulse::{fit_first_order_discrete, impulse_detection_instances};
 
@@ -23,7 +23,8 @@ use mixsig::msbist::transtest::impulse::{fit_first_order_discrete, impulse_detec
 /// as in `experiments e6`.
 const RELATIVE_THRESHOLD: f64 = 0.02;
 
-/// The faults in campaign order.
+/// The faults in campaign order (circuits 2 and 3 share the
+/// integrator's fault universe).
 const FAULTS: [&str; 12] = [
     "n4-sa0",
     "n4-sa1",
@@ -51,8 +52,55 @@ const fn pin(k: u32, n: u32, detected: bool) -> Pin {
     Pin { k, n, detected }
 }
 
-/// Correlation figures: `k` of the 1,259 cross-correlation samples.
-const CORRELATION: [Pin; 12] = [
+/// One circuit's pinned figures.
+struct Figures {
+    correlation: [Pin; 12],
+    idd: [Pin; 12],
+    impulse: [Pin; 12],
+}
+
+/// Circuit 2's correlation figures: `k` of the 1,259
+/// cross-correlation samples.
+const CIRCUIT2_CORRELATION: [Pin; 12] = [
+    pin(1067, 1259, true),
+    pin(1202, 1259, true),
+    pin(1071, 1259, true),
+    pin(1204, 1259, true),
+    pin(1102, 1259, true),
+    pin(1202, 1259, true),
+    pin(1202, 1259, true),
+    pin(1102, 1259, true),
+    pin(1202, 1259, true),
+    pin(1071, 1259, true),
+    pin(1202, 1259, true),
+    pin(1202, 1259, true),
+];
+
+/// Circuit 2's dynamic-IDD figures: `k` of the 630 supply-current
+/// samples, the integrator's and the comparator's supplies summed (the
+/// `n6-n7` bridge is again the one miss).
+const CIRCUIT2_IDD: [Pin; 12] = [
+    pin(630, 630, true),
+    pin(630, 630, true),
+    pin(629, 630, true),
+    pin(630, 630, true),
+    pin(630, 630, true),
+    pin(630, 630, true),
+    pin(630, 630, true),
+    pin(630, 630, true),
+    pin(630, 630, true),
+    pin(629, 630, true),
+    pin(35, 630, false),
+    pin(609, 630, true),
+];
+
+/// Circuit 2's impulse-response figures, read at the integrator output:
+/// `k` of the 32 fitted taps.
+const CIRCUIT2_IMPULSE: [Pin; 12] = [pin(31, 32, true); 12];
+
+/// Circuit 3's correlation figures: `k` of the 1,259
+/// cross-correlation samples.
+const CIRCUIT3_CORRELATION: [Pin; 12] = [
     pin(1042, 1259, true),
     pin(1216, 1259, true),
     pin(1058, 1259, true),
@@ -67,9 +115,9 @@ const CORRELATION: [Pin; 12] = [
     pin(1193, 1259, true),
 ];
 
-/// Dynamic-IDD figures: `k` of the 630 supply-current samples (the
-/// bridge at `n6-n7` is the one fault this method misses).
-const IDD: [Pin; 12] = [
+/// Circuit 3's dynamic-IDD figures: `k` of the 630 supply-current
+/// samples (the bridge at `n6-n7` is the one fault this method misses).
+const CIRCUIT3_IDD: [Pin; 12] = [
     pin(630, 630, true),
     pin(630, 630, true),
     pin(630, 630, true),
@@ -84,8 +132,8 @@ const IDD: [Pin; 12] = [
     pin(610, 630, true),
 ];
 
-/// Impulse-response figures: `k` of the 32 fitted taps.
-const IMPULSE: [Pin; 12] = [
+/// Circuit 3's impulse-response figures: `k` of the 32 fitted taps.
+const CIRCUIT3_IMPULSE: [Pin; 12] = [
     pin(31, 32, true),
     pin(31, 32, true),
     pin(31, 32, true),
@@ -166,10 +214,9 @@ fn impulse_figures(c: &ExampleCircuit) -> Vec<f64> {
         .collect()
 }
 
-#[test]
-#[ignore = "minutes in a debug build; run with --release -- --ignored"]
-fn circuit3_figure4_is_pinned() {
-    let c = circuit3(&ProcessParams::nominal());
+/// Runs the three methods on `c` and checks every figure against
+/// `pins`.
+fn check_circuit(c: &ExampleCircuit, pins: &Figures) {
     let names: Vec<&str> = c.faults.iter().map(|f| f.name()).collect();
     assert_eq!(names, FAULTS);
 
@@ -177,17 +224,19 @@ fn circuit3_figure4_is_pinned() {
         .bench
         .correlation_signature(c.bench.netlist())
         .expect("golden circuit simulates");
-    assert_eq!(golden.len(), 1259, "correlation samples");
+    let samples = pins.correlation[0].n as usize;
+    assert_eq!(golden.len(), samples, "correlation samples");
     let peak = golden.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
     let report = c
         .bench
         .run_correlation_campaign_with(&c.faults, &CampaignConfig::new(RELATIVE_THRESHOLD * peak))
         .expect("correlation campaign runs");
-    check_campaign("correlation", &report, &CORRELATION);
+    check_campaign("correlation", &report, &pins.correlation);
 
     let idd = idd_signature(&c.bench, c.bench.netlist(), &c.vdd_sources)
         .expect("golden circuit simulates");
-    assert_eq!(idd.len(), 630, "supply-current samples");
+    let samples = pins.idd[0].n as usize;
+    assert_eq!(idd.len(), samples, "supply-current samples");
 
     let report = run_idd_campaign_with(
         &c.bench,
@@ -197,9 +246,35 @@ fn circuit3_figure4_is_pinned() {
         &CampaignConfig::new(0.0),
     )
     .expect("IDD campaign runs");
-    check_campaign("idd", &report, &IDD);
+    check_campaign("idd", &report, &pins.idd);
 
-    for ((pct, name), want) in impulse_figures(&c).into_iter().zip(FAULTS).zip(IMPULSE) {
+    for ((pct, name), want) in impulse_figures(c).into_iter().zip(FAULTS).zip(pins.impulse) {
         check("impulse", name, pct, pct >= 50.0, want);
     }
+}
+
+#[test]
+#[ignore = "minutes in a debug build; run with --release -- --ignored"]
+fn circuit2_figure4_is_pinned() {
+    check_circuit(
+        &circuit2(&ProcessParams::nominal()),
+        &Figures {
+            correlation: CIRCUIT2_CORRELATION,
+            idd: CIRCUIT2_IDD,
+            impulse: CIRCUIT2_IMPULSE,
+        },
+    );
+}
+
+#[test]
+#[ignore = "minutes in a debug build; run with --release -- --ignored"]
+fn circuit3_figure4_is_pinned() {
+    check_circuit(
+        &circuit3(&ProcessParams::nominal()),
+        &Figures {
+            correlation: CIRCUIT3_CORRELATION,
+            idd: CIRCUIT3_IDD,
+            impulse: CIRCUIT3_IMPULSE,
+        },
+    );
 }
