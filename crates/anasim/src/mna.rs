@@ -1313,8 +1313,12 @@ impl NewtonSolve<'_> {
     /// the true residual against the assembled system sits below
     /// [`RESID_GATE_TOL`] of its Oettli–Prager scale, after one round
     /// of iterative refinement through `factor` if the first check
-    /// fails. A failed gate returns the residual norm before
-    /// refinement.
+    /// fails. A non-finite scale never passes and is not refined: a NaN
+    /// in the solution makes both the residual and its scale infinite,
+    /// and `∞ ≤ ∞` holds. The scale bounds the residual's magnitude, so
+    /// against a finite scale a non-finite residual, before or after
+    /// refinement, fails the comparison by itself. A failed gate
+    /// returns the residual norm before refinement.
     fn linear_exit(
         &self,
         ctx: &mut SolverContext,
@@ -1323,7 +1327,7 @@ impl NewtonSolve<'_> {
     ) -> Result<(), f64> {
         let (_, sys) = ctx.sys.as_ref().expect("system prepared");
         let (rnorm, scale) = sys.residual_gate_into(&ctx.x_new, &ctx.b, &mut ctx.resid);
-        let accepted = rnorm <= RESID_GATE_TOL * scale || {
+        let accepted = scale.is_finite() && (rnorm <= RESID_GATE_TOL * scale || {
             if let Some(metrics) = &self.instruments.metrics {
                 metrics.refinement_round();
             }
@@ -1336,7 +1340,7 @@ impl NewtonSolve<'_> {
                 |r, out| solve_into(factor, r, out),
             );
             out.residual_after <= RESID_GATE_TOL * scale
-        };
+        });
         if !accepted {
             return Err(rnorm);
         }
@@ -2555,10 +2559,9 @@ mod tests {
         // Counter order: newton, steps acc/rej, dt shrinks, gmin and
         // source steps, reuse hits/misses, hazards (near-singular,
         // growth, non-finite, stall, ill-conditioned), demotions
-        // (refactor, symbolic), refinement rounds. The two "poisoned
-        // solution" rows pin a gap: a NaN in a linear solution makes
-        // both the residual and its scale infinite, so the gate accepts
-        // it and the solve returns the NaN.
+        // (refactor, symbolic), refinement rounds. A NaN in a linear
+        // solution makes both the residual and its scale infinite; the
+        // gate rejects it as non-finite, unrefined.
         let cases = [
             LadderCase {
                 name: "cached linear gate failure",
@@ -2616,16 +2619,28 @@ mod tests {
                 flight_digest: 0x223241541784936e,
             },
             LadderCase {
-                name: "linear poisoned solution passes the gate",
+                name: "linear non-finite retry",
+                netlist: divider_netlist,
+                transient: false,
+                chaos: "nan@0",
+                source_scales: &[1.0],
+                results: "Ok(())",
+                counters: [2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 1, 0, 0, 1, 0, 0],
+                solution: &[0x4024000000000000, 0x401dffffff9f5cfe, 0xbf647ae149d3d5f4],
+                hazards: &["non-finite→demote:refactor"],
+                flight_digest: 0xd79e09632c2a1625,
+            },
+            LadderCase {
+                name: "linear non-finite retry then terminal",
                 netlist: divider_netlist,
                 transient: false,
                 chaos: "nan@0,nan@1",
                 source_scales: &[1.0],
-                results: "Ok(())",
-                counters: [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
-                solution: &[0x7ff8000000000000, 0x401dffffff9f5cfe, 0xbf647ae149d3d5f4],
-                hazards: &[],
-                flight_digest: 0x8954a4249c531655,
+                results: "Err(Numerical { hazard: NonFinite, time: 2e-7 })",
+                counters: [2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 1, 0, 0],
+                solution: &[0x0000000000000000, 0x0000000000000000, 0x0000000000000000],
+                hazards: &["non-finite→demote:refactor", "non-finite→terminal"],
+                flight_digest: 0x258cca95bf307c89,
             },
             LadderCase {
                 name: "linear fresh retry then terminal",
@@ -2670,16 +2685,19 @@ mod tests {
                 flight_digest: 0x54b39675fe0e492f,
             },
             LadderCase {
-                name: "linear symbolic rebuild then poisoned solution",
+                name: "linear symbolic rebuild then non-finite retry",
                 netlist: divider_netlist,
                 transient: false,
                 chaos: "pivot@0,nan@0",
                 source_scales: &[1.0],
                 results: "Ok(())",
-                counters: [2, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 1, 0],
-                solution: &[0x7ff8000000000000, 0x401dffffff9f5cfe, 0xbf647ae149d3d5f4],
-                hazards: &["near-singular-pivot→demote:symbolic"],
-                flight_digest: 0x396634fb3b1a004b,
+                counters: [3, 0, 0, 0, 0, 0, 0, 3, 1, 0, 1, 0, 0, 1, 1, 0],
+                solution: &[0x4024000000000000, 0x401dffffff9f5cfe, 0xbf647ae149d3d5f4],
+                hazards: &[
+                    "near-singular-pivot→demote:symbolic",
+                    "non-finite→demote:refactor",
+                ],
+                flight_digest: 0x6dffc4a4d2e73d01,
             },
             LadderCase {
                 name: "nonlinear non-finite retry",

@@ -155,21 +155,14 @@ pub fn signature_kind_hooked(
         )
         .expect("golden must simulate");
     hooks.observe("ablation.correlation", &cor_report);
-    let golden_psd = c1
-        .bench
-        .spectral_signature_with(c1.bench.netlist(), &hooks.solve_settings())
-        .expect("golden must simulate");
-    let psd_peak = golden_psd.iter().fold(0.0_f64, |m, &v| m.max(v));
-    let spec_report = c1
-        .bench
-        .run_spectral_campaign_with(
-            &c1.faults,
-            &hooks.apply(
-                CampaignConfig::new(0.002 * psd_peak).workers(workers),
-                "ablation.spectral",
-            ),
-        )
-        .expect("golden must simulate");
+    let spec_report = faultsim::campaign::run_campaign_sized(
+        c1.bench.netlist(),
+        &c1.faults,
+        &hooks.apply(CampaignConfig::new(0.0).workers(workers), "ablation.spectral"),
+        |psd| 0.002 * psd.iter().fold(0.0_f64, |m, &v| m.max(v)),
+        |nl, settings| c1.bench.spectral_signature_with(nl, settings),
+    )
+    .expect("golden must simulate");
     hooks.observe("ablation.spectral", &spec_report);
     let series = |report: &faultsim::campaign::CampaignReport| {
         report

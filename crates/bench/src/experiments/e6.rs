@@ -10,12 +10,8 @@
 use std::fmt;
 
 use anasim::metrics::SolverSnapshot;
-use anasim::netlist::Netlist;
-use anasim::robust::SolveSettings;
 use anasim::AnalysisError;
-use faultsim::campaign::{
-    extract_golden, run_campaign_from_golden, CampaignConfig, CampaignReport,
-};
+use faultsim::campaign::{run_campaign_sized, CampaignConfig, CampaignReport};
 
 use crate::hooks::CampaignHooks;
 use macrolib::process::ProcessParams;
@@ -23,12 +19,8 @@ use obs::{Histogram, Section};
 use msbist::transtest::circuits::{circuit1, circuit2, circuit3, ExampleCircuit};
 use msbist::transtest::detect::DetectionFigure;
 use msbist::transtest::idd::run_idd_campaign_with;
-use msbist::transtest::impulse::{fit_first_order_discrete, impulse_detection_instances};
-
-/// Detection threshold as a fraction of the golden signature's peak
-/// magnitude — each circuit's comparator resolution scales with its
-/// signal, as a real windowed comparator would be designed.
-pub const RELATIVE_THRESHOLD: f64 = 0.02;
+use msbist::transtest::impulse::run_impulse_campaign_with;
+use msbist::transtest::RELATIVE_THRESHOLD;
 
 /// Worker threads for the E6 campaigns. Reports are deterministic for
 /// any worker count, so this only affects wall-clock time.
@@ -134,7 +126,8 @@ pub struct E6Report {
     /// Dynamic supply-current results (extension: the paper's refs
     /// [10, 11]).
     pub idd: DetectionFigure,
-    /// Solver telemetry from the correlation and IDD campaigns.
+    /// Solver telemetry from the correlation, impulse-response and IDD
+    /// campaigns.
     pub solver: SolverSummary,
 }
 
@@ -188,111 +181,61 @@ impl fmt::Display for E6Report {
     }
 }
 
-/// Runs the correlation campaign for one example circuit on the
-/// resilient engine and adds it to the figure. The threshold is sized
-/// from the campaign's own golden extraction, which the engine then
-/// reuses. The campaign journals under `e6.c<N>.correlation` when the
-/// hooks carry a journal.
-fn correlation_campaign(
-    figure: &mut DetectionFigure,
-    solver: &mut SolverSummary,
-    circuit: &ExampleCircuit,
-    workers: usize,
-    hooks: &CampaignHooks,
-) -> Result<(), AnalysisError> {
-    let label = format!("e6.c{}.correlation", circuit.number);
-    let config = hooks.apply(CampaignConfig::new(0.0).workers(workers), &label);
-    let extract = |nl: &Netlist, settings: &SolveSettings| {
-        circuit.bench.correlation_signature_with(nl, settings)
-    };
-    let golden = extract_golden(circuit.bench.netlist(), &config, &extract)?;
-    let peak = golden.signature().iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-    let config = config.threshold(RELATIVE_THRESHOLD * peak);
-    let report = run_campaign_from_golden(
-        circuit.bench.netlist(),
-        golden,
-        &circuit.faults,
-        &config,
-        extract,
-    )?;
-    solver.absorb(&report);
-    figure.add_campaign(circuit.number, &report);
-    hooks.observe(&label, &report);
-    Ok(())
+/// One Figure-4 method: runs a circuit's campaign under an engine
+/// configuration whose threshold the method sizes itself.
+type Method = fn(&ExampleCircuit, &CampaignConfig) -> Result<CampaignReport, AnalysisError>;
+
+/// The correlation method (approach 1): the threshold is
+/// [`RELATIVE_THRESHOLD`] of the golden correlation's peak magnitude.
+fn run_correlation(
+    c: &ExampleCircuit,
+    config: &CampaignConfig,
+) -> Result<CampaignReport, AnalysisError> {
+    run_campaign_sized(
+        c.bench.netlist(),
+        &c.faults,
+        config,
+        |golden| RELATIVE_THRESHOLD * golden.iter().fold(0.0_f64, |m, v| m.max(v.abs())),
+        |nl, settings| c.bench.correlation_signature_with(nl, settings),
+    )
 }
 
-/// Runs the impulse-response (approach 2) comparison for an SC circuit:
-/// the golden and each faulty variant are identified as first-order
-/// discrete systems from their cycle-sampled PRBS responses, and the
-/// fitted impulse responses are compared.
-fn impulse_campaign(figure: &mut DetectionFigure, circuit: &ExampleCircuit, hooks: &CampaignHooks) {
-    let one_period: Vec<f64> = stimulus_levels(circuit).iter().map(|&v| v - 2.5).collect();
-    let p: Vec<f64> = std::iter::repeat_n(one_period, circuit.bench.periods())
-        .flatten()
-        .collect();
+/// The impulse-response method (approach 2), read at the circuit's
+/// impulse probe.
+fn run_impulse(
+    c: &ExampleCircuit,
+    config: &CampaignConfig,
+) -> Result<CampaignReport, AnalysisError> {
+    run_impulse_campaign_with(&c.bench, c.impulse_probe, &c.faults, RELATIVE_THRESHOLD, config)
+}
 
-    // Not a resilient campaign — but its solves are real solver time,
-    // so they run under profiler-armed settings when the hooks carry
-    // one.
-    let settings = hooks.solve_settings();
-    let impulse_of = |netlist: &anasim::netlist::Netlist| -> Option<Vec<f64>> {
-        let y = circuit
-            .bench
-            .response_at_with(netlist, circuit.impulse_probe, &settings)
-            .ok()?;
-        // One sample per cycle: take the last sample of each bit.
-        let spb = y.len() / p.len();
-        let cycle_y: Vec<f64> = y
-            .chunks(spb)
-            .map(|c| c.last().copied().unwrap_or(0.0) - 2.5)
-            .collect();
-        let fit = fit_first_order_discrete(&p, &cycle_y);
-        Some(fit.impulse_response(circuit.bench.stimulus().bit_period(), 32))
-    };
+/// Dynamic supply-current monitoring (extension, refs [10, 11]).
+fn run_idd(c: &ExampleCircuit, config: &CampaignConfig) -> Result<CampaignReport, AnalysisError> {
+    run_idd_campaign_with(&c.bench, &c.vdd_sources, &c.faults, RELATIVE_THRESHOLD, config)
+}
 
-    let golden = impulse_of(circuit.bench.netlist()).expect("golden circuit must simulate");
-    let peak = golden.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-    for fault in &circuit.faults {
-        let faulty_nl = faultsim::inject::inject(circuit.bench.netlist(), fault);
-        let pct = match impulse_of(&faulty_nl) {
-            Some(h) => impulse_detection_instances(&golden, &h, RELATIVE_THRESHOLD * peak),
-            None => 100.0,
-        };
-        figure.add_entry(circuit.number, fault.name(), pct);
+/// Runs `method`'s campaign on each of `circuits` in turn on the
+/// resilient engine, journaled under `e6.c<N>.<name>` when the hooks
+/// carry a journal, folds every report into `solver` and returns the
+/// method's figure.
+fn figure(
+    name: &str,
+    method: Method,
+    circuits: &[&ExampleCircuit],
+    workers: usize,
+    hooks: &CampaignHooks,
+    solver: &mut SolverSummary,
+) -> Result<DetectionFigure, AnalysisError> {
+    let mut figure = DetectionFigure::new();
+    for circuit in circuits {
+        let label = format!("e6.c{}.{name}", circuit.number);
+        let config = hooks.apply(CampaignConfig::new(0.0).workers(workers), &label);
+        let report = method(circuit, &config)?;
+        solver.absorb(&report);
+        figure.add_campaign(circuit.number, &report);
+        hooks.observe(&label, &report);
     }
-}
-
-/// Runs the dynamic-IDD campaign for one example circuit on the
-/// resilient engine, journaling under `e6.c<N>.idd`.
-fn idd_campaign(
-    figure: &mut DetectionFigure,
-    solver: &mut SolverSummary,
-    circuit: &ExampleCircuit,
-    workers: usize,
-    hooks: &CampaignHooks,
-) -> Result<(), AnalysisError> {
-    let label = format!("e6.c{}.idd", circuit.number);
-    let config = hooks.apply(CampaignConfig::new(0.0).workers(workers), &label);
-    let report = run_idd_campaign_with(
-        &circuit.bench,
-        &circuit.vdd_sources,
-        &circuit.faults,
-        RELATIVE_THRESHOLD,
-        &config,
-    )?;
-    solver.absorb(&report);
-    figure.add_campaign(circuit.number, &report);
-    hooks.observe(&label, &report);
-    Ok(())
-}
-
-/// The stimulus levels, one per bit (helper for system identification).
-fn stimulus_levels(circuit: &ExampleCircuit) -> Vec<f64> {
-    let s = circuit.bench.stimulus();
-    s.bits()
-        .iter()
-        .map(|&b| if b { s.high() } else { s.low() })
-        .collect()
+    Ok(figure)
 }
 
 /// Runs E6 across all three example circuits with the default worker
@@ -324,20 +267,10 @@ pub fn run_with_hooks(workers: usize, hooks: &CampaignHooks) -> Result<E6Report,
     let c3 = circuit3(&process);
 
     let mut solver = SolverSummary::default();
-    let mut correlation = DetectionFigure::new();
-    correlation_campaign(&mut correlation, &mut solver, &c1, workers, hooks)?;
-    correlation_campaign(&mut correlation, &mut solver, &c2, workers, hooks)?;
-    correlation_campaign(&mut correlation, &mut solver, &c3, workers, hooks)?;
-
-    let mut impulse = DetectionFigure::new();
-    impulse_campaign(&mut impulse, &c2, hooks);
-    impulse_campaign(&mut impulse, &c3, hooks);
-
-    let mut idd = DetectionFigure::new();
-    idd_campaign(&mut idd, &mut solver, &c1, workers, hooks)?;
-    idd_campaign(&mut idd, &mut solver, &c2, workers, hooks)?;
-    idd_campaign(&mut idd, &mut solver, &c3, workers, hooks)?;
-
+    let all = [&c1, &c2, &c3];
+    let correlation = figure("correlation", run_correlation, &all, workers, hooks, &mut solver)?;
+    let impulse = figure("impulse", run_impulse, &[&c2, &c3], workers, hooks, &mut solver)?;
+    let idd = figure("idd", run_idd, &all, workers, hooks, &mut solver)?;
     Ok(E6Report {
         correlation,
         impulse,
@@ -373,8 +306,7 @@ pub fn run_circuit1_only_with_hooks(
 ) -> Result<E6Report, AnalysisError> {
     let c1 = circuit1(&ProcessParams::nominal());
     let mut solver = SolverSummary::default();
-    let mut correlation = DetectionFigure::new();
-    correlation_campaign(&mut correlation, &mut solver, &c1, workers, hooks)?;
+    let correlation = figure("correlation", run_correlation, &[&c1], workers, hooks, &mut solver)?;
     Ok(E6Report {
         correlation,
         impulse: DetectionFigure::new(),

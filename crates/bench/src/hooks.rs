@@ -140,7 +140,7 @@ impl CampaignHooks {
     }
 
     /// Solve settings for simulations an experiment runs *outside* any
-    /// campaign (golden references, impulse-response fits), armed with
+    /// campaign (ablation's integration-rule comparison), armed with
     /// the invocation-wide profiler so that solver time is attributed
     /// too instead of silently widening the unattributed gap.
     pub fn solve_settings(&self) -> SolveSettings {

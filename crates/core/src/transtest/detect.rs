@@ -37,16 +37,6 @@ impl DetectionFigure {
         }
     }
 
-    /// Adds a single precomputed entry (used by the impulse-response
-    /// approach, which scores faults outside a [`CampaignReport`]).
-    pub fn add_entry(&mut self, circuit: u8, fault: &str, pct: f64) {
-        self.entries.push(DetectionEntry {
-            circuit,
-            fault: fault.to_string(),
-            pct,
-        });
-    }
-
     /// All entries in insertion order.
     pub fn entries(&self) -> &[DetectionEntry] {
         &self.entries
@@ -104,12 +94,19 @@ mod tests {
     use super::*;
 
     fn figure() -> DetectionFigure {
-        let mut f = DetectionFigure::new();
-        f.add_entry(1, "n4-sa0", 95.0);
-        f.add_entry(1, "n7-sa1", 88.0);
-        f.add_entry(3, "n5-sa0", 70.0);
-        f.add_entry(3, "n8-sa1", 91.0);
-        f
+        let entry = |circuit, fault: &str, pct| DetectionEntry {
+            circuit,
+            fault: fault.to_owned(),
+            pct,
+        };
+        DetectionFigure {
+            entries: vec![
+                entry(1, "n4-sa0", 95.0),
+                entry(1, "n7-sa1", 88.0),
+                entry(3, "n5-sa0", 70.0),
+                entry(3, "n8-sa1", 91.0),
+            ],
+        }
     }
 
     #[test]

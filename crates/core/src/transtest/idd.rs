@@ -11,7 +11,7 @@
 use anasim::netlist::{DeviceId, Netlist};
 use anasim::robust::{SolveBudget, SolveSettings, SolverRung};
 use anasim::AnalysisError;
-use faultsim::campaign::{extract_golden, run_campaign_from_golden, CampaignConfig, CampaignReport};
+use faultsim::campaign::{run_campaign_sized, CampaignConfig, CampaignReport};
 use faultsim::model::Fault;
 
 use super::bench::TransientTestBench;
@@ -95,9 +95,7 @@ pub fn run_idd_campaign(
     let config = CampaignConfig::new(0.0)
         .ladder(vec![SolverRung::nominal()])
         .budget(SolveBudget::unlimited());
-    idd_campaign(bench, faults, threshold_rel, &config, |nl, _settings| {
-        idd_signature(bench, nl, supplies)
-    })
+    run_idd_campaign_with(bench, supplies, faults, threshold_rel, &config)
 }
 
 /// Runs an IDD fault campaign on the resilient engine: the relative
@@ -116,27 +114,13 @@ pub fn run_idd_campaign_with(
     threshold_rel: f64,
     config: &CampaignConfig,
 ) -> Result<CampaignReport, AnalysisError> {
-    idd_campaign(bench, faults, threshold_rel, config, |nl, settings| {
-        idd_signature_with(bench, nl, supplies, settings)
-    })
-}
-
-/// Extracts the golden IDD signature once, sizes the threshold from its
-/// mean current, and hands the same extraction to the campaign engine.
-fn idd_campaign<F>(
-    bench: &TransientTestBench,
-    faults: &[Fault],
-    threshold_rel: f64,
-    config: &CampaignConfig,
-    extract: F,
-) -> Result<CampaignReport, AnalysisError>
-where
-    F: Fn(&Netlist, &SolveSettings) -> Result<Vec<f64>, AnalysisError> + Sync,
-{
-    let golden = extract_golden(bench.netlist(), config, &extract)?;
-    let threshold = threshold_rel * idd_stats(golden.signature()).mean.max(1e-12);
-    let config = config.clone().threshold(threshold);
-    run_campaign_from_golden(bench.netlist(), golden, faults, &config, extract)
+    run_campaign_sized(
+        bench.netlist(),
+        faults,
+        config,
+        |golden| threshold_rel * idd_stats(golden).mean.max(1e-12),
+        |nl, settings| idd_signature_with(bench, nl, supplies, settings),
+    )
 }
 
 #[cfg(test)]

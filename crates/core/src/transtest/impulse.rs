@@ -5,83 +5,74 @@
 //! representations (Matlab) and compares their impulse responses. Here
 //! the same flow runs on the workspace substrates:
 //!
-//! * [`measured_impulse_response`] linearises a circuit around its
-//!   operating trajectory by differencing a pulsed and an unpulsed
-//!   transient (the simulation equivalent of HSPICE's small-signal
-//!   view),
 //! * [`fit_first_order_discrete`] identifies a first-order z-domain
 //!   model (the SC integrator family, `H(z) = b·z⁻¹/(1 − a·z⁻¹)`) from
-//!   cycle-sampled data by least squares,
-//! * the fitted models go through [`linsys`] state-space machinery so
-//!   golden and faulty impulse responses can be compared sample by
-//!   sample.
+//!   cycle-sampled PRBS data by least squares,
+//! * the fitted models go through [`linsys`] state-space machinery to
+//!   sampled impulse responses,
+//! * [`run_impulse_campaign_with`] runs that identification for the
+//!   golden and every faulty circuit on the campaign engine and compares
+//!   the impulse responses sample by sample.
 
-use anasim::mna::MnaLayout;
-use anasim::netlist::Netlist;
-use anasim::source::SourceWaveform;
-use anasim::transient::TransientAnalysis;
+use anasim::netlist::{Netlist, NodeId};
+use anasim::robust::SolveSettings;
 use anasim::AnalysisError;
+use faultsim::campaign::{run_campaign_sized, CampaignConfig, CampaignReport};
+use faultsim::model::Fault;
 use linsys::transfer::DiscreteTransferFunction;
 
-use super::bench::{sample_columns, TransientTestBench};
+use super::bench::TransientTestBench;
 
-/// Measures a circuit's small-signal impulse response by pulse
-/// perturbation.
-///
-/// Two transients run: one with the stimulus source held at `bias`, one
-/// with an added pulse of `amplitude` volts lasting `pulse_width`
-/// seconds at `t = pulse_width`. The scaled difference of the sampled
-/// outputs approximates `h(t)` (area-normalised).
+/// The mid-rail level the stimulus and the response are referred to
+/// before identification.
+const MID_RAIL: f64 = 2.5;
+
+/// Taps of each fitted impulse response: the campaign's signature
+/// length.
+const TAPS: usize = 32;
+
+/// Runs the impulse-response method (approach 2) as a fault campaign on
+/// the resilient engine. Each netlist's response at `probe` is sampled
+/// once per stimulus bit (the last sample of the bit), identified as a
+/// first-order discrete system against the PRBS levels by
+/// [`fit_first_order_discrete`], and the fitted model's first 32
+/// impulse-response taps are its signature. The detection threshold is
+/// `threshold_rel` times the golden response's peak magnitude (the
+/// threshold inside `config` is ignored); `config`'s ladder, budget,
+/// workers and journal drive the per-fault extractions.
 ///
 /// # Errors
 ///
-/// Propagates simulator non-convergence from either run.
-pub fn measured_impulse_response(
+/// Fails only if the golden circuit cannot be simulated, or as
+/// [`faultsim::campaign::run_campaign_with`] (cancellation, journal).
+pub fn run_impulse_campaign_with(
     bench: &TransientTestBench,
-    netlist: &Netlist,
-    bias: f64,
-    amplitude: f64,
-    pulse_width: f64,
-    sample_dt: f64,
-    samples: usize,
-) -> Result<Vec<f64>, AnalysisError> {
-    assert!(pulse_width > 0.0, "pulse width must be positive");
-    assert!(sample_dt > 0.0, "sample period must be positive");
-    let t_stop = sample_dt * samples as f64 + 2.0 * pulse_width;
-
-    let run = |wave: SourceWaveform| -> Result<Vec<f64>, AnalysisError> {
-        // Rebuild a variant of the *given* netlist (which may carry an
-        // injected fault) with the requested input drive.
-        let mut nl = netlist.clone();
-        match nl.device_mut(bench.stimulus_source()) {
-            anasim::devices::Device::Vsource { wave: w, .. } => *w = wave,
-            _ => unreachable!("bench validated the stimulus source"),
-        }
-        let sim_dt = (pulse_width / 4.0).min(sample_dt / 2.0);
-        let analysis = TransientAnalysis::new(t_stop, sim_dt);
-        let column = MnaLayout::new(&nl).node_index(bench.output());
-        // Sample from the end of the pulse: the impulse approximation
-        // y_diff/area ~ h(t) holds once the pulse has finished.
-        let times = (0..samples).map(|k| 2.0 * pulse_width + k as f64 * sample_dt);
-        let mut y = sample_columns(&analysis, &nl, &[column], times)?;
-        Ok(y.swap_remove(0))
-    };
-
-    let baseline = run(SourceWaveform::dc(bias))?;
-    let pulsed = run(SourceWaveform::Pwl(vec![
-        (0.0, bias),
-        (pulse_width, bias),
-        (pulse_width + 1e-12, bias + amplitude),
-        (2.0 * pulse_width, bias + amplitude),
-        (2.0 * pulse_width + 1e-12, bias),
-    ]))?;
-
-    let area = amplitude * pulse_width;
-    Ok(baseline
+    probe: NodeId,
+    faults: &[Fault],
+    threshold_rel: f64,
+    config: &CampaignConfig,
+) -> Result<CampaignReport, AnalysisError> {
+    let stimulus = bench.stimulus();
+    let one_period: Vec<f64> = stimulus
+        .bits()
         .iter()
-        .zip(&pulsed)
-        .map(|(b, p)| (p - b) / area)
-        .collect())
+        .map(|&b| if b { stimulus.high() } else { stimulus.low() } - MID_RAIL)
+        .collect();
+    let input: Vec<f64> = std::iter::repeat_n(one_period, bench.periods())
+        .flatten()
+        .collect();
+    let extract = |nl: &Netlist, settings: &SolveSettings| {
+        let y = bench.response_at_with(nl, probe, settings)?;
+        let per_bit = y.len() / input.len();
+        let cycle_y: Vec<f64> = y
+            .chunks(per_bit)
+            .map(|bit| bit.last().copied().unwrap_or(0.0) - MID_RAIL)
+            .collect();
+        let fit = fit_first_order_discrete(&input, &cycle_y);
+        Ok(fit.impulse_response(stimulus.bit_period(), TAPS))
+    };
+    let size = |golden: &[f64]| threshold_rel * golden.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+    run_campaign_sized(bench.netlist(), faults, config, size, extract)
 }
 
 /// A first-order discrete model identified from data:
@@ -175,7 +166,9 @@ pub fn impulse_detection_instances(golden: &[f64], faulty: &[f64], threshold: f6
 mod tests {
     use super::*;
     use crate::transtest::stimulus::PrbsStimulus;
-    use anasim::netlist::Netlist;
+    use crate::transtest::RELATIVE_THRESHOLD;
+    use anasim::source::SourceWaveform;
+    use faultsim::campaign::{FaultStatus, JournalConfig};
 
     fn rc_bench(tau_c: f64) -> TransientTestBench {
         let mut nl = Netlist::new();
@@ -194,30 +187,78 @@ mod tests {
         )
     }
 
+    /// The impulse method composed by hand from the public calls, one
+    /// plain simulation per netlist: each fault's detection percentage.
+    fn hand_composed(bench: &TransientTestBench, faults: &[Fault]) -> Vec<f64> {
+        let s = bench.stimulus();
+        let input: Vec<f64> = s
+            .bits()
+            .iter()
+            .map(|&b| if b { s.high() } else { s.low() } - 2.5)
+            .collect();
+        let impulse_of = |nl: &Netlist| {
+            let y = bench
+                .response_at_with(nl, bench.output(), &SolveSettings::default())
+                .unwrap();
+            let per_bit = y.len() / input.len();
+            let cycle_y: Vec<f64> = y
+                .chunks(per_bit)
+                .map(|bit| bit.last().copied().unwrap_or(0.0) - 2.5)
+                .collect();
+            fit_first_order_discrete(&input, &cycle_y).impulse_response(s.bit_period(), 32)
+        };
+        let golden = impulse_of(bench.netlist());
+        let peak = golden.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+        faults
+            .iter()
+            .map(|f| {
+                let h = impulse_of(&faultsim::inject::inject(bench.netlist(), f));
+                impulse_detection_instances(&golden, &h, RELATIVE_THRESHOLD * peak)
+            })
+            .collect()
+    }
+
     #[test]
-    fn rc_impulse_response_is_exponential() {
-        // tau = 100 us.
+    fn impulse_campaign_matches_the_hand_composed_method_and_resumes() {
         let bench = rc_bench(10e-9);
-        let h = measured_impulse_response(
-            &bench,
-            bench.netlist(),
-            1.0,
-            0.1,
-            5e-6,
-            20e-6,
-            20,
-        )
-        .unwrap();
-        // h(t) = (1/tau)·e^{−t/tau}; check the ratio between samples.
-        let tau = 100e-6;
-        let expect_ratio = (-20e-6_f64 / tau).exp();
-        for k in 1..10 {
-            let ratio = h[k] / h[k - 1];
-            assert!(
-                (ratio - expect_ratio).abs() < 0.08,
-                "sample {k}: ratio {ratio} vs {expect_ratio}"
-            );
+        let vin = bench.netlist().find_node("vin").unwrap();
+        let out = bench.output();
+        let faults = vec![
+            Fault::stuck_at_0("out-sa0", out),
+            Fault::bridge("vin-out", vin, out).with_impedance(20e3),
+            Fault::bridge("out-gnd", out, Netlist::GROUND).with_impedance(1e6),
+        ];
+        let run = |config: &CampaignConfig| {
+            run_impulse_campaign_with(&bench, out, &faults, RELATIVE_THRESHOLD, config).unwrap()
+        };
+        let report = run(&CampaignConfig::new(0.0));
+        let hand = hand_composed(&bench, &faults);
+        for (o, pct) in report.outcomes.iter().zip(hand) {
+            let name = o.fault.name();
+            let (got, detected) = match o.status {
+                FaultStatus::Detected { pct } => (pct, true),
+                FaultStatus::Undetected { pct } => (pct, false),
+                ref other => panic!("{name}: {other:?}"),
+            };
+            assert_eq!(got.to_bits(), pct.to_bits(), "{name}: {got} % vs {pct} %");
+            assert_eq!(detected, pct >= 50.0, "{name}: verdict");
         }
+
+        // The stuck output is detected; the two resistive bridges move
+        // the fit too little.
+        assert_eq!(report.detected_count(), 1);
+
+        // A campaign resumed from its complete journal replays every
+        // fault and reports exactly what the fresh run did.
+        let dir = std::env::temp_dir().join("msbist-impulse-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("resume.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let journaled = |jc| run(&CampaignConfig::new(0.0).journal(jc));
+        let fresh = journaled(JournalConfig::fresh(&path, "impulse"));
+        let resumed = journaled(JournalConfig::resume(&path, "impulse"));
+        assert_eq!(fresh.canonical_text(), report.canonical_text());
+        assert_eq!(resumed.canonical_text(), fresh.canonical_text());
     }
 
     #[test]

@@ -30,3 +30,9 @@ pub mod stimulus;
 
 pub use bench::TransientTestBench;
 pub use stimulus::PrbsStimulus;
+
+/// Figure 4's detection threshold as a fraction of the golden
+/// signature's size (its peak magnitude, or its mean current for
+/// [`idd`]): each circuit's comparator resolution scales with its
+/// signal, as a real windowed comparator would be designed.
+pub const RELATIVE_THRESHOLD: f64 = 0.02;

@@ -1108,16 +1108,36 @@ where
     run_campaign_from_golden(golden, reference, faults, config, extract)
 }
 
+/// Runs a fault campaign whose detection threshold is sized from its
+/// own golden signature: the golden netlist is extracted once,
+/// `size(golden signature)` becomes the threshold (the one in `config`
+/// is ignored), and the same extraction serves the campaign, exactly as
+/// [`run_campaign_with`] runs it.
+///
+/// # Errors
+///
+/// As [`run_campaign_with`].
+pub fn run_campaign_sized<S, F>(
+    golden: &Netlist,
+    faults: &[Fault],
+    config: &CampaignConfig,
+    size: S,
+    extract: F,
+) -> Result<CampaignReport, AnalysisError>
+where
+    S: FnOnce(&[f64]) -> f64,
+    F: Fn(&Netlist, &SolveSettings) -> Result<Vec<f64>, AnalysisError> + Sync,
+{
+    let reference = extract_golden(golden, config, &extract)?;
+    let config = config.clone().threshold(size(&reference.signature));
+    run_campaign_from_golden(golden, reference, faults, &config, extract)
+}
+
 /// The first step of a campaign: the golden (fault-free) netlist
 /// extracted once, at nominal settings under `config`'s budget, with its
 /// own counters, and its profiler and cancel token from `config`.
-///
-/// [`run_campaign_with`] is this step followed by
-/// [`run_campaign_from_golden`]. Calling the two directly lets a caller
-/// read the golden signature in between — to size a threshold from it,
-/// say — without simulating the golden netlist a second time.
-#[derive(Debug, Clone)]
-pub struct GoldenExtraction {
+#[derive(Debug)]
+struct GoldenExtraction {
     signature: Vec<f64>,
     solver: SolverSnapshot,
     wall: Duration,
@@ -1125,20 +1145,9 @@ pub struct GoldenExtraction {
     started: Instant,
 }
 
-impl GoldenExtraction {
-    /// The golden signature.
-    pub fn signature(&self) -> &[f64] {
-        &self.signature
-    }
-}
-
 /// Extracts the golden netlist for a campaign under `config` (its
 /// threshold is not read): see [`GoldenExtraction`].
-///
-/// # Errors
-///
-/// Returns the golden circuit's analysis error.
-pub fn extract_golden<F>(
+fn extract_golden<F>(
     golden: &Netlist,
     config: &CampaignConfig,
     extract: &F,
@@ -1169,11 +1178,7 @@ where
 /// The rest of [`run_campaign_with`]: the fault campaign on `golden`
 /// against a golden extraction already made by [`extract_golden`],
 /// whose signature, counters and wall the report carries.
-///
-/// # Errors
-///
-/// As [`run_campaign_with`], except the golden extraction's.
-pub fn run_campaign_from_golden<F>(
+fn run_campaign_from_golden<F>(
     golden: &Netlist,
     reference: GoldenExtraction,
     faults: &[Fault],
@@ -1644,9 +1649,9 @@ mod tests {
 
     #[test]
     fn a_golden_extraction_serves_the_campaign_once() {
-        // A signature whose threshold is read off the golden one: the
-        // split entry points extract the golden netlist once and land on
-        // the report `run_campaign_with` produces with that threshold.
+        // A threshold read off the golden signature: the sized entry
+        // point extracts the golden netlist once and lands on the report
+        // `run_campaign_with` produces with that threshold.
         let (nl, b) = divider_fixture();
         let faults = vec![Fault::stuck_at_0("sa0", b), Fault::stuck_at_1("sa1", b)];
         let calls = AtomicUsize::new(0);
@@ -1655,26 +1660,19 @@ mod tests {
             Ok(vec![dc_operating_point(n)?.voltage(b), 1.0])
         };
         let config = CampaignConfig::new(0.0).workers(2);
-        let golden = extract_golden(&nl, &config, &extract).unwrap();
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-        let threshold = 0.1 * golden.signature()[0];
-        let config = config.threshold(threshold);
-        let split = run_campaign_from_golden(&nl, golden, &faults, &config, extract).unwrap();
+        let sized = run_campaign_sized(&nl, &faults, &config, |g| 0.1 * g[0], extract).unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 1 + faults.len());
-        let whole = run_campaign_with(&nl, &faults, &config, |n, _| {
+        let threshold = 0.1 * sized.golden[0];
+        assert_eq!(sized.threshold.to_bits(), threshold.to_bits());
+        let whole = run_campaign_with(&nl, &faults, &config.clone().threshold(threshold), |n, _| {
             Ok(vec![dc_operating_point(n)?.voltage(b), 1.0])
         })
         .unwrap();
-        assert_eq!(split.threshold.to_bits(), threshold.to_bits());
-        assert_eq!(split.canonical_text(), whole.canonical_text());
-        assert!(split.stats.campaign_wall >= split.stats.golden_wall);
-        // The engine checks its ladder before taking a golden.
-        let empty = config.clone().ladder(Vec::new());
-        let golden = extract_golden(&nl, &empty, &|n: &Netlist, _: &SolveSettings| {
-            Ok(vec![dc_operating_point(n)?.voltage(b)])
-        })
-        .unwrap();
-        let err = run_campaign_from_golden(&nl, golden, &faults, &empty, |_, _| Ok(vec![0.0]))
+        assert_eq!(sized.canonical_text(), whole.canonical_text());
+        assert!(sized.stats.campaign_wall >= sized.stats.golden_wall);
+        // The engine checks its ladder before any fault runs.
+        let empty = config.ladder(Vec::new());
+        let err = run_campaign_sized(&nl, &faults, &empty, |_| 0.0, |_, _| Ok(vec![0.0]))
             .unwrap_err();
         assert!(matches!(err, AnalysisError::InvalidParameter(_)), "{err:?}");
     }

@@ -10,18 +10,12 @@
 //! default; run it with
 //! `cargo test --release --test figure4_pinned -- --ignored`.
 
-use mixsig::anasim::netlist::Netlist;
-use mixsig::anasim::robust::SolveSettings;
-use mixsig::faultsim::campaign::{CampaignConfig, CampaignReport, FaultStatus};
-use mixsig::faultsim::inject::inject;
+use mixsig::faultsim::campaign::{run_campaign_sized, CampaignConfig, CampaignReport, FaultStatus};
 use mixsig::macrolib::process::ProcessParams;
 use mixsig::msbist::transtest::circuits::{circuit2, circuit3, ExampleCircuit};
-use mixsig::msbist::transtest::idd::{idd_signature, run_idd_campaign_with};
-use mixsig::msbist::transtest::impulse::{fit_first_order_discrete, impulse_detection_instances};
-
-/// Detection threshold as a fraction of the golden signature's peak,
-/// as in `experiments e6`.
-const RELATIVE_THRESHOLD: f64 = 0.02;
+use mixsig::msbist::transtest::idd::run_idd_campaign_with;
+use mixsig::msbist::transtest::impulse::run_impulse_campaign_with;
+use mixsig::msbist::transtest::RELATIVE_THRESHOLD;
 
 /// The faults in campaign order (circuits 2 and 3 share the
 /// integrator's fault universe).
@@ -148,20 +142,10 @@ const CIRCUIT3_IMPULSE: [Pin; 12] = [
     pin(31, 32, true),
 ];
 
-/// Asserts one figure against its pin.
-fn check(method: &str, fault: &str, pct: f64, detected: bool, want: Pin) {
-    let pinned = 100.0 * f64::from(want.k) / f64::from(want.n);
-    assert!(
-        (pct - pinned).abs() < 1e-9,
-        "{method} {fault}: {pct} %, pinned {pinned} % ({}/{})",
-        want.k,
-        want.n
-    );
-    assert_eq!(detected, want.detected, "{method} {fault}: verdict");
-}
-
-/// Checks a campaign report's figures fault by fault.
+/// Checks a campaign report's figures fault by fault: `k` of the `n`
+/// signature samples deviate, with the pinned verdict.
 fn check_campaign(method: &str, report: &CampaignReport, pins: &[Pin; 12]) {
+    assert_eq!(report.golden.len(), pins[0].n as usize, "{method}: samples");
     assert_eq!(report.outcomes.len(), FAULTS.len(), "{method}: fault count");
     for ((o, name), want) in report.outcomes.iter().zip(FAULTS).zip(pins) {
         assert_eq!(o.fault.name(), name, "{method}: campaign order");
@@ -170,48 +154,15 @@ fn check_campaign(method: &str, report: &CampaignReport, pins: &[Pin; 12]) {
             FaultStatus::Undetected { pct } => (pct, false),
             ref other => panic!("{method} {name}: {other:?}"),
         };
-        check(method, name, pct, detected, *want);
+        let pinned = 100.0 * f64::from(want.k) / f64::from(want.n);
+        assert!(
+            (pct - pinned).abs() < 1e-9,
+            "{method} {name}: {pct} %, pinned {pinned} % ({}/{})",
+            want.k,
+            want.n
+        );
+        assert_eq!(detected, want.detected, "{method} {name}: verdict");
     }
-}
-
-/// The impulse-response method on `c`: the golden and each faulty
-/// netlist identified as a first-order discrete system from its
-/// cycle-sampled PRBS response, the fitted impulse responses compared.
-fn impulse_figures(c: &ExampleCircuit) -> Vec<f64> {
-    let stimulus = c.bench.stimulus();
-    let one_period: Vec<f64> = stimulus
-        .bits()
-        .iter()
-        .map(|&b| if b { stimulus.high() } else { stimulus.low() } - 2.5)
-        .collect();
-    let p: Vec<f64> = std::iter::repeat_n(one_period, c.bench.periods())
-        .flatten()
-        .collect();
-    let settings = SolveSettings::default();
-    let impulse_of = |netlist: &Netlist| -> Option<Vec<f64>> {
-        let y = c
-            .bench
-            .response_at_with(netlist, c.impulse_probe, &settings)
-            .ok()?;
-        let spb = y.len() / p.len();
-        let cycle_y: Vec<f64> = y
-            .chunks(spb)
-            .map(|s| s.last().copied().unwrap_or(0.0) - 2.5)
-            .collect();
-        let fit = fit_first_order_discrete(&p, &cycle_y);
-        Some(fit.impulse_response(stimulus.bit_period(), 32))
-    };
-    let golden = impulse_of(c.bench.netlist()).expect("golden circuit simulates");
-    let peak = golden.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-    c.faults
-        .iter()
-        .map(
-            |fault| match impulse_of(&inject(c.bench.netlist(), fault)) {
-                Some(h) => impulse_detection_instances(&golden, &h, RELATIVE_THRESHOLD * peak),
-                None => 100.0,
-            },
-        )
-        .collect()
 }
 
 /// Runs the three methods on `c` and checks every figure against
@@ -219,38 +170,37 @@ fn impulse_figures(c: &ExampleCircuit) -> Vec<f64> {
 fn check_circuit(c: &ExampleCircuit, pins: &Figures) {
     let names: Vec<&str> = c.faults.iter().map(|f| f.name()).collect();
     assert_eq!(names, FAULTS);
+    let config = CampaignConfig::new(0.0);
 
-    let golden = c
-        .bench
-        .correlation_signature(c.bench.netlist())
-        .expect("golden circuit simulates");
-    let samples = pins.correlation[0].n as usize;
-    assert_eq!(golden.len(), samples, "correlation samples");
-    let peak = golden.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-    let report = c
-        .bench
-        .run_correlation_campaign_with(&c.faults, &CampaignConfig::new(RELATIVE_THRESHOLD * peak))
-        .expect("correlation campaign runs");
+    let report = run_campaign_sized(
+        c.bench.netlist(),
+        &c.faults,
+        &config,
+        |golden| RELATIVE_THRESHOLD * golden.iter().fold(0.0_f64, |m, v| m.max(v.abs())),
+        |nl, settings| c.bench.correlation_signature_with(nl, settings),
+    )
+    .expect("correlation campaign runs");
     check_campaign("correlation", &report, &pins.correlation);
-
-    let idd = idd_signature(&c.bench, c.bench.netlist(), &c.vdd_sources)
-        .expect("golden circuit simulates");
-    let samples = pins.idd[0].n as usize;
-    assert_eq!(idd.len(), samples, "supply-current samples");
 
     let report = run_idd_campaign_with(
         &c.bench,
         &c.vdd_sources,
         &c.faults,
         RELATIVE_THRESHOLD,
-        &CampaignConfig::new(0.0),
+        &config,
     )
     .expect("IDD campaign runs");
     check_campaign("idd", &report, &pins.idd);
 
-    for ((pct, name), want) in impulse_figures(c).into_iter().zip(FAULTS).zip(pins.impulse) {
-        check("impulse", name, pct, pct >= 50.0, want);
-    }
+    let report = run_impulse_campaign_with(
+        &c.bench,
+        c.impulse_probe,
+        &c.faults,
+        RELATIVE_THRESHOLD,
+        &config,
+    )
+    .expect("impulse campaign runs");
+    check_campaign("impulse", &report, &pins.impulse);
 }
 
 #[test]

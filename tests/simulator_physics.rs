@@ -122,8 +122,8 @@ fn sc_integrator_matches_discrete_model() {
 /// Impulse response measured from the simulator matches `linsys`.
 #[test]
 fn measured_and_modelled_impulse_responses_agree() {
-    // First-order RC again, via the small-signal pulse technique used by
-    // transtest's approach 2.
+    // First-order RC again, via a small-signal pulse: the scaled
+    // difference of a pulsed and an unpulsed transient.
     let r = 10e3;
     let c = 2e-9; // tau = 20 us
     let ss = ContinuousTransferFunction::from_coeffs(&[1.0], &[r * c, 1.0]).to_state_space();
