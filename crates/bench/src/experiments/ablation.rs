@@ -10,7 +10,9 @@
 //!    macros against the fault classes the quick tests catch.
 
 use std::fmt;
+use std::sync::Arc;
 
+use anasim::metrics::SolverMetrics;
 use anasim::mna::Integrator;
 use anasim::netlist::Netlist;
 use anasim::source::SourceWaveform;
@@ -95,7 +97,8 @@ pub struct SignatureAblation {
     /// Detection percentages per fault with the power-spectrum
     /// signature.
     pub spectral: Vec<(String, f64)>,
-    /// Solver telemetry aggregated over the three campaigns.
+    /// Solver telemetry aggregated over the three campaigns (and, from
+    /// [`run_with_hooks`], the integration-rule sweeps too).
     pub solver: super::e6::SolverSummary,
 }
 
@@ -319,7 +322,7 @@ impl fmt::Display for AblationReport {
         )?;
         writeln!(
             f,
-            "campaign cost: {} Newton iterations, rung histogram {:?}",
+            "solver cost: {} Newton iterations, rung histogram {:?}",
             self.signature.solver.newton_iterations(),
             self.signature.solver.rung_histogram
         )?;
@@ -361,11 +364,20 @@ pub fn run_with(workers: usize) -> AblationReport {
 
 /// [`run_with`] under campaign hooks: the signature campaigns journal,
 /// profile and trace through `hooks`, and the integration-rule sweeps
-/// run under profiler-armed solve settings.
+/// run under profiler-armed solve settings. The sweeps' solver counters
+/// are folded into the signature campaigns' [`SolverSummary`], so every
+/// profiled solve of the ablation is also counted.
+///
+/// [`SolverSummary`]: super::e6::SolverSummary
 pub fn run_with_hooks(workers: usize, hooks: &crate::hooks::CampaignHooks) -> AblationReport {
+    let metrics = Arc::new(SolverMetrics::new());
+    let integration =
+        integration_rule_with(50e-9, &hooks.solve_settings().metrics(Arc::clone(&metrics)));
+    let mut signature = signature_kind_hooked(workers, hooks);
+    signature.solver.solver += metrics.snapshot();
     AblationReport {
-        integration: integration_rule_with(50e-9, &hooks.solve_settings()),
-        signature: signature_kind_hooked(workers, hooks),
+        integration,
+        signature,
         overhead: bist_overhead(),
     }
 }

@@ -24,7 +24,7 @@
 //! through, so long runs are kill-safe and resumable. The same hooks
 //! carry `--telemetry DIR`, arming live heartbeat/status sidecars that
 //! the [`watch`] module (the `experiments watch` console) tails; the
-//! [`bench_diff`] module is the `bench-diff` perf-regression gate over
+//! [`bench_diff`] module is the `bench-diff` exact counts gate over
 //! `--bench-json` sidecars.
 
 pub mod bench_diff;

@@ -14,8 +14,7 @@
 //! experiments check-report PATH
 //! experiments explain PATH [--fault N]
 //! experiments watch DIR|JOURNAL [--once] [--json] [--interval MS]
-//! experiments bench-diff OLD NEW [--tolerance PCT] [--count-tolerance PCT]
-//!             [--reuse-tolerance PCT] [--counts-only]
+//! experiments bench-diff OLD NEW
 //! ```
 //!
 //! With `--metrics-json` the run also writes a machine-readable
@@ -68,9 +67,10 @@
 //! a journal it validates the record stream instead, given a
 //! `--trace-json` timeline it validates the Chrome-trace structure
 //! (mandatory fields, finite non-negative durations, balanced duration
-//! events), and given a `--bench-json` sidecar it validates any
-//! schema version, lints phase attribution against wall-clock and (v3)
-//! factorisation counts against Newton iterations. Degraded runs are
+//! events), and given a `--bench-json` sidecar it validates the `/4`
+//! schema and lints phase attribution against wall-clock, and
+//! factorisations and device evaluations against Newton iterations
+//! (every profiled solve must be counted). Degraded runs are
 //! reported in both forms: the report summary carries a
 //! `journal_degraded` count and the journal's terminal `degraded`
 //! record names how many fault outcomes went unjournaled and why.
@@ -92,10 +92,10 @@
 //! flags and phase hot spots. `--once` renders a single frame,
 //! `--json` emits the raw snapshot for machines; a dead campaign is
 //! reconstructed from its journal. `bench-diff` compares two
-//! `--bench-json` sidecars as a perf-regression gate (timing, solver
-//! counts and factorisation-reuse rate, each with its own tolerance)
-//! and exits nonzero on regression; `--counts-only` skips the timing
-//! comparisons for cross-machine diffs.
+//! `--bench-json` sidecars as an exact counts gate: every Newton,
+//! reuse, hazard, demotion, refinement and phase-call count of every
+//! experiment must be equal, and it exits nonzero on any difference
+//! (wall-clock is left to `perfbench`).
 
 use std::env;
 use std::fs;
@@ -600,8 +600,7 @@ fn usage_error(message: &str) -> ExitCode {
          \x20      experiments check-report PATH\n\
          \x20      experiments explain PATH [--fault N]\n\
          \x20      experiments watch DIR|JOURNAL [--once] [--json] [--interval MS]\n\
-         \x20      experiments bench-diff OLD NEW [--tolerance PCT] \
-         [--count-tolerance PCT] [--reuse-tolerance PCT] [--counts-only]"
+         \x20      experiments bench-diff OLD NEW"
     );
     ExitCode::FAILURE
 }
@@ -725,62 +724,28 @@ fn watch_command(args: &[String]) -> ExitCode {
     }
 }
 
-/// The `bench-diff` subcommand: compares two `--bench-json` sidecars
-/// and exits nonzero when NEW regresses past the tolerances.
+/// The `bench-diff` subcommand: compares every count of two
+/// `--bench-json` sidecars and exits nonzero on any difference.
 fn bench_diff_command(args: &[String]) -> ExitCode {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut tol = bench_diff::Tolerances::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let pct = |name: &str, it: &mut std::slice::Iter<String>| {
-            it.next()
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|p| p.is_finite() && *p >= 0.0)
-                .ok_or_else(|| format!("{name} needs a non-negative percentage"))
-        };
-        match arg.as_str() {
-            "--tolerance" => match pct("--tolerance", &mut it) {
-                Ok(p) => tol.timing_pct = p,
-                Err(e) => return usage_error(&e),
-            },
-            "--count-tolerance" => match pct("--count-tolerance", &mut it) {
-                Ok(p) => tol.count_pct = p,
-                Err(e) => return usage_error(&e),
-            },
-            "--reuse-tolerance" => match pct("--reuse-tolerance", &mut it) {
-                Ok(p) => tol.reuse_drop_pct = p,
-                Err(e) => return usage_error(&e),
-            },
-            "--counts-only" => tol.counts_only = true,
-            tag if !tag.starts_with('-') && paths.len() < 2 => paths.push(arg),
-            other => return usage_error(&format!("unknown argument '{other}'")),
-        }
-    }
-    if paths.len() != 2 {
-        return usage_error("bench-diff needs OLD and NEW sidecar paths");
-    }
+    let [old_path, new_path] = args else {
+        return usage_error("bench-diff takes exactly two sidecar paths, OLD and NEW");
+    };
     let read = |path: &String| {
         fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))
     };
-    let (old_text, new_text) = match (read(paths[0]), read(paths[1])) {
-        (Ok(old), Ok(new)) => (old, new),
-        (Err(err), _) | (_, Err(err)) => {
-            eprintln!("{err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match bench_diff::diff(&old_text, &new_text, &tol) {
+    let compared = read(old_path)
+        .and_then(|old| read(new_path).and_then(|new| bench_diff::diff(&old, &new)));
+    match compared {
         Ok(cmp) => {
             print!("{}", bench_diff::render(&cmp));
-            if cmp.regressed() {
-                eprintln!("bench-diff: {} regression(s) past tolerance", cmp.regressions.len());
-                ExitCode::FAILURE
-            } else {
+            if cmp.identical() {
                 ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
             }
         }
         Err(err) => {
-            eprintln!("{err}");
+            eprintln!("bench-diff: {err}");
             ExitCode::FAILURE
         }
     }

@@ -36,7 +36,12 @@
 //! consumes one Newton iteration (`continue 'newton`), so even a solve
 //! that demotes never factorises more often than it iterates. The
 //! physically-impossible-attribution lint checks that phase nanoseconds
-//! fit in `workers` threads of wall-clock.
+//! fit in `workers` threads of wall-clock. The conservation lint checks
+//! that every profiled solve is counted: each Newton iteration
+//! evaluates the devices once, so `device_eval.calls` must equal
+//! `newton_iterations`, and a mismatch names the experiment. (A linear
+//! netlist's iteration evaluates no device; an experiment that mixed
+//! such solves in would have to count them apart, not loosen the lint.)
 
 use obs::json::JsonValue;
 use obs::profile::{Phase, PhaseSnapshot};
@@ -139,10 +144,11 @@ pub fn render(entries: &[BenchEntry]) -> String {
 /// Validates a previously written solver-bench document: the `/4`
 /// schema tag, a non-empty experiment list, finite wall-clock values,
 /// well-formed `linear_only`, reuse, resilience and `phases` members,
-/// the impossible-attribution lint and the factorisation-economy lint
+/// the impossible-attribution lint, the factorisation-economy lint
 /// (`lu_factor.calls ≤ newton_iterations` whenever the experiment
 /// entered the Newton loop — demotion retries consume an iteration
-/// each, so the lint holds even for hazard-heavy runs).
+/// each, so the lint holds even for hazard-heavy runs) and the
+/// conservation lint (`device_eval.calls = newton_iterations`).
 ///
 /// # Errors
 ///
@@ -162,9 +168,9 @@ pub fn validate(text: &str) -> Result<usize, String> {
         return Err("experiments array is empty".to_owned());
     }
     for (i, e) in entries.iter().enumerate() {
-        if e.get("name").and_then(JsonValue::as_str).is_none() {
+        let Some(name) = e.get("name").and_then(JsonValue::as_str) else {
             return Err(format!("experiments[{i}].name missing"));
-        }
+        };
         let wall_ms = match e.get("wall_ms").and_then(JsonValue::as_f64) {
             Some(w) if w.is_finite() && w >= 0.0 => w,
             _ => return Err(format!("experiments[{i}].wall_ms missing or invalid")),
@@ -197,6 +203,7 @@ pub fn validate(text: &str) -> Result<usize, String> {
             .ok_or_else(|| format!("experiments[{i}].phases missing"))?;
         let mut total_ns = 0.0;
         let mut lu_factor_calls = 0.0;
+        let mut device_eval_calls = 0.0;
         for phase in Phase::ALL {
             let label = phase.label();
             let entry = phases.get(label).ok_or_else(|| {
@@ -210,8 +217,10 @@ pub fn validate(text: &str) -> Result<usize, String> {
                 Some(c) if c.is_finite() && c >= 0.0 => c,
                 _ => return Err(format!("experiments[{i}].phases.{label}.calls invalid")),
             };
-            if phase == Phase::Factor {
-                lu_factor_calls = calls;
+            match phase {
+                Phase::Factor => lu_factor_calls = calls,
+                Phase::DeviceEval => device_eval_calls = calls,
+                _ => {}
             }
             total_ns += ns;
         }
@@ -235,6 +244,14 @@ pub fn validate(text: &str) -> Result<usize, String> {
                  newton_iterations {newton} (factorisation reuse is not engaging)"
             ));
         }
+        // Conservation: each Newton iteration evaluates the devices once.
+        if device_eval_calls != newton {
+            return Err(format!(
+                "experiments[{i}] ({name}): device_eval.calls {device_eval_calls} differs from \
+                 newton_iterations {newton} (a solve is profiled but not counted, or counted \
+                 but not profiled)"
+            ));
+        }
     }
     Ok(entries.len())
 }
@@ -247,6 +264,7 @@ mod tests {
         let mut phases = PhaseSnapshot::default();
         phases.ns[Phase::Factor as usize] = 200_000_000; // 200 ms
         phases.calls[Phase::Factor as usize] = 12_000;
+        phases.calls[Phase::DeviceEval as usize] = 12_345;
         vec![
             BenchEntry {
                 name: "e2".to_owned(),
@@ -387,11 +405,28 @@ mod tests {
         // 12 000 factorisations against 11 999 Newton iterations: the
         // solver factorised outside its own iteration accounting.
         rows[1].newton_iterations = 11_999;
+        rows[1].phases.calls[Phase::DeviceEval as usize] = 11_999;
         let err = validate(&render(&rows)).unwrap_err();
         assert!(err.contains("reuse is not engaging"), "{err}");
         // Linear-only experiments (newton_iterations 0) are exempt.
         rows[1].newton_iterations = 0;
+        rows[1].phases.calls[Phase::DeviceEval as usize] = 0;
         assert_eq!(validate(&render(&rows)), Ok(2));
+    }
+
+    #[test]
+    fn profiled_but_uncounted_solves_are_flagged() {
+        // One device evaluation more than the counted Newton iterations:
+        // a solve ran under the profiler without solver metrics.
+        let mut rows = entries();
+        rows[1].phases.calls[Phase::DeviceEval as usize] += 1;
+        let err = validate(&render(&rows)).unwrap_err();
+        assert!(err.contains("experiments[1] (e6c1)"), "{err}");
+        assert!(err.contains("device_eval.calls 12346"), "{err}");
+        // ...and one fewer: counted iterations the profiler never saw.
+        rows[1].phases.calls[Phase::DeviceEval as usize] -= 2;
+        let err = validate(&render(&rows)).unwrap_err();
+        assert!(err.contains("newton_iterations 12345"), "{err}");
     }
 
     #[test]

@@ -6,7 +6,6 @@ use anasim::devices::Device;
 use anasim::mna::MnaLayout;
 use anasim::netlist::{DeviceId, Netlist, NodeId};
 use anasim::robust::SolveSettings;
-use anasim::source::SourceWaveform;
 use anasim::transient::TransientAnalysis;
 use anasim::waveform::Sampler;
 use anasim::AnalysisError;
@@ -375,21 +374,6 @@ impl TransientTestBench {
         })
     }
 
-    /// Runs a spectral-signature fault campaign on the resilient engine.
-    ///
-    /// # Errors
-    ///
-    /// Fails only if the golden circuit cannot be simulated.
-    pub fn run_spectral_campaign_with(
-        &self,
-        faults: &[Fault],
-        config: &CampaignConfig,
-    ) -> Result<CampaignReport, AnalysisError> {
-        run_campaign_with(&self.netlist, faults, config, |nl, settings| {
-            self.spectral_signature_with(nl, settings)
-        })
-    }
-
     /// Runs a fault campaign on raw sampled responses (no correlation) —
     /// the simplest possible signature, used as an ablation baseline.
     ///
@@ -417,17 +401,6 @@ impl TransientTestBench {
         run_campaign_with(&self.netlist, faults, config, |nl, settings| {
             self.response_with(nl, settings)
         })
-    }
-
-    /// Returns a copy of the golden netlist with the stimulus source
-    /// rewritten to `wave` (used by the impulse-response approach).
-    pub fn with_input_wave(&self, wave: SourceWaveform) -> Netlist {
-        let mut nl = self.netlist.clone();
-        match nl.device_mut(self.stimulus_source) {
-            Device::Vsource { wave: w, .. } => *w = wave,
-            _ => unreachable!("validated at construction"),
-        }
-        nl
     }
 }
 
@@ -503,6 +476,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anasim::source::SourceWaveform;
     use faultsim::model::Fault;
 
     fn assert_bits(what: &str, got: &[f64], want: &[f64]) {
