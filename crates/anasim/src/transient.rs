@@ -1,6 +1,6 @@
 //! Transient (time-domain) analysis.
 
-use crate::dc::{dc_operating_point_solver, dc_operating_point_with, DcOptions};
+use crate::dc::{dc_operating_point_solver, DcOptions};
 use crate::devices::Device;
 use crate::flight::SolvePhase;
 use crate::metrics::SolverMetrics;
@@ -630,6 +630,7 @@ impl TransientResult {
 ///
 /// ```
 /// use anasim::netlist::Netlist;
+/// use anasim::robust::Instruments;
 /// use anasim::source::SourceWaveform;
 /// use anasim::transient::TransientSession;
 ///
@@ -641,7 +642,7 @@ impl TransientResult {
 /// nl.resistor("R1", vin, out, 1e3);
 /// nl.capacitor("C1", out, Netlist::GROUND, 1e-6);
 ///
-/// let mut session = TransientSession::begin(&nl, 10e-6)?;
+/// let mut session = TransientSession::begin(&nl, 10e-6, Instruments::default())?;
 /// session.advance_to(5e-3)?;                    // charge ~5 tau
 /// assert!(session.voltage(out) > 4.9);
 /// session.set_source(src, SourceWaveform::dc(0.0))?;
@@ -664,6 +665,11 @@ impl TransientSession {
     /// Opens a session from the DC operating point at `t = 0`, stepping
     /// with nominal timestep `dt`.
     ///
+    /// `instruments` observe the whole session, its DC start included:
+    /// armed [`SolverMetrics`] count the DC solve's Newton iterations as
+    /// well as every step's. The DC start solves in its own fresh
+    /// [`SolverContext`], and the march gets another one.
+    ///
     /// # Errors
     ///
     /// Propagates DC non-convergence.
@@ -671,7 +677,11 @@ impl TransientSession {
     /// # Panics
     ///
     /// Panics if `dt` is not positive.
-    pub fn begin(netlist: &Netlist, dt: f64) -> Result<Self, AnalysisError> {
+    pub fn begin(
+        netlist: &Netlist,
+        dt: f64,
+        instruments: Instruments,
+    ) -> Result<Self, AnalysisError> {
         assert!(dt.is_finite() && dt > 0.0, "dt must be positive");
         let rules = StepRules {
             integrator: Integrator::Trapezoidal,
@@ -679,13 +689,16 @@ impl TransientSession {
             gmin: 1e-12,
             min_dt: dt / 1024.0,
         };
-        let op = dc_operating_point_with(
+        let op = dc_operating_point_solver(
             netlist,
             &DcOptions {
                 newton: rules.newton,
                 gmin: rules.gmin,
                 time: 0.0,
             },
+            &instruments,
+            None,
+            &mut SolverContext::default(),
         )?;
         let layout = MnaLayout::new(netlist);
         let start = StartCondition::OperatingPoint;
@@ -694,16 +707,9 @@ impl TransientSession {
         Ok(TransientSession {
             netlist: netlist.clone(),
             dt,
-            instruments: Instruments::default(),
+            instruments,
             march,
         })
-    }
-
-    /// Installs a [`SolverMetrics`] handle counting the session's Newton
-    /// iterations and step accept/reject totals.
-    pub fn with_metrics(mut self, metrics: Arc<SolverMetrics>) -> Self {
-        self.instruments.metrics = Some(metrics);
-        self
     }
 
     /// Present simulation time, seconds.
@@ -967,7 +973,7 @@ mod tests {
         assert!(waves.iter().all(|w| w.len() == res.len()));
         let ground = res.voltage(Netlist::GROUND);
         assert!(ground.values().iter().all(|&v| v == 0.0));
-        let mut session = TransientSession::begin(&nl, dt).unwrap();
+        let mut session = TransientSession::begin(&nl, dt, Instruments::default()).unwrap();
         for (k, &t) in res.times().iter().enumerate() {
             if k > 0 {
                 session.advance_to(t).unwrap();
@@ -1172,7 +1178,7 @@ mod tests {
         // Advancing a session in three chunks must land on the same
         // trajectory as a single run.
         let (nl, out) = rc_circuit(1e3, 1e-6);
-        let mut session = TransientSession::begin(&nl, 5e-6).unwrap();
+        let mut session = TransientSession::begin(&nl, 5e-6, Instruments::default()).unwrap();
         session.advance_to(1e-3).unwrap();
         let s1 = session.voltage(out);
         session.advance_to(2e-3).unwrap();
@@ -1209,9 +1215,11 @@ mod tests {
         nl.diode("D1", out, Netlist::GROUND, DiodeParams::default());
         let dt = 2e-6;
         let session = |metrics: &Arc<SolverMetrics>| {
-            TransientSession::begin(&nl, dt)
-                .unwrap()
-                .with_metrics(Arc::clone(metrics))
+            let instruments = Instruments {
+                metrics: Some(Arc::clone(metrics)),
+                ..Instruments::default()
+            };
+            TransientSession::begin(&nl, dt, instruments).unwrap()
         };
 
         let windowed_metrics = Arc::new(SolverMetrics::new());
@@ -1238,10 +1246,38 @@ mod tests {
     }
 
     #[test]
+    fn session_counts_its_dc_start() {
+        use crate::devices::DiodeParams;
+        use crate::metrics::SolverMetrics;
+        let mut nl = Netlist::new();
+        let vin = nl.node("in");
+        let out = nl.node("out");
+        nl.vsource("V1", vin, Netlist::GROUND, SourceWaveform::dc(1.0));
+        nl.resistor("R1", vin, out, 1e3);
+        nl.diode("D1", out, Netlist::GROUND, DiodeParams::default());
+        let metrics = Arc::new(SolverMetrics::new());
+        let instruments = Instruments {
+            metrics: Some(Arc::clone(&metrics)),
+            ..Instruments::default()
+        };
+        let session = TransientSession::begin(&nl, 1e-6, instruments).unwrap();
+        let dc = metrics.snapshot();
+        assert!(dc.newton_iterations > 0, "the DC start is counted");
+        assert_eq!(dc.steps_accepted, 0);
+
+        // The armed session's start is the unarmed one's, bit for bit.
+        let unarmed = TransientSession::begin(&nl, 1e-6, Instruments::default()).unwrap();
+        assert_eq!(
+            session.voltage(out).to_bits(),
+            unarmed.voltage(out).to_bits()
+        );
+    }
+
+    #[test]
     fn session_source_rewrite_steers_the_circuit() {
         let (nl, out) = rc_circuit(1e3, 1e-6);
         let v1 = nl.find_device("V1").unwrap();
-        let mut session = TransientSession::begin(&nl, 5e-6).unwrap();
+        let mut session = TransientSession::begin(&nl, 5e-6, Instruments::default()).unwrap();
         session.advance_to(5e-3).unwrap();
         assert!(session.voltage(out) > 0.99);
         session.set_source(v1, SourceWaveform::dc(-1.0)).unwrap();
@@ -1253,7 +1289,7 @@ mod tests {
     #[test]
     fn session_rejects_backwards_time() {
         let (nl, _) = rc_circuit(1e3, 1e-6);
-        let mut session = TransientSession::begin(&nl, 5e-6).unwrap();
+        let mut session = TransientSession::begin(&nl, 5e-6, Instruments::default()).unwrap();
         session.advance_to(1e-3).unwrap();
         assert!(session.advance_to(0.5e-3).is_err());
     }
@@ -1262,7 +1298,7 @@ mod tests {
     fn session_set_source_validates_device() {
         let (nl, out) = rc_circuit(1e3, 1e-6);
         let r1 = nl.find_device("R1").unwrap();
-        let mut session = TransientSession::begin(&nl, 5e-6).unwrap();
+        let mut session = TransientSession::begin(&nl, 5e-6, Instruments::default()).unwrap();
         let err = session.set_source(r1, SourceWaveform::dc(0.0)).unwrap_err();
         assert!(matches!(err, AnalysisError::UnknownElement(_)));
         assert!(err.to_string().contains("independent source"));

@@ -10,8 +10,18 @@
 //! the reference; the comparator's recrossing — read from the analogue
 //! side at every clock tick — ends the conversion with the code held in
 //! the controller's gate-level counter.
+//!
+//! Nothing before `start` depends on the input: the DC operating
+//! point, the controller's reset and the settling tick are the same for
+//! every conversion of one macro. A macro prepares that start-up once,
+//! on its first conversion, and runs every conversion on an exact copy
+//! of it.
 
+use std::sync::{Arc, OnceLock};
+
+use anasim::metrics::SolverMetrics;
 use anasim::netlist::{DeviceId, Netlist, NodeId};
+use anasim::robust::Instruments;
 use anasim::source::SourceWaveform;
 use anasim::transient::TransientSession;
 use anasim::AnalysisError;
@@ -33,6 +43,12 @@ pub struct CosimAdc {
     vref: f64,
     /// Analogue timestep per simulation step.
     sim_dt: f64,
+    /// Solver-effort observers shared by every conversion.
+    instruments: Instruments,
+    /// The input-independent start-up every conversion copies, built
+    /// on the first conversion; `with_resolution` and `with_metrics`
+    /// clear it.
+    prepared: OnceLock<Result<LiveMacro, AnalysisError>>,
 }
 
 /// Outcome of one co-simulated conversion.
@@ -55,6 +71,8 @@ impl CosimAdc {
             clock_hz: 100e3,
             vref: 2.5,
             sim_dt: 2e-6,
+            instruments: Instruments::default(),
+            prepared: OnceLock::new(),
         }
     }
 
@@ -69,6 +87,15 @@ impl CosimAdc {
         // Keep T1 constant so the integrator design is unchanged.
         self.clock_hz = full_count as f64 / (250.0 / 100e3);
         self.full_count = full_count;
+        self.prepared = OnceLock::new();
+        self
+    }
+
+    /// Attaches a shared solver-effort counter: the prepared start-up
+    /// (its DC solve included) and every conversion accumulate into it.
+    pub fn with_metrics(mut self, metrics: Arc<SolverMetrics>) -> Self {
+        self.instruments.metrics = Some(metrics);
+        self.prepared = OnceLock::new();
         self
     }
 
@@ -128,13 +155,16 @@ impl CosimAdc {
 
     /// Runs one full co-simulated conversion.
     ///
+    /// The first conversion prepares the macro's start-up, which no
+    /// input changes; every conversion then runs from a copy of it.
+    ///
     /// # Errors
     ///
     /// Propagates analogue non-convergence; returns
     /// [`AnalysisError::InvalidParameter`] if the controller never
     /// reaches `Done` within its overflow budget.
     pub fn convert(&self, vin: f64) -> Result<CosimConversion, AnalysisError> {
-        self.convert_inner(vin, None)
+        self.fork(vin, None).map(|(conversion, _)| conversion)
     }
 
     /// Runs a conversion with the controller's comparator input stuck
@@ -155,45 +185,176 @@ impl CosimAdc {
         vin: f64,
         value: bool,
     ) -> Result<CosimConversion, AnalysisError> {
-        self.convert_inner(vin, Some(value))
+        self.fork(vin, Some(value)).map(|(conversion, _)| conversion)
     }
 
-    fn convert_inner(
+    /// One conversion run on a copy of the prepared start-up, which is
+    /// built on first use; returns the macro's final state with the
+    /// outcome.
+    fn fork(
         &self,
         vin: f64,
         comparator_stuck: Option<bool>,
-    ) -> Result<CosimConversion, AnalysisError> {
-        let vag = self.vag();
-        let (nl, _integ_out, cmp_out, vdrive, vrst) = self.build_analog();
-        let mut analog = TransientSession::begin(&nl, self.sim_dt)?;
+    ) -> Result<(CosimConversion, LiveMacro), AnalysisError> {
+        let mut live = self
+            .prepared
+            .get_or_init(|| LiveMacro::prepare(self))
+            .clone()?;
+        let conversion = live.convert(self, vin, comparator_stuck)?;
+        Ok((conversion, live))
+    }
+}
+
+/// Both halves of one macro mid-simulation: the analogue session and
+/// the gate-level controller, with the handles the conversion loop
+/// steers and samples.
+///
+/// Cloning copies the march, its factor cache and every gate's state
+/// exactly, so a conversion run on a clone of the prepared start-up is
+/// bit for bit the conversion a freshly built macro would run.
+#[derive(Debug, Clone)]
+struct LiveMacro {
+    analog: TransientSession,
+    digital: Circuit,
+    ctl: StructuralDualSlope,
+    cmp_out: NodeId,
+    vdrive: DeviceId,
+    vrst: DeviceId,
+}
+
+impl LiveMacro {
+    /// Everything a conversion does before it first reads its input:
+    /// the analogue DC start, the controller's reset, one settling tick
+    /// with the integrator shorted and the drive at analogue ground,
+    /// and the start request.
+    fn prepare(adc: &CosimAdc) -> Result<Self, AnalysisError> {
+        let (nl, _integ_out, cmp_out, vdrive, vrst) = adc.build_analog();
+        let mut analog = TransientSession::begin(&nl, adc.sim_dt, adc.instruments.clone())?;
 
         let mut digital = Circuit::new();
-        let width = (64 - (2 * self.full_count).leading_zeros() as usize + 1).max(4);
-        let ctl = StructuralDualSlope::build(&mut digital, "ctl", self.full_count, width);
+        let width = (64 - (2 * adc.full_count).leading_zeros() as usize + 1).max(4);
+        let ctl = StructuralDualSlope::build(&mut digital, "ctl", adc.full_count, width);
         ctl.reset(&mut digital);
 
-        // Settle the reset phase: one clock period with the integrator
-        // shorted and the drive at analogue ground.
-        let tick = 1.0 / self.clock_hz;
-        analog.advance_to(tick)?;
+        analog.advance_to(1.0 / adc.clock_hz)?;
         ctl.request_start(&mut digital);
+        Ok(LiveMacro {
+            analog,
+            digital,
+            ctl,
+            cmp_out,
+            vdrive,
+            vrst,
+        })
+    }
 
-        let budget = 2 + self.full_count + 2 * self.full_count + 2;
+    /// Clocks the prepared macro through one conversion of `vin`.
+    fn convert(
+        &mut self,
+        adc: &CosimAdc,
+        vin: f64,
+        comparator_stuck: Option<bool>,
+    ) -> Result<CosimConversion, AnalysisError> {
+        let LiveMacro {
+            analog,
+            digital,
+            ctl,
+            cmp_out,
+            vdrive,
+            vrst,
+        } = self;
+        let vag = adc.vag();
+        let tick = 1.0 / adc.clock_hz;
+        let budget = 2 + adc.full_count + 2 * adc.full_count + 2;
         let mut ticks = 0u64;
         let mut last_phase = DualSlopePhase::Idle;
         while ticks < budget {
             // Steer the analogue switches for the *coming* interval
             // according to the controller's present phase.
+            let phase = ctl.phase(digital);
+            if phase != last_phase {
+                match phase {
+                    DualSlopePhase::Idle => {}
+                    DualSlopePhase::IntegrateInput => {
+                        analog.set_source(*vrst, SourceWaveform::dc(0.0))?;
+                        analog.set_source(*vdrive, SourceWaveform::dc(vag + vin))?;
+                    }
+                    DualSlopePhase::IntegrateReference => {
+                        analog.set_source(*vdrive, SourceWaveform::dc(vag - adc.vref))?;
+                    }
+                    DualSlopePhase::Done => break,
+                }
+                last_phase = phase;
+            }
+
+            // One analogue clock interval, then the digital edge with
+            // the comparator sampled at the tick.
+            let t_next = analog.time() + tick;
+            analog.advance_to(t_next)?;
+            let comparator = comparator_stuck.unwrap_or(analog.voltage(*cmp_out) > 2.5);
+            ticks += 1;
+            ctl.step(digital, comparator);
+        }
+
+        if ctl.phase(digital) != DualSlopePhase::Done {
+            return Err(AnalysisError::InvalidParameter(
+                "co-simulated conversion never completed".into(),
+            ));
+        }
+        let code = ctl.result(digital).expect("done state holds a result");
+        Ok(CosimConversion {
+            code,
+            ticks,
+            overflowed: code >= 2 * adc.full_count,
+        })
+    }
+}
+
+/// The conversion as it ran before the start-up was shared: a freshly
+/// built macro per input. Kept as the oracle every forked conversion
+/// must match bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// A fresh conversion, with the final integrator and comparator
+    /// output voltages.
+    pub(super) fn convert(
+        adc: &CosimAdc,
+        vin: f64,
+        comparator_stuck: Option<bool>,
+    ) -> (CosimConversion, f64, f64) {
+        let vag = adc.vag();
+        let (nl, integ_out, cmp_out, vdrive, vrst) = adc.build_analog();
+        let mut analog = TransientSession::begin(&nl, adc.sim_dt, Instruments::default()).unwrap();
+
+        let mut digital = Circuit::new();
+        let width = (64 - (2 * adc.full_count).leading_zeros() as usize + 1).max(4);
+        let ctl = StructuralDualSlope::build(&mut digital, "ctl", adc.full_count, width);
+        ctl.reset(&mut digital);
+
+        let tick = 1.0 / adc.clock_hz;
+        analog.advance_to(tick).unwrap();
+        ctl.request_start(&mut digital);
+
+        let budget = 2 + adc.full_count + 2 * adc.full_count + 2;
+        let mut ticks = 0u64;
+        let mut last_phase = DualSlopePhase::Idle;
+        while ticks < budget {
             let phase = ctl.phase(&digital);
             if phase != last_phase {
                 match phase {
                     DualSlopePhase::Idle => {}
                     DualSlopePhase::IntegrateInput => {
-                        analog.set_source(vrst, SourceWaveform::dc(0.0))?;
-                        analog.set_source(vdrive, SourceWaveform::dc(vag + vin))?;
+                        analog.set_source(vrst, SourceWaveform::dc(0.0)).unwrap();
+                        analog
+                            .set_source(vdrive, SourceWaveform::dc(vag + vin))
+                            .unwrap();
                     }
                     DualSlopePhase::IntegrateReference => {
-                        analog.set_source(vdrive, SourceWaveform::dc(vag - self.vref))?;
+                        analog
+                            .set_source(vdrive, SourceWaveform::dc(vag - adc.vref))
+                            .unwrap();
                     }
                     DualSlopePhase::Done => break,
                 }
@@ -202,29 +363,21 @@ impl CosimAdc {
             if phase == DualSlopePhase::Done {
                 break;
             }
-
-            // One analogue clock interval, then the digital edge with
-            // the comparator sampled at the tick.
             let t_next = analog.time() + tick;
-            analog.advance_to(t_next)?;
+            analog.advance_to(t_next).unwrap();
             let comparator = comparator_stuck.unwrap_or(analog.voltage(cmp_out) > 2.5);
             ticks += 1;
             ctl.step(&mut digital, comparator);
         }
 
-        if ctl.phase(&digital) != DualSlopePhase::Done {
-            return Err(AnalysisError::InvalidParameter(
-                "co-simulated conversion never completed".into(),
-            ));
-        }
-        let code = ctl
-            .result(&digital)
-            .expect("done state holds a result");
-        Ok(CosimConversion {
+        assert_eq!(ctl.phase(&digital), DualSlopePhase::Done);
+        let code = ctl.result(&digital).expect("done state holds a result");
+        let conversion = CosimConversion {
             code,
             ticks,
-            overflowed: code >= 2 * self.full_count,
-        })
+            overflowed: code >= 2 * adc.full_count,
+        };
+        (conversion, analog.voltage(integ_out), analog.voltage(cmp_out))
     }
 }
 
@@ -305,5 +458,99 @@ mod tests {
             let b = behavioural.convert(vin) as f64 / 10.0;
             assert!((c - b).abs() <= 1.5, "vin {vin}: cosim {c} vs model {b}");
         }
+    }
+
+    /// A forked conversion's outcome and final integrator and
+    /// comparator voltages, the voltages as bit patterns.
+    fn forked_state(adc: &CosimAdc, vin: f64, stuck: Option<bool>) -> (CosimConversion, u64, u64) {
+        let (_, integ_out, cmp_out, _, _) = adc.build_analog();
+        let (conversion, live) = adc.fork(vin, stuck).unwrap();
+        let v = |node| live.analog.voltage(node).to_bits();
+        (conversion, v(integ_out), v(cmp_out))
+    }
+
+    fn oracle_state(adc: &CosimAdc, vin: f64, stuck: Option<bool>) -> (CosimConversion, u64, u64) {
+        let (conversion, integ, cmp) = oracle::convert(adc, vin, stuck);
+        (conversion, integ.to_bits(), cmp.to_bits())
+    }
+
+    fn assert_forks_match_oracle(adc: &CosimAdc, inputs: &[(f64, Option<bool>)]) {
+        for &(vin, stuck) in inputs {
+            assert_eq!(
+                forked_state(adc, vin, stuck),
+                oracle_state(adc, vin, stuck),
+                "vin {vin}, comparator stuck {stuck:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn forked_paper_ramp_matches_fresh_conversions_bit_for_bit() {
+        let adc = CosimAdc::new(ProcessParams::nominal());
+        let ramp = crate::bist::RampGenerator::paper();
+        let inputs: Vec<_> = ramp
+            .sample_times()
+            .into_iter()
+            .map(|t| (ramp.value_at(t), None))
+            .collect();
+        assert_forks_match_oracle(&adc, &inputs);
+    }
+
+    #[test]
+    fn forked_stuck_comparators_and_a_skewed_die_match_fresh_conversions() {
+        assert_forks_match_oracle(
+            &fast(),
+            &[(1.25, Some(false)), (1.25, Some(true)), (0.7, None)],
+        );
+        let mut skewed = ProcessParams::nominal();
+        skewed.resistor_scale = 1.15;
+        skewed.capacitor_scale = 0.90;
+        let adc = CosimAdc::new(skewed).with_resolution(25);
+        assert_forks_match_oracle(&adc, &[(0.75, None), (1.75, None)]);
+    }
+
+    #[test]
+    fn a_clone_and_a_rebuilt_macro_fork_the_right_start_up() {
+        // A clone taken after the first conversion carries the prepared
+        // start-up along.
+        let adc = fast();
+        adc.convert(0.5).unwrap();
+        let clone = adc.clone();
+        assert_forks_match_oracle(&clone, &[(1.5, None), (1.5, Some(true))]);
+
+        // A new resolution builds a new start-up: the controller's count
+        // and the clock tick both change.
+        let coarse = CosimAdc::new(ProcessParams::nominal()).with_resolution(20);
+        coarse.convert(1.0).unwrap();
+        let rebuilt = coarse.with_resolution(25);
+        assert_forks_match_oracle(&rebuilt, &[(1.0, None), (2.2, None)]);
+    }
+
+    #[test]
+    fn the_start_up_is_counted_once_per_macro() {
+        use anasim::metrics::SolverSnapshot;
+        fn counts(s: SolverSnapshot) -> [u64; 4] {
+            [
+                s.newton_iterations,
+                s.steps_accepted,
+                s.factor_reuse_hits,
+                s.factor_reuse_misses,
+            ]
+        }
+        let run = |inputs: &[f64]| {
+            let metrics = Arc::new(SolverMetrics::new());
+            let adc = fast().with_metrics(Arc::clone(&metrics));
+            for &vin in inputs {
+                adc.convert(vin).unwrap();
+            }
+            counts(metrics.snapshot())
+        };
+        let (x, y, z) = (0.5, 1.25, 2.0);
+        let (sx, sy, sz) = (run(&[x]), run(&[y]), run(&[z]));
+        let txy = run(&[x, y]);
+        let prefix: Vec<u64> = (0..4).map(|k| sx[k] + sy[k] - txy[k]).collect();
+        assert!(prefix[0] > 0, "start-up Newton iterations {prefix:?}");
+        let three: Vec<u64> = (0..4).map(|k| sx[k] + sy[k] + sz[k] - 2 * prefix[k]).collect();
+        assert_eq!(run(&[x, y, z]).to_vec(), three);
     }
 }

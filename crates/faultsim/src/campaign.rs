@@ -1232,11 +1232,20 @@ where
         )
     });
 
+    // Only faults without a replayed outcome are simulated; a resume
+    // that replays them all needs no golden operating point.
+    let pending: Vec<usize> = (0..faults.len())
+        .filter(|&i| results[i].is_none())
+        .collect();
     let cx = FaultContext {
         golden,
         golden_sig: &golden_sig,
         config,
-        warm_start: golden_warm_start(golden),
+        warm_start: if pending.is_empty() {
+            None
+        } else {
+            golden_warm_start(golden)
+        },
         started,
         extract: &extract,
     };
@@ -1269,13 +1278,10 @@ where
                 .is_some_and(|js| js.abort.load(Ordering::Acquire))
     };
 
-    // Only faults without a replayed outcome are simulated. The claim
-    // loop runs inside one scope so the telemetry monitor (when armed)
-    // can tick on its own scoped thread beside it; it is told to stop
-    // (and joins at scope exit) before results are inspected.
-    let pending: Vec<usize> = (0..faults.len())
-        .filter(|&i| results[i].is_none())
-        .collect();
+    // The claim loop runs inside one scope so the telemetry monitor
+    // (when armed) can tick on its own scoped thread beside it; it is
+    // told to stop (and joins at scope exit) before results are
+    // inspected.
     let lanes = config.workers.max(1).min(pending.len().max(1));
     let claimed = std::thread::scope(|scope| {
         if let Some(em) = &emitter {

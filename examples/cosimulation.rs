@@ -10,8 +10,16 @@
 //! output is sampled back into the FSM — exactly the loop the fabricated
 //! macro closes on silicon.
 //!
+//! Each macro prepares its input-independent start-up (the DC operating
+//! point, the controller reset and the settling tick) once and runs
+//! every conversion on a copy of it; the solver counters show what the
+//! co-simulation's analogue half cost.
+//!
 //! Run with: `cargo run --release --example cosimulation`
 
+use std::sync::Arc;
+
+use anasim::metrics::SolverMetrics;
 use macrolib::process::{ProcessParams, VariationModel};
 use msbist::adc::{AdcConverter, CosimAdc, DualSlopeAdc};
 
@@ -19,7 +27,10 @@ fn main() {
     // A 50-count version of the macro (same integrator design, faster
     // clock) keeps each conversion to ~150 analogue-digital ticks.
     let counts = 50u64;
-    let cosim = CosimAdc::new(ProcessParams::nominal()).with_resolution(counts);
+    let metrics = Arc::new(SolverMetrics::new());
+    let cosim = CosimAdc::new(ProcessParams::nominal())
+        .with_resolution(counts)
+        .with_metrics(Arc::clone(&metrics));
     let behavioural = DualSlopeAdc::ideal();
     let scale = behavioural.full_count() as f64 / counts as f64;
 
@@ -34,6 +45,11 @@ fn main() {
             conv.code, conv.ticks
         );
     }
+    let solver = metrics.snapshot();
+    println!(
+        "  analogue cost: {} Newton iterations over {} accepted steps",
+        solver.newton_iterations, solver.steps_accepted
+    );
 
     // The same loop on a process-skewed die: the integrator RC shifts,
     // but dual-slope conversion is ratiometric — the code barely moves.
