@@ -101,14 +101,12 @@ impl MnaMatrix for PositionProbe {
 /// (`-0.0` → `+0.0`).
 ///
 /// A replayed refactorisation ([`SparseLu::refactor_scheduled`]) and a
-/// full one agree bit for bit on every nonzero but may differ in the
-/// *sign* of exact zeros: the replay's structural fill carries `0·u`
-/// updates the full kernel prunes. Normalising here, after every solve
-/// the Newton loop takes (the stale step's fused kernel,
-/// [`SparseLu::stale_step_into`], normalises its step the same way),
-/// makes the full solution vector — and therefore every downstream
-/// waveform and canonical report — bytewise independent of which path
-/// produced the factors.
+/// full one store the same factor entry for entry, zero signs
+/// included, since both drop every exact-zero entry. The normalisation
+/// stays because it is what every solve the Newton loop takes has
+/// always output (the stale step's fused kernel,
+/// [`SparseLu::stale_step_into`], normalises its step the same way):
+/// downstream waveforms and canonical reports keep their bytes.
 pub(crate) fn solve_into(lu: &SparseLu, b: &[f64], x: &mut [f64]) {
     lu.solve_into(b, x);
     for v in x.iter_mut() {

@@ -768,6 +768,13 @@ impl TransientSession {
                 march.t
             )));
         }
+        // As in `march`: whatever this window spends outside a nested
+        // phase is timestep control.
+        let _step_control = self
+            .instruments
+            .profile
+            .as_ref()
+            .map(|p| p.enter(obs::profile::Phase::StepControl));
         // Tolerance relative to the step size: session windows can be
         // arbitrarily short, so the horizon is a poor scale here.
         let bp_tol = BREAKPOINT_RELTOL * t_stop.abs().max(self.dt);
@@ -1292,6 +1299,24 @@ mod tests {
         let mut session = TransientSession::begin(&nl, 5e-6, Instruments::default()).unwrap();
         session.advance_to(1e-3).unwrap();
         assert!(session.advance_to(0.5e-3).is_err());
+    }
+
+    #[test]
+    fn session_windows_are_step_control_spans() {
+        use obs::profile::{Phase, PhaseProfiler};
+        let (nl, _) = rc_circuit(1e3, 1e-6);
+        let profile = Arc::new(PhaseProfiler::new());
+        let instruments = Instruments {
+            profile: Some(Arc::clone(&profile)),
+            ..Instruments::default()
+        };
+        let mut session = TransientSession::begin(&nl, 5e-6, instruments).unwrap();
+        let start = profile.snapshot().calls(Phase::StepControl);
+        for k in 1..=3 {
+            session.advance_to(k as f64 * 1e-4).unwrap();
+            assert_eq!(profile.snapshot().calls(Phase::StepControl), start + k);
+        }
+        assert!(profile.snapshot().ns(Phase::StepControl) > 0);
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //!   pattern discovery or the row-major transpose; the full kernel
 //!   runs only when the replay declines.
 //!
+//! Either way the factor stores only the L and strict-U entries that
+//! are `!= 0.0` (a NaN is kept), so the substitutions never walk a
+//! term that cannot change a nonzero result, and a replayed factor is
+//! the full kernel's entry for entry.
+//!
 //! # Bit-compatibility with the dense factorisation
 //!
 //! The solver promises canonical reports that are byte-identical
@@ -54,11 +59,13 @@
 //!   row-major form post-factorisation so its substitutions visit
 //!   entries in exactly that order.
 //!
-//! Entries the dense code touches that the sparse pattern omits are
-//! exact (signed) zeros on both sides; skipping them can flip the sign
-//! of a zero but never changes a nonzero value.
+//! Entries the dense code touches that the sparse pattern omits, and
+//! the exact zeros the factor drops, are exact (signed) zeros on both
+//! sides; skipping them can flip the sign of a zero but never changes a
+//! nonzero value. The one exception is a non-finite right-hand side,
+//! where the dense code's explicit `0 × ∞` is NaN and the sparse solve
+//! has no such term.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::SingularMatrixError;
@@ -412,6 +419,7 @@ impl SparseWorkspace {
 ///
 /// L and U are stored row-major (by pivotal row) so the substitutions
 /// visit entries in the dense order; L's unit diagonal is implicit.
+/// Only the off-diagonal entries that are `!= 0.0` are stored.
 #[derive(Debug, Clone, Default)]
 pub struct SparseLu {
     n: usize,
@@ -427,10 +435,6 @@ pub struct SparseLu {
     diag: Vec<f64>,
     /// Element growth factor of the last (re)factorisation.
     growth: f64,
-    /// Identity of the [`RefactorSchedule`] whose structural pattern
-    /// the row-major arrays currently hold; `0` after the full kernel,
-    /// which writes its own (pruned) pattern.
-    layout: u64,
 }
 
 /// A column-major transpose of one of a [`SparseLu`]'s row-major
@@ -498,8 +502,8 @@ impl SparseLu {
     /// `schedule` when it was built over `a`'s structure, and otherwise
     /// — or when the replay declines — runs the full kernel
     /// ([`SparseLu::refactor`]) and rebuilds `schedule` from its pivot
-    /// order. Either way the factor is the full kernel's, bit for bit
-    /// on every nonzero.
+    /// order. Either way the factor is the full kernel's, entry for
+    /// entry.
     ///
     /// # Errors
     ///
@@ -540,7 +544,6 @@ impl SparseLu {
         let n = s.n;
         ws.resize(n);
         self.n = n;
-        self.layout = 0;
         self.perm.clear();
         self.perm.extend(0..n);
         ws.lcol_ptr.clear();
@@ -691,25 +694,31 @@ impl SparseLu {
     }
 
     /// Transposes the by-column intermediates into the row-major forms
-    /// the substitutions consume. Iterating source columns in ascending
-    /// order lands each row's entries already sorted by column.
+    /// the substitutions consume, keeping only the off-diagonal entries
+    /// that are `!= 0.0`. Iterating source columns in ascending order
+    /// lands each row's entries already sorted by column.
     fn build_row_forms(&mut self, ws: &mut SparseWorkspace) {
         let n = self.n;
 
         ws.row_count[..n].fill(0);
-        for &r in &ws.lcol_row {
-            ws.row_count[ws.pos[r as usize]] += 1;
+        for (&r, &v) in ws.lcol_row.iter().zip(&ws.lcol_val) {
+            if v != 0.0 {
+                ws.row_count[ws.pos[r as usize]] += 1;
+            }
         }
         self.lrow_ptr.clear();
         self.lrow_ptr.push(0);
         for r in 0..n {
             self.lrow_ptr.push(self.lrow_ptr[r] + ws.row_count[r]);
         }
-        self.lrow_col.resize(ws.lcol_row.len(), 0);
-        self.lrow_val.resize(ws.lcol_val.len(), 0.0);
+        self.lrow_col.resize(self.lrow_ptr[n], 0);
+        self.lrow_val.resize(self.lrow_ptr[n], 0.0);
         ws.row_count[..n].copy_from_slice(&self.lrow_ptr[..n]);
         for k in 0..n {
             for e in ws.lcol_ptr[k]..ws.lcol_ptr[k + 1] {
+                if ws.lcol_val[e] == 0.0 {
+                    continue;
+                }
                 let row = ws.pos[ws.lcol_row[e] as usize];
                 let dst = ws.row_count[row];
                 ws.row_count[row] += 1;
@@ -723,7 +732,7 @@ impl SparseLu {
         for c in 0..n {
             for e in ws.ucol_ptr[c]..ws.ucol_ptr[c + 1] {
                 let k = ws.ucol_k[e] as usize;
-                if k < c {
+                if k < c && ws.ucol_val[e] != 0.0 {
                     ws.row_count[k] += 1;
                 }
             }
@@ -742,7 +751,7 @@ impl SparseLu {
                 let k = ws.ucol_k[e] as usize;
                 if k == c {
                     self.diag[c] = ws.ucol_val[e];
-                } else {
+                } else if ws.ucol_val[e] != 0.0 {
                     let dst = ws.row_count[k];
                     ws.row_count[k] += 1;
                     self.urow_col[dst] = c as u32;
@@ -790,11 +799,11 @@ impl SparseLu {
     /// # Safety
     ///
     /// [`SparseLu::check_factor`] passed, `r < n` and `y.len() >= n`.
-    /// Every builder of the row forms (`build_row_forms`, and
-    /// `RefactorSchedule::rebuild`, whose forms a replay copies) ends
-    /// with `assert_triangle`, so the pointers are non-decreasing and
-    /// every column index is below `r`; the asserted lengths then put
-    /// `e < lp[n]` and `c < n` in bounds.
+    /// `build_row_forms` ends with `assert_triangle`, and a replay's
+    /// `keep_nonzeros` keeps a subsequence of each row of a triangle
+    /// that `RefactorSchedule::rebuild` asserted, so the pointers are
+    /// non-decreasing and every column index is below `r`; the asserted
+    /// lengths then put `e < lp[n]` and `c < n` in bounds.
     #[inline(always)]
     unsafe fn forward_row(&self, r: usize, mut sum: f64, y: &[f64]) -> f64 {
         let (lp, lc, lv) = (&self.lrow_ptr, &self.lrow_col, &self.lrow_val);
@@ -996,27 +1005,22 @@ impl SparseLu {
     }
 }
 
-/// Source of [`RefactorSchedule`] identities; `0` is reserved for the
-/// full kernel's own row-major layout.
-static NEXT_SCHEDULE: AtomicU64 = AtomicU64::new(1);
-
 /// A replayable numeric refactorisation: the pivot order of one
 /// successful full factorisation over a [`SparseStructure`], the
 /// *structural* fill that order produces (no pruning of numerically
-/// zero multipliers), and where every L and U entry lands in
-/// [`SparseLu`]'s row-major arrays.
+/// zero multipliers), and where every L and U entry lands in the
+/// schedule's own structural row-major buffers.
 ///
 /// [`RefactorSchedule::replay`] reruns the full kernel's arithmetic for
 /// that pivot order without its pivot search, pattern discovery or
 /// transpose, and declines whenever the full kernel could choose
-/// differently. An accepted replay therefore yields the full kernel's
-/// factor bit for bit on every nonzero; the schedule's extra structural
-/// positions hold exact zeros, which can change only the sign of an
-/// exact-zero intermediate (normalised by the callers' solves, ignored
-/// by the condition estimate's `>= 0.0` sign rule).
+/// differently. An accepted replay agrees with the full kernel bit for
+/// bit on every nonzero; the extra structural positions hold exact
+/// zeros, and the factor, like the full kernel's, stores none of them.
+/// So a replayed factor is the full kernel's entry for entry, zero
+/// signs included.
 #[derive(Debug, Clone)]
 pub struct RefactorSchedule {
-    id: u64,
     structure: Arc<SparseStructure>,
     /// `perm[k]` = original row pivotal at step `k`.
     perm: Vec<usize>,
@@ -1027,21 +1031,24 @@ pub struct RefactorSchedule {
     a_pos: Vec<u32>,
     /// Column `c`'s U pivot steps `k < c`, ascending, in
     /// `u_ptr[c]..u_ptr[c + 1]`, with each entry's index in the
-    /// factor's row-major U values.
+    /// structural row-major U values.
     u_ptr: Vec<usize>,
     u_k: Vec<u32>,
     u_dst: Vec<u32>,
     /// Column `c`'s L rows (pivotal positions `> c`, ascending) in
     /// `l_ptr[c]..l_ptr[c + 1]`, with each entry's index in the
-    /// factor's row-major L values.
+    /// structural row-major L values.
     l_ptr: Vec<usize>,
     l_pos: Vec<u32>,
     l_dst: Vec<u32>,
-    /// The structural row-major pattern a replayed factor carries.
+    /// The structural row-major L and strict-U a replay fills, before
+    /// it copies their nonzeros into the factor.
     lrow_ptr: Vec<usize>,
     lrow_col: Vec<u32>,
+    lrow_val: Vec<f64>,
     urow_ptr: Vec<usize>,
     urow_col: Vec<u32>,
+    urow_val: Vec<f64>,
     /// Replay scratch: the active column by pivotal position (all zero
     /// between columns and between calls) and L's values by column.
     x: Vec<f64>,
@@ -1059,7 +1066,6 @@ impl RefactorSchedule {
     /// (impossible for a factor of a matrix over `structure`).
     pub fn new(structure: &Arc<SparseStructure>, lu: &SparseLu) -> Self {
         let mut schedule = RefactorSchedule {
-            id: 0,
             structure: Arc::clone(structure),
             perm: Vec::new(),
             a_ptr: Vec::new(),
@@ -1073,8 +1079,10 @@ impl RefactorSchedule {
             l_dst: Vec::new(),
             lrow_ptr: Vec::new(),
             lrow_col: Vec::new(),
+            lrow_val: Vec::new(),
             urow_ptr: Vec::new(),
             urow_col: Vec::new(),
+            urow_val: Vec::new(),
             x: Vec::new(),
             lval: Vec::new(),
         };
@@ -1088,7 +1096,6 @@ impl RefactorSchedule {
         let s = &**structure;
         let n = s.n;
         assert_eq!(lu.n, n, "factor dimension differs from the structure's");
-        self.id = NEXT_SCHEDULE.fetch_add(1, Ordering::Relaxed);
         self.structure = Arc::clone(structure);
         self.perm.clone_from(&lu.perm);
         let mut pos = vec![0u32; n];
@@ -1164,6 +1171,10 @@ impl RefactorSchedule {
 
         assert_triangle(n, &self.lrow_ptr, &self.lrow_col, true);
         assert_triangle(n, &self.urow_ptr, &self.urow_col, false);
+        self.lrow_val.clear();
+        self.lrow_val.resize(self.lrow_col.len(), 0.0);
+        self.urow_val.clear();
+        self.urow_val.resize(self.urow_col.len(), 0.0);
         self.x.clear();
         self.x.resize(n, 0.0);
         self.lval.clear();
@@ -1181,6 +1192,8 @@ impl RefactorSchedule {
     /// strict-greater scan picks it whatever the physical row order —
     /// and returns `false` (leaving `lu`'s values unspecified) on a
     /// lost or tied pivot, a non-finite value or a threshold failure.
+    /// An accepted replay ends by copying the structural L and U's
+    /// nonzeros into `lu`.
     ///
     /// # Panics
     ///
@@ -1191,18 +1204,7 @@ impl RefactorSchedule {
             "schedule replayed over a foreign structure"
         );
         let n = self.perm.len();
-        if lu.layout != self.id {
-            lu.n = n;
-            lu.perm.clone_from(&self.perm);
-            lu.lrow_ptr.clone_from(&self.lrow_ptr);
-            lu.lrow_col.clone_from(&self.lrow_col);
-            lu.urow_ptr.clone_from(&self.urow_ptr);
-            lu.urow_col.clone_from(&self.urow_col);
-            lu.lrow_val.resize(self.lrow_col.len(), 0.0);
-            lu.urow_val.resize(self.urow_col.len(), 0.0);
-            lu.diag.resize(n, 0.0);
-            lu.layout = self.id;
-        }
+        lu.diag.resize(n, 0.0);
         let values = a.values();
         let mut max_orig = 0.0_f64;
         for v in values {
@@ -1214,6 +1216,7 @@ impl RefactorSchedule {
         let mut max_grown = max_orig;
         let x = &mut self.x[..];
         let lval = &mut self.lval[..];
+        let (lrow_val, urow_val) = (&mut self.lrow_val[..], &mut self.urow_val[..]);
         let (l_pos, l_dst, u_k, u_dst) = (
             &self.l_pos[..],
             &self.l_dst[..],
@@ -1262,7 +1265,7 @@ impl RefactorSchedule {
             lu.diag[col] = pivot;
             x[col] = 0.0;
             for (&k, &d) in u_k[ulo..uhi].iter().zip(&u_dst[ulo..uhi]) {
-                lu.urow_val[d as usize] = x[k as usize];
+                urow_val[d as usize] = x[k as usize];
                 x[k as usize] = 0.0;
             }
             for ((&i, &d), lv) in l_pos[llo..lhi]
@@ -1271,7 +1274,7 @@ impl RefactorSchedule {
                 .zip(&mut lval[llo..lhi])
             {
                 *lv = x[i as usize] / pivot;
-                lu.lrow_val[d as usize] = *lv;
+                lrow_val[d as usize] = *lv;
                 x[i as usize] = 0.0;
             }
         }
@@ -1280,7 +1283,43 @@ impl RefactorSchedule {
         } else {
             1.0
         };
+        lu.n = n;
+        lu.perm.clone_from(&self.perm);
+        keep_nonzeros(
+            n,
+            (&self.lrow_ptr, &self.lrow_col, &self.lrow_val),
+            (&mut lu.lrow_ptr, &mut lu.lrow_col, &mut lu.lrow_val),
+        );
+        keep_nonzeros(
+            n,
+            (&self.urow_ptr, &self.urow_col, &self.urow_val),
+            (&mut lu.urow_ptr, &mut lu.urow_col, &mut lu.urow_val),
+        );
         true
+    }
+}
+
+/// Copies the entries of the row-major triangle `src` that are
+/// `!= 0.0` (a NaN is kept) into `dst`, rows and columns in order.
+/// Each row of `dst` is a subsequence of the same row of `src`, so a
+/// triangle `assert_triangle` accepted stays one.
+fn keep_nonzeros(
+    n: usize,
+    (ptr, col, val): (&[usize], &[u32], &[f64]),
+    (dst_ptr, dst_col, dst_val): (&mut Vec<usize>, &mut Vec<u32>, &mut Vec<f64>),
+) {
+    dst_ptr.clear();
+    dst_ptr.push(0);
+    dst_col.clear();
+    dst_val.clear();
+    for r in 0..n {
+        for e in ptr[r]..ptr[r + 1] {
+            if val[e] != 0.0 {
+                dst_col.push(col[e]);
+                dst_val.push(val[e]);
+            }
+        }
+        dst_ptr.push(dst_col.len());
     }
 }
 
@@ -1504,10 +1543,94 @@ mod tests {
         lu.solve(b).iter().map(|v| (v + 0.0).to_bits()).collect()
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Asserts `got` equals `want` entry for entry: permutation, L and
+    /// U row pointers and columns, value bits, pivots and growth.
+    fn assert_same_factor(got: &SparseLu, want: &SparseLu) {
+        assert_eq!(got.n, want.n, "dimension");
+        assert_eq!(got.perm, want.perm, "permutation");
+        assert_eq!(got.lrow_ptr, want.lrow_ptr, "L row pointers");
+        assert_eq!(got.lrow_col, want.lrow_col, "L columns");
+        assert_eq!(bits(&got.lrow_val), bits(&want.lrow_val), "L values");
+        assert_eq!(got.urow_ptr, want.urow_ptr, "U row pointers");
+        assert_eq!(got.urow_col, want.urow_col, "U columns");
+        assert_eq!(bits(&got.urow_val), bits(&want.urow_val), "U values");
+        assert_eq!(bits(&got.diag), bits(&want.diag), "pivots");
+        assert_eq!(got.growth.to_bits(), want.growth.to_bits(), "growth");
+    }
+
+    /// Asserts `lu` stores no L or strict-U entry equal to zero.
+    fn assert_stores_no_zero(lu: &SparseLu) {
+        assert!(
+            lu.lrow_val.iter().chain(&lu.urow_val).all(|&v| v != 0.0),
+            "a stored entry is zero: L {:?} U {:?}",
+            lu.lrow_val,
+            lu.urow_val
+        );
+    }
+
+    #[test]
+    fn a_replayed_factor_is_the_full_kernels_entry_for_entry() {
+        // MNA-like matrices with some couplings stamped as exact zeros;
+        // the second matrix of each pair turns those nonzero and zeroes
+        // others, so multipliers and fill appear and vanish under one
+        // schedule.
+        let mut dropped = 0;
+        let mut replayed = 0;
+        for n in [3usize, 6, 11, 17] {
+            for seed in 0..12u64 {
+                let entries = mna_like(n, 31 * seed + 7);
+                let zeroed = |flip: bool, i: usize| (i % 5 == 2) != (flip && i % 7 == 4);
+                let matrix = |flip: bool| {
+                    let mut values = entries.clone();
+                    for (i, e) in values.iter_mut().enumerate() {
+                        if e.0 != e.1 && zeroed(flip, i) {
+                            e.2 = 0.0;
+                        } else if flip {
+                            e.2 *= 1.0 + 1e-3 * ((i as f64) * 0.37).sin();
+                        }
+                    }
+                    dense_of(n, &values).1
+                };
+                let first = matrix(false);
+                let mut lu = SparseLu::factor(&first).unwrap();
+                assert_stores_no_zero(&lu);
+                let mut schedule = RefactorSchedule::new(first.structure(), &lu);
+                // A schedule replays only over its own structure.
+                let mut second = SparseMatrix::zeros(Arc::clone(first.structure()));
+                second.load_values(matrix(true).values());
+                for a in [&second, &first] {
+                    if !schedule.replay(a, &mut lu) {
+                        continue;
+                    }
+                    replayed += 1;
+                    let want = SparseLu::factor(a).unwrap();
+                    assert_same_factor(&lu, &want);
+                    assert_stores_no_zero(&lu);
+                    let b: Vec<f64> = (0..n).map(|i| i as f64 - 0.4 * n as f64).collect();
+                    assert_eq!(
+                        bits(&lu.solve(&b)),
+                        bits(&want.solve(&b)),
+                        "n={n} seed={seed}"
+                    );
+                    let structural = schedule.lrow_col.len() + schedule.urow_col.len();
+                    if lu.lrow_col.len() + lu.urow_col.len() < structural {
+                        dropped += 1;
+                    }
+                }
+            }
+        }
+        assert!(replayed > 40, "only {replayed} replays accepted");
+        assert!(dropped > 0, "no replay dropped a structural zero");
+    }
+
     #[test]
     fn replay_follows_a_multiplier_that_turns_nonzero() {
         // L(1,0) is an explicit zero in the first matrix, so the full
-        // kernel skips it and its pruned pattern has no U(1,2) fill. In
+        // kernel skips it and stores neither it nor any U(1,2) fill. In
         // the second matrix the multiplier is nonzero and the fill is
         // real: a schedule built from the first factor's own pattern
         // would have nowhere to put it; the structural one does.
@@ -1522,21 +1645,26 @@ mod tests {
         };
         let (first, second) = (matrix(0.0), matrix(0.5));
         let mut lu = SparseLu::factor(&first).unwrap();
-        let pruned = lu.lrow_col.len() + lu.urow_col.len();
+        // The factor stores only its nonzeros: L(2,0) and U(0,2).
+        assert_eq!((lu.lrow_col.len(), lu.urow_col.len()), (1, 1));
         let want = SparseLu::factor(&second).unwrap();
-        assert_eq!(want.lrow_col.len() + want.urow_col.len(), pruned + 1);
+        // The nonzero multiplier adds L(1,0) and its fill U(1,2).
+        assert_eq!((want.lrow_col.len(), want.urow_col.len()), (2, 2));
 
         let mut schedule = RefactorSchedule::new(&structure, &lu);
         assert!(
             schedule.replay(&second, &mut lu),
             "same pivot order must replay"
         );
+        assert_same_factor(&lu, &want);
         let b = [1.0, -2.0, 0.5];
         assert_eq!(solve_bits(&lu, &b), solve_bits(&want, &b));
         assert_eq!(lu.pivot_growth().to_bits(), want.pivot_growth().to_bits());
-        // And back: the multiplier vanishes again.
+        // And back: the multiplier vanishes again, and so do both
+        // entries.
         assert!(schedule.replay(&first, &mut lu));
         let want = SparseLu::factor(&first).unwrap();
+        assert_same_factor(&lu, &want);
         assert_eq!(solve_bits(&lu, &b), solve_bits(&want, &b));
     }
 

@@ -45,6 +45,47 @@ fn rc_circuit_matches_state_space_model() {
     }
 }
 
+/// Order of accuracy: an RC charged from a DC source through a UIC
+/// start reads `1 − e⁻²` at `t = 2τ`. Halving dt must cut the error by
+/// about 4 under the trapezoidal rule and about 2 under backward Euler.
+#[test]
+fn integrators_converge_at_their_order() {
+    use mixsig::anasim::mna::Integrator;
+    let (r, c) = (10e3, 1e-9);
+    let tau = r * c;
+    let mut nl = Netlist::new();
+    let vin = nl.node("in");
+    let out = nl.node("out");
+    nl.vsource("V1", vin, Netlist::GROUND, SourceWaveform::dc(1.0));
+    nl.resistor("R1", vin, out, r);
+    nl.capacitor("C1", out, Netlist::GROUND, c);
+    let exact = 1.0 - (-2.0_f64).exp();
+
+    for (integrator, band) in [
+        (Integrator::Trapezoidal, 3.6..=4.4),
+        (Integrator::BackwardEuler, 1.8..=2.2),
+    ] {
+        let errors: Vec<f64> = [20.0, 40.0, 80.0]
+            .iter()
+            .map(|steps_per_tau| {
+                let res = TransientAnalysis::new(2.0 * tau, tau / steps_per_tau)
+                    .integrator(integrator)
+                    .start_condition(StartCondition::Uic)
+                    .run(&nl)
+                    .expect("rc simulates");
+                (res.final_voltage(out) - exact).abs()
+            })
+            .collect();
+        for pair in errors.windows(2) {
+            let ratio = pair[0] / pair[1];
+            assert!(
+                band.contains(&ratio),
+                "{integrator:?}: error ratio {ratio:.3} per dt halving (errors {errors:?})"
+            );
+        }
+    }
+}
+
 /// Second-order RLC: oscillation frequency agrees with the poles of the
 /// transfer function.
 #[test]
