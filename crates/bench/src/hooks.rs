@@ -59,7 +59,7 @@ pub struct CampaignHooks {
     /// profiling and collects every campaign's worker/fault spans.
     pub trace: Option<Arc<Mutex<CampaignTrace>>>,
     /// Live-telemetry directory (`--telemetry`): every campaign of the
-    /// invocation arms heartbeat/status sidecars there, sequentially —
+    /// invocation arms its `status.json` snapshot there, sequentially —
     /// `status.json` always shows the campaign currently running.
     pub telemetry: Option<PathBuf>,
     /// Deterministic solver arithmetic fault-injection plan

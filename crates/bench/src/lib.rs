@@ -22,7 +22,7 @@
 //! [`hooks::CampaignHooks`]: the `--journal`/`--resume` checkpoint file
 //! and the SIGINT cancellation token the `experiments` binary threads
 //! through, so long runs are kill-safe and resumable. The same hooks
-//! carry `--telemetry DIR`, arming live heartbeat/status sidecars that
+//! carry `--telemetry DIR`, arming the live `status.json` snapshot that
 //! the [`watch`] module (the `experiments watch` console) tails; the
 //! [`bench_diff`] module is the `bench-diff` exact counts gate over
 //! `--bench-json` sidecars.

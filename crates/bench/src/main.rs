@@ -82,16 +82,16 @@
 //! is a deliberately non-convergent campaign that demonstrates the
 //! pipeline.
 //!
-//! `--telemetry DIR` arms live, strictly advisory campaign telemetry:
-//! per-worker heartbeats append to `DIR/heartbeats.jsonl` and a
+//! `--telemetry DIR` arms live, strictly advisory campaign telemetry: a
 //! `mixsig.campaign-status/1` snapshot is atomically rewritten at
 //! `DIR/status.json` while campaigns run (canonical output stays
 //! byte-identical, armed or not). `watch` tails that directory — or a
 //! checkpoint journal directly — as a refreshing console: progress bar,
 //! throughput and ETA, outcome rollup, per-worker lanes with stall
 //! flags and phase hot spots. `--once` renders a single frame,
-//! `--json` emits the raw snapshot for machines; a dead campaign is
-//! reconstructed from its journal. `bench-diff` compares two
+//! `--json` emits the raw snapshot for machines; a dead campaign's
+//! progress is folded from its journal, with the worker lanes of its
+//! last snapshot. `bench-diff` compares two
 //! `--bench-json` sidecars as an exact counts gate: every Newton,
 //! reuse, hazard, demotion, refinement and phase-call count of every
 //! experiment must be equal, and it exits nonzero on any difference

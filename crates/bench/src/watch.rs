@@ -1,11 +1,12 @@
 //! `experiments watch <dir>` — the live campaign console.
 //!
-//! A campaign run with `--telemetry DIR` leaves two advisory sidecars
+//! A campaign run with `--telemetry DIR` leaves one advisory sidecar
 //! behind (see `faultsim::telemetry`): the atomically replaced
-//! `status.json` snapshot and the `heartbeats.jsonl` append stream.
-//! This module is the *pull* half of that telemetry: [`observe`] reads
-//! the freshest consistent view of a campaign — live or dead — and
-//! [`render`] turns it into the refreshing console.
+//! `status.json` snapshot. Beside it, the checkpoint journal is the
+//! campaign's one durable per-fault stream. This module is the *pull*
+//! half of that telemetry: [`observe`] reads the freshest consistent
+//! view of a campaign — live or dead — and [`render`] turns it into the
+//! refreshing console.
 //!
 //! Sources, in order of preference:
 //!
@@ -16,7 +17,10 @@
 //!    gone stale while claiming `running` (the campaign process died
 //!    between snapshots), the journal named in the snapshot — or any
 //!    journal found in the directory — is replayed and folded into a
-//!    synthesized snapshot by [`fold_campaign`]. The fold is
+//!    synthesized snapshot by [`fold_campaign`]. A stale snapshot
+//!    selects the campaign with its own label, and its worker lanes
+//!    (as of its last rewrite) replace the fold's one aggregate lane,
+//!    since the journal records progress but not lanes. The fold is
 //!    `faultsim::telemetry::StatusRollup`, the one a live
 //!    `StatusEmitter` keeps, and `explain` and `check-report` reuse it
 //!    for their in-flight-journal progress views.
@@ -24,15 +28,13 @@
 //! Everything here is read-only and wall-clock quarantined: watching a
 //! campaign cannot change what it produces.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use faultsim::journal::ReplayedCampaign;
 use faultsim::telemetry::StatusRollup;
-use obs::json::JsonValue;
-use obs::status::{self, CampaignStatus, WorkerLane};
+use obs::status::{self, CampaignStatus};
 use obs::table::{bar, Align, Table};
 
 /// Age past which a `running` snapshot is treated as abandoned and the
@@ -62,8 +64,8 @@ pub struct WatchView {
 /// Every journaled outcome counts as `replayed` — that is exactly what
 /// a resume would do with it. Worker lanes are scheduling metadata the
 /// journal deliberately never records, so a replayed journal folds to
-/// a single aggregate lane 0; [`overlay_heartbeats`] recovers real
-/// lanes from the heartbeat sidecar when one is available.
+/// a single aggregate lane 0; [`observe`] keeps a stale snapshot's
+/// lanes instead when it has one.
 pub fn fold_campaign(
     label: &str,
     campaign: &ReplayedCampaign,
@@ -114,60 +116,10 @@ pub fn pick_campaign(mut folded: Vec<(String, CampaignStatus)>) -> Option<Campai
     Some(folded.swap_remove(index).1)
 }
 
-/// Replaces a synthesized snapshot's worker lanes with the per-lane
-/// truth from the heartbeat sidecar, when the directory has one with
-/// records for this campaign label. Journals never record lanes, but
-/// heartbeats do — including which fault each lane was holding when the
-/// campaign died, which is the first thing a postmortem wants to know.
-pub fn overlay_heartbeats(dir: &Path, status: &mut CampaignStatus) {
-    let path = dir.join(status::HEARTBEAT_FILE);
-    let Ok(contents) = obs::journal::read_journal(&path) else {
-        return;
-    };
-    let mut lanes: BTreeMap<u64, WorkerLane> = BTreeMap::new();
-    for rec in &contents.records {
-        if rec.get("record").and_then(JsonValue::as_str) != Some("heartbeat")
-            || rec.get("label").and_then(JsonValue::as_str) != Some(status.label.as_str())
-        {
-            continue;
-        }
-        let Some(lane) = rec.get("lane").and_then(JsonValue::as_f64) else {
-            continue;
-        };
-        let entry = lanes.entry(lane as u64).or_default();
-        entry.lane = lane as u64;
-        // The record's own `completed` field is the campaign-global
-        // done count (a progress stamp), so per-lane completion is
-        // derived by counting this lane's `done` events instead.
-        match rec.get("event").and_then(JsonValue::as_str) {
-            Some("claim") => {
-                entry.fault = rec.get("fault").and_then(JsonValue::as_f64).map(|f| f as u64);
-                entry.fault_name = rec
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_owned);
-            }
-            Some("done") => {
-                entry.fault = None;
-                entry.fault_name = None;
-                entry.completed += 1;
-            }
-            Some("abandon") => {
-                entry.fault = None;
-                entry.fault_name = None;
-            }
-            _ => {}
-        }
-    }
-    if !lanes.is_empty() {
-        status.workers = lanes.into_values().collect();
-    }
-}
-
 /// Finds a checkpoint journal for a telemetry directory: the path named
 /// in the snapshot (as written, then relative to the directory), else
 /// any readable journal file inside the directory other than the
-/// telemetry sidecars themselves.
+/// snapshot itself.
 pub fn find_journal(dir: &Path, snapshot: Option<&CampaignStatus>) -> Option<PathBuf> {
     if let Some(named) = snapshot.and_then(|s| s.journal.as_deref()) {
         let as_written = PathBuf::from(named);
@@ -185,12 +137,7 @@ pub fn find_journal(dir: &Path, snapshot: Option<&CampaignStatus>) -> Option<Pat
         .ok()?
         .filter_map(Result::ok)
         .map(|e| e.path())
-        .filter(|p| {
-            p.is_file()
-                && p.file_name().is_some_and(|n| {
-                    n != status::STATUS_FILE && n != status::HEARTBEAT_FILE
-                })
-        })
+        .filter(|p| p.is_file() && p.file_name().is_some_and(|n| n != status::STATUS_FILE))
         .filter(|p| {
             fs::read_to_string(p)
                 .is_ok_and(|text| crate::explain::looks_like_journal(&text))
@@ -233,10 +180,12 @@ pub fn observe(target: &Path, now_unix_ms: f64) -> Result<Option<WatchView>, Str
         }
         // The snapshot claims `running` but nobody has rewritten it for
         // a while: the campaign process is gone. The journal, if there
-        // is one, knows how far it actually got.
+        // is one, knows how far this campaign actually got; the lanes
+        // are the snapshot's, as of its last rewrite.
         if let Some(path) = find_journal(target, Some(&snapshot)) {
-            if let Some(mut status) = fold_journal(&path).ok().and_then(pick_campaign) {
-                overlay_heartbeats(target, &mut status);
+            let folded = fold_journal(&path).unwrap_or_default();
+            if let Some((_, mut status)) = folded.into_iter().find(|(l, _)| *l == snapshot.label) {
+                status.workers = snapshot.workers;
                 return Ok(Some(WatchView {
                     status,
                     source: format!("journal {} (status.json stale)", path.display()),
@@ -253,13 +202,10 @@ pub fn observe(target: &Path, now_unix_ms: f64) -> Result<Option<WatchView>, Str
     let Some(path) = find_journal(target, None) else {
         return Ok(None);
     };
-    Ok(pick_campaign(fold_journal(&path)?).map(|mut status| {
-        overlay_heartbeats(target, &mut status);
-        WatchView {
-            source: format!("journal {}", path.display()),
-            status,
-            stale_ms: None,
-        }
+    Ok(pick_campaign(fold_journal(&path)?).map(|status| WatchView {
+        source: format!("journal {}", path.display()),
+        status,
+        stale_ms: None,
     }))
 }
 
@@ -335,7 +281,7 @@ pub fn render(view: &WatchView) -> String {
         };
         let _ = writeln!(out, "  solver: {newton} Newton iterations{reuse}");
     }
-    let drops = counter(s, "heartbeat_drops") + counter(s, "status_drops");
+    let drops = counter(s, "status_drops");
     if drops > 0 {
         let _ = writeln!(out, "  telemetry drops: {drops} (advisory writes failed)");
     }
@@ -349,7 +295,7 @@ pub fn render(view: &WatchView) -> String {
 
     if !s.workers.is_empty() {
         let _ = writeln!(out, "\n  worker lanes:");
-        let mut t = Table::new(&["lane", "fault", "busy", "hb age", "done", "hot phase", ""])
+        let mut t = Table::new(&["lane", "fault", "busy", "event age", "done", "hot phase", ""])
             .align(&[
                 Align::Right,
                 Align::Left,
@@ -380,7 +326,7 @@ pub fn render(view: &WatchView) -> String {
             for w in s.workers.iter().filter(|w| w.stalled) {
                 let _ = writeln!(
                     out,
-                    "  STALLED: lane {} heartbeat age {} exceeds {}",
+                    "  STALLED: lane {} event age {} exceeds {}",
                     w.lane,
                     fmt_ms(w.heartbeat_age_ms),
                     fmt_ms(limit)
@@ -426,6 +372,8 @@ mod tests {
     use faultsim::campaign::{FaultStatus, FaultTelemetry};
     use faultsim::journal::{complete_record, fault_record, start_record};
     use faultsim::model::Fault;
+    use obs::status::WorkerLane;
+    use std::collections::BTreeMap;
     use std::time::Duration;
 
     fn journal_text(complete: bool) -> String {
@@ -512,7 +460,7 @@ mod tests {
         );
         assert_eq!(status.journal.as_deref(), Some("j.jsonl"));
         // Lanes are never journaled, so a replayed journal collapses to
-        // the single aggregate lane 0 (heartbeats recover real lanes).
+        // the single aggregate lane 0.
         assert_eq!(status.workers.len(), 1);
         assert_eq!(status.workers[0].lane, 0);
         assert_eq!(status.workers[0].completed, 3);
@@ -553,24 +501,80 @@ mod tests {
         assert_eq!(view.stale_ms, None);
     }
 
+    /// Two worker lanes as a live snapshot last saw them: lane 0 holds
+    /// fault 2 and has completed one fault, lane 1 completed one and
+    /// sits idle.
+    fn live_lanes() -> Vec<WorkerLane> {
+        vec![
+            WorkerLane {
+                lane: 0,
+                fault: Some(2),
+                fault_name: Some("f2".to_owned()),
+                completed: 1,
+                ..WorkerLane::default()
+            },
+            WorkerLane {
+                lane: 1,
+                completed: 1,
+                ..WorkerLane::default()
+            },
+        ]
+    }
+
+    /// Writes a `running` snapshot for `label`, last rewritten at 1 s,
+    /// with the [`live_lanes`].
+    fn write_stale_snapshot(dir: &Path, label: &str) {
+        let snapshot = CampaignStatus {
+            label: label.to_owned(),
+            state: "running".to_owned(),
+            total: 3,
+            done: 1,
+            detected: 1,
+            workers: live_lanes(),
+            updated_at_ms: 1_000.0,
+            ..CampaignStatus::default()
+        };
+        obs::status::write_atomic(&dir.join(status::STATUS_FILE), &snapshot).unwrap();
+    }
+
     #[test]
     fn stale_running_snapshots_fall_back_to_the_journal() {
         let dir = temp_dir("stale-status");
         fs::write(dir.join("campaign.jsonl"), journal_text(false)).unwrap();
-        let mut snapshot = fold_campaign(
-            "rc",
-            &replayed(&journal_text(false)).campaigns["rc"],
-            None,
-        );
-        snapshot.state = "running".to_owned();
-        snapshot.updated_at_ms = 1_000.0;
-        obs::status::write_atomic(&dir.join(status::STATUS_FILE), &snapshot).unwrap();
-        // 20 s later with no rewrite: the journal becomes the source.
+        write_stale_snapshot(&dir, "rc");
+        // 20 s later with no rewrite: the journal becomes the source of
+        // progress, and the lanes are the snapshot's.
         let view = observe(&dir, 21_000.0).unwrap().unwrap();
         assert!(view.source.contains("journal"), "{}", view.source);
         assert!(view.source.contains("stale"), "{}", view.source);
         assert_eq!(view.status.state, "interrupted");
+        assert_eq!((view.status.total, view.status.done), (3, 2));
+        assert_eq!(view.status.workers, live_lanes());
         assert!(view.stale_ms.is_some());
+    }
+
+    #[test]
+    fn a_stale_snapshot_selects_its_own_campaign_from_the_journal() {
+        let dir = temp_dir("stale-label");
+        // Campaign `a` ended degraded before `b` started and died; `a`
+        // sorts first and is not complete either.
+        let mut text = journal_text(true).replace("\"rc\"", "\"a\"");
+        let degraded = text.rfind("{\"record\":\"complete\"").unwrap();
+        text.truncate(degraded);
+        text += &faultsim::journal::degraded_record("a", 3, 0, "disk full").to_json();
+        text.push('\n');
+        text += &journal_text(false).replace("\"rc\"", "\"b\"");
+        fs::write(dir.join("campaign.jsonl"), text).unwrap();
+        write_stale_snapshot(&dir, "b");
+        let view = observe(&dir, 21_000.0).unwrap().unwrap();
+        assert_eq!(view.status.label, "b");
+        assert_eq!(view.status.state, "interrupted");
+        assert_eq!(view.status.workers, live_lanes());
+        // Given directly, the journal still shows the first unfinished
+        // campaign.
+        let direct = observe(&dir.join("campaign.jsonl"), 0.0).unwrap().unwrap();
+        assert_eq!(direct.status.label, "a");
+        assert_eq!(direct.status.state, "degraded");
     }
 
     #[test]
@@ -583,40 +587,6 @@ mod tests {
         // An empty directory is "nothing yet", not an error.
         let empty = temp_dir("empty");
         assert_eq!(observe(&empty, 0.0).unwrap(), None);
-    }
-
-    #[test]
-    fn heartbeats_recover_lanes_the_journal_cannot() {
-        use faultsim::telemetry::heartbeat_record;
-        let dir = temp_dir("heartbeat-overlay");
-        fs::write(dir.join("campaign.jsonl"), journal_text(false)).unwrap();
-        let mut lines = String::new();
-        // The `completed` stamp on each record is the campaign-global
-        // done count — the overlay must count per-lane `done` events
-        // instead of copying it into a lane.
-        for rec in [
-            heartbeat_record("rc", 0, "claim", Some((0, "f0")), 0, 1.0),
-            heartbeat_record("rc", 1, "claim", Some((1, "f1")), 0, 2.0),
-            heartbeat_record("rc", 0, "done", Some((0, "f0")), 1, 3.0),
-            heartbeat_record("rc", 1, "done", Some((1, "f1")), 2, 4.0),
-            heartbeat_record("rc", 0, "claim", Some((2, "f2")), 2, 5.0),
-            // Records for another campaign must not leak in.
-            heartbeat_record("other", 7, "claim", Some((9, "x")), 0, 6.0),
-        ] {
-            lines += &rec.to_json();
-            lines.push('\n');
-        }
-        fs::write(dir.join(status::HEARTBEAT_FILE), lines).unwrap();
-        let view = observe(&dir, 0.0).unwrap().unwrap();
-        // Lane 0 died holding f2; lane 1 had finished f1 and sat idle.
-        assert_eq!(view.status.workers.len(), 2);
-        assert_eq!(view.status.workers[0].lane, 0);
-        assert_eq!(view.status.workers[0].fault, Some(2));
-        assert_eq!(view.status.workers[0].fault_name.as_deref(), Some("f2"));
-        assert_eq!(view.status.workers[0].completed, 1);
-        assert_eq!(view.status.workers[1].lane, 1);
-        assert_eq!(view.status.workers[1].fault, None);
-        assert_eq!(view.status.workers[1].completed, 1);
     }
 
     #[test]
@@ -704,8 +674,7 @@ mod tests {
         let live = status::read_status(&dir.join(status::STATUS_FILE))
             .unwrap()
             .unwrap();
-        let mut folded = pick_campaign(fold_journal(&journal).unwrap()).unwrap();
-        overlay_heartbeats(&dir, &mut folded);
+        let folded = pick_campaign(fold_journal(&journal).unwrap()).unwrap();
         assert_eq!(live.state, "complete");
         assert_eq!(folded.state, "complete");
         let progress = |s: &CampaignStatus| (s.total, s.done, s.detected, s.undetected, s.failed);
@@ -721,15 +690,12 @@ mod tests {
             calls.collect()
         };
         assert_eq!(labels_and_calls(&live), labels_and_calls(&folded));
-        // A lane with no heartbeat has completed nothing.
+        // The journal records no lanes: the fold's one aggregate lane
+        // completed what the live lanes completed between them.
         let completed = |s: &CampaignStatus| -> BTreeMap<u64, u64> {
-            s.workers
-                .iter()
-                .filter(|w| w.completed > 0)
-                .map(|w| (w.lane, w.completed))
-                .collect()
+            s.workers.iter().map(|w| (w.lane, w.completed)).collect()
         };
-        assert_eq!(completed(&live), completed(&folded));
+        assert_eq!(completed(&folded), BTreeMap::from([(0, faults.len() as u64)]));
         assert_eq!(completed(&live).values().sum::<u64>(), faults.len() as u64);
     }
 

@@ -119,26 +119,13 @@ impl TransientTestBench {
     ///
     /// Propagates simulator non-convergence.
     pub fn response(&self, netlist: &Netlist) -> Result<Vec<f64>, AnalysisError> {
-        self.response_at(netlist, self.output)
+        self.response_with(netlist, &SolveSettings::default())
     }
 
-    /// Like [`TransientTestBench::response`] but probing an arbitrary
-    /// node (e.g. an internal sub-macro output).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator non-convergence.
-    pub fn response_at(
-        &self,
-        netlist: &Netlist,
-        node: NodeId,
-    ) -> Result<Vec<f64>, AnalysisError> {
-        self.sample_voltage(&self.analysis(), netlist, node)
-    }
-
-    /// [`TransientTestBench::response_at`] under explicit
-    /// [`SolveSettings`] — the hook the resilient campaign engine uses
-    /// to retry extractions down the escalation ladder.
+    /// Like [`TransientTestBench::response_with`] but probing an
+    /// arbitrary node (e.g. an internal sub-macro output) — the hook
+    /// the resilient campaign engine uses to retry extractions down the
+    /// escalation ladder.
     ///
     /// # Errors
     ///
@@ -149,7 +136,10 @@ impl TransientTestBench {
         node: NodeId,
         settings: &SolveSettings,
     ) -> Result<Vec<f64>, AnalysisError> {
-        self.sample_voltage(&self.analysis().with_settings(settings), netlist, node)
+        let analysis = self.analysis().with_settings(settings);
+        let column = MnaLayout::new(netlist).node_index(node);
+        let mut y = sample_columns(&analysis, netlist, &[column], self.sample_times())?;
+        Ok(y.swap_remove(0))
     }
 
     /// [`TransientTestBench::response`] under explicit [`SolveSettings`].
@@ -178,41 +168,16 @@ impl TransientTestBench {
         (0..self.sample_count()).map(move |k| (k as f64 + 0.5) * dt)
     }
 
-    fn sample_voltage(
-        &self,
-        analysis: &TransientAnalysis,
-        netlist: &Netlist,
-        node: NodeId,
-    ) -> Result<Vec<f64>, AnalysisError> {
-        let column = MnaLayout::new(netlist).node_index(node);
-        let mut y = sample_columns(analysis, netlist, &[column], self.sample_times())?;
-        Ok(y.swap_remove(0))
-    }
-
     /// Samples the summed branch currents of the given voltage-defined
-    /// devices (e.g. all supply sources) on the response grid — the
-    /// dynamic supply-current waveform used by IDD testing.
+    /// devices (e.g. all supply sources) on the response grid under
+    /// `settings` — the dynamic supply-current waveform used by IDD
+    /// testing.
     ///
     /// # Errors
     ///
-    /// Propagates simulator non-convergence; returns
-    /// [`AnalysisError::UnknownElement`] if a device has no branch
-    /// current.
-    pub fn current_response(
-        &self,
-        netlist: &Netlist,
-        devices: &[DeviceId],
-    ) -> Result<Vec<f64>, AnalysisError> {
-        self.current_response_with(netlist, devices, &SolveSettings::default())
-    }
-
-    /// [`TransientTestBench::current_response`] under explicit
-    /// [`SolveSettings`].
-    ///
-    /// # Errors
-    ///
-    /// As [`TransientTestBench::current_response`], plus budget
-    /// exhaustion.
+    /// Propagates simulator non-convergence and budget exhaustion;
+    /// returns [`AnalysisError::UnknownElement`] if a device has no
+    /// branch current.
     pub fn current_response_with(
         &self,
         netlist: &Netlist,
@@ -325,24 +290,15 @@ impl TransientTestBench {
         })
     }
 
-    /// The spectral signature of a netlist variant: the one-sided power
-    /// spectrum (Hann periodogram) of the sampled response.
+    /// The spectral signature of a netlist variant under `settings`: the
+    /// one-sided power spectrum (Hann periodogram) of the sampled
+    /// response.
     ///
     /// The paper motivates detection in the frequency domain directly:
     /// "possible minor changes to the signal spectrum, indicative of
     /// circuit faults, can be detected". The spectrum is insensitive to
     /// time alignment, trading away the lag localisation the
     /// correlation signature provides.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator non-convergence.
-    pub fn spectral_signature(&self, netlist: &Netlist) -> Result<Vec<f64>, AnalysisError> {
-        self.spectral_signature_with(netlist, &SolveSettings::default())
-    }
-
-    /// [`TransientTestBench::spectral_signature`] under explicit
-    /// [`SolveSettings`].
     ///
     /// # Errors
     ///
@@ -359,36 +315,9 @@ impl TransientTestBench {
         Ok(psd.power)
     }
 
-    /// Runs a fault campaign on spectral signatures.
-    ///
-    /// # Errors
-    ///
-    /// Fails only if the golden circuit cannot be simulated.
-    pub fn run_spectral_campaign(
-        &self,
-        faults: &[Fault],
-        threshold: f64,
-    ) -> Result<CampaignReport, AnalysisError> {
-        run_campaign(&self.netlist, faults, threshold, |nl| {
-            self.spectral_signature(nl)
-        })
-    }
-
     /// Runs a fault campaign on raw sampled responses (no correlation) —
-    /// the simplest possible signature, used as an ablation baseline.
-    ///
-    /// # Errors
-    ///
-    /// Fails only if the golden circuit cannot be simulated.
-    pub fn run_raw_campaign(
-        &self,
-        faults: &[Fault],
-        threshold: f64,
-    ) -> Result<CampaignReport, AnalysisError> {
-        run_campaign(&self.netlist, faults, threshold, |nl| self.response(nl))
-    }
-
-    /// Runs a raw-response fault campaign on the resilient engine.
+    /// the simplest possible signature, used as an ablation baseline —
+    /// on the resilient engine.
     ///
     /// # Errors
     ///
@@ -539,7 +468,9 @@ mod tests {
     fn a_device_without_a_branch_current_is_rejected() {
         let (bench, _) = rc_bench();
         let r1 = bench.netlist().find_device("R1").unwrap();
-        let err = bench.current_response(bench.netlist(), &[r1]).unwrap_err();
+        let err = bench
+            .current_response_with(bench.netlist(), &[r1], &SolveSettings::default())
+            .unwrap_err();
         assert!(matches!(err, AnalysisError::UnknownElement(_)), "{err:?}");
     }
 
@@ -623,7 +554,9 @@ mod tests {
     fn raw_and_correlation_campaigns_agree_on_hard_faults() {
         let (bench, out) = rc_bench();
         let faults = vec![Fault::stuck_at_1("out-sa1", out)];
-        let raw = bench.run_raw_campaign(&faults, 0.5).unwrap();
+        let raw = bench
+            .run_raw_campaign_with(&faults, &CampaignConfig::new(0.5))
+            .unwrap();
         let cor = bench.run_correlation_campaign(&faults, 0.01).unwrap();
         assert!(raw.outcomes[0].is_detected(50.0));
         // The correlation of this fast RC is concentrated near zero lag,
@@ -636,14 +569,15 @@ mod tests {
     fn spectral_signature_detects_dynamics_change() {
         // Doubling the RC time constant moves the response spectrum.
         let (bench, _) = rc_bench();
-        let golden = bench.spectral_signature(bench.netlist()).unwrap();
+        let nominal = SolveSettings::default();
+        let golden = bench.spectral_signature_with(bench.netlist(), &nominal).unwrap();
         let mut slow = bench.netlist().clone();
         let c1 = slow.find_device("C1").unwrap();
         match slow.device_mut(c1) {
             Device::Capacitor { farads, .. } => *farads *= 4.0,
             _ => unreachable!(),
         }
-        let faulty = bench.spectral_signature(&slow).unwrap();
+        let faulty = bench.spectral_signature_with(&slow, &nominal).unwrap();
         assert_eq!(golden.len(), faulty.len());
         let peak = golden.iter().fold(0.0_f64, |m, &v| m.max(v));
         let moved = golden
@@ -657,12 +591,16 @@ mod tests {
     #[test]
     fn spectral_campaign_detects_stuck_output() {
         let (bench, out) = rc_bench();
-        let golden = bench.spectral_signature(bench.netlist()).unwrap();
+        let golden = bench
+            .spectral_signature_with(bench.netlist(), &SolveSettings::default())
+            .unwrap();
         let peak = golden.iter().fold(0.0_f64, |m, &v| m.max(v));
         let faults = vec![Fault::stuck_at_0("out-sa0", out)];
-        let report = bench
-            .run_spectral_campaign(&faults, 0.001 * peak)
-            .unwrap();
+        let config = CampaignConfig::new(0.001 * peak);
+        let report = run_campaign_with(bench.netlist(), &faults, &config, |nl, settings| {
+            bench.spectral_signature_with(nl, settings)
+        })
+        .unwrap();
         assert!(
             report.outcomes[0].figure_pct() > 25.0,
             "{:?}",

@@ -9,7 +9,7 @@
 //! untouched.
 
 use anasim::netlist::{DeviceId, Netlist};
-use anasim::robust::{SolveBudget, SolveSettings, SolverRung};
+use anasim::robust::SolveSettings;
 use anasim::AnalysisError;
 use faultsim::campaign::{run_campaign_sized, CampaignConfig, CampaignReport};
 use faultsim::model::Fault;
@@ -50,20 +50,7 @@ pub fn idd_stats(samples: &[f64]) -> IddStats {
 }
 
 /// The IDD signature of a netlist variant: the sampled, summed supply
-/// currents of `supplies` under the bench stimulus.
-///
-/// # Errors
-///
-/// Propagates simulator non-convergence.
-pub fn idd_signature(
-    bench: &TransientTestBench,
-    netlist: &Netlist,
-    supplies: &[DeviceId],
-) -> Result<Vec<f64>, AnalysisError> {
-    bench.current_response(netlist, supplies)
-}
-
-/// [`idd_signature`] under explicit [`SolveSettings`].
+/// currents of `supplies` under the bench stimulus and `settings`.
 ///
 /// # Errors
 ///
@@ -77,32 +64,11 @@ pub fn idd_signature_with(
     bench.current_response_with(netlist, supplies, settings)
 }
 
-/// Runs a fault campaign on IDD signatures. The detection threshold is
-/// `threshold_rel` times the golden signature's mean current, so it
-/// scales with the circuit's quiescent draw.
-///
-/// # Errors
-///
-/// Fails only if the golden circuit cannot be simulated.
-pub fn run_idd_campaign(
-    bench: &TransientTestBench,
-    supplies: &[DeviceId],
-    faults: &[Fault],
-    threshold_rel: f64,
-) -> Result<CampaignReport, AnalysisError> {
-    // `faultsim::campaign::run_campaign`'s configuration, with the
-    // threshold left for the golden signature to size.
-    let config = CampaignConfig::new(0.0)
-        .ladder(vec![SolverRung::nominal()])
-        .budget(SolveBudget::unlimited());
-    run_idd_campaign_with(bench, supplies, faults, threshold_rel, &config)
-}
-
-/// Runs an IDD fault campaign on the resilient engine: the relative
-/// threshold is resolved against the golden mean current exactly as in
-/// [`run_idd_campaign`], then `config`'s ladder, budget and worker
-/// settings drive the per-fault extractions (the threshold inside
-/// `config` is ignored).
+/// Runs an IDD fault campaign on the resilient engine. The detection
+/// threshold is `threshold_rel` times the golden signature's mean
+/// current, so it scales with the circuit's quiescent draw; `config`'s
+/// ladder, budget and worker settings drive the per-fault extractions
+/// (the threshold inside `config` is ignored).
 ///
 /// # Errors
 ///
@@ -127,6 +93,7 @@ pub fn run_idd_campaign_with(
 mod tests {
     use super::*;
     use crate::transtest::circuits::circuit1;
+    use anasim::robust::{SolveBudget, SolverRung};
     use macrolib::process::ProcessParams;
 
     #[test]
@@ -153,7 +120,8 @@ mod tests {
             .netlist()
             .find_device("c1:VDD")
             .expect("op1 supply exists");
-        let sig = idd_signature(&c1.bench, c1.bench.netlist(), &[vdd]).unwrap();
+        let settings = SolveSettings::default();
+        let sig = idd_signature_with(&c1.bench, c1.bench.netlist(), &[vdd], &settings).unwrap();
         let stats = idd_stats(&sig);
         // OP1 draws on the order of 100 uA quiescent and modulates with
         // the stimulus.
@@ -173,7 +141,10 @@ mod tests {
             .filter(|f| f.name() == "n4-sa0" || f.name() == "n4-sa1")
             .cloned()
             .collect();
-        let report = run_idd_campaign(&c1.bench, &[vdd], &faults, 0.05).unwrap();
+        let config = CampaignConfig::new(0.0)
+            .ladder(vec![SolverRung::nominal()])
+            .budget(SolveBudget::unlimited());
+        let report = run_idd_campaign_with(&c1.bench, &[vdd], &faults, 0.05, &config).unwrap();
         // The threshold is sized from the campaign's own golden.
         let threshold = 0.05 * idd_stats(&report.golden).mean.max(1e-12);
         assert_eq!(report.threshold.to_bits(), threshold.to_bits());

@@ -421,8 +421,8 @@ pub struct CampaignConfig {
     /// byte-stability; the cost is a few monotonic-clock reads per
     /// Newton iteration. Disarmed (the default), no clocks are read.
     pub profile: bool,
-    /// Live telemetry: per-worker heartbeat records and periodically
-    /// rewritten `mixsig.campaign-status/1` snapshots in the configured
+    /// Live telemetry: periodically rewritten
+    /// `mixsig.campaign-status/1` snapshots in the configured
     /// directory ([`TelemetryConfig`]), tailed by `experiments watch`.
     /// Purely advisory — telemetry writes are best-effort (failures are
     /// counted in the next snapshot, never surfaced as campaign
@@ -1262,7 +1262,7 @@ where
             return None;
         };
         if let Some(em) = &emitter {
-            em.fault_done(i, &outcome, &telemetry);
+            em.fault_done(&outcome, &telemetry);
         }
         if let Some(js) = &journal {
             js.record(i, &outcome, &telemetry, config.degrade);

@@ -645,11 +645,6 @@ pub fn replay(contents: &JournalContents) -> Result<JournalReplay, String> {
                         .to_owned(),
                 });
             }
-            // Heartbeats are advisory telemetry (crate::telemetry);
-            // they live in their own sidecar file, but a replayer that
-            // encounters one anyway must skip it, not fail — the
-            // canonical replay contract ignores telemetry entirely.
-            "heartbeat" => {}
             other => return Err(format!("{}: unknown record type {other:?}", line())),
         }
     }

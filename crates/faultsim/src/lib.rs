@@ -22,10 +22,11 @@
 //!   worker lanes, per-fault spans and (with
 //!   [`campaign::CampaignConfig::profile`] armed) solver phase
 //!   sub-spans, loadable by `chrome://tracing` / Perfetto,
-//! * [`telemetry`] — live campaign telemetry: per-worker heartbeat
-//!   records, periodically rewritten `mixsig.campaign-status/1`
-//!   snapshots (`experiments watch` tails them) and stall detection,
-//!   all advisory and fully outside the canonical byte-stable path;
+//! * [`telemetry`] — live campaign telemetry: periodically rewritten
+//!   `mixsig.campaign-status/1` snapshots (`experiments watch` tails
+//!   them) with per-lane stall detection, all advisory and fully
+//!   outside the canonical byte-stable path (the journal stays the one
+//!   durable per-fault stream);
 //!   [`telemetry::StatusRollup`] is the one progress fold, shared by
 //!   the live snapshot and a journal's post-hoc view.
 //!

@@ -1,23 +1,22 @@
-//! Live campaign telemetry: per-worker heartbeats, periodic
-//! `mixsig.campaign-status/1` snapshots, and stall detection.
+//! Live campaign telemetry: periodic `mixsig.campaign-status/1`
+//! snapshots and stall detection.
 //!
 //! Everything in this module is *advisory*: it exists so a human (or
 //! the `experiments watch` console, or a future HTTP service) can see
 //! what a running campaign is doing, and it is guaranteed never to
 //! change what the campaign produces. Three rules enforce that:
 //!
-//! * **Sidecar files only.** Heartbeats append to
-//!   `<dir>/heartbeats.jsonl` and snapshots replace `<dir>/status.json`
-//!   — never the checkpoint journal, whose replay semantics and byte
-//!   layout are part of the crash-safety contract. (Defensively, the
-//!   journal replayer also skips any `heartbeat` record it encounters,
-//!   so even a misconfigured path cannot poison a resume.)
-//! * **Best-effort writes.** A telemetry write failure is counted
-//!   (`heartbeat_drops` / `status_drops` in the next snapshot that does
-//!   land) and otherwise ignored; after the heartbeat writer fails
-//!   persistently it is disabled rather than retried forever. A
-//!   campaign can finish with its telemetry directory on a dead disk.
-//! * **Wall-clock quarantine.** Rates, ETAs and heartbeat ages are
+//! * **One sidecar file.** Snapshots replace `<dir>/status.json` and
+//!   nothing else. The checkpoint journal is the campaign's one durable
+//!   per-fault stream; its replay semantics and byte layout are part of
+//!   the crash-safety contract, and telemetry never writes to it. Each
+//!   lane's claim and done events live only in memory, and every
+//!   snapshot carries their latest state.
+//! * **Best-effort writes.** A failed snapshot write is counted
+//!   (`status_drops` in the next snapshot that does land) and otherwise
+//!   ignored. A campaign can finish with its telemetry directory on a
+//!   dead disk.
+//! * **Wall-clock quarantine.** Rates, ETAs and lane event ages are
 //!   wall-clock derived and flow only into the status snapshot, never
 //!   into [`CampaignReport`](crate::campaign::CampaignReport) canonical
 //!   output — reports stay byte-identical with telemetry armed or
@@ -29,9 +28,10 @@
 //! folds a journal through the same type, so the live and post-hoc
 //! views of one run agree on everything the journal records.
 //!
-//! Stall detection: a lane with a fault in flight whose heartbeat age
-//! exceeds [`STALL_FACTOR`] × the per-fault wall budget is flagged
-//! `stalled` in the snapshot. Campaigns without a wall budget fall back
+//! Stall detection: a lane with a fault in flight whose last claim or
+//! done event is older than [`STALL_FACTOR`] × the per-fault wall
+//! budget is flagged `stalled` in the snapshot (its `heartbeat_age_ms`
+//! is that event's age). Campaigns without a wall budget fall back
 //! to the same multiple of the average observed fault duration (floored
 //! at one second), so a hung worker is still distinguishable from a
 //! merely slow fault once enough faults have completed to establish
@@ -45,37 +45,26 @@ use std::time::{Duration, Instant, SystemTime};
 
 use anasim::metrics::SolverSnapshot;
 use anasim::robust::SolveBudget;
-use obs::chaos::FaultPlan;
-use obs::journal::{JournalOptions, JournalWriter, RetryPolicy};
-use obs::json::JsonValue;
 use obs::profile::{Phase, PhaseSnapshot};
 use obs::status::{self, CampaignStatus, WorkerLane};
 use obs::timeseries::WindowedCounter;
 
 use crate::campaign::{FaultOutcome, FaultStatus, FaultTelemetry};
 
-/// A lane whose heartbeat age exceeds this multiple of the per-fault
-/// wall budget (or, without one, of the average observed fault
-/// duration) while a fault is in flight is flagged stalled.
+/// A lane whose last claim or done event is older than this multiple
+/// of the per-fault wall budget (or, without one, of the average
+/// observed fault duration) while a fault is in flight is flagged
+/// stalled.
 pub const STALL_FACTOR: f64 = 4.0;
 
 /// Live-telemetry configuration for a campaign
 /// ([`CampaignConfig::telemetry`](crate::campaign::CampaignConfig)).
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// Directory receiving `status.json` and `heartbeats.jsonl`
-    /// (created if missing).
+    /// Directory receiving `status.json` (created if missing).
     pub dir: PathBuf,
     /// How often the status snapshot is rewritten (default 250 ms).
     pub interval: Duration,
-    /// Retry policy for heartbeat appends (default: the journal
-    /// default). Exhausted retries disable the heartbeat writer rather
-    /// than failing the campaign.
-    pub retry: RetryPolicy,
-    /// Deterministic fault-injection plan wrapped around the heartbeat
-    /// file (chaos testing). Strictly opt-in, like
-    /// [`JournalConfig::chaos`](crate::campaign::JournalConfig).
-    pub chaos: Option<FaultPlan>,
 }
 
 impl TelemetryConfig {
@@ -87,8 +76,6 @@ impl TelemetryConfig {
         TelemetryConfig {
             dir: dir.into(),
             interval: Self::DEFAULT_INTERVAL,
-            retry: RetryPolicy::default(),
-            chaos: None,
         }
     }
 
@@ -99,65 +86,11 @@ impl TelemetryConfig {
         self
     }
 
-    /// Replaces the heartbeat-append retry policy.
-    #[must_use]
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Installs a deterministic fault-injection plan on the heartbeat
-    /// file (chaos testing).
-    #[must_use]
-    pub fn chaos(mut self, plan: FaultPlan) -> Self {
-        self.chaos = Some(plan);
-        self
-    }
-
     /// Path of the status snapshot inside the telemetry directory.
     pub fn status_path(&self) -> PathBuf {
         self.dir.join(status::STATUS_FILE)
     }
 
-    /// Path of the heartbeat sidecar inside the telemetry directory.
-    pub fn heartbeat_path(&self) -> PathBuf {
-        self.dir.join(status::HEARTBEAT_FILE)
-    }
-}
-
-/// Builds one heartbeat record. The shape mirrors campaign-journal
-/// records (a `record` discriminator plus a label) so journal tooling
-/// that stumbles on a heartbeat file fails soft, but heartbeats live in
-/// their own sidecar and never enter the canonical journal.
-///
-/// `completed` is the campaign-global done count at the time of the
-/// beat (a progress stamp), *not* the emitting lane's own tally —
-/// per-lane completion is recovered by counting `done` events per lane
-/// (see `bench`'s heartbeat overlay).
-pub fn heartbeat_record(
-    label: &str,
-    lane: usize,
-    event: &str,
-    fault: Option<(usize, &str)>,
-    completed: usize,
-    t_ms: f64,
-) -> JsonValue {
-    let mut obj = JsonValue::object();
-    obj.push("record", JsonValue::Str("heartbeat".into()));
-    obj.push("label", JsonValue::Str(label.into()));
-    obj.push("lane", JsonValue::Num(lane as f64));
-    obj.push("event", JsonValue::Str(event.into()));
-    obj.push(
-        "fault",
-        fault.map_or(JsonValue::Null, |(i, _)| JsonValue::Num(i as f64)),
-    );
-    obj.push(
-        "name",
-        fault.map_or(JsonValue::Null, |(_, n)| JsonValue::Str(n.into())),
-    );
-    obj.push("completed", JsonValue::Num(completed as f64));
-    obj.push("t_ms", JsonValue::Num(t_ms));
-    obj
 }
 
 /// The progress fold of a campaign's completed faults: the outcome
@@ -252,8 +185,8 @@ impl StatusRollup {
 struct LaneState {
     /// The fault in flight: universe index, name, claim instant.
     current: Option<(usize, String, Instant)>,
-    /// Last heartbeat-worthy event on this lane.
-    last_beat: Instant,
+    /// The lane's last claim, done or abandon event.
+    last_event: Instant,
 }
 
 /// Rate/emission state mutated only under one lock.
@@ -262,16 +195,15 @@ struct EmitState {
     last_emit: Instant,
 }
 
-/// Folds live campaign state into the status snapshot and heartbeat
-/// sidecar. Shared by reference between worker threads (claim/done
-/// events) and the monitor thread (periodic emission); every method is
-/// `&self`.
+/// Folds live campaign state into the status snapshot. Shared by
+/// reference between worker threads (claim, done and abandon events)
+/// and the monitor thread (periodic emission); every method is `&self`.
 ///
 /// Lock order: `emit` strictly before any lane lock or the rollup lock
-/// (`snapshot_locked` holds `emit` while it reads them). Nothing may
-/// acquire `emit` while holding a lane lock — that inversion deadlocks
-/// the monitor thread against a finishing worker — and a worker holds
-/// at most one of its lane lock and the rollup lock at a time.
+/// (`snapshot_locked` holds `emit` while it reads them). A worker event
+/// never takes `emit` and holds at most one lock at a time — its own
+/// lane lock, released before `fault_done` takes the rollup lock — so
+/// the monitor thread cannot deadlock against a finishing worker.
 pub struct StatusEmitter {
     config: TelemetryConfig,
     label: String,
@@ -282,22 +214,19 @@ pub struct StatusEmitter {
     budget_wall: Option<Duration>,
     lanes: Vec<Mutex<LaneState>>,
     rollup: Mutex<StatusRollup>,
-    heartbeats: Mutex<Option<JournalWriter>>,
-    heartbeat_drops: AtomicU64,
     status_drops: AtomicU64,
     emit: Mutex<EmitState>,
     finished: AtomicBool,
 }
 
 impl StatusEmitter {
-    /// Arms telemetry: creates the directory, truncates the heartbeat
-    /// sidecar, seeds the progress fold with the `replayed` outcomes and
-    /// writes the first snapshot. Replayed faults were completed by an
-    /// earlier run, not by a lane of this one, so they count toward the
-    /// outcome split and the solver counters but toward no lane.
-    /// Failures are absorbed (a dead telemetry directory must not kill
-    /// the campaign): a failed heartbeat open leaves heartbeats
-    /// disabled, a failed snapshot is counted.
+    /// Arms telemetry: creates the directory, seeds the progress fold
+    /// with the `replayed` outcomes and writes the first snapshot.
+    /// Replayed faults were completed by an earlier run, not by a lane
+    /// of this one, so they count toward the outcome split and the
+    /// solver counters but toward no lane. Failures are absorbed (a dead
+    /// telemetry directory must not kill the campaign): a failed
+    /// snapshot is counted.
     #[allow(clippy::too_many_arguments)]
     pub fn arm(
         config: TelemetryConfig,
@@ -310,14 +239,6 @@ impl StatusEmitter {
     ) -> Self {
         let _ = std::fs::create_dir_all(&config.dir);
         let now = Instant::now();
-        let heartbeats = JournalWriter::create_with(
-            &config.heartbeat_path(),
-            JournalOptions {
-                retry: config.retry.clone(),
-                chaos: config.chaos.clone(),
-            },
-        )
-        .ok();
         replayed.lanes.clear();
         let emitter = StatusEmitter {
             label: label.to_owned(),
@@ -330,13 +251,11 @@ impl StatusEmitter {
                 .map(|_| {
                     Mutex::new(LaneState {
                         current: None,
-                        last_beat: now,
+                        last_event: now,
                     })
                 })
                 .collect(),
             rollup: Mutex::new(replayed),
-            heartbeats: Mutex::new(heartbeats),
-            heartbeat_drops: AtomicU64::new(0),
             status_drops: AtomicU64::new(0),
             emit: Mutex::new(EmitState {
                 throughput: WindowedCounter::new(),
@@ -345,7 +264,6 @@ impl StatusEmitter {
             finished: AtomicBool::new(false),
             config,
         };
-        emitter.beat(0, "armed", None);
         emitter.emit_now("running");
         emitter
     }
@@ -355,60 +273,34 @@ impl StatusEmitter {
         self.epoch.elapsed().as_secs_f64() * 1e3
     }
 
-    /// Appends one heartbeat record, best-effort. A persistent append
-    /// failure disables the writer: telemetry must never become the
-    /// slowest (or loudest) part of a campaign.
-    fn beat(&self, lane: usize, event: &str, fault: Option<(usize, &str)>) {
-        let completed = self.rollup.lock().expect("rollup lock").done() as usize;
-        let record =
-            heartbeat_record(&self.label, lane, event, fault, completed, self.elapsed_ms());
-        let mut guard = self.heartbeats.lock().expect("heartbeat lock");
-        if let Some(writer) = guard.as_mut() {
-            if writer.append(&record).is_err() {
-                self.heartbeat_drops.fetch_add(1, Ordering::AcqRel);
-                *guard = None;
-            }
-        } else {
-            self.heartbeat_drops.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
     /// A worker claimed fault `index`.
     pub fn fault_claimed(&self, lane: usize, index: usize, name: &str) {
         let now = Instant::now();
-        {
-            let mut state = self.lanes[lane].lock().expect("lane lock");
-            state.current = Some((index, name.to_owned(), now));
-            state.last_beat = now;
-        }
-        self.beat(lane, "claim", Some((index, name)));
+        let mut state = self.lanes[lane].lock().expect("lane lock");
+        state.current = Some((index, name.to_owned(), now));
+        state.last_event = now;
     }
 
     /// A worker abandoned its in-flight fault (cancellation): the lane
     /// is released without counting an outcome, so terminal snapshots
     /// show it idle rather than eternally mid-fault.
     pub fn fault_abandoned(&self, lane: usize) {
-        {
-            let mut state = self.lanes[lane].lock().expect("lane lock");
-            state.current = None;
-            state.last_beat = Instant::now();
-        }
-        self.beat(lane, "abandon", None);
+        let mut state = self.lanes[lane].lock().expect("lane lock");
+        state.current = None;
+        state.last_event = Instant::now();
     }
 
-    /// A worker finished fault `index` on the lane its telemetry names.
-    pub fn fault_done(&self, index: usize, outcome: &FaultOutcome, telemetry: &FaultTelemetry) {
-        let lane = telemetry.lane;
+    /// A worker finished a fault on the lane its telemetry names.
+    pub fn fault_done(&self, outcome: &FaultOutcome, telemetry: &FaultTelemetry) {
         {
-            let mut state = self.lanes[lane].lock().expect("lane lock");
+            let mut state = self.lanes[telemetry.lane].lock().expect("lane lock");
             state.current = None;
-            state.last_beat = Instant::now();
+            state.last_event = Instant::now();
         }
         self.rollup
             .lock()
             .expect("rollup lock")
             .add(&outcome.status, telemetry);
-        self.beat(lane, "done", Some((index, outcome.fault.name())));
     }
 
     /// The stall threshold in milliseconds: [`STALL_FACTOR`] × the wall
@@ -434,8 +326,8 @@ impl StatusEmitter {
 
     /// The rollup's snapshot with the wall-clock fields only a live
     /// campaign has laid over it: elapsed time, rates and ETA, each
-    /// lane's fault in flight, busy time, heartbeat age and stall flag,
-    /// and the telemetry drop counters.
+    /// lane's fault in flight, busy time, event age and stall flag, and
+    /// the snapshot drop counter.
     fn snapshot_locked(&self, state: &str, emit: &mut EmitState) -> CampaignStatus {
         let mut status = CampaignStatus {
             label: self.label.clone(),
@@ -475,7 +367,7 @@ impl StatusEmitter {
         };
         for (worker, state) in status.workers.iter_mut().zip(&self.lanes) {
             let state = state.lock().expect("lane lock");
-            let age_ms = state.last_beat.elapsed().as_secs_f64() * 1e3;
+            let age_ms = state.last_event.elapsed().as_secs_f64() * 1e3;
             worker.fault = state.current.as_ref().map(|(i, _, _)| *i as u64);
             worker.fault_name = state.current.as_ref().map(|(_, n, _)| n.clone());
             worker.busy_ms = state
@@ -486,10 +378,6 @@ impl StatusEmitter {
             worker.stalled = state.current.is_some()
                 && status.stall_after_ms.is_some_and(|limit| age_ms > limit);
         }
-        status.counters.push((
-            "heartbeat_drops".into(),
-            self.heartbeat_drops.load(Ordering::Acquire),
-        ));
         status.counters.push((
             "status_drops".into(),
             self.status_drops.load(Ordering::Acquire),
@@ -537,17 +425,10 @@ impl StatusEmitter {
     }
 
     /// Writes the terminal snapshot (`complete`, `cancelled` or
-    /// `aborted`) and the closing heartbeat.
+    /// `aborted`).
     pub fn emit_terminal(&self, state: &str) {
         self.finish();
-        self.beat(0, state, None);
         self.emit_now(state);
-    }
-
-    /// Heartbeat records dropped (write failures after the writer was
-    /// disabled included).
-    pub fn heartbeat_drops(&self) -> u64 {
-        self.heartbeat_drops.load(Ordering::Acquire)
     }
 
     /// Status snapshots that failed to write.
@@ -614,7 +495,7 @@ mod tests {
     }
 
     #[test]
-    fn arm_writes_an_initial_snapshot_and_heartbeat() {
+    fn arm_writes_only_an_initial_snapshot() {
         let dir = temp_dir("arm");
         let emitter = armed(&dir, SolveBudget::unlimited());
         let status = status::read_status(&emitter.config.status_path())
@@ -627,12 +508,11 @@ mod tests {
         assert_eq!(status.replayed, 1);
         assert_eq!(status.workers.len(), 2);
         assert_eq!(status.journal.as_deref(), Some("unit.jsonl"));
-        let beats = obs::journal::read_journal(&emitter.config.heartbeat_path()).unwrap();
-        assert_eq!(beats.records.len(), 1);
-        assert_eq!(
-            beats.records[0].get("event").and_then(JsonValue::as_str),
-            Some("armed")
-        );
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, [status::STATUS_FILE], "the snapshot is the one sidecar");
     }
 
     #[test]
@@ -644,11 +524,11 @@ mod tests {
         assert_eq!(status.workers[1].fault, Some(2));
         assert_eq!(status.workers[1].fault_name.as_deref(), Some("b-sa0"));
         let (outcome, telemetry) = done("b-sa0", FaultStatus::Detected { pct: 80.0 }, 1, 7);
-        emitter.fault_done(2, &outcome, &telemetry);
+        emitter.fault_done(&outcome, &telemetry);
         emitter.fault_claimed(0, 3, "b-sa1");
         let status = FaultStatus::BudgetExceeded { rungs_tried: 1 };
         let (outcome, telemetry) = done("b-sa1", status, 0, 7);
-        emitter.fault_done(3, &outcome, &telemetry);
+        emitter.fault_done(&outcome, &telemetry);
         let status = emitter.snapshot("running");
         assert_eq!(status.done, 3);
         assert_eq!(status.detected, 2);
@@ -663,9 +543,6 @@ mod tests {
             .unwrap()
             .1;
         assert_eq!(newton, 14);
-        // Five heartbeats: armed + claim + done + claim + done.
-        let beats = obs::journal::read_journal(&emitter.config.heartbeat_path()).unwrap();
-        assert_eq!(beats.records.len(), 5);
     }
 
     #[test]
@@ -708,50 +585,11 @@ mod tests {
         assert_eq!(status.stall_after_ms, None, "no budget, nothing observed");
         assert!(!status.workers[0].stalled);
         let (outcome, telemetry) = done("c-sa0", FaultStatus::Detected { pct: 80.0 }, 0, 0);
-        emitter.fault_done(1, &outcome, &telemetry);
+        emitter.fault_done(&outcome, &telemetry);
         let status = emitter.snapshot("running");
         // One observed fault establishes the adaptive threshold, with
         // the 1 s floor dominating this fast unit test.
         assert_eq!(status.stall_after_ms, Some(4000.0));
-    }
-
-    #[test]
-    fn heartbeat_write_failures_disable_the_writer_and_count_drops() {
-        let dir = temp_dir("hb-chaos");
-        let plan = FaultPlan::parse("write@0..").unwrap();
-        let config = TelemetryConfig::new(&dir)
-            .retry(RetryPolicy::none())
-            .chaos(plan);
-        let emitter = StatusEmitter::arm(
-            config,
-            "unit.test",
-            None,
-            2,
-            1,
-            StatusRollup::default(),
-            SolveBudget::unlimited(),
-        );
-        // The armed beat hit the injected fault and disabled the
-        // writer; subsequent beats are counted as drops without
-        // touching it again.
-        emitter.fault_claimed(0, 0, "b-sa0");
-        let (outcome, telemetry) = done("b-sa0", FaultStatus::Detected { pct: 80.0 }, 0, 0);
-        emitter.fault_done(0, &outcome, &telemetry);
-        assert_eq!(emitter.heartbeat_drops(), 3);
-        // The campaign-facing API never surfaced an error, and the
-        // status snapshot still works and reports the drops (terminal
-        // beat included).
-        emitter.emit_terminal("complete");
-        let status = status::read_status(&emitter.config.status_path())
-            .unwrap()
-            .unwrap();
-        let drops = status
-            .counters
-            .iter()
-            .find(|(n, _)| n == "heartbeat_drops")
-            .unwrap()
-            .1;
-        assert_eq!(drops, 4);
     }
 
     #[test]
@@ -777,8 +615,5 @@ mod tests {
             .unwrap();
         assert_eq!(status.state, "cancelled");
         assert!(status.is_terminal());
-        let beats = obs::journal::read_journal(&emitter.config.heartbeat_path()).unwrap();
-        let last = beats.records.last().unwrap();
-        assert_eq!(last.get("event").and_then(JsonValue::as_str), Some("cancelled"));
     }
 }

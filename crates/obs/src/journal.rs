@@ -27,7 +27,7 @@
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -334,7 +334,11 @@ impl JournalWriter {
             Ok((Box::new(FileSink::new(file, path.to_owned())), keep))
         };
         let (sink, keep) = open().map_err(|e| journal_error("open", path, 1, e))?;
-        Ok(Self::assemble(sink, path, keep, options))
+        let sink: Box<dyn JournalSink> = match options.chaos {
+            Some(plan) => Box::new(crate::chaos::FaultySink::new(sink, plan)),
+            None => sink,
+        };
+        Ok(Self::with_sink(sink, path, keep, options.retry))
     }
 
     /// Truncates `path` (discarding any previous journal) and opens it
@@ -346,22 +350,6 @@ impl JournalWriter {
     /// Any I/O error opening the file, wrapped with path + operation
     /// context.
     pub fn create(path: &Path) -> io::Result<Self> {
-        Self::create_with(
-            path,
-            JournalOptions {
-                retry: RetryPolicy::none(),
-                chaos: None,
-            },
-        )
-    }
-
-    /// [`JournalWriter::create`] with explicit [`JournalOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error opening the file, wrapped with path + operation
-    /// context.
-    pub fn create_with(path: &Path, options: JournalOptions) -> io::Result<Self> {
         let file = OpenOptions::new()
             .create(true)
             .write(true)
@@ -370,7 +358,7 @@ impl JournalWriter {
             .open(path)
             .map_err(|e| journal_error("open", path, 1, e))?;
         let sink: Box<dyn JournalSink> = Box::new(FileSink::new(file, path.to_owned()));
-        Ok(Self::assemble(sink, path, 0, options))
+        Ok(Self::with_sink(sink, path, 0, RetryPolicy::none()))
     }
 
     /// Builds a writer over an arbitrary sink — the seam chaos tests
@@ -393,14 +381,6 @@ impl JournalWriter {
             retries: 0,
             last_error: None,
         }
-    }
-
-    fn assemble(sink: Box<dyn JournalSink>, path: &Path, committed: u64, options: JournalOptions) -> Self {
-        let sink: Box<dyn JournalSink> = match options.chaos {
-            Some(plan) => Box::new(crate::chaos::FaultySink::new(sink, plan)),
-            None => sink,
-        };
-        Self::with_sink(sink, path, committed, options.retry)
     }
 
     /// Appends one record as a compact JSON line and fsyncs it to disk.
@@ -500,89 +480,6 @@ fn last_terminated_offset(file: &mut File) -> io::Result<u64> {
             }
         }
         pos += n as u64;
-    }
-}
-
-/// A non-durable JSONL writer for tests and low-stakes streams: same
-/// format as [`JournalWriter`], buffered, no fsync.
-///
-/// Contract: call [`BufferedJournalWriter::flush`] (or
-/// [`BufferedJournalWriter::finish`]) before dropping and check the
-/// result — `Drop` flushes as a courtesy but *cannot* report failure.
-/// Any append or flush error poisons the writer;
-/// [`BufferedJournalWriter::poisoned`] and
-/// [`BufferedJournalWriter::last_error`] expose what went wrong.
-#[derive(Debug)]
-pub struct BufferedJournalWriter {
-    out: BufWriter<File>,
-    path: PathBuf,
-    poisoned: bool,
-    last_error: Option<String>,
-}
-
-impl BufferedJournalWriter {
-    /// Creates (truncating) `path` for buffered JSONL writing.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error opening the file, wrapped with path context.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        let file = File::create(path).map_err(|e| journal_error("open", path, 1, e))?;
-        Ok(BufferedJournalWriter {
-            out: BufWriter::new(file),
-            path: path.to_owned(),
-            poisoned: false,
-            last_error: None,
-        })
-    }
-
-    /// Appends one record as a compact JSON line (buffered).
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error writing; the writer is poisoned afterwards.
-    pub fn append(&mut self, record: &JsonValue) -> io::Result<()> {
-        let mut line = record.to_json();
-        line.push('\n');
-        self.out.write_all(line.as_bytes()).map_err(|e| {
-            self.poisoned = true;
-            self.last_error = Some(e.to_string());
-            journal_error("append", &self.path, 1, e)
-        })
-    }
-
-    /// Flushes buffered records to the OS.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error flushing; the writer is poisoned afterwards.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.out.flush().map_err(|e| {
-            self.poisoned = true;
-            self.last_error = Some(e.to_string());
-            journal_error("sync", &self.path, 1, e)
-        })
-    }
-
-    /// Flushes and consumes the writer — the checked alternative to
-    /// relying on `Drop`.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error flushing.
-    pub fn finish(mut self) -> io::Result<()> {
-        self.flush()
-    }
-
-    /// True once any append or flush has failed; buffered records may
-    /// have been lost and the file should not be trusted as complete.
-    pub fn poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// The first I/O failure observed, if any.
-    pub fn last_error(&self) -> Option<&str> {
-        self.last_error.as_deref()
     }
 }
 
@@ -910,19 +807,5 @@ mod tests {
         // truncating reopen first, so no partial bytes remain.
         w.append(&record(2.0)).unwrap();
         assert_eq!(w.appends(), 1);
-    }
-
-    #[test]
-    fn buffered_writer_surfaces_flush_errors_and_poisons() {
-        let dir = std::env::temp_dir().join("obs-journal-buffered-poison");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("b.jsonl");
-        let mut w = BufferedJournalWriter::create(&path).unwrap();
-        w.append(&record(1.0)).unwrap();
-        assert!(!w.poisoned());
-        w.finish().unwrap();
-        let contents = read_journal(&path).unwrap();
-        assert_eq!(contents.records.len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

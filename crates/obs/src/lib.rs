@@ -37,12 +37,13 @@
 //! module exports timelines in the Chrome Trace Event format for
 //! `chrome://tracing` / Perfetto.
 //!
-//! Live telemetry is the [`timeseries`] and [`status`] pair:
-//! fixed-capacity windowed counters and gauges derive rates and EWMAs
+//! Live telemetry is the [`timeseries`] and [`status`] pair: a
+//! fixed-capacity windowed counter derives the fault rate and its EWMA
 //! from ring-buffered samples, and [`status::CampaignStatus`] is the
 //! `mixsig.campaign-status/1` snapshot a running campaign atomically
 //! rewrites (write-temp-then-rename) for concurrent watchers to poll
-//! without ever seeing a torn document.
+//! without ever seeing a torn document. A campaign's one durable
+//! per-fault stream is its [`journal`]; there is no other append file.
 //!
 //! Human-facing output goes through [`table::Table`], so printed tables
 //! and the JSON report cannot drift apart.
@@ -70,7 +71,7 @@ pub use postmortem::{HazardStep, LadderStep, Postmortem, PostmortemIteration};
 pub use profile::{Phase, PhaseProfiler, PhaseSnapshot};
 pub use report::{RunReport, Section};
 pub use status::{CampaignStatus, WorkerLane};
-pub use timeseries::{Ewma, Gauge, TimeSeries, WindowedCounter};
+pub use timeseries::{Ewma, TimeSeries, WindowedCounter};
 pub use trace::{render_trace, validate_trace, TraceEvent};
 pub use ring::RingBuffer;
 pub use table::{Align, Table};

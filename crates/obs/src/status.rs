@@ -36,10 +36,6 @@ pub const SCHEMA: &str = "mixsig.campaign-status/1";
 /// File name of the snapshot inside a telemetry directory.
 pub const STATUS_FILE: &str = "status.json";
 
-/// File name of the heartbeat sidecar journal inside a telemetry
-/// directory.
-pub const HEARTBEAT_FILE: &str = "heartbeats.jsonl";
-
 /// One worker lane's live state.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkerLane {
@@ -51,12 +47,12 @@ pub struct WorkerLane {
     pub fault_name: Option<String>,
     /// Milliseconds the lane has spent on its current fault.
     pub busy_ms: f64,
-    /// Milliseconds since the lane's last heartbeat.
+    /// Milliseconds since the lane's last claim or done event.
     pub heartbeat_age_ms: f64,
     /// Faults this lane has completed.
     pub completed: u64,
-    /// True when the lane's heartbeat age exceeded the stall threshold
-    /// while a fault was in flight.
+    /// True when the lane's event age (`heartbeat_age_ms`) exceeded the
+    /// stall threshold while a fault was in flight.
     pub stalled: bool,
     /// The lane's hottest solver phase so far (profiling armed only).
     pub hot_phase: Option<String>,

@@ -8,10 +8,8 @@
 //! [`RingBuffer`] and derives a windowed rate
 //! from whatever the window currently spans; [`Ewma`] is the
 //! exponentially weighted moving average used to smooth per-fault
-//! throughput; [`WindowedCounter`] combines both for the common
-//! monotonic-counter case ("faults completed so far"), and
-//! [`Gauge`] is the non-monotonic variant keeping last/min/max over the
-//! window.
+//! throughput; [`WindowedCounter`] combines both for the monotonic
+//! counter a campaign snapshot rates ("faults completed so far").
 //!
 //! Everything here is zero-dependency and wall-clock free: callers pass
 //! their own timestamps (milliseconds on whatever clock they like), so
@@ -56,21 +54,6 @@ impl TimeSeries {
         self.samples.push(Sample { t_ms, value });
     }
 
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Total observations ever recorded, including discarded ones.
-    pub fn total_pushed(&self) -> u64 {
-        self.samples.total_pushed()
-    }
-
     /// The oldest retained sample.
     pub fn first(&self) -> Option<Sample> {
         self.samples.iter().next().copied()
@@ -79,15 +62,6 @@ impl TimeSeries {
     /// The most recent sample.
     pub fn last(&self) -> Option<Sample> {
         self.samples.iter().last().copied()
-    }
-
-    /// Milliseconds spanned by the retained window (0 with fewer than
-    /// two samples).
-    pub fn window_ms(&self) -> f64 {
-        match (self.first(), self.last()) {
-            (Some(a), Some(b)) => (b.t_ms - a.t_ms).max(0.0),
-            _ => 0.0,
-        }
     }
 
     /// Change in value per second across the retained window, or `None`
@@ -99,11 +73,6 @@ impl TimeSeries {
             return None;
         }
         Some((last.value - first.value) / (span_ms / 1e3))
-    }
-
-    /// Iterates retained samples oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Sample> {
-        self.samples.iter()
     }
 }
 
@@ -150,7 +119,6 @@ impl Ewma {
 pub struct WindowedCounter {
     series: TimeSeries,
     ewma: Ewma,
-    last: Option<Sample>,
 }
 
 impl WindowedCounter {
@@ -171,7 +139,6 @@ impl WindowedCounter {
         WindowedCounter {
             series: TimeSeries::new(capacity),
             ewma: Ewma::new(alpha),
-            last: None,
         }
     }
 
@@ -179,14 +146,13 @@ impl WindowedCounter {
     /// or non-advancing timestamps record the sample but skip the EWMA
     /// (no instantaneous rate exists for a zero or negative interval).
     pub fn observe(&mut self, t_ms: f64, total: f64) {
-        if let Some(prev) = self.last {
+        if let Some(prev) = self.series.last() {
             let dt_ms = t_ms - prev.t_ms;
             if dt_ms > 0.0 {
                 self.ewma.update((total - prev.value) / (dt_ms / 1e3));
             }
         }
         self.series.push(t_ms, total);
-        self.last = Some(Sample { t_ms, value: total });
     }
 
     /// Rate per second over the retained window (`None` until two
@@ -199,82 +165,11 @@ impl WindowedCounter {
     pub fn ewma_per_sec(&self) -> Option<f64> {
         self.ewma.value()
     }
-
-    /// The most recent total.
-    pub fn total(&self) -> Option<f64> {
-        self.last.map(|s| s.value)
-    }
-
-    /// The underlying sample window.
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
-    }
 }
 
 impl Default for WindowedCounter {
     fn default() -> Self {
         WindowedCounter::new()
-    }
-}
-
-/// A windowed gauge: the non-monotonic companion of
-/// [`WindowedCounter`], keeping last/min/max over the retained window
-/// plus an EWMA of the raw value.
-#[derive(Debug, Clone)]
-pub struct Gauge {
-    series: TimeSeries,
-    ewma: Ewma,
-}
-
-impl Gauge {
-    /// A gauge with the given window capacity and EWMA alpha.
-    pub fn with_capacity(capacity: usize, alpha: f64) -> Self {
-        Gauge {
-            series: TimeSeries::new(capacity),
-            ewma: Ewma::new(alpha),
-        }
-    }
-
-    /// A gauge with the default window capacity and smoothing.
-    pub fn new() -> Self {
-        Gauge::with_capacity(WindowedCounter::DEFAULT_CAPACITY, WindowedCounter::DEFAULT_ALPHA)
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, t_ms: f64, value: f64) {
-        self.series.push(t_ms, value);
-        self.ewma.update(value);
-    }
-
-    /// The most recent observation.
-    pub fn last(&self) -> Option<f64> {
-        self.series.last().map(|s| s.value)
-    }
-
-    /// Smallest value in the retained window.
-    pub fn min(&self) -> Option<f64> {
-        self.series.iter().map(|s| s.value).reduce(f64::min)
-    }
-
-    /// Largest value in the retained window.
-    pub fn max(&self) -> Option<f64> {
-        self.series.iter().map(|s| s.value).reduce(f64::max)
-    }
-
-    /// Smoothed value.
-    pub fn ewma(&self) -> Option<f64> {
-        self.ewma.value()
-    }
-
-    /// The underlying sample window.
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
-    }
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge::new()
     }
 }
 
@@ -292,7 +187,6 @@ mod tests {
         ts.push(1000.0, 8.0);
         // 8 units over 1 second.
         assert_eq!(ts.rate_per_sec(), Some(8.0));
-        assert_eq!(ts.window_ms(), 1000.0);
     }
 
     #[test]
@@ -305,8 +199,6 @@ mod tests {
         // Window is [1000, 3000]: 2 units over 2 seconds, the burst at
         // the evicted origin no longer biases the figure.
         assert_eq!(ts.rate_per_sec(), Some(1.0));
-        assert_eq!(ts.len(), 3);
-        assert_eq!(ts.total_pushed(), 4);
     }
 
     #[test]
@@ -347,7 +239,6 @@ mod tests {
         assert_eq!(c.rate_per_sec(), Some(3.0)); // 6 over 2 s
         // EWMA of instantaneous rates 4/s then 2/s at alpha 0.5.
         assert_eq!(c.ewma_per_sec(), Some(3.0));
-        assert_eq!(c.total(), Some(6.0));
     }
 
     #[test]
@@ -360,16 +251,4 @@ mod tests {
         assert!(c.ewma_per_sec().is_some());
     }
 
-    #[test]
-    fn gauge_tracks_last_min_max() {
-        let mut g = Gauge::with_capacity(3, 0.5);
-        g.observe(0.0, 5.0);
-        g.observe(1.0, -2.0);
-        g.observe(2.0, 3.0);
-        assert_eq!(g.last(), Some(3.0));
-        assert_eq!(g.min(), Some(-2.0));
-        assert_eq!(g.max(), Some(5.0));
-        g.observe(3.0, 0.0); // evicts the 5.0
-        assert_eq!(g.max(), Some(3.0));
-    }
 }

@@ -45,45 +45,82 @@ fn rc_circuit_matches_state_space_model() {
     }
 }
 
-/// Order of accuracy: an RC charged from a DC source through a UIC
-/// start reads `1 − e⁻²` at `t = 2τ`. Halving dt must cut the error by
-/// about 4 under the trapezoidal rule and about 2 under backward Euler.
+/// Order of accuracy against two closed forms, each charged from a 1 V
+/// DC source through a UIC start. An RC reads `1 − e^{−t/τ}`; the error
+/// is taken at `t = 2τ` over dt = τ/20, τ/40, τ/80. A series RLC
+/// (200 Ω, 1 mH, 1 nF, so ζ = 0.1) rings towards 1 V on its capacitor
+/// as `1 − e^{−αt}(cos ω_d t + (α/ω_d) sin ω_d t)`; over two damped
+/// periods the error is the largest deviation at any accepted
+/// timepoint, at dt = T_d/100, T_d/200, T_d/400 (at 50 steps per period
+/// backward Euler is not yet in its asymptotic range). Halving dt must
+/// cut each error by about 4 under the trapezoidal rule and about 2
+/// under backward Euler.
 #[test]
 fn integrators_converge_at_their_order() {
     use mixsig::anasim::mna::Integrator;
+    use mixsig::anasim::transient::TransientResult;
+
     let (r, c) = (10e3, 1e-9);
     let tau = r * c;
-    let mut nl = Netlist::new();
-    let vin = nl.node("in");
-    let out = nl.node("out");
-    nl.vsource("V1", vin, Netlist::GROUND, SourceWaveform::dc(1.0));
-    nl.resistor("R1", vin, out, r);
-    nl.capacitor("C1", out, Netlist::GROUND, c);
-    let exact = 1.0 - (-2.0_f64).exp();
+    let mut rc = Netlist::new();
+    let vin = rc.node("in");
+    let rc_out = rc.node("out");
+    rc.vsource("V1", vin, Netlist::GROUND, SourceWaveform::dc(1.0));
+    rc.resistor("R1", vin, rc_out, r);
+    rc.capacitor("C1", rc_out, Netlist::GROUND, c);
+    let rc_exact = 1.0 - (-2.0_f64).exp();
+    let rc_error = |res: &TransientResult| (res.final_voltage(rc_out) - rc_exact).abs();
 
-    for (integrator, band) in [
-        (Integrator::Trapezoidal, 3.6..=4.4),
-        (Integrator::BackwardEuler, 1.8..=2.2),
-    ] {
-        let errors: Vec<f64> = [20.0, 40.0, 80.0]
-            .iter()
-            .map(|steps_per_tau| {
-                let res = TransientAnalysis::new(2.0 * tau, tau / steps_per_tau)
-                    .integrator(integrator)
-                    .start_condition(StartCondition::Uic)
-                    .run(&nl)
-                    .expect("rc simulates");
-                (res.final_voltage(out) - exact).abs()
-            })
-            .collect();
-        for pair in errors.windows(2) {
-            let ratio = pair[0] / pair[1];
-            assert!(
-                band.contains(&ratio),
-                "{integrator:?}: error ratio {ratio:.3} per dt halving (errors {errors:?})"
-            );
+    let (r, l, c) = (200.0_f64, 1e-3, 1e-9);
+    let alpha = r / (2.0 * l);
+    let omega_d = (1.0 / (l * c) - alpha * alpha).sqrt();
+    let period = 2.0 * std::f64::consts::PI / omega_d;
+    let mut rlc = Netlist::new();
+    let vin = rlc.node("in");
+    let mid = rlc.node("mid");
+    let rlc_out = rlc.node("out");
+    rlc.vsource("V1", vin, Netlist::GROUND, SourceWaveform::dc(1.0));
+    rlc.resistor("R1", vin, mid, r);
+    rlc.inductor("L1", mid, rlc_out, l);
+    rlc.capacitor("C1", rlc_out, Netlist::GROUND, c);
+    let rlc_exact = |t: f64| {
+        let (sin, cos) = (omega_d * t).sin_cos();
+        1.0 - (-alpha * t).exp() * (cos + alpha / omega_d * sin)
+    };
+    let rlc_error = |res: &TransientResult| {
+        let w = res.voltage(rlc_out);
+        let deviations = w.times().iter().zip(w.values());
+        deviations.fold(0.0_f64, |worst, (&t, &v)| worst.max((v - rlc_exact(t)).abs()))
+    };
+
+    let check = |name: &str, nl: &Netlist, t_stop: f64, dts: [f64; 3], error: &dyn Fn(&TransientResult) -> f64| {
+        for (integrator, band) in [
+            (Integrator::Trapezoidal, 3.6..=4.4),
+            (Integrator::BackwardEuler, 1.8..=2.2),
+        ] {
+            let errors: Vec<f64> = dts
+                .iter()
+                .map(|&dt| {
+                    let res = TransientAnalysis::new(t_stop, dt)
+                        .integrator(integrator)
+                        .start_condition(StartCondition::Uic)
+                        .run(nl)
+                        .unwrap_or_else(|e| panic!("{name} simulates: {e:?}"));
+                    error(&res)
+                })
+                .collect();
+            for pair in errors.windows(2) {
+                let ratio = pair[0] / pair[1];
+                assert!(
+                    band.contains(&ratio),
+                    "{name} {integrator:?}: error ratio {ratio:.3} per dt halving (errors {errors:?})"
+                );
+            }
         }
-    }
+    };
+    check("rc", &rc, 2.0 * tau, [tau / 20.0, tau / 40.0, tau / 80.0], &rc_error);
+    let rlc_dts = [period / 100.0, period / 200.0, period / 400.0];
+    check("rlc", &rlc, 2.0 * period, rlc_dts, &rlc_error);
 }
 
 /// Second-order RLC: oscillation frequency agrees with the poles of the
