@@ -43,11 +43,6 @@ pub struct SolverSummary {
     pub golden_wall: Histogram,
     /// Per-fault wall times across all campaigns (ms).
     pub fault_wall: Histogram,
-    /// Fault outcomes that went unjournaled because a campaign's
-    /// journal degraded (zero on healthy runs).
-    pub journal_degraded: u64,
-    /// Journal append retries absorbed across all campaigns.
-    pub journal_retries: u64,
 }
 
 impl SolverSummary {
@@ -64,11 +59,6 @@ impl SolverSummary {
         self.detected += report.detected_count() as u64;
         self.golden_wall.record(stats.golden_wall.as_secs_f64() * 1e3);
         self.fault_wall.merge(&stats.fault_wall_ms());
-        self.journal_degraded += report
-            .degradation
-            .as_ref()
-            .map_or(0, |d| d.unjournaled as u64);
-        self.journal_retries += stats.journal_retries;
         let h = stats.rung_histogram();
         if self.rung_histogram.len() < h.len() {
             self.rung_histogram.resize(h.len(), 0);
@@ -99,9 +89,6 @@ impl SolverSummary {
         {
             section.counter(counter, value);
         }
-        section
-            .counter("journal_degraded.faults", self.journal_degraded)
-            .counter("journal.retries", self.journal_retries);
         section.histogram(
             "escalation_rungs",
             self.rung_histogram.iter().map(|&n| n as u64).collect(),

@@ -241,10 +241,6 @@ fn render_campaign_progress(label: &str, campaign: &ReplayedCampaign) -> String 
     let mut out = String::new();
     let total = campaign.names.len();
     let state = match campaign.state() {
-        ReplayedState::Degraded(d) => format!(
-            "journal degraded ({} journaled, {} unjournaled)",
-            d.journaled, d.unjournaled
-        ),
         ReplayedState::Cancelled => format!("cancelled after {}", campaign.faults.len()),
         ReplayedState::Interrupted => "interrupted (no terminal record)".to_owned(),
         ReplayedState::Complete => "complete".to_owned(),
@@ -255,15 +251,6 @@ fn render_campaign_progress(label: &str, campaign: &ReplayedCampaign) -> String 
         campaign.faults.len(),
         total
     );
-    if let Some(d) = &campaign.degraded {
-        let _ = writeln!(
-            out,
-            "  journal gave out mid-campaign: {}; the campaign itself finished, \
-             and a plain resume re-simulates the unjournaled faults",
-            d.reason
-        );
-    }
-
     let mut counts: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
     for fault in campaign.faults.values() {
         *counts.entry(fault.status.tag()).or_default() += 1;
@@ -649,24 +636,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("pending on resume: f1"), "{text}");
-    }
-
-    #[test]
-    fn degraded_journal_explains_the_outage_and_pending_faults() {
-        use faultsim::journal::degraded_record;
-        let mut text = sample_journal(false);
-        text += &degraded_record("rc", 1, 1, "injected write fault at op 3").to_json();
-        text.push('\n');
-        let rendered = explain_journal(&text, None).unwrap();
-        assert!(
-            rendered.contains("campaign rc: 1/2 faults checkpointed — journal degraded (1 journaled, 1 unjournaled)"),
-            "{rendered}"
-        );
-        assert!(
-            rendered.contains("injected write fault at op 3"),
-            "{rendered}"
-        );
-        assert!(rendered.contains("pending on resume: f1"), "{rendered}");
     }
 
     #[test]

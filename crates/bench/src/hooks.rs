@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use anasim::robust::{CancelToken, SolveSettings};
-use faultsim::campaign::{CampaignConfig, CampaignReport, DegradePolicy, JournalConfig};
+use faultsim::campaign::{CampaignConfig, CampaignReport, JournalConfig};
 use faultsim::telemetry::TelemetryConfig;
 use faultsim::trace::CampaignTrace;
 use obs::chaos::{FaultPlan, NumericChaosPlan};
@@ -50,8 +50,6 @@ pub struct CampaignHooks {
     /// Deterministic journal fault-injection plan (`--chaos`), applied
     /// to every campaign journal of the invocation.
     pub chaos: Option<FaultPlan>,
-    /// Persistent-journal-failure policy (`--degrade`).
-    pub degrade: DegradePolicy,
     /// Invocation-wide phase profiler: arms campaign profiling and
     /// accumulates every campaign's phase rollup.
     pub profile: Option<Arc<PhaseProfiler>>,
@@ -96,13 +94,6 @@ impl CampaignHooks {
     /// Adds a journal fault-injection plan (builder style, `--chaos`).
     pub fn with_chaos(mut self, plan: FaultPlan) -> Self {
         self.chaos = Some(plan);
-        self
-    }
-
-    /// Sets the persistent-journal-failure policy (builder style,
-    /// `--degrade`).
-    pub fn with_degrade(mut self, degrade: DegradePolicy) -> Self {
-        self.degrade = degrade;
         self
     }
 
@@ -152,7 +143,7 @@ impl CampaignHooks {
     }
 
     /// Applies the hooks to one campaign's config: the journal under
-    /// the campaign's `label` (with any chaos plan and degrade policy),
+    /// the campaign's `label` (with any chaos plan),
     /// the shared cancellation token, and phase-profiler arming.
     pub fn apply(&self, mut config: CampaignConfig, label: &str) -> CampaignConfig {
         if let Some(spec) = &self.journal {
@@ -164,7 +155,7 @@ impl CampaignHooks {
             if let Some(plan) = &self.chaos {
                 jc = jc.chaos(plan.clone());
             }
-            config = config.journal(jc).degrade(self.degrade);
+            config = config.journal(jc);
         }
         if let Some(cancel) = &self.cancel {
             config = config.cancel(cancel.clone());
@@ -218,7 +209,6 @@ mod tests {
         assert!(jc.resume);
         assert!(jc.chaos.is_none());
         assert!(config.cancel.is_some());
-        assert_eq!(config.degrade, DegradePolicy::Abort);
     }
 
     #[test]
@@ -258,13 +248,11 @@ mod tests {
     }
 
     #[test]
-    fn chaos_and_degrade_reach_every_campaign_journal() {
+    fn chaos_reaches_every_campaign_journal() {
         let hooks = CampaignHooks::journaled("/tmp/j.jsonl", false)
-            .with_chaos(FaultPlan::parse("write@4..7").unwrap())
-            .with_degrade(DegradePolicy::Continue);
+            .with_chaos(FaultPlan::parse("write@4..7").unwrap());
         let config = hooks.apply(CampaignConfig::new(0.5), "e6.c1.correlation");
         let jc = config.journal.expect("journal configured");
         assert_eq!(jc.chaos, Some(FaultPlan::parse("write@4..7").unwrap()));
-        assert_eq!(config.degrade, DegradePolicy::Continue);
     }
 }

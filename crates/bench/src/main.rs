@@ -9,8 +9,7 @@
 //!             [--metrics-json PATH] [--canonical-metrics]
 //!             [--bench-json PATH] [--trace-json PATH]
 //!             [--journal PATH | --resume PATH]
-//!             [--chaos SPEC] [--numeric-chaos SPEC]
-//!             [--degrade abort|continue] [--telemetry DIR]
+//!             [--chaos SPEC] [--numeric-chaos SPEC] [--telemetry DIR]
 //! experiments check-report PATH
 //! experiments explain PATH [--fault N]
 //! experiments watch DIR|JOURNAL [--once] [--json] [--interval MS]
@@ -49,10 +48,10 @@
 //! journal, and exits 130.
 //! `--chaos` arms deterministic journal fault injection (for example
 //! `write@4..7` or `seed@7:20`, see [`obs::chaos::FaultPlan::parse`])
-//! against every campaign journal of the run, and `--degrade` picks
-//! what a persistent journal failure does: `abort` (default) stops at
-//! the next fault boundary with a clean partial journal, `continue`
-//! finishes the campaign journal-less and marks the run degraded.
+//! against every campaign journal of the run. A failed journal write
+//! stops the campaign at the next fault boundary, like Ctrl-C, and
+//! fails the run with the journal error; `--resume` then picks up from
+//! the faults the journal holds.
 //! `--numeric-chaos` arms deterministic *solver* fault injection (for
 //! example `pivot@0`, `nan@2..4`, `perturb@1`, `seed@7:10`, see
 //! [`obs::chaos::NumericChaosPlan::parse`]) into every fault extraction
@@ -70,10 +69,7 @@
 //! events), and given a `--bench-json` sidecar it validates the `/4`
 //! schema and lints phase attribution against wall-clock, and
 //! factorisations and device evaluations against Newton iterations
-//! (every profiled solve must be counted). Degraded runs are
-//! reported in both forms: the report summary carries a
-//! `journal_degraded` count and the journal's terminal `degraded`
-//! record names how many fault outcomes went unjournaled and why.
+//! (every profiled solve must be counted).
 //! `explain` renders a report's solver postmortems as a narrative
 //! diagnosis: the escalation-ladder path, the worst-offending nodes and
 //! the last recorded Newton iterations (`--fault` selects one by
@@ -105,8 +101,6 @@ use std::time::Instant;
 
 use anasim::robust::CancelToken;
 use anasim::AnalysisError;
-use faultsim::campaign::DegradePolicy;
-use faultsim::journal::ReplayedState;
 use faultsim::trace::CampaignTrace;
 use msbist_bench::hooks::CampaignHooks;
 use msbist_bench::solver_bench::{self, BenchEntry};
@@ -178,7 +172,6 @@ fn main() -> ExitCode {
     let mut resume: Option<String> = None;
     let mut chaos: Option<obs::FaultPlan> = None;
     let mut numeric_chaos: Option<obs::NumericChaosPlan> = None;
-    let mut degrade = DegradePolicy::Abort;
     let mut telemetry: Option<String> = None;
     let mut workers = experiments::e6::E6_WORKERS;
     let mut it = args.iter();
@@ -227,11 +220,6 @@ fn main() -> ExitCode {
                     )
                 }
             },
-            "--degrade" => match it.next().map(String::as_str) {
-                Some("abort") => degrade = DegradePolicy::Abort,
-                Some("continue") => degrade = DegradePolicy::Continue,
-                _ => return usage_error("--degrade needs 'abort' or 'continue'"),
-            },
             "--telemetry" => match it.next() {
                 Some(dir) => telemetry = Some(dir.clone()),
                 None => return usage_error("--telemetry needs a directory"),
@@ -269,8 +257,8 @@ fn main() -> ExitCode {
         _ => CampaignHooks::none(),
     };
     let hooks = match chaos {
-        Some(plan) => hooks.with_chaos(plan).with_degrade(degrade),
-        None => hooks.with_degrade(degrade),
+        Some(plan) => hooks.with_chaos(plan),
+        None => hooks,
     };
     // Unlike --chaos (journal I/O faults), --numeric-chaos targets the
     // solver itself and needs no journal to inject into.
@@ -596,7 +584,7 @@ fn usage_error(message: &str) -> ExitCode {
          [--workers N] [--metrics-json PATH] \
          [--canonical-metrics] [--bench-json PATH]\n\
          \x20      [--trace-json PATH] [--journal PATH | --resume PATH] [--chaos SPEC] \
-         [--numeric-chaos SPEC] [--degrade abort|continue] [--telemetry DIR]\n\
+         [--numeric-chaos SPEC] [--telemetry DIR]\n\
          \x20      experiments check-report PATH\n\
          \x20      experiments explain PATH [--fault N]\n\
          \x20      experiments watch DIR|JOURNAL [--once] [--json] [--interval MS]\n\
@@ -837,7 +825,6 @@ fn check_report(path: &str) -> ExitCode {
                 "newton_iterations",
                 "rung_histogram",
                 "wall_ms",
-                "journal_degraded",
             ] {
                 if summary.get(key).is_none() {
                     failures.push(format!("summary.{key} missing"));
@@ -880,17 +867,8 @@ fn check_report(path: &str) -> ExitCode {
     };
     if failures.is_empty() {
         let summary = parsed.get("summary").expect("checked above");
-        let degraded = summary
-            .get("journal_degraded")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0);
-        let degraded_note = if degraded > 0.0 {
-            format!("; JOURNAL DEGRADED: {degraded} fault outcome(s) unjournaled")
-        } else {
-            String::new()
-        };
         println!(
-            "{path}: ok (coverage {:?}, {} Newton iterations, {postmortems} postmortem(s){degraded_note})",
+            "{path}: ok (coverage {:?}, {} Newton iterations, {postmortems} postmortem(s))",
             summary.get("coverage").and_then(JsonValue::as_f64),
             summary
                 .get("newton_iterations")
@@ -945,12 +923,7 @@ fn check_journal(path: &str, text: &str) -> ExitCode {
             .campaigns
             .iter()
             .map(|(label, c)| {
-                let state = match c.state() {
-                    ReplayedState::Degraded(d) => {
-                        format!("degraded ({} unjournaled: {})", d.unjournaled, d.reason)
-                    }
-                    other => other.label().to_owned(),
-                };
+                let state = c.state().label();
                 // `StatusRollup`, the fold the live status snapshot
                 // keeps, so the two progress views cannot disagree.
                 let rollup = msbist_bench::watch::fold_campaign(label, c, None);

@@ -10,9 +10,11 @@
 //!
 //! Sources, in order of preference:
 //!
-//! 1. **The status snapshot.** A running campaign rewrites it every
-//!    interval; [`obs::status::read_status`] tolerates every state a
-//!    concurrent writer can leave behind.
+//! 1. **The status snapshot.** A running campaign atomically rewrites
+//!    it every interval, so [`obs::status::read_status`] sees either
+//!    no file yet or a complete snapshot; anything unparseable is a
+//!    foreign or damaged file, and [`observe`] fails naming it and the
+//!    reason instead of silently falling back to a journal.
 //! 2. **The checkpoint journal.** When the snapshot is missing, or has
 //!    gone stale while claiming `running` (the campaign process died
 //!    between snapshots), the journal named in the snapshot — or any
@@ -156,8 +158,10 @@ pub fn find_journal(dir: &Path, snapshot: Option<&CampaignStatus>) -> Option<Pat
 ///
 /// # Errors
 ///
-/// A target that exists but is structurally broken (unreadable
-/// directory, invalid journal file given directly).
+/// A target that exists but is structurally broken: an unreadable
+/// directory, a `status.json` that cannot be read or is not a valid
+/// snapshot (the message names the file and the reason), or an invalid
+/// journal file given directly.
 pub fn observe(target: &Path, now_unix_ms: f64) -> Result<Option<WatchView>, String> {
     if target.is_file() {
         return Ok(pick_campaign(fold_journal(target)?).map(|status| WatchView {
@@ -168,7 +172,7 @@ pub fn observe(target: &Path, now_unix_ms: f64) -> Result<Option<WatchView>, Str
     }
     let status_path = target.join(status::STATUS_FILE);
     let snapshot = status::read_status(&status_path)
-        .map_err(|e| format!("cannot read {}: {e}", status_path.display()))?;
+        .map_err(|e| format!("unreadable status snapshot {}: {e}", status_path.display()))?;
     if let Some(snapshot) = snapshot {
         let age = (now_unix_ms - snapshot.updated_at_ms).max(0.0);
         if snapshot.is_terminal() || age <= STALE_AFTER_MS {
@@ -556,12 +560,12 @@ mod tests {
     #[test]
     fn a_stale_snapshot_selects_its_own_campaign_from_the_journal() {
         let dir = temp_dir("stale-label");
-        // Campaign `a` ended degraded before `b` started and died; `a`
+        // Campaign `a` was cancelled before `b` started and died; `a`
         // sorts first and is not complete either.
         let mut text = journal_text(true).replace("\"rc\"", "\"a\"");
-        let degraded = text.rfind("{\"record\":\"complete\"").unwrap();
-        text.truncate(degraded);
-        text += &faultsim::journal::degraded_record("a", 3, 0, "disk full").to_json();
+        let cancelled = text.rfind("{\"record\":\"complete\"").unwrap();
+        text.truncate(cancelled);
+        text += &faultsim::journal::cancelled_record("a", 3).to_json();
         text.push('\n');
         text += &journal_text(false).replace("\"rc\"", "\"b\"");
         fs::write(dir.join("campaign.jsonl"), text).unwrap();
@@ -574,7 +578,32 @@ mod tests {
         // campaign.
         let direct = observe(&dir.join("campaign.jsonl"), 0.0).unwrap().unwrap();
         assert_eq!(direct.status.label, "a");
-        assert_eq!(direct.status.state, "degraded");
+        assert_eq!(direct.status.state, "cancelled");
+    }
+
+    #[test]
+    fn an_unreadable_snapshot_fails_naming_it_and_the_reason() {
+        let dir = temp_dir("unreadable-status");
+        fs::write(dir.join("campaign.jsonl"), journal_text(false)).unwrap();
+        // Outcome counts that do not sum to `done`: no writer leaves
+        // this behind, so the journal must not silently stand in.
+        let snapshot = CampaignStatus {
+            label: "rc".to_owned(),
+            state: "running".to_owned(),
+            total: 3,
+            done: 2,
+            detected: 1,
+            updated_at_ms: 1_000.0,
+            ..CampaignStatus::default()
+        };
+        let path = dir.join(status::STATUS_FILE);
+        fs::write(&path, snapshot.to_json().to_json_pretty()).unwrap();
+        let err = observe(&dir, 1_100.0).unwrap_err();
+        assert!(
+            err.contains(&format!("unreadable status snapshot {}", path.display())),
+            "{err}"
+        );
+        assert!(err.contains("does not sum to done 2"), "{err}");
     }
 
     #[test]

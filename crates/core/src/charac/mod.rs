@@ -77,31 +77,13 @@ impl Characterisation {
 ///
 /// Panics if `codes < 3` or larger than the converter's range.
 pub fn characterise<A: AdcConverter>(adc: &A, codes: u64) -> Characterisation {
-    characterise_with_resolution(adc, codes, 32)
-}
-
-/// Like [`characterise`] but with an explicit ramp resolution in steps
-/// per LSB — transition positions quantise to `lsb / steps_per_lsb`, so
-/// precision-sensitive analyses (e.g. population statistics) use finer
-/// sweeps at proportional cost.
-///
-/// # Panics
-///
-/// Panics if `codes < 3`, `codes` exceeds the converter range, or
-/// `steps_per_lsb` is zero.
-pub fn characterise_with_resolution<A: AdcConverter>(
-    adc: &A,
-    codes: u64,
-    steps_per_lsb: u32,
-) -> Characterisation {
     assert!(codes >= 3, "need at least 3 codes to characterise");
     assert!(
         codes <= adc.full_count(),
         "codes exceeds the converter range"
     );
-    assert!(steps_per_lsb >= 1, "need at least one step per LSB");
     let lsb = adc.lsb();
-    let step = lsb / steps_per_lsb as f64;
+    let step = lsb / 32.0;
 
     // Sweep: find the first input producing each code 1..=codes.
     let mut transitions: Vec<Option<f64>> = vec![None; codes as usize];

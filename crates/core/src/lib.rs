@@ -36,7 +36,6 @@ pub mod calibrate;
 pub mod charac;
 pub mod dac_test;
 pub mod device;
-pub mod model_test;
 pub mod self_test;
 pub mod sigma_delta;
 pub mod transtest;

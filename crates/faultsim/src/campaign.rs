@@ -30,8 +30,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use anasim::flight::FlightRecorder;
@@ -44,7 +44,7 @@ use anasim::robust::{
 use anasim::solver::WarmStart;
 use anasim::AnalysisError;
 use obs::chaos::FaultPlan;
-use obs::journal::{JournalOptions, JournalWriter, RetryPolicy};
+use obs::journal::JournalWriter;
 use obs::profile::PhaseProfiler;
 use obs::{Postmortem, Section};
 use sigproc::correlation::detection_instances;
@@ -208,12 +208,6 @@ pub struct CampaignStats {
     /// Number of faults whose extraction panicked
     /// ([`FaultStatus::Panicked`]).
     pub panicked: usize,
-    /// Journal append attempts absorbed by the writer's
-    /// [`RetryPolicy`] (0 when no journal is configured or nothing
-    /// failed transiently). Reported as the `journal.retries` section
-    /// counter; excluded from canonical *text*, which describes
-    /// campaign semantics rather than storage weather.
-    pub journal_retries: u64,
 }
 
 impl CampaignStats {
@@ -286,11 +280,6 @@ pub struct JournalConfig {
     /// missing journal file is not an error — the campaign simply runs
     /// fresh.
     pub resume: bool,
-    /// Retry policy for journal appends. The default absorbs a few
-    /// transient I/O faults with millisecond backoff before the
-    /// campaign's [`DegradePolicy`] takes over; [`RetryPolicy::none`]
-    /// restores fail-fast appends.
-    pub retry: RetryPolicy,
     /// Deterministic fault-injection plan wrapped around the journal
     /// file ([`obs::chaos`]). `None` (the default) journals against the
     /// real filesystem only — chaos is strictly opt-in.
@@ -304,7 +293,6 @@ impl JournalConfig {
             path: path.into(),
             label: label.into(),
             resume: false,
-            retry: RetryPolicy::default(),
             chaos: None,
         }
     }
@@ -317,13 +305,6 @@ impl JournalConfig {
         }
     }
 
-    /// Replaces the append retry policy.
-    #[must_use]
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Installs a deterministic fault-injection plan on the journal's
     /// storage path (chaos testing).
     #[must_use]
@@ -331,43 +312,6 @@ impl JournalConfig {
         self.chaos = Some(plan);
         self
     }
-}
-
-/// What a campaign does when its checkpoint journal fails persistently
-/// (every retry of an append exhausted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DegradePolicy {
-    /// Stop claiming new faults at the next fault boundary, append a
-    /// best-effort `cancelled` terminal record so the journal replays,
-    /// and fail the campaign with the journal error. Completed faults
-    /// stay journaled; a resume picks up from them. This is the
-    /// default: silently dropping checkpoints would break the resume
-    /// guarantee.
-    #[default]
-    Abort,
-    /// Keep simulating without checkpoints: the campaign completes and
-    /// its report is fully populated, but outcomes after the failure
-    /// exist only in memory. The report carries a
-    /// [`JournalDegradation`] (surfaced as a canonical
-    /// `[journal degraded …]` marker and a `journal_degraded.faults`
-    /// counter), and a best-effort `degraded`
-    /// terminal record marks the journal itself as incomplete.
-    Continue,
-}
-
-/// How a completed campaign's journal degraded
-/// ([`CampaignReport::degradation`], policy
-/// [`DegradePolicy::Continue`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournalDegradation {
-    /// Fault outcomes that made it into the journal (including
-    /// replayed ones).
-    pub journaled: usize,
-    /// Fault outcomes completed after journaling stopped — present in
-    /// the report, absent from the journal.
-    pub unjournaled: usize,
-    /// The terminal journal error that triggered degradation.
-    pub reason: String,
 }
 
 /// The paper's detection criterion: a fault whose signature deviates
@@ -397,7 +341,11 @@ pub struct CampaignConfig {
     /// Checkpoint journal: every completed fault is appended (fsync'd)
     /// to this JSONL file, and with [`JournalConfig::resume`] set,
     /// previously journaled faults are replayed instead of
-    /// re-simulated. `None` (the default) disables checkpointing.
+    /// re-simulated. A failed append stops the campaign at the next
+    /// fault boundary, and [`run_campaign_with`] returns
+    /// [`AnalysisError::InvalidParameter`] naming the journal error; a
+    /// resume picks up from what was journaled. `None` (the default)
+    /// disables checkpointing.
     pub journal: Option<JournalConfig>,
     /// Cooperative-cancellation token. Raised (from Ctrl-C, another
     /// thread, anywhere), it stops the campaign: in-flight extractions
@@ -406,11 +354,6 @@ pub struct CampaignConfig {
     /// after journaling a clean `cancelled` terminal record. Completed
     /// faults stay journaled, so the campaign resumes where it stopped.
     pub cancel: Option<CancelToken>,
-    /// What to do when the journal fails persistently (all append
-    /// retries exhausted): abort cleanly at the next fault boundary
-    /// (the default) or continue journal-less with the degradation
-    /// accounted for in the report.
-    pub degrade: DegradePolicy,
     /// Arms phase-level cost attribution: the golden extraction and
     /// every fault get a fresh [`PhaseProfiler`] shared across ladder
     /// rungs, and the per-phase nanosecond rollup lands in
@@ -455,7 +398,6 @@ impl CampaignConfig {
             flight: None,
             journal: None,
             cancel: None,
-            degrade: DegradePolicy::default(),
             profile: false,
             telemetry: None,
             numeric_chaos: None,
@@ -512,13 +454,6 @@ impl CampaignConfig {
         self
     }
 
-    /// Sets the persistent-journal-failure policy; see
-    /// [`DegradePolicy`].
-    pub fn degrade(mut self, degrade: DegradePolicy) -> Self {
-        self.degrade = degrade;
-        self
-    }
-
     /// Arms (or disarms) phase-level cost attribution; see
     /// [`CampaignConfig::profile`].
     pub fn profile(mut self, armed: bool) -> Self {
@@ -552,11 +487,6 @@ pub struct CampaignReport {
     pub threshold: f64,
     /// Solver telemetry for the run.
     pub stats: CampaignStats,
-    /// Set when the journal failed persistently under
-    /// [`DegradePolicy::Continue`]: the report is complete, the journal
-    /// is not. `None` for unjournaled campaigns and for journals that
-    /// stayed healthy (possibly via retries).
-    pub degradation: Option<JournalDegradation>,
 }
 
 impl CampaignReport {
@@ -634,11 +564,6 @@ impl CampaignReport {
             // Emitted even at zero so the counter key set is stable
             // across runs (canonical diffs stay structural).
             .counter("panicked.faults", self.stats.panicked as u64)
-            .counter(
-                "journal_degraded.faults",
-                self.degradation.as_ref().map_or(0, |d| d.unjournaled as u64),
-            )
-            .counter("journal.retries", self.stats.journal_retries)
             .value("threshold", self.threshold)
             .value(
                 "coverage",
@@ -757,43 +682,23 @@ impl CampaignReport {
             let _ = writeln!(out, " [newton {}]", t.solver.newton_iterations);
         }
         let _ = writeln!(out, "coverage@50%: {:.4}", self.coverage(50.0));
-        if let Some(d) = &self.degradation {
-            let _ = writeln!(
-                out,
-                "[journal degraded: {} unjournaled of {} faults ({})]",
-                d.unjournaled,
-                self.outcomes.len(),
-                d.reason
-            );
-        }
         out
     }
 }
 
 /// Shared journal bookkeeping for one campaign run: the writer plus the
-/// failure/degradation state workers consult at every fault boundary.
+/// failure state workers consult at every fault boundary.
 struct JournalState {
     writer: Mutex<JournalWriter>,
     label: String,
     /// Outcomes replayed from the journal before simulation started.
     replayed: usize,
-    /// Latched on the first persistent (retries-exhausted) append
-    /// failure; `reason` holds the error (first one wins).
-    failed: AtomicBool,
-    /// Under [`DegradePolicy::Abort`]: tells workers to stop claiming
-    /// faults, exactly like a raised cancel token.
-    abort: AtomicBool,
+    /// The first failed append's error. Once set, workers stop
+    /// claiming faults, exactly as for a raised cancel token.
+    failure: OnceLock<String>,
     /// Fault outcomes appended to the journal by this run.
     journaled: AtomicUsize,
-    /// Fault outcomes completed after journaling stopped
-    /// ([`DegradePolicy::Continue`] only).
-    unjournaled: AtomicUsize,
-    reason: Mutex<Option<String>>,
 }
-
-/// What a finished run's journal adds to its report: the degradation,
-/// if any, and the append retries the writer absorbed.
-type JournalEnd = (Option<JournalDegradation>, u64);
 
 impl JournalState {
     /// Opens `jc` for one run. When resuming, the journal's outcomes for
@@ -844,14 +749,10 @@ impl JournalState {
                 )));
             }
         }
-        // Opening and the `start` record go through the configured
-        // retry/chaos options too; errors here carry the path and
-        // operation from `obs::journal::JournalError`.
-        let options = JournalOptions {
-            retry: jc.retry.clone(),
-            chaos: jc.chaos.clone(),
-        };
-        let mut writer = JournalWriter::append_to_with(&jc.path, options)
+        // Opening and the `start` record go through the chaos plan too;
+        // errors here carry the path and operation from
+        // `obs::journal::JournalError`.
+        let mut writer = JournalWriter::append_to_with(&jc.path, jc.chaos.clone())
             .map_err(|e| journal_err(e.to_string()))?;
         let start = journal::start_record(&jc.label, faults, config.threshold, golden_len);
         writer
@@ -882,31 +783,19 @@ impl JournalState {
             writer: Mutex::new(writer),
             label: jc.label.clone(),
             replayed,
-            failed: AtomicBool::new(false),
-            abort: AtomicBool::new(false),
+            failure: OnceLock::new(),
             journaled: AtomicUsize::new(0),
-            unjournaled: AtomicUsize::new(0),
-            reason: Mutex::new(None),
         })
     }
 
     /// Appends one completed fault: one fsync'd line, from whichever
     /// worker finished it. Journal order is completion order; the
-    /// record's index restores universe order on replay. Transient
-    /// write failures are absorbed by the writer's retry policy; a
-    /// persistent one latches the degradation state, and `policy`
-    /// decides whether workers stop claiming (Abort) or keep simulating
-    /// with the gap accounted (Continue) — dropping checkpoints
-    /// *silently* would break the resume guarantee.
-    fn record(
-        &self,
-        index: usize,
-        outcome: &FaultOutcome,
-        telemetry: &FaultTelemetry,
-        policy: DegradePolicy,
-    ) {
-        if self.failed.load(Ordering::Acquire) {
-            self.unjournaled.fetch_add(1, Ordering::AcqRel);
+    /// record's index restores universe order on replay. The first
+    /// failed append stops the writer and tells workers to stop
+    /// claiming: the run aborts at the next fault boundary, and a
+    /// resume re-simulates whatever went unjournaled.
+    fn record(&self, index: usize, outcome: &FaultOutcome, telemetry: &FaultTelemetry) {
+        if self.failure.get().is_some() {
             return;
         }
         let record = journal::fault_record(
@@ -922,22 +811,8 @@ impl JournalState {
                 self.journaled.fetch_add(1, Ordering::AcqRel);
             }
             Err(err) => {
-                self.degrade(&err, policy);
-                self.unjournaled.fetch_add(1, Ordering::AcqRel);
+                let _ = self.failure.set(err.to_string());
             }
-        }
-    }
-
-    /// Records a persistent append failure and applies the policy.
-    fn degrade(&self, err: &std::io::Error, policy: DegradePolicy) {
-        let mut reason = self.reason.lock().expect("journal reason lock");
-        if reason.is_none() {
-            *reason = Some(err.to_string());
-        }
-        drop(reason);
-        self.failed.store(true, Ordering::Release);
-        if policy == DegradePolicy::Abort {
-            self.abort.store(true, Ordering::Release);
         }
     }
 
@@ -946,84 +821,38 @@ impl JournalState {
         self.replayed + self.journaled.load(Ordering::Acquire)
     }
 
-    fn reason(&self) -> String {
-        self.reason
-            .lock()
-            .expect("journal reason lock")
-            .clone()
-            .unwrap_or_else(|| "unknown journal failure".into())
-    }
-
     /// Appends the run's terminal record and names the terminal state
     /// the run ended in. `complete` says every fault has an outcome; a
     /// missing one can only mean cancellation or a journal abort.
-    fn finish(
-        &self,
-        complete: bool,
-        policy: DegradePolicy,
-        total: usize,
-    ) -> (&'static str, Result<JournalEnd, AnalysisError>) {
-        let mut writer = self.writer.lock().expect("journal lock");
-        let cancelled = journal::cancelled_record(&self.label, self.journaled_total());
+    fn finish(&self, complete: bool, total: usize) -> (&'static str, Result<(), AnalysisError>) {
         let write_failed = |err: std::io::Error| {
             AnalysisError::InvalidParameter(format!("campaign journal: write failed: {err}"))
         };
-        // A persistent journal failure under Abort fails the campaign
-        // at the fault boundary it stopped at, exactly like a
-        // cancellation: a best-effort `cancelled` record keeps the
-        // journal replayable when the underlying fault was bounded (an
-        // ENOSPC that cleared), and its own failure is ignored — the
-        // journal is already known-broken, and the error the caller
-        // needs is the original one.
-        if self.failed.load(Ordering::Acquire) && policy == DegradePolicy::Abort {
-            let _ = writer.append(&cancelled);
+        // A failed append fails the campaign at the fault boundary it
+        // stopped at. The writer is stopped too, so the journal ends at
+        // its last acked record (plus at most a torn tail), exactly like
+        // one a hard kill left behind, and resumes the same way.
+        if let Some(reason) = self.failure.get() {
             let err = AnalysisError::InvalidParameter(format!(
                 "campaign journal: write failed ({} of {total} fault outcomes journaled, \
-                 aborted at the next fault boundary): {}",
+                 aborted at the next fault boundary): {reason}",
                 self.journaled_total(),
-                self.reason()
             ));
             return ("aborted", Err(err));
         }
+        let mut writer = self.writer.lock().expect("journal lock");
         if !complete {
-            // A journal that already degraded (Continue policy) gets
-            // best-effort terminal records only.
+            let cancelled = journal::cancelled_record(&self.label, self.journaled_total());
             let end = match writer.append(&cancelled) {
-                Err(err) if !self.failed.load(Ordering::Acquire) => Err(write_failed(err)),
-                _ => Err(AnalysisError::Cancelled),
+                Ok(()) => AnalysisError::Cancelled,
+                Err(err) => write_failed(err),
             };
-            return ("cancelled", end);
+            return ("cancelled", Err(end));
         }
-        // `complete` for a healthy journal, `degraded` (best-effort)
-        // for one that failed under Continue — a bounded outage lets the
-        // degraded record land, making the journal self-describing
-        // about its own gap.
-        if !self.failed.load(Ordering::Acquire) {
-            if let Err(err) = writer.append(&journal::complete_record(&self.label)) {
-                if policy == DegradePolicy::Abort {
-                    return ("aborted", Err(write_failed(err)));
-                }
-                // Continue: every fault outcome is journaled and the
-                // campaign is complete — only the terminal record is
-                // missing, so degrade with zero unjournaled faults.
-                self.degrade(&err, policy);
-            }
+        match writer.append(&journal::complete_record(&self.label)) {
+            Ok(()) => ("complete", Ok(())),
+            Err(err) => ("aborted", Err(write_failed(err))),
         }
-        let degradation = self.failed.load(Ordering::Acquire).then(|| {
-            let degradation = JournalDegradation {
-                journaled: self.journaled_total(),
-                unjournaled: self.unjournaled.load(Ordering::Acquire),
-                reason: self.reason(),
-            };
-            let _ = writer.append(&journal::degraded_record(
-                &self.label,
-                degradation.journaled,
-                degradation.unjournaled,
-                &degradation.reason,
-            ));
-            degradation
-        });
-        ("complete", Ok((degradation, writer.retries())))
     }
 }
 
@@ -1265,7 +1094,7 @@ where
             em.fault_done(&outcome, &telemetry);
         }
         if let Some(js) = &journal {
-            js.record(i, &outcome, &telemetry, config.degrade);
+            js.record(i, &outcome, &telemetry);
         }
         Some((outcome, telemetry))
     };
@@ -1275,7 +1104,7 @@ where
         cancelled(config)
             || journal
                 .as_ref()
-                .is_some_and(|js| js.abort.load(Ordering::Acquire))
+                .is_some_and(|js| js.failure.get().is_some())
     };
 
     // The claim loop runs inside one scope so the telemetry monitor
@@ -1299,13 +1128,7 @@ where
     let campaign_wall = started.elapsed();
 
     let complete = results.iter().all(Option::is_some);
-    let (degradation, journal_retries) = finish_run(
-        journal.as_ref(),
-        emitter.as_ref(),
-        complete,
-        config,
-        faults.len(),
-    )?;
+    finish_run(journal.as_ref(), emitter.as_ref(), complete, faults.len())?;
     let (outcomes, per_fault): (Vec<_>, Vec<_>) = results
         .into_iter()
         .map(|result| result.expect("complete campaign has every outcome"))
@@ -1324,9 +1147,7 @@ where
             per_fault,
             campaign_wall,
             panicked,
-            journal_retries,
         },
-        degradation,
     })
 }
 
@@ -1349,12 +1170,11 @@ fn finish_run(
     journal: Option<&JournalState>,
     emitter: Option<&StatusEmitter>,
     complete: bool,
-    config: &CampaignConfig,
     total: usize,
-) -> Result<JournalEnd, AnalysisError> {
+) -> Result<(), AnalysisError> {
     let (state, end) = match journal {
-        Some(js) => js.finish(complete, config.degrade, total),
-        None if complete => ("complete", Ok((None, 0))),
+        Some(js) => js.finish(complete, total),
+        None if complete => ("complete", Ok(())),
         None => ("cancelled", Err(AnalysisError::Cancelled)),
     };
     if let Some(em) = emitter {

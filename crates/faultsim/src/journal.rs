@@ -16,7 +16,14 @@
 //!   [`FaultStatus`], the signature, and the per-fault telemetry
 //!   including any frozen postmortem;
 //! * `complete` / `cancelled` — the terminal record. A journal with no
-//!   terminal record for a label was hard-killed mid-campaign.
+//!   terminal record for a label was hard-killed mid-campaign, or
+//!   aborted at a failed append, which leaves the same shape.
+//!
+//! Any other record type fails replay with its record number and
+//! label. That includes the `degraded` record older journals carry
+//! from a campaign that finished after its journal stopped: such a
+//! journal lacks outcomes its label claims to have finished, so it
+//! cannot be resumed.
 //!
 //! Several campaigns may share one journal file (the experiment harness
 //! runs six per invocation); records are tagged with their campaign
@@ -405,22 +412,6 @@ pub fn cancelled_record(label: &str, completed: usize) -> JsonValue {
     obj
 }
 
-/// Builds the journal-degradation terminal record: the campaign kept
-/// running after persistent journal failures, so `unjournaled` fault
-/// outcomes exist only in the in-memory report. Appending this record
-/// is itself best-effort — the write path is the thing that failed —
-/// but a bounded outage (ENOSPC that clears, a transient mount hiccup)
-/// lets it land, making the journal self-describing about its own gap.
-pub fn degraded_record(label: &str, journaled: usize, unjournaled: usize, reason: &str) -> JsonValue {
-    let mut obj = JsonValue::object();
-    obj.push("record", JsonValue::Str("degraded".into()));
-    obj.push("label", JsonValue::Str(label.into()));
-    obj.push("journaled", JsonValue::Num(journaled as f64));
-    obj.push("unjournaled", JsonValue::Num(unjournaled as f64));
-    obj.push("reason", JsonValue::Str(reason.into()));
-    obj
-}
-
 // ---------------------------------------------------------------------
 // Replay
 // ---------------------------------------------------------------------
@@ -438,18 +429,6 @@ pub struct ReplayedFault {
     pub status: FaultStatus,
     /// Per-fault telemetry, including any frozen postmortem.
     pub telemetry: FaultTelemetry,
-}
-
-/// A decoded `degraded` terminal record: how much of the campaign the
-/// journal is missing, and why.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayedDegradation {
-    /// Fault outcomes that made it into the journal.
-    pub journaled: usize,
-    /// Fault outcomes completed after journaling stopped.
-    pub unjournaled: usize,
-    /// The terminal journal error that triggered degradation.
-    pub reason: String,
 }
 
 /// Everything the journal knows about one campaign label, merged across
@@ -470,19 +449,12 @@ pub struct ReplayedCampaign {
     /// True when a `cancelled` terminal record was seen (a later resume
     /// segment clears it).
     pub cancelled: bool,
-    /// Set when a `degraded` terminal record was seen: the journal is
-    /// known-incomplete for this segment (a later resume segment, which
-    /// re-runs the missing faults, clears it).
-    pub degraded: Option<ReplayedDegradation>,
 }
 
 /// How a journal says a campaign ended, judged from its terminal
 /// records ([`ReplayedCampaign::state`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ReplayedState<'a> {
-    /// A `degraded` record: the campaign finished, the journal lacks
-    /// some of its outcomes.
-    Degraded(&'a ReplayedDegradation),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplayedState {
     /// A `complete` record: every outcome is journaled.
     Complete,
     /// A `cancelled` record: the campaign stopped cleanly part-way.
@@ -491,12 +463,11 @@ pub enum ReplayedState<'a> {
     Interrupted,
 }
 
-impl ReplayedState<'_> {
-    /// Stable lowercase label (`degraded`, `complete`, `cancelled`,
-    /// `interrupted`), the state a journal's status snapshot carries.
+impl ReplayedState {
+    /// Stable lowercase label (`complete`, `cancelled`, `interrupted`),
+    /// the state a journal's status snapshot carries.
     pub fn label(&self) -> &'static str {
         match self {
-            ReplayedState::Degraded(_) => "degraded",
             ReplayedState::Complete => "complete",
             ReplayedState::Cancelled => "cancelled",
             ReplayedState::Interrupted => "interrupted",
@@ -505,12 +476,9 @@ impl ReplayedState<'_> {
 }
 
 impl ReplayedCampaign {
-    /// The campaign's terminal state. A degradation outranks the other
-    /// records, because it says the journal itself is incomplete.
-    pub fn state(&self) -> ReplayedState<'_> {
-        if let Some(d) = &self.degraded {
-            ReplayedState::Degraded(d)
-        } else if self.complete {
+    /// The campaign's terminal state.
+    pub fn state(&self) -> ReplayedState {
+        if self.complete {
             ReplayedState::Complete
         } else if self.cancelled {
             ReplayedState::Cancelled
@@ -578,11 +546,9 @@ pub fn replay(contents: &JournalContents) -> Result<JournalReplay, String> {
                 campaign.threshold = threshold;
                 campaign.golden_len = golden_len;
                 // A fresh segment reopens a previously cancelled (or
-                // even completed) campaign; it also re-runs whatever a
-                // degraded segment failed to journal.
+                // even completed) campaign.
                 campaign.complete = false;
                 campaign.cancelled = false;
-                campaign.degraded = None;
             }
             "fault" => {
                 let campaign = campaigns
@@ -631,21 +597,12 @@ pub fn replay(contents: &JournalContents) -> Result<JournalReplay, String> {
                 })?;
                 campaign.cancelled = true;
             }
-            "degraded" => {
-                let campaign = campaigns.get_mut(&label).ok_or_else(|| {
-                    format!("{}: degraded record before start for {label:?}", line())
-                })?;
-                campaign.degraded = Some(ReplayedDegradation {
-                    journaled: get_usize(record, "journaled")
-                        .map_err(|e| format!("{}: {e}", line()))?,
-                    unjournaled: get_usize(record, "unjournaled")
-                        .map_err(|e| format!("{}: {e}", line()))?,
-                    reason: get_str(record, "reason")
-                        .map_err(|e| format!("{}: {e}", line()))?
-                        .to_owned(),
-                });
+            other => {
+                return Err(format!(
+                    "{}: unknown record type {other:?} for label {label:?}",
+                    line()
+                ))
             }
-            other => return Err(format!("{}: unknown record type {other:?}", line())),
         }
     }
     Ok(JournalReplay {
@@ -825,25 +782,15 @@ mod tests {
     }
 
     #[test]
-    fn degraded_terminal_is_replayed_and_cleared_by_resume() {
+    fn unknown_records_fail_replay_by_record_and_label() {
         let faults = two_faults();
-        let mut text = String::new();
-        text += &start_record("c", &faults, 0.5, 1).to_json();
-        text += "\n";
-        text += &degraded_record("c", 1, 3, "journal sync failed: disk full").to_json();
-        text += "\n";
-        let replayed = replay(&parse_journal(&text).unwrap()).unwrap();
-        let degraded = replayed.campaign("c").unwrap().degraded.clone().unwrap();
-        assert_eq!(degraded.journaled, 1);
-        assert_eq!(degraded.unjournaled, 3);
-        assert!(degraded.reason.contains("disk full"));
-
-        // A resume segment re-runs the unjournaled faults, so it clears
-        // the degradation flag.
-        text += &start_record("c", &faults, 0.5, 1).to_json();
-        text += "\n";
-        let replayed = replay(&parse_journal(&text).unwrap()).unwrap();
-        assert!(replayed.campaign("c").unwrap().degraded.is_none());
+        let mut text = start_record("c", &faults, 0.5, 1).to_json();
+        text += "\n{\"record\":\"degraded\",\"label\":\"c\",\"journaled\":0}\n";
+        let err = replay(&parse_journal(&text).unwrap()).unwrap_err();
+        assert!(
+            err.contains("record 2: unknown record type \"degraded\" for label \"c\""),
+            "{err}"
+        );
     }
 
     #[test]

@@ -11,13 +11,11 @@
 //! * [`inject`] — netlist transformation adding the fault hardware,
 //! * [`campaign`] — golden-vs-faulty response collection and the
 //!   detection-instance statistics of the paper's Figure 4,
-//! * [`dictionary`] — signature-based fault classification for the
-//!   paper's "faulty chip diagnosis at a functional macro level",
 //! * [`journal`] — the `mixsig.campaign-journal/1` checkpoint format:
 //!   campaigns journal every completed fault to an append-only JSONL
 //!   file and a campaign run with [`campaign::JournalConfig::resume`]
-//!   replays it, so a killed or cancelled campaign resumes instead of
-//!   restarting,
+//!   replays it, so a killed or cancelled campaign, or one aborted at a
+//!   failed journal write, resumes instead of restarting,
 //! * [`trace`] — Chrome Trace Event timelines of completed campaigns:
 //!   worker lanes, per-fault spans and (with
 //!   [`campaign::CampaignConfig::profile`] armed) solver phase
@@ -54,7 +52,6 @@
 //! ```
 
 pub mod campaign;
-pub mod dictionary;
 pub mod inject;
 pub mod journal;
 pub mod model;

@@ -1,16 +1,14 @@
 //! Chaos suite: fault campaigns against a journal whose storage layer
 //! fails on a deterministic, seeded schedule (`obs::chaos`).
 //!
-//! The invariants under test, per ISSUE 6:
+//! The invariants under test:
 //!
 //! * a fault outcome the journal acked is never lost;
 //! * interior journal records are never corrupted — the file always
 //!   loads (at worst with a torn tail);
-//! * after any injected failure, resuming the campaign produces a
-//!   report byte-identical to an uninterrupted run (transient faults),
-//!   or the run cleanly degrades with a `[journal degraded …]` marker
-//!   and an accounting of what the journal is missing (persistent
-//!   faults under `DegradePolicy::Continue`).
+//! * any injected failure aborts the campaign at the next fault
+//!   boundary with a typed error, and resuming it produces a report
+//!   byte-identical to an uninterrupted run.
 //!
 //! Every schedule here is reproducible: scripted windows or a seeded
 //! splitmix64 plan, never wall-clock or OS randomness.
@@ -24,13 +22,10 @@ use anasim::robust::{CancelToken, SolveSettings};
 use anasim::source::SourceWaveform;
 use anasim::transient::TransientAnalysis;
 use anasim::AnalysisError;
-use faultsim::campaign::{
-    run_campaign_with, CampaignConfig, CampaignReport, DegradePolicy, JournalConfig,
-};
+use faultsim::campaign::{run_campaign_with, CampaignConfig, CampaignReport, JournalConfig};
 use faultsim::journal;
 use faultsim::model::Fault;
 use obs::chaos::FaultPlan;
-use obs::journal::RetryPolicy;
 
 // ---------------------------------------------------------------------
 // Fixture: an RC ladder whose transient response at node c is the
@@ -75,12 +70,6 @@ fn temp_journal(name: &str) -> PathBuf {
     path
 }
 
-/// Retries with no wall-clock cost: chaos tests exercise the loop, not
-/// the backoff.
-fn quiet_retry(attempts: u32) -> RetryPolicy {
-    RetryPolicy::attempts(attempts).with_sleep(|_| {})
-}
-
 fn config(journal: JournalConfig) -> CampaignConfig {
     CampaignConfig::new(0.5).journal(journal)
 }
@@ -89,52 +78,61 @@ fn config(journal: JournalConfig) -> CampaignConfig {
 fn clean_report(label: &str) -> CampaignReport {
     let (nl, faults) = rc_fixture();
     let path = temp_journal(&format!("{label}-clean.jsonl"));
-    let report = run_campaign_with(
+    run_campaign_with(
         &nl,
         &faults,
         &config(JournalConfig::fresh(&path, label)),
         transient_extract,
     )
-    .unwrap();
-    assert!(report.degradation.is_none());
-    report
+    .unwrap()
+}
+
+/// The message of the typed error a journal abort fails a campaign with.
+fn abort_message(err: &AnalysisError) -> &str {
+    match err {
+        AnalysisError::InvalidParameter(msg) => msg,
+        other => panic!("expected InvalidParameter, got {other:?}"),
+    }
 }
 
 // ---------------------------------------------------------------------
-// Transient faults: absorbed by the retry policy, invisible to callers.
+// One failure rule: abort at a fault boundary, then resume.
 // ---------------------------------------------------------------------
 
 #[test]
-fn transient_faults_are_absorbed_and_the_report_is_byte_identical() {
+fn each_injected_fault_aborts_and_resume_is_byte_identical() {
     let (nl, faults) = rc_fixture();
-    let path = temp_journal("transient.jsonl");
-    // One scripted write failure and one scripted sync failure, each
-    // comfortably inside a 3-attempt retry budget.
-    let plan = FaultPlan::parse("write@2,sync@4,trunc@6:3").unwrap();
-    let jc = JournalConfig::fresh(&path, "chaos")
-        .retry(quiet_retry(3))
-        .chaos(plan);
-    let report = run_campaign_with(&nl, &faults, &config(jc), transient_extract).unwrap();
+    let clean = clean_report("chaos").canonical_text();
+    // A failed write, a failed sync after the bytes landed, and a short
+    // write that leaves a torn line: each stops the journal for good.
+    for (spec, name) in [("write@2", "write"), ("sync@4", "sync"), ("trunc@6:3", "trunc")] {
+        let path = temp_journal(&format!("one-{name}.jsonl"));
+        let jc = JournalConfig::fresh(&path, "chaos").chaos(FaultPlan::parse(spec).unwrap());
+        let err = run_campaign_with(&nl, &faults, &config(jc), transient_extract).unwrap_err();
+        let msg = abort_message(&err);
+        assert!(msg.contains("aborted at the next fault boundary"), "{spec}: {msg}");
+        assert!(msg.contains("injected"), "{spec}: {msg}");
 
-    assert!(report.degradation.is_none(), "transient faults must not degrade");
-    assert!(
-        report.stats.journal_retries >= 3,
-        "three injected faults → at least three retries, got {}",
-        report.stats.journal_retries
-    );
-    assert_eq!(report.canonical_text(), clean_report("chaos").canonical_text());
+        // The journal still loads, with no terminal record: it resumes
+        // like one a hard kill left behind.
+        let replay = journal::load(&path).unwrap();
+        let campaign = replay.campaign("chaos").unwrap();
+        assert!(!campaign.complete && !campaign.cancelled, "{spec}");
+        assert!(campaign.faults.len() < faults.len(), "{spec}");
 
-    // Acked-never-lost: the journal replays complete, with every fault.
-    let replay = journal::load(&path).unwrap();
-    let campaign = replay.campaign("chaos").unwrap();
-    assert!(campaign.complete);
-    assert_eq!(campaign.faults.len(), faults.len());
-    assert!(campaign.degraded.is_none());
+        let resumed = run_campaign_with(
+            &nl,
+            &faults,
+            &config(JournalConfig::resume(&path, "chaos")),
+            transient_extract,
+        )
+        .unwrap();
+        assert_eq!(resumed.canonical_text(), clean, "{spec}");
+        let replay = journal::load(&path).unwrap();
+        assert!(!replay.torn_tail, "{spec}: resume truncates the torn tail");
+        assert!(replay.campaign("chaos").unwrap().complete, "{spec}");
+    }
 }
-
-// ---------------------------------------------------------------------
-// Persistent faults, DegradePolicy::Abort (the default).
-// ---------------------------------------------------------------------
 
 #[test]
 fn persistent_failure_aborts_at_a_fault_boundary_and_resume_recovers() {
@@ -142,25 +140,22 @@ fn persistent_failure_aborts_at_a_fault_boundary_and_resume_recovers() {
     let path = temp_journal("abort.jsonl");
     // Every write from index 3 on fails: the start record and first two
     // fault records land, then the journal dies for good.
-    let jc = JournalConfig::fresh(&path, "chaos")
-        .retry(quiet_retry(2))
-        .chaos(FaultPlan::parse("write@3..").unwrap());
+    let jc = JournalConfig::fresh(&path, "chaos").chaos(FaultPlan::parse("write@3..").unwrap());
     let err = run_campaign_with(&nl, &faults, &config(jc), transient_extract).unwrap_err();
-    let msg = match &err {
-        AnalysisError::InvalidParameter(msg) => msg.clone(),
-        other => panic!("expected InvalidParameter, got {other:?}"),
-    };
+    let msg = abort_message(&err);
     assert!(msg.contains("campaign journal"), "{msg}");
     assert!(msg.contains("abort.jsonl"), "error must name the file: {msg}");
-    assert!(msg.contains("after 2 attempts"), "error must count attempts: {msg}");
+    assert!(
+        msg.contains(&format!("2 of {} fault outcomes journaled", faults.len())),
+        "error must count what was journaled: {msg}"
+    );
 
     // Interior-never-corrupted: the file still loads (the failed append
     // left at most a torn tail) and holds exactly the acked records.
     let replay = journal::load(&path).unwrap();
     let campaign = replay.campaign("chaos").unwrap();
     assert!(!campaign.complete);
-    let acked = campaign.faults.len();
-    assert!(acked < faults.len(), "the outage must have dropped outcomes");
+    assert_eq!(campaign.faults.len(), 2, "the acked outcomes survive");
 
     // Acked-never-lost + resume: with the fault cleared, a resume
     // replays the acked outcomes, simulates the rest, and the final
@@ -168,71 +163,29 @@ fn persistent_failure_aborts_at_a_fault_boundary_and_resume_recovers() {
     let jc = JournalConfig::resume(&path, "chaos");
     let resumed =
         run_campaign_with(&nl, &faults, &config(jc), transient_extract).unwrap();
-    assert!(resumed.degradation.is_none());
     assert_eq!(resumed.canonical_text(), clean_report("chaos").canonical_text());
     let replay = journal::load(&path).unwrap();
     assert!(replay.campaign("chaos").unwrap().complete);
 }
 
-// ---------------------------------------------------------------------
-// Persistent faults, DegradePolicy::Continue.
-// ---------------------------------------------------------------------
-
 #[test]
-fn continue_policy_finishes_journal_less_with_a_degradation_marker() {
+fn a_journal_with_a_degraded_record_fails_resume_by_record_and_label() {
+    // Written by the journal format's earlier degrade-and-continue
+    // mode: the start record, one fault, then a `degraded` terminal
+    // record for the five outcomes that never reached the file.
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/degraded.jsonl");
+    let path = temp_journal("degraded.jsonl");
+    fs::copy(fixture, &path).unwrap();
     let (nl, faults) = rc_fixture();
-    let path = temp_journal("continue.jsonl");
-    // Write 2 fails once (no retry budget to absorb it), write 3 — the
-    // degraded terminal record — succeeds: a bounded outage whose
-    // journal self-describes its gap.
-    let jc = JournalConfig::fresh(&path, "chaos")
-        .retry(RetryPolicy::none())
-        .chaos(FaultPlan::parse("write@2").unwrap());
-    let cfg = config(jc).degrade(DegradePolicy::Continue);
-    let report = run_campaign_with(&nl, &faults, &cfg, transient_extract).unwrap();
-
-    // The campaign itself is complete: every fault has an outcome.
-    assert_eq!(report.outcomes.len(), faults.len());
-    let degradation = report.degradation.as_ref().expect("must degrade");
-    assert_eq!(degradation.journaled, 1, "only the first fault was acked");
-    assert_eq!(degradation.unjournaled, faults.len() - 1);
-    assert!(degradation.reason.contains("injected"), "{}", degradation.reason);
-
-    // The canonical marker and the section counter both surface it.
-    let text = report.canonical_text();
-    assert!(text.contains("[journal degraded: 5 unjournaled of 6 faults"), "{text}");
-    let section = report.to_section("campaign");
-    assert_eq!(section.counters.get("journal_degraded.faults"), Some(&5));
-
-    // The journal replays, knows it is degraded, and a resume re-runs
-    // the unjournaled faults to a byte-identical clean report.
-    let replay = journal::load(&path).unwrap();
-    let campaign = replay.campaign("chaos").unwrap();
-    assert!(!campaign.complete);
-    let replayed_degradation = campaign.degraded.as_ref().expect("degraded record");
-    assert_eq!(replayed_degradation.journaled, 1);
-    assert_eq!(replayed_degradation.unjournaled, 5);
-    let resumed = run_campaign_with(
-        &nl,
-        &faults,
-        &config(JournalConfig::resume(&path, "chaos")),
-        transient_extract,
-    )
-    .unwrap();
-    assert!(resumed.degradation.is_none());
-    assert_eq!(resumed.canonical_text(), clean_report("chaos").canonical_text());
-}
-
-#[test]
-fn canonical_reports_without_chaos_are_unchanged_by_the_new_counters() {
-    // The new always-emitted counters must be zero on a healthy run so
-    // existing byte-identity guarantees (across worker counts, resumes)
-    // keep holding.
-    let report = clean_report("chaos-baseline");
-    let section = report.to_section("campaign");
-    assert_eq!(section.counters.get("journal_degraded.faults"), Some(&0));
-    assert_eq!(section.counters.get("journal.retries"), Some(&0));
-    assert!(!report.canonical_text().contains("journal degraded"));
+    let jc = JournalConfig::resume(&path, "chaos");
+    let err = run_campaign_with(&nl, &faults, &config(jc), transient_extract).unwrap_err();
+    let msg = abort_message(&err);
+    assert!(
+        msg.contains("record 3: unknown record type \"degraded\" for label \"chaos\""),
+        "{msg}"
+    );
+    // The refused journal is left as it was.
+    assert_eq!(fs::read(&path).unwrap(), fs::read(fixture).unwrap());
 }
 
 // ---------------------------------------------------------------------
@@ -294,58 +247,34 @@ fn seeded_injection_sweep_never_corrupts_and_always_recovers() {
     for seed in 0..12u64 {
         let path = temp_journal(&format!("sweep-{seed}.jsonl"));
         let plan = FaultPlan::seeded(seed, 0.20, 0.15);
-        let jc = JournalConfig::fresh(&path, "chaos")
-            .retry(quiet_retry(3))
-            .chaos(plan);
-        let cfg = config(jc).degrade(DegradePolicy::Continue);
-        let result = run_campaign_with(&nl, &faults, &cfg, transient_extract);
-
-        match &result {
+        let jc = JournalConfig::fresh(&path, "chaos").chaos(plan);
+        match run_campaign_with(&nl, &faults, &config(jc), transient_extract) {
             Ok(report) => {
-                // Interior-never-corrupted: whatever the schedule did,
-                // the journal file still loads.
+                // No fault fired: a complete journal with every outcome.
+                assert_eq!(report.canonical_text(), clean, "seed {seed}");
                 let replay = journal::load(&path).unwrap();
                 let campaign = replay.campaign("chaos").unwrap();
-                if let Some(d) = &report.degradation {
-                    // Cleanly degraded: the acked outcomes plus the
-                    // reported gap cover the whole universe. The file
-                    // may hold one *extra* fault record beyond the
-                    // acked count — a record whose bytes landed but
-                    // whose fsync failed (the documented caveat); it is
-                    // a valid outcome, never a corrupt or missing one.
-                    assert!(
-                        campaign.faults.len() >= d.journaled
-                            && campaign.faults.len() <= d.journaled + 1,
-                        "seed {seed}: {} journaled, {} in file",
-                        d.journaled,
-                        campaign.faults.len()
-                    );
-                    assert_eq!(d.journaled + d.unjournaled, faults.len(), "seed {seed}");
-                } else {
-                    assert!(campaign.complete, "seed {seed}");
-                    assert_eq!(campaign.faults.len(), faults.len(), "seed {seed}");
-                }
-                // Resume (chaos cleared) must converge to the clean
-                // baseline byte-for-byte, degraded or not.
-                let resumed = run_campaign_with(
-                    &nl,
-                    &faults,
-                    &config(JournalConfig::resume(&path, "chaos")),
-                    transient_extract,
-                )
-                .unwrap();
-                assert_eq!(resumed.canonical_text(), clean, "seed {seed}");
+                assert!(campaign.complete, "seed {seed}");
+                assert_eq!(campaign.faults.len(), faults.len(), "seed {seed}");
             }
-            Err(AnalysisError::InvalidParameter(msg)) => {
-                // Only the campaign prologue (opening the journal or
-                // the start record) may fail this way — and even then
-                // the file must still load.
-                assert!(msg.contains("campaign journal"), "seed {seed}: {msg}");
+            Err(err) => {
+                // Aborted, in the prologue or at a fault boundary; the
+                // file, if any, still loads.
+                assert!(abort_message(&err).contains("campaign journal"), "seed {seed}");
                 if path.exists() {
                     journal::load(&path).unwrap();
                 }
             }
-            Err(other) => panic!("seed {seed}: unexpected error {other:?}"),
         }
+        // Resume (chaos cleared) converges to the clean baseline
+        // byte for byte, aborted or not.
+        let resumed = run_campaign_with(
+            &nl,
+            &faults,
+            &config(JournalConfig::resume(&path, "chaos")),
+            transient_extract,
+        )
+        .unwrap();
+        assert_eq!(resumed.canonical_text(), clean, "seed {seed}");
     }
 }

@@ -27,11 +27,10 @@ use anasim::robust::{CancelToken, SolveBudget, SolveSettings};
 use anasim::source::SourceWaveform;
 use anasim::transient::TransientAnalysis;
 use anasim::AnalysisError;
-use faultsim::campaign::{run_campaign_with, CampaignConfig, DegradePolicy, JournalConfig};
+use faultsim::campaign::{run_campaign_with, CampaignConfig, JournalConfig};
 use faultsim::model::Fault;
 use faultsim::telemetry::TelemetryConfig;
 use obs::chaos::FaultPlan;
-use obs::journal::RetryPolicy;
 use obs::status::{self, CampaignStatus};
 
 fn rc_fixture() -> (Netlist, Vec<Fault>) {
@@ -285,15 +284,12 @@ fn a_cancelled_campaign_leaves_a_cancelled_snapshot_with_idle_lanes() {
 fn a_journal_abort_leaves_an_aborted_snapshot() {
     let (nl, faults) = rc_fixture();
     let dir = temp_dir("aborted");
-    // Every write from the second on fails and nothing retries: the
-    // first fault record is lost, and the default Abort policy stops
-    // the campaign at the next fault boundary.
+    // Every write from the second on fails: the first fault record is
+    // lost, and the campaign stops at the next fault boundary.
     let jc = JournalConfig::fresh(dir.join("campaign.jsonl"), "rc")
-        .retry(RetryPolicy::none())
         .chaos(FaultPlan::parse("write@1..").unwrap());
     let config = CampaignConfig::new(0.5)
         .journal(jc)
-        .degrade(DegradePolicy::Abort)
         .telemetry(TelemetryConfig::new(&dir));
     let err = run_campaign_with(&nl, &faults, &config, transient_extract).unwrap_err();
     assert!(

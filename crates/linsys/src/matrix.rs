@@ -486,67 +486,6 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, SingularMatrixError> {
     Ok(Lu::factor(a)?.solve(b))
 }
 
-
-/// Dominant eigenpair of a symmetric matrix by power iteration.
-///
-/// Returns `(eigenvalue, unit eigenvector)`. Convergence is geometric in
-/// the eigenvalue gap; `iterations` around 100 suffices for the
-/// covariance matrices used in this workspace.
-///
-/// # Panics
-///
-/// Panics if the matrix is not square or is empty.
-pub fn power_iteration(a: &Matrix, iterations: usize) -> (f64, Vec<f64>) {
-    assert_eq!(a.rows(), a.cols(), "power iteration needs a square matrix");
-    let n = a.rows();
-    assert!(n >= 1, "empty matrix");
-    // Deterministic, non-degenerate start vector.
-    let mut v: Vec<f64> = (0..n).map(|k| 1.0 + (k as f64) * 0.37).collect();
-    normalise(&mut v);
-    let mut lambda = 0.0;
-    for _ in 0..iterations {
-        let mut w = a.mul_vec(&v);
-        lambda = v.iter().zip(&w).map(|(x, y)| x * y).sum();
-        if normalise(&mut w) < 1e-300 {
-            return (0.0, v);
-        }
-        v = w;
-    }
-    (lambda, v)
-}
-
-/// Top-`k` eigenpairs of a symmetric positive semi-definite matrix via
-/// power iteration with deflation.
-///
-/// # Panics
-///
-/// Panics if the matrix is not square or `k` exceeds its dimension.
-pub fn top_eigenpairs(a: &Matrix, k: usize, iterations: usize) -> Vec<(f64, Vec<f64>)> {
-    assert_eq!(a.rows(), a.cols(), "eigen decomposition needs square");
-    assert!(k <= a.rows(), "k exceeds dimension");
-    let mut work = a.clone();
-    let mut out = Vec::with_capacity(k);
-    for _ in 0..k {
-        let (lambda, v) = power_iteration(&work, iterations);
-        // Deflate: A <- A - lambda v v^T.
-        for r in 0..work.rows() {
-            for c in 0..work.cols() {
-                work[(r, c)] -= lambda * v[r] * v[c];
-            }
-        }
-        out.push((lambda, v));
-    }
-    out
-}
-
-fn normalise(v: &mut [f64]) -> f64 {
-    let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if norm > 0.0 {
-        v.iter_mut().for_each(|x| *x /= norm);
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,34 +578,6 @@ mod tests {
         let v = Matrix::column(&[1.0, 2.0, 3.0]);
         assert_eq!(v.rows(), 3);
         assert_eq!(v.cols(), 1);
-    }
-
-    #[test]
-    fn power_iteration_finds_dominant_eigenpair() {
-        // Symmetric with eigenvalues 5 (along [1,1]/sqrt2) and 1.
-        let a = Matrix::from_rows(&[vec![3.0, 2.0], vec![2.0, 3.0]]);
-        let (lambda, v) = power_iteration(&a, 200);
-        assert!((lambda - 5.0).abs() < 1e-9, "lambda {lambda}");
-        let expect = 1.0 / 2.0_f64.sqrt();
-        assert!((v[0].abs() - expect).abs() < 1e-6);
-        assert!((v[0] - v[1]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn deflation_recovers_full_spectrum() {
-        let a = Matrix::from_rows(&[
-            vec![4.0, 0.0, 0.0],
-            vec![0.0, 2.5, 0.0],
-            vec![0.0, 0.0, 1.0],
-        ]);
-        let pairs = top_eigenpairs(&a, 3, 300);
-        let lambdas: Vec<f64> = pairs.iter().map(|(l, _)| *l).collect();
-        assert!((lambdas[0] - 4.0).abs() < 1e-8);
-        assert!((lambdas[1] - 2.5).abs() < 1e-8);
-        assert!((lambdas[2] - 1.0).abs() < 1e-8);
-        // Eigenvectors of distinct eigenvalues are orthogonal.
-        let dot: f64 = pairs[0].1.iter().zip(&pairs[1].1).map(|(x, y)| x * y).sum();
-        assert!(dot.abs() < 1e-6);
     }
 
     #[test]

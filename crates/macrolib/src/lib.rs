@@ -3,8 +3,8 @@
 //! The paper's mixed-signal systems are built from a gate-array macro
 //! library: voltage references, current mirrors, operational amplifiers,
 //! comparators, oscillators and the switched-capacitor blocks of the
-//! dual-slope ADC. This crate reconstructs those macros as `anasim`
-//! netlist fragments:
+//! dual-slope ADC. This crate reconstructs the macros the paper's
+//! experiments use as `anasim` netlist fragments:
 //!
 //! * [`process`] — 5 µm process parameters and per-die process-variation
 //!   sampling (the stand-in for the paper's batch of ten fabricated
@@ -19,8 +19,7 @@
 //!   circuit 2, 28 transistors),
 //! * [`dac`] — binary-weighted and R-2R DAC macros (the other converter
 //!   of the paper's background),
-//! * [`vref`], [`current_mirror`], [`oscillator`] — supporting macros
-//!   from the library inventory.
+//! * [`vref`] — divider and diode-stack voltage references.
 //!
 //! # Example
 //!
@@ -36,12 +35,9 @@
 //! ```
 
 pub mod circuit2;
-pub mod current_mirror;
 pub mod dac;
 pub mod op1;
 pub mod opamp;
-pub mod oscillator;
 pub mod process;
-pub mod sample_hold;
 pub mod sc_integrator;
 pub mod vref;

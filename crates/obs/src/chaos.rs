@@ -16,15 +16,14 @@
 //! write@4        fail the 5th write (0-based index 4)
 //! write@4..7     fail writes 4,5,6
 //! sync@2..       fail every sync from index 2 on (persistent)
-//! reopen@0       fail the first reopen
 //! trunc@3:5      write 3 lands only its first 5 bytes, then errors
 //! seed@9:20      each op fails with p=20% under splitmix64(seed 9)
 //! ```
 //!
 //! Injected failures use [`io::ErrorKind::StorageFull`] for writes (the
 //! ENOSPC shape long campaigns actually hit) and generic errors for
-//! syncs/reopens, all tagged "injected" so logs distinguish chaos from
-//! real faults.
+//! syncs, all tagged "injected" so logs distinguish chaos from real
+//! faults.
 
 use std::fmt;
 use std::io;
@@ -36,7 +35,6 @@ use crate::journal::JournalSink;
 enum Op {
     Write,
     Sync,
-    Reopen,
 }
 
 impl Op {
@@ -44,7 +42,6 @@ impl Op {
         match self {
             Op::Write => "write",
             Op::Sync => "sync",
-            Op::Reopen => "reopen",
         }
     }
 }
@@ -76,7 +73,6 @@ impl OpSchedule {
         let salt = match op {
             Op::Write => 0x57,
             Op::Sync => 0x53,
-            Op::Reopen => 0x52,
         };
         self.fails_salted(salt, index)
     }
@@ -117,8 +113,6 @@ pub struct FaultPlan {
     pub write: OpSchedule,
     /// Failure schedule for `sync` operations.
     pub sync: OpSchedule,
-    /// Failure schedule for `reopen` operations.
-    pub reopen: OpSchedule,
     /// Short writes: `(write index, bytes that land)` — the write
     /// persists only a prefix, then errors. Takes precedence over the
     /// `write` schedule at the same index.
@@ -135,7 +129,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.write.is_empty()
             && self.sync.is_empty()
-            && self.reopen.is_empty()
             && self.short_writes.is_empty()
     }
 
@@ -174,7 +167,6 @@ impl FaultPlan {
             match kind {
                 "write" => plan.write.windows.push(parse_window(clause, body)?),
                 "sync" => plan.sync.windows.push(parse_window(clause, body)?),
-                "reopen" => plan.reopen.windows.push(parse_window(clause, body)?),
                 "trunc" => {
                     let (idx, len) = body.split_once(':').ok_or_else(|| {
                         format!("chaos clause `{clause}`: expected `trunc@INDEX:BYTES`")
@@ -200,7 +192,7 @@ impl FaultPlan {
                 other => {
                     return Err(format!(
                         "chaos clause `{clause}`: unknown kind `{other}` \
-                         (expected write/sync/reopen/trunc/seed)"
+                         (expected write/sync/trunc/seed)"
                     ));
                 }
             }
@@ -244,7 +236,6 @@ pub struct FaultySink<S: JournalSink + ?Sized> {
     plan: FaultPlan,
     writes: u64,
     syncs: u64,
-    reopens: u64,
     injected: u64,
     inner: Box<S>,
 }
@@ -255,7 +246,6 @@ impl<S: JournalSink + ?Sized> fmt::Debug for FaultySink<S> {
             .field("plan", &self.plan)
             .field("writes", &self.writes)
             .field("syncs", &self.syncs)
-            .field("reopens", &self.reopens)
             .field("injected", &self.injected)
             .field("inner", &&self.inner)
             .finish()
@@ -269,7 +259,6 @@ impl<S: JournalSink + ?Sized> FaultySink<S> {
             plan,
             writes: 0,
             syncs: 0,
-            reopens: 0,
             injected: 0,
             inner,
         }
@@ -280,16 +269,16 @@ impl<S: JournalSink + ?Sized> FaultySink<S> {
         self.injected
     }
 
-    /// Operations seen so far, as `(writes, syncs, reopens)`.
-    pub fn ops(&self) -> (u64, u64, u64) {
-        (self.writes, self.syncs, self.reopens)
+    /// Operations seen so far, as `(writes, syncs)`.
+    pub fn ops(&self) -> (u64, u64) {
+        (self.writes, self.syncs)
     }
 
     fn inject(&mut self, op: Op, index: u64) -> io::Error {
         self.injected += 1;
         let kind = match op {
             Op::Write => io::ErrorKind::StorageFull,
-            Op::Sync | Op::Reopen => io::ErrorKind::Other,
+            Op::Sync => io::ErrorKind::Other,
         };
         io::Error::new(kind, format!("injected {} fault at op {index}", op.name()))
     }
@@ -324,15 +313,6 @@ impl<S: JournalSink + ?Sized> JournalSink for FaultySink<S> {
             return Err(self.inject(Op::Sync, index));
         }
         self.inner.sync()
-    }
-
-    fn reopen(&mut self, truncate_to: u64) -> io::Result<()> {
-        let index = self.reopens;
-        self.reopens += 1;
-        if self.plan.reopen.fails(Op::Reopen, index) {
-            return Err(self.inject(Op::Reopen, index));
-        }
-        self.inner.reopen(truncate_to)
     }
 }
 
@@ -551,15 +531,14 @@ mod tests {
 
     #[test]
     fn parse_single_index_and_windows() {
-        let plan = FaultPlan::parse("write@4,sync@2..5,reopen@1..").unwrap();
-        assert_eq!(plan.write.windows, vec![(4, Some(5))]);
+        let plan = FaultPlan::parse("write@4,sync@2..5,write@9..").unwrap();
+        assert_eq!(plan.write.windows, vec![(4, Some(5)), (9, None)]);
         assert_eq!(plan.sync.windows, vec![(2, Some(5))]);
-        assert_eq!(plan.reopen.windows, vec![(1, None)]);
         assert!(plan.write.fails(Op::Write, 4));
         assert!(!plan.write.fails(Op::Write, 5));
         assert!(plan.sync.fails(Op::Sync, 4));
         assert!(!plan.sync.fails(Op::Sync, 5));
-        assert!(plan.reopen.fails(Op::Reopen, 1_000_000));
+        assert!(plan.write.fails(Op::Write, 1_000_000));
     }
 
     #[test]
@@ -572,7 +551,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_clauses() {
-        for bad in ["write", "write@x", "write@5..3", "boom@1", "seed@1:200"] {
+        for bad in ["write", "write@x", "write@5..3", "boom@1", "reopen@0", "seed@1:200"] {
             let err = FaultPlan::parse(bad).unwrap_err();
             assert!(err.contains("chaos clause"), "{bad}: {err}");
         }
@@ -620,11 +599,6 @@ mod tests {
         }
 
         fn sync(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-
-        fn reopen(&mut self, truncate_to: u64) -> io::Result<()> {
-            self.buf.truncate(truncate_to as usize);
             Ok(())
         }
     }
@@ -706,6 +680,6 @@ mod tests {
         assert!(sink.inner.buf.is_empty());
         sink.write(b"y\n").unwrap();
         assert_eq!(sink.inner.buf, b"y\n");
-        assert_eq!(sink.ops(), (2, 0, 0));
+        assert_eq!(sink.ops(), (2, 0));
     }
 }

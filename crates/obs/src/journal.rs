@@ -13,25 +13,22 @@
 //! silently lose records.
 //!
 //! The writer talks to storage through the [`JournalSink`] trait
-//! (write / sync / reopen) rather than a bare [`File`], so the same
-//! append path runs against the real filesystem ([`FileSink`]) or a
-//! deterministic fault injector ([`crate::chaos::FaultySink`]). On any
-//! write or sync failure the writer marks itself dirty and, before the
-//! next attempt, reopens the sink truncated back to the last *committed*
-//! offset — the byte just past the last acked record — so a retried
-//! append can never duplicate a record or fuse onto a half-written one.
+//! (write / sync) rather than a bare [`File`], so the same append path
+//! runs against the real filesystem ([`FileSink`]) or a deterministic
+//! fault injector ([`crate::chaos::FaultySink`]). A storage failure is
+//! treated like a crash: the first failed write or sync stops the
+//! writer, its owner stops at the next record boundary, and reopening
+//! the file to resume truncates whatever torn tail the failure left.
 //!
 //! Record semantics (schemas, replay, merging) belong to the caller;
-//! this module only guarantees durability, torn-tail tolerance, and
-//! exactly-once append under retry.
+//! this module only guarantees durability and torn-tail tolerance.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Duration;
 
+use crate::chaos::{FaultPlan, FaultySink};
 use crate::json::{self, JsonValue};
 
 /// The raw storage operations a [`JournalWriter`] needs, abstracted so
@@ -39,11 +36,8 @@ use crate::json::{self, JsonValue};
 ///
 /// Contract: `write` has full-buffer semantics — it either persists the
 /// whole buffer to the sink's current end or returns an error (possibly
-/// after a partial write; the writer recovers via [`JournalSink::reopen`]).
-/// `sync` makes previously written bytes durable. `reopen(truncate_to)`
-/// discards any possibly-partial suffix by re-acquiring the underlying
-/// resource, truncating it to exactly `truncate_to` bytes, and
-/// positioning the next write there.
+/// after a partial write). `sync` makes previously written bytes
+/// durable.
 pub trait JournalSink: Send + fmt::Debug {
     /// Writes the whole buffer at the current end of the sink.
     ///
@@ -58,89 +52,43 @@ pub trait JournalSink: Send + fmt::Debug {
     ///
     /// Any I/O error syncing.
     fn sync(&mut self) -> io::Result<()>;
-
-    /// Re-acquires the underlying resource, truncates it to
-    /// `truncate_to` bytes, and positions the next write there.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error reopening or truncating.
-    fn reopen(&mut self, truncate_to: u64) -> io::Result<()>;
 }
 
-/// The real-filesystem [`JournalSink`]: a [`File`] plus its path so the
-/// sink can reopen itself after a failed write.
+/// The real-filesystem [`JournalSink`].
 #[derive(Debug)]
-pub struct FileSink {
-    file: File,
-    path: PathBuf,
-}
-
-impl FileSink {
-    fn new(file: File, path: PathBuf) -> Self {
-        FileSink { file, path }
-    }
-}
+pub struct FileSink(File);
 
 impl JournalSink for FileSink {
     fn write(&mut self, buf: &[u8]) -> io::Result<()> {
-        self.file.write_all(buf)
+        self.0.write_all(buf)
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()
-    }
-
-    fn reopen(&mut self, truncate_to: u64) -> io::Result<()> {
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .read(true)
-            .write(true)
-            .open(&self.path)?;
-        file.set_len(truncate_to)?;
-        let mut file = file;
-        file.seek(SeekFrom::Start(truncate_to))?;
-        self.file = file;
-        Ok(())
+        self.0.sync_data()
     }
 }
 
-/// A journal I/O failure with enough context to act on: which file,
-/// which operation (`open` / `append` / `sync` / `reopen`), and how
-/// many attempts were made before giving up.
+/// A journal I/O failure with enough context to act on: which file and
+/// which operation (`open` / `append` / `sync`).
 #[derive(Debug)]
 pub struct JournalError {
     /// The operation that failed.
     pub op: &'static str,
     /// The journal file involved.
     pub path: PathBuf,
-    /// Total attempts made (1 when no retry policy was in play).
-    pub attempts: u32,
-    /// The underlying I/O error from the final attempt.
+    /// The underlying I/O error.
     pub source: io::Error,
 }
 
 impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.attempts > 1 {
-            write!(
-                f,
-                "journal {} failed for {} after {} attempts: {}",
-                self.op,
-                self.path.display(),
-                self.attempts,
-                self.source
-            )
-        } else {
-            write!(
-                f,
-                "journal {} failed for {}: {}",
-                self.op,
-                self.path.display(),
-                self.source
-            )
-        }
+        write!(
+            f,
+            "journal {} failed for {}: {}",
+            self.op,
+            self.path.display(),
+            self.source
+        )
     }
 }
 
@@ -151,107 +99,17 @@ impl std::error::Error for JournalError {
 }
 
 /// Wraps an I/O error as an [`io::Error`] whose payload is a
-/// [`JournalError`] carrying operation + path + attempt context.
-fn journal_error(op: &'static str, path: &Path, attempts: u32, source: io::Error) -> io::Error {
+/// [`JournalError`] carrying operation + path context.
+fn journal_error(op: &'static str, path: &Path, source: io::Error) -> io::Error {
     let kind = source.kind();
     io::Error::new(
         kind,
         JournalError {
             op,
             path: path.to_owned(),
-            attempts,
             source,
         },
     )
-}
-
-/// How a [`JournalWriter`] responds to transient I/O failures: bounded
-/// attempts with deterministic exponential backoff.
-///
-/// The default policy makes 3 attempts with a 1 ms base delay growing
-/// 4× per retry; [`RetryPolicy::none`] makes exactly one attempt, which
-/// reproduces the historical fail-fast behaviour. Tests inject a no-op
-/// sleep via [`RetryPolicy::with_sleep`] so retries cost no wall clock.
-#[derive(Clone)]
-pub struct RetryPolicy {
-    /// Maximum attempts per append (minimum 1).
-    pub max_attempts: u32,
-    /// Delay before the first retry.
-    pub base_delay: Duration,
-    /// Backoff multiplier applied per subsequent retry.
-    pub multiplier: u32,
-    sleep: Option<Arc<dyn Fn(Duration) + Send + Sync>>,
-}
-
-impl fmt::Debug for RetryPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RetryPolicy")
-            .field("max_attempts", &self.max_attempts)
-            .field("base_delay", &self.base_delay)
-            .field("multiplier", &self.multiplier)
-            .field("sleep", &self.sleep.as_ref().map(|_| "<injected>"))
-            .finish()
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::from_millis(1),
-            multiplier: 4,
-            sleep: None,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A single attempt, no retries — the historical fail-fast journal
-    /// behaviour.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// `attempts` tries with the default backoff shape.
-    pub fn attempts(attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts: attempts.max(1),
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Replaces the sleep function (tests pass `|_| {}` to make backoff
-    /// free; schedulers could hook a virtual clock).
-    #[must_use]
-    pub fn with_sleep(mut self, sleep: impl Fn(Duration) + Send + Sync + 'static) -> Self {
-        self.sleep = Some(Arc::new(sleep));
-        self
-    }
-
-    /// Sleeps for the backoff delay before retry number `retry`
-    /// (1-based): `base_delay * multiplier^(retry-1)`.
-    fn pause(&self, retry: u32) {
-        let factor = self.multiplier.max(1).saturating_pow(retry.saturating_sub(1));
-        let delay = self.base_delay.saturating_mul(factor);
-        match &self.sleep {
-            Some(sleep) => sleep(delay),
-            None => std::thread::sleep(delay),
-        }
-    }
-}
-
-/// Construction options for [`JournalWriter`]: retry behaviour and an
-/// optional deterministic fault-injection plan wrapped around the file.
-#[derive(Debug, Clone, Default)]
-pub struct JournalOptions {
-    /// Retry policy for appends (`Default`: 3 attempts with backoff).
-    pub retry: RetryPolicy,
-    /// When set, the [`FileSink`] is wrapped in a
-    /// [`crate::chaos::FaultySink`] driven by this plan.
-    pub chaos: Option<crate::chaos::FaultPlan>,
 }
 
 /// A durable append-only JSONL writer.
@@ -263,65 +121,41 @@ pub struct JournalOptions {
 /// completed fault, where an fsync is noise next to the seconds of
 /// solver work it checkpoints.
 ///
-/// Appends are exactly-once under retry: the writer tracks the
-/// *committed* offset (the byte just past the last acked record) and on
-/// any failure truncates the sink back to it before rewriting, so a
-/// record is never duplicated and a half-written line can never fuse
-/// with the next record into interior corruption. One caveat is
-/// inherent to fsync semantics: when a `sync` fails *after* the bytes
-/// reached the OS, the record may still survive a crash as a single
-/// trailing unacked line — readers and replay tolerate exactly one such
-/// record.
+/// The first failed write or sync stops the writer: the sink may now
+/// end in a partial line, so every later append fails without touching
+/// it, and a half-written line can never fuse with a later record into
+/// interior corruption. The file then looks exactly like one a hard
+/// kill left behind, and [`JournalWriter::append_to_with`] truncates
+/// its torn tail on the next open. One caveat is inherent to fsync
+/// semantics: when a `sync` fails *after* the bytes reached the OS, the
+/// record may still survive as a complete trailing unacked line —
+/// readers and replay tolerate exactly one such record.
 #[derive(Debug)]
 pub struct JournalWriter {
     sink: Box<dyn JournalSink>,
     path: PathBuf,
-    /// Byte offset just past the last acked record.
-    committed: u64,
-    /// True after a failed write/sync: the sink must be reopened and
-    /// truncated to `committed` before the next write.
-    dirty: bool,
-    retry: RetryPolicy,
-    appends: u64,
-    retries: u64,
-    last_error: Option<String>,
+    /// Set by the first failed write or sync.
+    failed: bool,
 }
 
 impl JournalWriter {
-    /// Opens `path` for appending, creating it if missing. Existing
+    /// Opens `path` for appending, creating it if missing, and wraps it
+    /// in a [`FaultySink`] when a chaos `plan` is given. Existing
     /// records are preserved — resume depends on that.
     ///
     /// If the file ends in a torn (unterminated) line — the signature
-    /// of a hard kill mid-append — the torn bytes are truncated away
-    /// first. Appending after them verbatim would fuse the fragment
-    /// with the next record into one corrupt *interior* line, which
-    /// readers rightly reject; trimming back to the last newline
+    /// of a hard kill or a failed append — the torn bytes are truncated
+    /// away first. Appending after them verbatim would fuse the
+    /// fragment with the next record into one corrupt *interior* line,
+    /// which readers rightly reject; trimming back to the last newline
     /// restores the every-line-terminated invariant instead.
     ///
-    /// Uses [`RetryPolicy::none`] — the historical fail-fast behaviour.
-    ///
     /// # Errors
     ///
     /// Any I/O error opening, scanning or truncating the file, wrapped
     /// with path + operation context.
-    pub fn append_to(path: &Path) -> io::Result<Self> {
-        Self::append_to_with(
-            path,
-            JournalOptions {
-                retry: RetryPolicy::none(),
-                chaos: None,
-            },
-        )
-    }
-
-    /// [`JournalWriter::append_to`] with explicit [`JournalOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error opening, scanning or truncating the file, wrapped
-    /// with path + operation context.
-    pub fn append_to_with(path: &Path, options: JournalOptions) -> io::Result<Self> {
-        let open = || -> io::Result<(Box<dyn JournalSink>, u64)> {
+    pub fn append_to_with(path: &Path, plan: Option<FaultPlan>) -> io::Result<Self> {
+        let open = || -> io::Result<File> {
             let mut file = OpenOptions::new()
                 .create(true)
                 .truncate(false)
@@ -331,133 +165,48 @@ impl JournalWriter {
             let keep = last_terminated_offset(&mut file)?;
             file.set_len(keep)?;
             file.seek(SeekFrom::Start(keep))?;
-            Ok((Box::new(FileSink::new(file, path.to_owned())), keep))
+            Ok(file)
         };
-        let (sink, keep) = open().map_err(|e| journal_error("open", path, 1, e))?;
-        let sink: Box<dyn JournalSink> = match options.chaos {
-            Some(plan) => Box::new(crate::chaos::FaultySink::new(sink, plan)),
+        let sink = Box::new(FileSink(open().map_err(|e| journal_error("open", path, e))?));
+        let sink: Box<dyn JournalSink> = match plan {
+            Some(plan) => Box::new(FaultySink::new(sink, plan)),
             None => sink,
         };
-        Ok(Self::with_sink(sink, path, keep, options.retry))
-    }
-
-    /// Truncates `path` (discarding any previous journal) and opens it
-    /// for appending — the fresh-run counterpart of
-    /// [`JournalWriter::append_to`]. Uses [`RetryPolicy::none`].
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error opening the file, wrapped with path + operation
-    /// context.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .read(true)
-            .truncate(true)
-            .open(path)
-            .map_err(|e| journal_error("open", path, 1, e))?;
-        let sink: Box<dyn JournalSink> = Box::new(FileSink::new(file, path.to_owned()));
-        Ok(Self::with_sink(sink, path, 0, RetryPolicy::none()))
+        Ok(Self::with_sink(sink, path))
     }
 
     /// Builds a writer over an arbitrary sink — the seam chaos tests
-    /// use to drive the append loop against in-memory or faulty sinks.
-    /// `committed` is the byte offset just past the last acked record
-    /// already present in the sink.
-    pub fn with_sink(
-        sink: Box<dyn JournalSink>,
-        path: &Path,
-        committed: u64,
-        retry: RetryPolicy,
-    ) -> Self {
+    /// use to drive the append path against in-memory or faulty sinks.
+    pub fn with_sink(sink: Box<dyn JournalSink>, path: &Path) -> Self {
         JournalWriter {
             sink,
             path: path.to_owned(),
-            committed,
-            dirty: false,
-            retry,
-            appends: 0,
-            retries: 0,
-            last_error: None,
+            failed: false,
         }
     }
 
     /// Appends one record as a compact JSON line and fsyncs it to disk.
     ///
-    /// Retries per the writer's [`RetryPolicy`]; on any failed attempt
-    /// the sink is reopened truncated to the committed offset before
-    /// the rewrite, so the record lands exactly once or not at all (see
-    /// the type-level fsync caveat).
-    ///
     /// # Errors
     ///
-    /// The final attempt's I/O error once the retry budget is
-    /// exhausted, wrapped with path + operation + attempt context.
+    /// The write or sync error, wrapped with path + operation context;
+    /// after one, every later append fails as an `append` refused by a
+    /// stopped writer.
     pub fn append(&mut self, record: &JsonValue) -> io::Result<()> {
+        if self.failed {
+            let stopped = io::Error::other("an earlier append failed; reopen to resume");
+            return Err(journal_error("append", &self.path, stopped));
+        }
         let mut line = record.to_json();
         line.push('\n');
-        let bytes = line.as_bytes();
-        let max = self.retry.max_attempts.max(1);
-        let mut last: Option<(&'static str, io::Error)> = None;
-        for attempt in 1..=max {
-            if attempt > 1 {
-                self.retries += 1;
-                self.retry.pause(attempt - 1);
-            }
-            if self.dirty {
-                match self.sink.reopen(self.committed) {
-                    Ok(()) => self.dirty = false,
-                    Err(e) => {
-                        last = Some(("reopen", e));
-                        continue;
-                    }
-                }
-            }
-            if let Err(e) = self.sink.write(bytes) {
-                // A prefix of the line may have landed; force a
-                // truncating reopen before the next write.
-                self.dirty = true;
-                last = Some(("append", e));
-                continue;
-            }
-            if let Err(e) = self.sink.sync() {
-                // The bytes are in the OS but not provably durable.
-                // Rewind to the committed offset and rewrite rather
-                // than risk acking an unsynced record.
-                self.dirty = true;
-                last = Some(("sync", e));
-                continue;
-            }
-            self.committed += bytes.len() as u64;
-            self.appends += 1;
-            return Ok(());
-        }
-        let (op, source) = last.expect("append made at least one attempt");
-        self.last_error = Some(source.to_string());
-        Err(journal_error(op, &self.path, max, source))
-    }
-
-    /// The path this journal writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Records successfully appended by this writer.
-    pub fn appends(&self) -> u64 {
-        self.appends
-    }
-
-    /// Failed attempts that were absorbed by the retry policy (counts
-    /// every retry, including ones that ultimately exhausted the
-    /// budget).
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// The most recent terminal append error, if any.
-    pub fn last_error(&self) -> Option<&str> {
-        self.last_error.as_deref()
+        let result = match self.sink.write(line.as_bytes()) {
+            Ok(()) => self.sink.sync().map_err(|e| ("sync", e)),
+            Err(e) => Err(("append", e)),
+        };
+        result.map_err(|(op, e)| {
+            self.failed = true;
+            journal_error(op, &self.path, e)
+        })
     }
 }
 
@@ -570,12 +319,11 @@ mod tests {
         let dir = std::env::temp_dir().join("obs-journal-roundtrip");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("j.jsonl");
-        let mut w = JournalWriter::create(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let mut w = JournalWriter::append_to_with(&path, None).unwrap();
         for n in 0..5 {
             w.append(&record(n as f64)).unwrap();
         }
-        assert_eq!(w.appends(), 5);
-        assert_eq!(w.retries(), 0);
         drop(w);
         let contents = read_journal(&path).unwrap();
         assert_eq!(contents.records.len(), 5);
@@ -589,11 +337,13 @@ mod tests {
         let dir = std::env::temp_dir().join("obs-journal-append");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("j.jsonl");
-        JournalWriter::create(&path).unwrap().append(&record(1.0)).unwrap();
-        JournalWriter::append_to(&path)
-            .unwrap()
-            .append(&record(2.0))
-            .unwrap();
+        let _ = std::fs::remove_file(&path);
+        for n in [1.0, 2.0] {
+            JournalWriter::append_to_with(&path, None)
+                .unwrap()
+                .append(&record(n))
+                .unwrap();
+        }
         let contents = read_journal(&path).unwrap();
         assert_eq!(contents.records.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
@@ -606,7 +356,7 @@ mod tests {
         let path = dir.join("j.jsonl");
         // A hard kill left the second record torn mid-line.
         std::fs::write(&path, "{\"n\":1}\n{\"n\":2,\"ha").unwrap();
-        JournalWriter::append_to(&path)
+        JournalWriter::append_to_with(&path, None)
             .unwrap()
             .append(&record(3.0))
             .unwrap();
@@ -626,7 +376,7 @@ mod tests {
         let path = dir.join("j.jsonl");
         // The very first append was torn: no newline anywhere.
         std::fs::write(&path, "{\"n\":1").unwrap();
-        JournalWriter::append_to(&path)
+        JournalWriter::append_to_with(&path, None)
             .unwrap()
             .append(&record(2.0))
             .unwrap();
@@ -679,35 +429,31 @@ mod tests {
     #[test]
     fn open_errors_carry_path_and_operation_context() {
         let path = Path::new("/nonexistent-dir-for-journal-test/j.jsonl");
-        let err = JournalWriter::create(path).unwrap_err();
+        let err = JournalWriter::append_to_with(path, None).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("journal open failed"), "{msg}");
         assert!(msg.contains("nonexistent-dir-for-journal-test"), "{msg}");
     }
 
     /// A sink that fails a scripted set of operations, for exercising
-    /// the retry loop without the chaos module.
+    /// the failure path without the chaos module.
     #[derive(Debug)]
     struct ScriptedSink {
         buf: Vec<u8>,
-        synced: usize,
         fail_writes: Vec<u64>,
         fail_syncs: Vec<u64>,
         writes: u64,
         syncs: u64,
-        reopens: u64,
     }
 
     impl ScriptedSink {
         fn new(fail_writes: Vec<u64>, fail_syncs: Vec<u64>) -> Self {
             ScriptedSink {
                 buf: Vec::new(),
-                synced: 0,
                 fail_writes,
                 fail_syncs,
                 writes: 0,
                 syncs: 0,
-                reopens: 0,
             }
         }
     }
@@ -731,81 +477,39 @@ mod tests {
             if self.fail_syncs.contains(&op) {
                 return Err(io::Error::other("injected fsync failure"));
             }
-            self.synced = self.buf.len();
             Ok(())
         }
-
-        fn reopen(&mut self, truncate_to: u64) -> io::Result<()> {
-            self.reopens += 1;
-            self.buf.truncate(truncate_to as usize);
-            self.synced = self.synced.min(self.buf.len());
-            Ok(())
-        }
-    }
-
-    fn quiet_retry(attempts: u32) -> RetryPolicy {
-        RetryPolicy::attempts(attempts).with_sleep(|_| {})
     }
 
     #[test]
-    fn retry_absorbs_a_transient_partial_write() {
+    fn a_partial_write_stops_the_writer_with_context() {
         let sink = ScriptedSink::new(vec![1], vec![]);
-        let mut w = JournalWriter::with_sink(
-            Box::new(sink),
-            Path::new("mem.jsonl"),
-            0,
-            quiet_retry(3),
-        );
+        let mut w = JournalWriter::with_sink(Box::new(sink), Path::new("mem.jsonl"));
         w.append(&record(1.0)).unwrap();
-        w.append(&record(2.0)).unwrap();
-        assert_eq!(w.appends(), 2);
-        assert_eq!(w.retries(), 1);
-        // Downcast back to inspect the bytes: the partial first attempt
-        // of record 2 was truncated away, leaving exactly two records.
-        let text = {
-            let sink = &w.sink;
-            format!("{sink:?}")
-        };
-        assert!(text.contains("reopens: 1"), "{text}");
-    }
-
-    #[test]
-    fn sync_failure_retries_without_duplicating_the_record() {
-        let sink = ScriptedSink::new(vec![], vec![1]);
-        let mut w = JournalWriter::with_sink(
-            Box::new(sink),
-            Path::new("mem.jsonl"),
-            0,
-            quiet_retry(3),
-        );
-        w.append(&record(1.0)).unwrap();
-        w.append(&record(2.0)).unwrap();
-        assert_eq!(w.retries(), 1);
-        let dbg = format!("{:?}", w.sink);
-        // The failed-sync copy of record 2 was truncated before the
-        // rewrite: 3 writes happened, but only 2 records' bytes remain.
-        assert!(dbg.contains("writes: 3"), "{dbg}");
-        assert!(dbg.contains("reopens: 1"), "{dbg}");
-    }
-
-    #[test]
-    fn exhausted_retries_surface_the_final_error_with_context() {
-        let sink = ScriptedSink::new(vec![0, 1, 2], vec![]);
-        let mut w = JournalWriter::with_sink(
-            Box::new(sink),
-            Path::new("mem.jsonl"),
-            0,
-            quiet_retry(3),
-        );
-        let err = w.append(&record(1.0)).unwrap_err();
+        let err = w.append(&record(2.0)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         let msg = err.to_string();
-        assert!(msg.contains("after 3 attempts"), "{msg}");
-        assert!(msg.contains("mem.jsonl"), "{msg}");
-        assert!(w.last_error().is_some());
-        // A later append recovers if the fault cleared: dirty forces a
-        // truncating reopen first, so no partial bytes remain.
-        w.append(&record(2.0)).unwrap();
-        assert_eq!(w.appends(), 1);
+        assert!(msg.contains("journal append failed for mem.jsonl"), "{msg}");
+        // Nothing more reaches the sink: the half-written line stays
+        // the torn tail a reopen truncates, never fused with record 3.
+        let err = w.append(&record(3.0)).unwrap_err();
+        assert!(err.to_string().contains("earlier append failed"), "{err}");
+        let dbg = format!("{:?}", w.sink);
+        assert!(dbg.contains("writes: 2"), "{dbg}");
+    }
+
+    #[test]
+    fn a_sync_failure_stops_the_writer_after_a_complete_line() {
+        let sink = ScriptedSink::new(vec![], vec![1]);
+        let mut w = JournalWriter::with_sink(Box::new(sink), Path::new("mem.jsonl"));
+        w.append(&record(1.0)).unwrap();
+        let err = w.append(&record(2.0)).unwrap_err();
+        assert!(err.to_string().contains("journal sync failed"), "{err}");
+        assert!(w.append(&record(3.0)).is_err());
+        // Record 2's bytes landed whole before the failed sync: the one
+        // trailing unacked record readers tolerate.
+        let dbg = format!("{:?}", w.sink);
+        assert!(dbg.contains("writes: 2"), "{dbg}");
+        assert!(dbg.contains("syncs: 2"), "{dbg}");
     }
 }

@@ -26,8 +26,9 @@
 //! torn trailing line a hard kill can leave behind, so long-running
 //! campaigns checkpoint and resume instead of restarting from zero.
 //! The writer talks to storage through the [`journal::JournalSink`]
-//! trait and retries transient faults per a [`journal::RetryPolicy`];
-//! the [`chaos`] module supplies a deterministic fault-injecting sink
+//! trait and stops at its first failed write or sync, leaving a file
+//! that resumes like one a hard kill left behind; the [`chaos`] module
+//! supplies a deterministic fault-injecting sink
 //! ([`chaos::FaultySink`]) so the whole failure surface is testable
 //! with reproducible, seeded schedules.
 //!
@@ -63,10 +64,7 @@ pub mod trace;
 
 pub use chaos::{FaultPlan, FaultySink, NumericChaosPlan, NumericChaosState, NumericSite};
 pub use histogram::Histogram;
-pub use journal::{
-    read_journal, JournalContents, JournalError, JournalOptions, JournalSink, JournalWriter,
-    RetryPolicy,
-};
+pub use journal::{read_journal, JournalContents, JournalError, JournalSink, JournalWriter};
 pub use postmortem::{HazardStep, LadderStep, Postmortem, PostmortemIteration};
 pub use profile::{Phase, PhaseProfiler, PhaseSnapshot};
 pub use report::{RunReport, Section};

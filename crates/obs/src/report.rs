@@ -190,16 +190,6 @@ impl RunReport {
             .sum()
     }
 
-    /// Total fault outcomes that went unjournaled because a campaign
-    /// degraded its journal: the sum of every section's
-    /// `journal_degraded.faults` counter. Zero on healthy runs.
-    pub fn journal_degraded(&self) -> u64 {
-        self.sections
-            .iter()
-            .filter_map(|s| s.counters.get("journal_degraded.faults"))
-            .sum()
-    }
-
     /// Element-wise sum of every section's `escalation_rungs`
     /// histogram.
     pub fn rung_histogram(&self) -> Vec<u64> {
@@ -261,10 +251,6 @@ impl RunReport {
             ),
         );
         summary.push("wall_ms", timing_json(&self.wall_histogram(), canonical));
-        summary.push(
-            "journal_degraded",
-            JsonValue::Num(self.journal_degraded() as f64),
-        );
         root.push("summary", summary);
         root.push(
             "sections",
@@ -324,30 +310,6 @@ mod tests {
         );
         assert!(summary.get("rung_histogram").is_some());
         assert!(summary.get("wall_ms").is_some());
-        assert_eq!(
-            summary.get("journal_degraded").and_then(JsonValue::as_f64),
-            Some(0.0)
-        );
-    }
-
-    #[test]
-    fn journal_degradation_counters_sum_into_the_summary() {
-        let mut report = RunReport::new();
-        let mut healthy = sample_section("c1", 90.0, 3, 1.5);
-        healthy.counter("journal_degraded.faults", 0);
-        report.push(healthy);
-        let mut degraded = sample_section("c2", 50.0, 1, 2.5);
-        degraded.counter("journal_degraded.faults", 5);
-        report.push(degraded);
-        assert_eq!(report.journal_degraded(), 5);
-        let parsed = json::parse(&report.canonical_json_string()).unwrap();
-        assert_eq!(
-            parsed
-                .get("summary")
-                .and_then(|s| s.get("journal_degraded"))
-                .and_then(JsonValue::as_f64),
-            Some(5.0)
-        );
     }
 
     #[test]

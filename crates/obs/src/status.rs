@@ -13,11 +13,11 @@
 //! * **Atomic replacement.** [`write_atomic`] writes to a temporary
 //!   file in the same directory and renames it over the target, so a
 //!   concurrent reader sees either the previous snapshot or the new
-//!   one, never a torn hybrid. [`read_status`] additionally tolerates a
-//!   missing or unparseable file (the moments before the first write,
-//!   or a foreign file) by returning `None` instead of erroring —
-//!   readers poll, so the next snapshot supersedes whatever was
-//!   unreadable.
+//!   one, never a torn hybrid. [`read_status`] therefore reads a
+//!   missing file (the moments before the first write) as `None` and
+//!   reports an unparseable one as an error: no writer leaves one
+//!   behind, so it is a foreign or damaged file, not a moment to poll
+//!   through.
 //! * **Wall-clock quarantine.** Everything here is wall-clock derived
 //!   (ages, rates, ETAs) and therefore *never* feeds back into
 //!   canonical reports or journals. The status file is advisory
@@ -389,22 +389,24 @@ pub fn write_atomic(path: &Path, status: &CampaignStatus) -> io::Result<()> {
     result
 }
 
-/// Reads the snapshot at `path`, tolerating every state a concurrent
-/// writer can leave behind: a missing file (not yet written) and
-/// unparseable or foreign content both yield `Ok(None)` — the reader
-/// polls, so the next write supersedes them. Only a real I/O error
-/// (permissions, hardware) is reported.
+/// Reads the snapshot at `path`. A missing file (not yet written)
+/// yields `Ok(None)`, the one state besides a complete snapshot that a
+/// concurrent [`write_atomic`] can leave behind.
 ///
 /// # Errors
 ///
-/// I/O errors other than "file not found".
+/// I/O errors other than "file not found", and
+/// [`io::ErrorKind::InvalidData`] with [`parse_status`]'s reason for
+/// content that is not a valid snapshot.
 pub fn read_status(path: &Path) -> io::Result<Option<CampaignStatus>> {
     let text = match fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    Ok(parse_status(&text).ok())
+    parse_status(&text)
+        .map(Some)
+        .map_err(|reason| io::Error::new(io::ErrorKind::InvalidData, reason))
 }
 
 #[cfg(test)]
@@ -507,14 +509,20 @@ mod tests {
     }
 
     #[test]
-    fn unparseable_content_reads_as_none() {
+    fn unparseable_content_is_invalid_data_with_its_reason() {
         let dir = std::env::temp_dir().join("obs-status-test");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("garbage.json");
         fs::write(&path, "{\"schema\": \"mixsig.campaign-st").unwrap();
-        assert_eq!(read_status(&path).unwrap(), None);
-        fs::write(&path, "not json at all").unwrap();
-        assert_eq!(read_status(&path).unwrap(), None);
+        let err = read_status(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Outcome counts that do not sum to `done`.
+        let mut status = sample();
+        status.detected = 9;
+        fs::write(&path, status.to_json().to_json()).unwrap();
+        let err = read_status(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("rollup"), "{err}");
     }
 
     #[test]
